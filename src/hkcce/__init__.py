@@ -7,9 +7,8 @@ from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma, gamma_fn,
                          hk_constant, sphere_q_oracle, sphere_q_value,
                          sphere_volume)
 from .model_geometry import ModelSpace, frame, mean_curvature_exact, model_validate
-from .scattering import (FrobeniusBranch, IntegrationError, MatchingError,
-                         RadialProfile, ResonanceError, ScatteringResult,
-                         default_match_T, frobenius_branch,
+from .scattering import (FrobeniusBranch, MatchingError, RadialProfile,
+                         ResonanceError, ScatteringResult, frobenius_branch,
                          frobenius_coefficients, lee_potential_exact,
                          match_and_q, solve_case, solve_interior)
 from .jet_algebra import (IntegralClass, Jet, Poly, Prop21Certificate,
@@ -27,9 +26,9 @@ __all__ = [
     "GAMMA_MAX", "GAMMA_MIN", "QCurvParams", "d_gamma", "gamma_fn",
     "hk_constant", "sphere_q_oracle", "sphere_q_value", "sphere_volume",
     "ModelSpace", "frame", "mean_curvature_exact", "model_validate",
-    "FrobeniusBranch", "IntegrationError", "MatchingError", "RadialProfile",
-    "ResonanceError", "ScatteringResult", "default_match_T",
-    "frobenius_branch", "frobenius_coefficients", "lee_potential_exact",
+    "FrobeniusBranch", "MatchingError", "RadialProfile", "ResonanceError",
+    "ScatteringResult", "frobenius_branch", "frobenius_coefficients",
+    "lee_potential_exact",
     "match_and_q", "solve_case", "solve_interior",
     "IntegralClass", "Jet", "Poly", "Prop21Certificate",
     "UnsupportedIntegralError", "boundary_integral", "expand_normal_form",

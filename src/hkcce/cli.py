@@ -1,7 +1,7 @@
 """Command line runner: configuration, sweeps and persistent reports.
 
 Commands
-    qcurv                Q-curvature table (ODE pipeline vs closed-form oracle)
+    qcurv                Q-curvature table (series connection vs closed-form oracle)
     verify hk-adapted    fractional Heintze-Karcher inequality
     verify hk-cla        classical form at gamma = 1/2
     verify hk-lee        Lee-compactification form
@@ -59,9 +59,7 @@ class RunConfig:
     n: list = field(default_factory=lambda: [4])
     gamma: list = field(default_factory=lambda: [0.5])
     k: list = field(default_factory=lambda: [1.0])
-    ode_tol: float = 1e-8
     quad_tol: float = 1e-6
-    T: float = 18.0
     out: str = "out"
     emit_csv: bool = True
     emit_json: bool = True
@@ -84,12 +82,8 @@ class RunConfig:
         for k in self.k:
             if not k > 0:
                 raise ValueError(f"k must be positive, got {k}")
-        if not (1e-12 <= self.ode_tol <= 1e-2):
-            raise ValueError(f"ode_tol {self.ode_tol} outside [1e-12, 1e-2]")
         if not (1e-10 <= self.quad_tol <= 1e-2):
             raise ValueError(f"quad_tol {self.quad_tol} outside [1e-10, 1e-2]")
-        if not (6.0 <= self.T <= 40.0):
-            raise ValueError(f"matching window T={self.T} outside [6, 40]")
         if int(self.jobs) != self.jobs or self.jobs < 0:
             raise ValueError("jobs must be a nonnegative integer")
         return self
@@ -121,9 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=str, default=None, help="boundary dimensions, e.g. 4,5,6 or 5..12")
         p.add_argument("--gamma", type=str, default=None, help="fractional orders, e.g. 0.25,0.5")
         p.add_argument("--k", type=str, default=None, help="boundary Einstein constants, e.g. 0.5,1,2")
-        p.add_argument("--ode-tol", type=float, default=None)
         p.add_argument("--quad-tol", type=float, default=None)
-        p.add_argument("--T", type=float, default=None, help="matching window cap")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--emit", type=str, default=None, help="comma list from {csv,json}")
         p.add_argument("--jobs", type=int, default=None)
@@ -177,9 +169,7 @@ def parse_config(argv) -> RunConfig:
         n=[int(x) for x in pick_list(ns.n, "n", [4], int)],
         gamma=[float(x) for x in pick_list(ns.gamma, "gamma", [0.5], float)],
         k=[float(x) for x in pick_list(ns.k, "k", [1.0], float)],
-        ode_tol=float(pick(ns.ode_tol, "ode_tol", 1e-8)),
         quad_tol=float(pick(ns.quad_tol, "quad_tol", 1e-6)),
-        T=float(pick(ns.T, "T", 18.0)),
         out=str(out),
         emit_csv="csv" in emit_set,
         emit_json="json" in emit_set,
@@ -193,9 +183,9 @@ def parse_config(argv) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _qcurv_case(args) -> dict:
-    n, gamma, k, ode_tol, T = args
+    n, gamma, k = args
     p = QCurvParams(n, gamma, k)
-    profile, sr = solve_case(p, ode_tol, T_window=T)
+    profile, sr = solve_case(p)
     oracle = sphere_q_value(n, gamma, k)
     rel = abs(sr.q_value - oracle) / max(1.0, abs(oracle))
     return {
@@ -208,9 +198,9 @@ def _qcurv_case(args) -> dict:
 
 
 def _sweep_case(args) -> dict:
-    n, gamma, k, ode_tol, quad_tol, T = args
-    row = _qcurv_case((n, gamma, k, ode_tol, T))
-    rep = verify_adapted(n, gamma, k, tol=quad_tol, ode_tol=ode_tol, T_window=T)
+    n, gamma, k, quad_tol = args
+    row = _qcurv_case((n, gamma, k))
+    rep = verify_adapted(n, gamma, k, tol=quad_tol)
     ok = row["verdict"] == "pass" and rep.passing
     return {
         "n": n, "gamma": gamma, "k": k,
@@ -221,11 +211,11 @@ def _sweep_case(args) -> dict:
 
 
 def _residual_case(args) -> dict:
-    kind, n, gamma, k, ode_tol, T, dump_dir = args
+    kind, n, gamma, k, dump_dir = args
     m = ModelSpace(n, k)
     if kind == "adapted":
         p = QCurvParams(n, gamma, k)
-        profile, sr = solve_case(p, ode_tol, T_window=T)
+        profile, sr = solve_case(p)
         g = build_adapted(m, sr, profile)
     else:
         g = build_lee(m)
@@ -326,8 +316,7 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
             "command": cfg.command,
             "verify_target": cfg.verify_target,
             "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
-            "tolerances": {"ode_tol": cfg.ode_tol, "quad_tol": cfg.quad_tol},
-            "T": cfg.T,
+            "tolerances": {"quad_tol": cfg.quad_tol},
             "jobs": cfg.jobs,
             "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
             "wall_clock_s": time.time() - started,
@@ -366,17 +355,14 @@ def run_command(cfg: RunConfig) -> int:
             failing.append(label)
 
     if cfg.command == "qcurv":
-        rows = _run_cases(_qcurv_case,
-                          [(n, g, k, cfg.ode_tol, cfg.T) for n, g, k in _grid(cfg)],
-                          cfg.jobs)
+        rows = _run_cases(_qcurv_case, list(_grid(cfg)), cfg.jobs)
         rows_by_table["qcurv"] = rows
         for row in rows:
             note(row["verdict"] == "pass", f"qcurv n={row['n']} gamma={row['gamma']} k={row['k']}")
 
     elif cfg.command == "sweep":
         rows = _run_cases(_sweep_case,
-                          [(n, g, k, cfg.ode_tol, cfg.quad_tol, cfg.T)
-                           for n, g, k in _grid(cfg)],
+                          [(n, g, k, cfg.quad_tol) for n, g, k in _grid(cfg)],
                           cfg.jobs)
         rows_by_table["sweep"] = rows
         for row in rows:
@@ -399,12 +385,12 @@ def run_command(cfg: RunConfig) -> int:
         else:
             for n, gamma, k in _grid(cfg):
                 if cfg.verify_target == "hk-adapted":
-                    rep = verify_adapted(n, gamma, k, cfg.quad_tol, cfg.ode_tol, cfg.T)
+                    rep = verify_adapted(n, gamma, k, cfg.quad_tol)
                     items = [rep]
                 elif cfg.verify_target == "hk-cla":
                     if gamma != sorted(cfg.gamma)[0]:
                         continue  # gamma-independent
-                    rep = verify_cla(n, k, cfg.quad_tol, cfg.ode_tol, cfg.T)
+                    rep = verify_cla(n, k, cfg.quad_tol)
                     items = [rep]
                 elif cfg.verify_target == "hk-lee":
                     if gamma != sorted(cfg.gamma)[0]:
@@ -412,8 +398,7 @@ def run_command(cfg: RunConfig) -> int:
                     rep = verify_lee(n, k, cfg.quad_tol)
                     items = [rep]
                 else:  # defect
-                    items = [defect_identity("adapted", n, k, cfg.quad_tol,
-                                             gamma=gamma, ode_tol=cfg.ode_tol)]
+                    items = [defect_identity("adapted", n, k, cfg.quad_tol, gamma=gamma)]
                     if gamma == sorted(cfg.gamma)[0]:
                         items.append(defect_identity("lee", n, k, cfg.quad_tol))
                 for rep in items:
@@ -431,9 +416,8 @@ def run_command(cfg: RunConfig) -> int:
 
     elif cfg.command == "residuals":
         dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
-        args = [("adapted", n, g, k, cfg.ode_tol, cfg.T, dump_dir)
-                for n, g, k in _grid(cfg)]
-        args += [("lee", n, None, k, cfg.ode_tol, cfg.T, dump_dir)
+        args = [("adapted", n, g, k, dump_dir) for n, g, k in _grid(cfg)]
+        args += [("lee", n, None, k, dump_dir)
                  for n in sorted(cfg.n) for k in sorted(cfg.k)]
         rows = _run_cases(_residual_case, args, cfg.jobs)
         rows_by_table["residuals"] = rows

@@ -18,7 +18,7 @@ the scattering ODE, the Laplacian and Bochner-type identities checked by
 `residual_suite`; all derivatives are produced by analytic chain rules (v'
 and v'' come from the ODE closure, never from finite differences).
 
-Profiles are evaluated piecewise: Taylor start below tau0, solver interpolant
+Profiles are evaluated piecewise: the centre series of the interior solution
 up to tau_b = ln 8 (r = 0.25/sqrt(k)), and the matched Frobenius branch
 superposition beyond, which stays machine-accurate down to arbitrarily small
 r and supplies the boundary layer of every radial integral.  Near the
@@ -36,11 +36,10 @@ from typing import Callable
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import RadialProfile, ScatteringResult
+from .scattering import TAU_BRANCH, RadialProfile, ScatteringResult
 from .special_fn import d_gamma
 
-TAU_BRANCH = math.log(8.0)     # ODE-to-branch handoff: r = 0.25/sqrt(k)
-_GRID_ODE = 140
+_GRID_CENTRE = 140
 _GRID_BRANCH = 120
 _R_HAT_MIN = 1e-6              # innermost grid radius, as a fraction of 2/sqrt(k)
 
@@ -116,13 +115,13 @@ class CompactifiedGeometry:
         rc = base.r_center
         tau_hi = float(base.tau_of_r(rc * _R_HAT_MIN))
         self.grid_tau = np.unique(np.concatenate([
-            np.linspace(self.profile.tau0 if profile else 1e-3, TAU_BRANCH, _GRID_ODE),
+            np.linspace(self.profile.tau0 if profile else 1e-3, TAU_BRANCH, _GRID_CENTRE),
             np.linspace(TAU_BRANCH, tau_hi, _GRID_BRANCH),
         ]))
         self._grid_state: GeometryState | None = None
 
     # -- raw solution access ------------------------------------------------
-    def _u_ode(self, tau):
+    def _u_centre(self, tau):
         u, du = self.profile.evaluate(tau)
         return u / self.c1, du / self.c1
 
@@ -157,7 +156,7 @@ class CompactifiedGeometry:
             du[:] = self.base.f_of_r(r)
         else:
             if np.any(inner):
-                u[inner], du[inner] = self._u_ode(tau[inner])
+                u[inner], du[inner] = self._u_centre(tau[inner])
             if np.any(use_branch):
                 u[use_branch], du[use_branch] = self._u_branch(r[use_branch])
         if np.any(u <= 0.0):
@@ -244,10 +243,8 @@ class CompactifiedGeometry:
         q = self.c2_over_c1
         m, s = self.m_exp, self.s
         b1, b2 = self.sr.branch_low, self.sr.branch_high
-        rF = r * b1.series(r)
-        # r F'(r) for the even series F: sum 2j a_{2j} r^{2j}
-        rFp = _r_series_derivative(b1, r)
-        rGp = _r_series_derivative(b2, r)
+        rFp = b1.r_series_derivative(r)
+        rGp = b2.r_series_derivative(r)
         G = b2.series(r)
         rm = np.power(r, m)
         rs = np.power(r, s)
@@ -280,17 +277,6 @@ class CompactifiedGeometry:
                     f"{st.grad_sq[i]:.15g}", f"{tq[i]:.15g}",
                     f"{res_rho.values[i]:.15g}", f"{res_other.values[i]:.15g}",
                 ])
-
-
-def _r_series_derivative(branch, r):
-    """r * d/dr of the even series factor of a Frobenius branch."""
-    r = np.asarray(r, dtype=float)
-    x = r * r
-    acc = np.zeros_like(r)
-    cs = [float(c) for c in branch.coeffs]
-    for j in range(len(cs) - 1, 0, -1):
-        acc = acc * x + 2.0 * j * cs[j]
-    return acc * x
 
 
 # ---------------------------------------------------------------------------

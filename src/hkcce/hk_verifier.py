@@ -184,11 +184,10 @@ def _balance_verdict(lhs: float, gap: float, err_est: float, tol: float) -> str:
 # Adapted-compactification integral data (shared by verify_adapted / defect)
 # ---------------------------------------------------------------------------
 
-def _adapted_case(n: int, gamma: float, k: float, ode_tol: float,
-                  T_window: float | None):
+def _adapted_case(n: int, gamma: float, k: float):
     p = QCurvParams(n, gamma, k)
     m = ModelSpace(n, k)
-    profile, sr = solve_case(p, ode_tol, T_window)
+    profile, sr = solve_case(p)
     geom = build_adapted(m, sr, profile)
     return p, m, geom, sr
 
@@ -228,8 +227,7 @@ def _adapted_integrals(geom: CompactifiedGeometry, gamma: float):
 # Verifications
 # ---------------------------------------------------------------------------
 
-def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6,
-                   ode_tol: float = 1e-8, T_window: float | None = None) -> VerificationReport:
+def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6) -> VerificationReport:
     """Fractional Heintze-Karcher inequality on the adapted compactification.
 
     lhs = int_M Q^{-(1-g)/g} dS,  rhs = C(n,g) int_X rho^{2g-1} T^{1-kap} dV;
@@ -237,7 +235,7 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6,
     otherwise.  The gap is cross-checked against the nonnegative defect
     remainders of the integrated identity.
     """
-    p, m, geom, sr = _adapted_case(n, gamma, k, ode_tol, T_window)
+    p, m, geom, sr = _adapted_case(n, gamma, k)
     kap = (1.0 - gamma) / gamma
     vol_m = k ** (-n / 2.0) * sphere_volume(n)
     q = sr.q_value
@@ -256,20 +254,19 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6,
     return VerificationReport(
         name="hk-adapted", lhs=lhs, rhs=rhs, gap=gap, remainders=remainders,
         verdict=verdict, err_est=err, k_weight=gamma - 1.0 - n / 2.0,
-        params={"n": n, "gamma": gamma, "k": k, "tol": tol, "ode_tol": ode_tol,
+        params={"n": n, "gamma": gamma, "k": k, "tol": tol,
                 "q_value": q, "T_match": sr.T_match,
                 "defect_gap_consistency": abs(gap - (remainders[0][1] + remainders[1][1]))},
     )
 
 
-def verify_cla(n: int, k: float, tol: float = 1e-6, ode_tol: float = 1e-8,
-               T_window: float | None = None) -> VerificationReport:
+def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     """Classical Heintze-Karcher form at gamma = 1/2.
 
     lhs = int_M dS/Hbar with Hbar = n Q_1, rhs = (n+1)/n Vol(X, gbar_s);
     equality on the models (they are hyperbolic space).
     """
-    p, m, geom, sr = _adapted_case(n, 0.5, k, ode_tol, T_window)
+    p, m, geom, sr = _adapted_case(n, 0.5, k)
     vol_m = k ** (-n / 2.0) * sphere_volume(n)
     hbar = n * sr.q_value
     lhs = vol_m / hbar
@@ -282,8 +279,7 @@ def verify_cla(n: int, k: float, tol: float = 1e-6, ode_tol: float = 1e-8,
         name="hk-cla", lhs=lhs, rhs=rhs, gap=gap, remainders=[],
         verdict=_verdict(lhs, gap, err, tol), err_est=err,
         k_weight=-(n + 1.0) / 2.0,
-        params={"n": n, "k": k, "tol": tol, "ode_tol": ode_tol,
-                "Hbar": hbar, "q_value": sr.q_value},
+        params={"n": n, "k": k, "tol": tol, "Hbar": hbar, "q_value": sr.q_value},
     )
 
 
@@ -311,7 +307,7 @@ def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
 
 
 def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
-                    gamma: float | None = None, ode_tol: float = 1e-8) -> VerificationReport:
+                    gamma: float | None = None) -> VerificationReport:
     """Exact integrated identity behind each inequality, remainders included.
 
     adapted:  (2-2g)(-4g/d_g)^{-kap} int_M Q^{-kap} dS
@@ -328,7 +324,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     if kind == "adapted":
         if gamma is None:
             raise ValueError("adapted defect identity needs gamma")
-        p, m, geom, sr = _adapted_case(n, gamma, k, ode_tol, None)
+        p, m, geom, sr = _adapted_case(n, gamma, k)
         kap = (1.0 - gamma) / gamma
         lhs = (2.0 - 2.0 * gamma) * (-4.0 * gamma / d_gamma(gamma)) ** (-kap) \
             * sr.q_value ** (-kap) * vol_m
@@ -338,8 +334,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
         rhs = coef * vol_m * main + rem1 + rem2
         err = vol_m * (coef * main_err + r1_err + r2_err) + abs(lhs) * (kap + 1.0) * 1e-9
         name = "defect-adapted"
-        params = {"n": n, "gamma": gamma, "k": k, "tol": tol,
-                  "ode_tol": ode_tol, "q_value": sr.q_value}
+        params = {"n": n, "gamma": gamma, "k": k, "tol": tol, "q_value": sr.q_value}
         k_weight = gamma - 1.0 - n / 2.0
     elif kind == "lee":
         m = ModelSpace(n, k)

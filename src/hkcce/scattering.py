@@ -16,14 +16,23 @@ u = c1 U1 + c2 U2 and the scattering value is S(s)1 = c2/c1 once both
 branches carry unit leading coefficient.  The Q-curvature follows from the
 d_gamma normalisation:  Q = (2/(n-2 gamma)) d_gamma c2/c1.
 
-Extraction scheme (validated against the closed-form sphere oracle): start
-with an even Taylor expansion at the centre, integrate outward with a high
-order adaptive Runge-Kutta method, and solve the 2x2 system (value and
-derivative) against the two branches at a matching point T chosen so that the
-branch contrast e^{-2 gamma T} sits near the 1e-4 edge of the resolvable
-window; a second matching at T - 2 gives a consistency estimate.  Derivatives
-are always transported analytically (dr/dtau = -r); second derivatives come
-from the ODE closure, never from finite differences.
+Extraction scheme (validated against the closed-form sphere oracle): the
+regular solution is u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau), summed
+after the Pfaff transformation (DLMF 15.8.1) as the centre series
+
+    u  = cosh(tau)^{-s} sum_j t_j x^j,                      x = tanh^2 tau,
+    u' = -(n-s) tanh(tau) cosh(tau)^{-s} sum_j t_j (s+2j)/(n+1+2j) x^j,
+
+    t_0 = 1,  t_{j+1}/t_j = (s/2+j)((s+1)/2+j) / (((n+1)/2+j)(1+j)).
+
+Every term is positive, so neither sum cancels at any n, and both converge on
+the whole interior.  The two Frobenius branches, summed until their last term
+is below machine epsilon on r <= r(ln 8), are connected to u in value and
+tau derivative at the single point tau_m = 3, where the column-equilibrated
+2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
+at tau = 2.5 gives the reported consistency gap.  Derivatives are always
+transported analytically (dr/dtau = -r); second derivatives come from the
+ODE closure, never from finite differences.
 """
 
 from __future__ import annotations
@@ -31,18 +40,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .special_fn import QCurvParams, d_gamma
 
-TAU0 = 1e-3                   # Taylor handoff; coth is never evaluated below
-_TAYLOR_TERMS = 6             # even terms a0..a10
-_CONTRAST_LOG = -math.log(1e-4)
-_T_MIN, _T_MAX = 6.0, 30.0
-_RTOL_FLOOR = 1e-12
+TAU0 = 1e-3                   # inner edge of the radial grids; coth is never evaluated below
+TAU_BRANCH = math.log(8.0)    # the branch series serve tau >= ln 8, i.e. r <= 0.25/sqrt(k)
+TAU_MATCH = 3.0               # connection point of the centre series and the branches
+TAU_CHECK = 2.5               # second connection, for the consistency gap
+_EPS = float(np.finfo(float).eps)
+_COND_MAX = 1e12
+_BRANCH_MAX_ORDER = 400
+_TABLE_POINTS = 9
 
 
 class ResonanceError(ValueError):
@@ -50,105 +62,56 @@ class ResonanceError(ValueError):
 
 
 class MatchingError(RuntimeError):
-    """Branch matching failed (conditioning, truncation or window)."""
-
-
-class IntegrationError(RuntimeError):
-    """The interior integrator did not converge."""
-
-
-def default_match_T(gamma: float) -> float:
-    """Matching point with branch contrast e^{-2 gamma T} ~ 1e-4, in [6, 30]."""
-    return min(_T_MAX, max(_T_MIN, _CONTRAST_LOG / (2.0 * gamma)))
-
-
-# ---------------------------------------------------------------------------
-# Taylor start at the centre
-# ---------------------------------------------------------------------------
-
-def _tau_coth_coeffs(m: int) -> list[Fraction]:
-    """Exact even coefficients of tau coth(tau) = sum b_{2j} tau^{2j}.
-
-    Computed as the series quotient cosh(tau) / (sinh(tau)/tau).
-    """
-    cosh = [Fraction(1, math.factorial(2 * j)) for j in range(m)]
-    sinh = [Fraction(1, math.factorial(2 * j + 1)) for j in range(m)]
-    b: list[Fraction] = []
-    for j in range(m):
-        acc = cosh[j]
-        for i in range(j):
-            acc -= b[i] * sinh[j - i]
-        b.append(acc)
-    return b
-
-
-class TaylorStart:
-    """Even Taylor solution u = 1 + a2 tau^2 + ... of the interior ODE.
-
-    Recursion from tau u'' + n (tau coth tau) u' + lam tau u = 0:
-      a_{2m} = -(lam a_{2m-2} + 2 n sum_{j<m} j b_{2(m-j)} a_{2j})
-               / (2m (2m - 1 + n))
-    so a2 = -lam / (2(n+1)).
-    """
-
-    def __init__(self, n: int, lam: float, terms: int = _TAYLOR_TERMS):
-        b = [float(x) for x in _tau_coth_coeffs(terms + 1)]
-        a = [1.0]
-        for m in range(1, terms):
-            acc = lam * a[m - 1]
-            for j in range(1, m):
-                acc += 2.0 * n * j * b[m - j] * a[j]
-            a.append(-acc / (2.0 * m * (2.0 * m - 1.0 + n)))
-        self.a = a
-
-    def u(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        x = tau * tau
-        acc = np.zeros_like(tau)
-        for c in reversed(self.a):
-            acc = acc * x + c
-        return acc
-
-    def du(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        x = tau * tau
-        acc = np.zeros_like(tau)
-        for m in range(len(self.a) - 1, 0, -1):
-            acc = acc * x + 2.0 * m * self.a[m]
-        return acc * tau
+    """Branch matching failed (conditioning, truncation or a degenerate solution)."""
 
 
 # ---------------------------------------------------------------------------
 # Frobenius branches at the boundary
 # ---------------------------------------------------------------------------
 
-def frobenius_coefficients(n, s, k, mu, order: int):
-    """Even branch coefficients a_0=1, a_2, ... a_{2*order} of r^mu (sum a_{2j} r^{2j}).
+def _frobenius_terms(n, s, k, mu):
+    """Yield a_0 = 1, a_2, a_4, ... of the branch r^mu (sum a_{2j} r^{2j}).
 
     Generic in the number type: Fraction inputs stay exact, floats stay
     floats.  Recursion (P(x) = (x - s)(x - (n - s))):
 
-        P(mu + 2M) a_{2M} = (n k / 2) sum_{m<M} (k/4)^{M-1-m} (mu + 2m) a_{2m}
+        P(mu + 2M) a_{2M} = (n k / 2) S_M,
+        S_M = sum_{m<M} (k/4)^{M-1-m} (mu + 2m) a_{2m} = (k/4) S_{M-1} + (mu + 2M - 2) a_{2M-2}
 
-    A vanishing indicial factor raises ResonanceError (for the eigenvalue
-    instance s = n+1 this happens at 2M = n+2 when n is even).
+    A vanishing indicial factor raises ResonanceError when that step is
+    reached (for the eigenvalue instance s = n+1 this happens at 2M = n+2
+    when n is even).
     """
     exact = any(isinstance(x, Fraction) for x in (k, mu, s))
-    a = [Fraction(1) if exact else 1.0]
-    for M in range(1, order + 1):
+    a = Fraction(1) if exact else 1.0
+    yield a
+    acc = a * mu
+    M = 1
+    while True:
         x = mu + 2 * M
         P = (x - s) * (x - (n - s))
         if P == 0:
             raise ResonanceError(
                 f"indicial factor vanishes at step 2M={2 * M} (mu={mu}, s={s}, n={n})"
             )
-        acc = a[0] * mu
-        for m in range(1, M):
-            acc = acc * (k / 4)
-            acc += a[m] * (mu + 2 * m)
-        # Horner over m gives sum (k/4)^{M-1-m} (mu+2m) a_{2m}
-        a.append((n * k / 2) * acc / P)
-    return a
+        a = (n * k / 2) * acc / P
+        yield a
+        acc = acc * (k / 4)
+        acc += a * (mu + 2 * M)
+        M += 1
+
+
+def frobenius_coefficients(n, s, k, mu, order: int):
+    """Even branch coefficients a_0=1, a_2, ... a_{2*order} of r^mu (sum a_{2j} r^{2j})."""
+    return list(islice(_frobenius_terms(n, s, k, mu), order + 1))
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j x^j for the short branch series."""
+    acc = np.zeros_like(x)
+    for cj in c[::-1]:
+        acc = acc * x + cj
+    return acc
 
 
 @dataclass
@@ -160,18 +123,20 @@ class FrobeniusBranch:
     k: float
     mu: float
     coeffs: list
+    _c: np.ndarray = field(init=False, repr=False, compare=False)    # float a_{2j}
+    _dc: np.ndarray = field(init=False, repr=False, compare=False)   # (mu + 2j) a_{2j}
+    _rc: np.ndarray = field(init=False, repr=False, compare=False)   # 2j a_{2j}
 
-    def _floats(self):
-        return [float(c) for c in self.coeffs]
+    def __post_init__(self):
+        j = np.arange(len(self.coeffs), dtype=float)
+        self._c = np.array([float(c) for c in self.coeffs])
+        self._dc = (self.mu + 2.0 * j) * self._c
+        self._rc = 2.0 * j * self._c
 
     def series(self, r):
         """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
         r = np.asarray(r, dtype=float)
-        x = r * r
-        acc = np.zeros_like(r)
-        for c in reversed(self._floats()):
-            acc = acc * x + c
-        return acc
+        return _horner(self._c, r * r)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -180,17 +145,16 @@ class FrobeniusBranch:
     def derivative(self, r):
         """d/dr of the branch."""
         r = np.asarray(r, dtype=float)
-        x = r * r
-        acc = np.zeros_like(r)
-        cs = self._floats()
-        for j in range(len(cs) - 1, -1, -1):
-            acc = acc * x + (self.mu + 2.0 * j) * cs[j]
-        return r ** (self.mu - 1.0) * acc
+        return r ** (self.mu - 1.0) * _horner(self._dc, r * r)
+
+    def r_series_derivative(self, r):
+        """r d/dr of the even series factor, sum 2j a_{2j} r^{2j}."""
+        r = np.asarray(r, dtype=float)
+        return _horner(self._rc, r * r)
 
     def truncation_estimate(self, r) -> float:
         """Magnitude of the last kept term relative to the series value."""
-        cs = self._floats()
-        last = abs(cs[-1]) * float(r) ** (2 * (len(cs) - 1))
+        last = abs(self._c[-1]) * float(r) ** (2 * (len(self._c) - 1))
         return last / max(abs(float(self.series(r))), 1e-300)
 
     def recursion_residual(self) -> float:
@@ -210,11 +174,30 @@ class FrobeniusBranch:
         return worst
 
 
-def frobenius_branch(p: QCurvParams, mu: float, order: int = 12) -> FrobeniusBranch:
-    """Branch for validated parameters; mu must be one of the indicial roots."""
+def frobenius_branch(p: QCurvParams, mu: float, order: int | None = None) -> FrobeniusBranch:
+    """Branch for validated parameters; mu must be one of the indicial roots.
+
+    Without an explicit order the series is summed until its last term is
+    below machine epsilon relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k),
+    the largest radius at which the branches are evaluated.
+    """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
-    coeffs = frobenius_coefficients(p.n, p.s, p.k, mu, order)
+    terms = _frobenius_terms(p.n, p.s, p.k, mu)
+    if order is not None:
+        coeffs = list(islice(terms, order + 1))
+    else:
+        r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
+        coeffs, total = [], 0.0
+        for M, a in enumerate(terms):
+            coeffs.append(a)
+            term = abs(a) * r2 ** M
+            total += term
+            if M >= 1 and term <= _EPS * total:
+                break
+            if M == _BRANCH_MAX_ORDER:
+                raise MatchingError(
+                    f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
     return FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu, coeffs=coeffs)
 
 
@@ -222,13 +205,71 @@ def frobenius_branch(p: QCurvParams, mu: float, order: int = 12) -> FrobeniusBra
 # Interior solution
 # ---------------------------------------------------------------------------
 
+class CentreSeries:
+    """u and u' of the regular interior solution from its series in x = tanh^2 tau.
+
+    The coefficients t_j and t_j (s+2j)/(n+1+2j) are kept up to the order
+    that sums the series to machine precision at tau_max.  A call sums only
+    the terms its largest x needs, as a blocked product: with j = B q + r,
+    sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so the temporaries
+    are (points x sqrt(terms)) rather than (points x terms).
+    """
+
+    def __init__(self, n: int, s: float, tau_max: float):
+        self.n, self.s = n, s
+        x_max = math.tanh(tau_max) ** 2
+        size = 256
+        while True:
+            j = np.arange(size, dtype=float)
+            ratio = (s / 2.0 + j) * ((s + 1.0) / 2.0 + j) / (((n + 1.0) / 2.0 + j) * (1.0 + j))
+            t = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
+            terms = self._terms_needed(ratio, t, x_max)
+            if terms is not None:
+                break
+            size *= 2
+        self.ratio = ratio[:terms]
+        self.t = t[:terms]
+        self.dt = self.t * (s + 2.0 * j[:terms]) / (n + 1.0 + 2.0 * j[:terms])
+
+    @staticmethod
+    def _terms_needed(ratio, t, x: float) -> int | None:
+        """Fewest terms whose tail is below eps times the partial sum at x.
+
+        With T_j = t_j x^j, the tail after term j is at most
+        T_j rho/(1-rho), rho = max(r_j, 1) x: the ratios r_j = t_{j+1}/t_j
+        decrease while above 1 and stay below 1 once they drop under it.
+        """
+        T = t * np.power(x, np.arange(len(t), dtype=float))
+        rho = np.maximum(ratio, 1.0) * x
+        ok = (rho < 1.0) & (T * rho <= _EPS * np.cumsum(T) * (1.0 - rho))
+        hits = np.flatnonzero(ok)
+        return int(hits[0]) + 1 if hits.size else None
+
+    def __call__(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        x = np.tanh(tau) ** 2
+        J = self._terms_needed(self.ratio, self.t, float(np.max(x))) or len(self.t)
+        B = math.isqrt(J - 1) + 1
+        Q = -(-J // B)
+        coef = np.zeros((2, Q * B))
+        coef[0, :J] = self.t[:J]
+        coef[1, :J] = self.dt[:J]
+        low = np.power.outer(x, np.arange(B, dtype=float))                # x^r
+        high = np.power.outer(x, B * np.arange(Q, dtype=float))           # x^{Bq}
+        blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(x), 2, Q)
+        sums = np.einsum("pkq,pq->kp", blocks, high)
+        sech_s = np.cosh(tau) ** -self.s
+        return sech_s * sums[0], -(self.n - self.s) * np.tanh(tau) * sech_s * sums[1]
+
+
 @dataclass
 class RadialProfile:
-    """Regular radial solution: grid values, derivatives and closures.
+    """Regular radial solution in closed form: u and u' at any tau.
 
-    The second derivative is never finite-differenced; it is supplied by the
-    ODE closure u'' = -n coth(tau) u' - lam u.  `evaluate` is dense (Taylor
-    below tau0, the integrator interpolant above).
+    `evaluate` is dense on [0, tau_max]; tau, u and du tabulate the profile
+    on a coarse grid (checked for positivity by the geometry builders).  The
+    second derivative is never finite-differenced; it is supplied by the ODE
+    closure u'' = -n coth(tau) u' - lam u.
     """
 
     n: int
@@ -237,80 +278,32 @@ class RadialProfile:
     tau: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    tau0: float
     tau_max: float
-    taylor: TaylorStart
-    dense: Callable | None = None
+    values: Callable = field(repr=False)     # tau array -> (u, u')
+    tau0: float = TAU0
 
     def evaluate(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         if np.any(tau > self.tau_max * (1 + 1e-12)):
             raise ValueError(f"tau beyond profile horizon {self.tau_max}")
-        u = np.empty_like(tau)
-        du = np.empty_like(tau)
-        low = tau < self.tau0
-        if np.any(low):
-            u[low] = self.taylor.u(tau[low])
-            du[low] = self.taylor.du(tau[low])
-        hi = ~low
-        if np.any(hi):
-            if self.dense is None:
-                raise ValueError("profile has no dense interpolant")
-            y = self.dense(tau[hi])
-            u[hi], du[hi] = y[0], y[1]
-        return u, du
+        return self.values(tau)
 
     def u_dd(self, tau, u, du):
         """ODE closure for the second derivative."""
         return -self.n / np.tanh(tau) * du - self.lam * u
 
-    def closure_residual(self, h: float = 1e-4) -> float:
-        """Relative defect between the closure and the interpolant derivative.
 
-        Diagnostic only (Richardson finite difference of u'); downstream code
-        never differentiates numerically.
-        """
-        taus = self.tau[(self.tau > self.tau0 + 2 * h) & (self.tau < self.tau_max - 2 * h)]
-        taus = taus[:: max(1, len(taus) // 40)]
-        if len(taus) == 0:
-            return 0.0
-        u, du = self.evaluate(taus)
-        closure = self.u_dd(taus, u, du)
-        d1 = (self.evaluate(taus + h)[1] - self.evaluate(taus - h)[1]) / (2 * h)
-        d2 = (self.evaluate(taus + h / 2)[1] - self.evaluate(taus - h / 2)[1]) / h
-        fd = (4.0 * d2 - d1) / 3.0
-        scale = np.maximum(np.abs(closure), np.maximum(np.abs(self.lam * u), 1e-300))
-        return float(np.max(np.abs(closure - fd) / scale))
+def _tabulated(n: int, s: float, values: Callable, tau_max: float,
+               table_max: float) -> RadialProfile:
+    tau = np.linspace(0.0, table_max, _TABLE_POINTS)
+    u, du = values(tau)
+    return RadialProfile(n=n, s=s, lam=s * (n - s), tau=tau, u=u, du=du,
+                         tau_max=tau_max, values=values)
 
 
-def solve_interior(p: QCurvParams, tol: float, tau_max: float | None = None) -> RadialProfile:
-    """Integrate the regular interior solution outward from the Taylor start.
-
-    tol is an upper bound on the local relative error; the integrator runs at
-    min(tol, 1e-12) because the branch extraction divides the profile error
-    by the matching contrast.
-    """
-    if not tol >= 1e-12:
-        raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    n, lam = p.n, p.lam
-    if tau_max is None:
-        tau_max = default_match_T(p.gamma) + 0.25
-    taylor = TaylorStart(n, lam)
-    y0 = [float(taylor.u(TAU0)), float(taylor.du(TAU0))]
-
-    def rhs(tau, y):
-        return [y[1], -n / math.tanh(tau) * y[1] - lam * y[0]]
-
-    sol = solve_ivp(
-        rhs, (TAU0, tau_max), y0, method="DOP853",
-        rtol=min(tol, _RTOL_FLOOR), atol=1e-290, dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(f"interior integration failed: {sol.message}")
-    return RadialProfile(
-        n=n, s=p.s, lam=lam, tau=sol.t, u=sol.y[0], du=sol.y[1],
-        tau0=TAU0, tau_max=tau_max, taylor=taylor, dense=sol.sol,
-    )
+def solve_interior(p: QCurvParams) -> RadialProfile:
+    """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH]."""
+    return _tabulated(p.n, p.s, CentreSeries(p.n, p.s, TAU_MATCH), TAU_MATCH, TAU_MATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -326,117 +319,93 @@ class ScatteringResult:
     c2: float
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
-    condition_estimate: float
-    consistency_gap: float
-    T_match: float
+    condition_estimate: float        # of the column-equilibrated system
+    consistency_gap: float           # relative Q change, tau_m = 3 vs 2.5
+    T_match: float                   # connection point tau_m
     r_match: float
-    order: int
+    order: int                       # highest branch series order
     branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
 
-    def __post_init__(self):
-        if self.c1 == 0.0:
-            raise MatchingError("c1 vanished in matching")
 
+def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
+             b2: FrobeniusBranch, tau: float):
+    """Solve the value/derivative system at tau; returns (c1, c2, cond, r).
 
-def _match_at(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
-              b2: FrobeniusBranch, T: float):
-    """Solve the 2x2 value/derivative system at tau = T; returns (c1, c2, cond)."""
-    r = (2.0 / math.sqrt(p.k)) * math.exp(-T)
-    u, du = profile.evaluate(T)
+    The columns are equilibrated before the condition number is taken, so
+    the guard measures the conditioning of the connection, not the r^{n-s}
+    and r^s scales of the branches.
+    """
+    r = (2.0 / math.sqrt(p.k)) * math.exp(-tau)
+    trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
+    if not trunc <= 1e-8:
+        raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
+    u, du = profile.evaluate(tau)
     # tau derivative of a branch: d/dtau = -r d/dr
     m = np.array([
         [float(b1.value(r)), float(b2.value(r))],
         [-r * float(b1.derivative(r)), -r * float(b2.derivative(r))],
     ])
-    cond = float(np.linalg.cond(m))
-    c = np.linalg.solve(m, np.array([u[0], du[0]]))
-    return float(c[0]), float(c[1]), cond, r
+    scale = np.max(np.abs(m), axis=0)
+    if not (np.all(np.isfinite(m)) and np.all(scale > 0.0)):
+        raise MatchingError(f"branch values not representable at r={r:.2e}")
+    m = m / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(np.linalg.cond(m))
+    if not cond <= _COND_MAX:
+        raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
+    c1, c2 = (float(c) for c in np.linalg.solve(m, [u[0], du[0]]) / scale)
+    if not (c1 != 0.0 and math.isfinite(c1) and math.isfinite(c2)):
+        raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
+    return c1, c2, cond, r
 
 
-def match_and_q(profile: RadialProfile, p: QCurvParams, T: float,
-                order: int = 12) -> ScatteringResult:
-    """Extract c1, c2 and Q by two-branch matching at tau = T (retry at T-2)."""
-    if not (profile.tau0 < T <= profile.tau_max * (1 + 1e-12)):
-        raise MatchingError(f"T={T} outside the profile grid (max {profile.tau_max})")
-    b1 = frobenius_branch(p, p.n - p.s, order)
-    b2 = frobenius_branch(p, p.s, order)
-    r_T = (2.0 / math.sqrt(p.k)) * math.exp(-T)
-    trunc = max(b1.truncation_estimate(r_T), b2.truncation_estimate(r_T))
-    if trunc > 1e-8:
-        raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r(T)={r_T:.2e}")
-    c1, c2, cond, r = _match_at(profile, p, b1, b2, T)
-    if cond > 1e12:
-        raise MatchingError(f"matching system condition {cond:.2e} above 1e12")
-    q = (2.0 / (p.n - 2.0 * p.gamma)) * d_gamma(p.gamma) * (c2 / c1)
+def _q_of(p: QCurvParams, c1: float, c2: float) -> float:
+    return (2.0 / (p.n - 2.0 * p.gamma)) * d_gamma(p.gamma) * (c2 / c1)
 
-    gap = math.nan
-    T2 = T - 2.0
-    if T2 > profile.tau0 + 0.5:
-        c1b, c2b, _, _ = _match_at(profile, p, b1, b2, T2)
-        q2 = (2.0 / (p.n - 2.0 * p.gamma)) * d_gamma(p.gamma) * (c2b / c1b)
-        gap = abs(q - q2) / max(abs(q), 1e-300)
+
+def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
+    """Extract c1, c2 and Q by two-branch matching at tau = TAU_MATCH."""
+    b1 = frobenius_branch(p, p.n - p.s)
+    b2 = frobenius_branch(p, p.s)
+    c1, c2, cond, r = _connect(profile, p, b1, b2, TAU_MATCH)
+    q = _q_of(p, c1, c2)
+    q_check = _q_of(p, *_connect(profile, p, b1, b2, TAU_CHECK)[:2])
     return ScatteringResult(
         params=p, c1=c1, c2=c2, scattering_value=c2 / c1, q_value=q,
-        condition_estimate=cond, consistency_gap=gap, T_match=T, r_match=r,
-        order=order, branch_low=b1, branch_high=b2,
+        condition_estimate=cond,
+        consistency_gap=abs(q - q_check) / max(abs(q), 1e-300),
+        T_match=TAU_MATCH, r_match=r,
+        order=max(len(b1.coeffs), len(b2.coeffs)) - 1,
+        branch_low=b1, branch_high=b2,
     )
 
 
-def solve_case(p: QCurvParams, ode_tol: float = 1e-8, T_window: float | None = None,
-               order: int = 12):
-    """Full pipeline: interior solve plus matching at the default window.
-
-    T_window caps the matching point (the configured horizon); the actual
-    match happens at min(default_match_T(gamma), T_window).
-    """
-    T = default_match_T(p.gamma)
-    if T_window is not None:
-        T = min(T, T_window)
-    profile = solve_interior(p, ode_tol, tau_max=T + 0.25)
-    sr = match_and_q(profile, p, T, order)
-    return profile, sr
+def solve_case(p: QCurvParams):
+    """Full pipeline: centre series plus the branch connection at TAU_MATCH."""
+    profile = solve_interior(p)
+    return profile, match_and_q(profile, p)
 
 
 # ---------------------------------------------------------------------------
 # Exact eigenfunction of the Lee compactification
 # ---------------------------------------------------------------------------
 
-def lee_potential_exact(m, grid_points: int = 64) -> RadialProfile:
+def lee_potential_exact(m) -> RadialProfile:
     """The positive eigenfunction V with -Lap_+ V + (n+1) V = 0, r V -> 1.
 
     On the models V = f'(t) exactly: f''' = f' and n (f'/f) f'' = n f', so
     Lap_+ V = (n+1) V, while r f' = 1 + k r^2/4 -> 1.  Returned as a
-    RadialProfile for the eigenvalue instance s = n+1 (lam = -(n+1)).
+    closed-form RadialProfile for the eigenvalue instance s = n+1
+    (lam = -(n+1)), V = sqrt(k) cosh(tau).
     """
     from .model_geometry import ModelSpace
 
     if not isinstance(m, ModelSpace):
         raise TypeError("lee_potential_exact expects a ModelSpace")
-    n, k = m.n, m.k
-    sk = math.sqrt(k)
-    tau = np.concatenate([np.geomspace(1e-3, 1.0, grid_points // 2),
-                          np.linspace(1.2, 20.0, grid_points - grid_points // 2)])
+    sk = math.sqrt(m.k)
 
-    def dense(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.vstack([sk * np.cosh(ts), sk * np.sinh(ts)])
+    def values(tau):
+        return sk * np.cosh(tau), sk * np.sinh(tau)
 
-    u = sk * np.cosh(tau)
-    du = sk * np.sinh(tau)
-
-    class _CoshTaylor(TaylorStart):
-        # closed form everywhere; scaled cosh is its own Taylor start
-        def __init__(self):
-            pass
-
-        def u(self, ts):
-            return sk * np.cosh(np.asarray(ts, dtype=float))
-
-        def du(self, ts):
-            return sk * np.sinh(np.asarray(ts, dtype=float))
-
-    return RadialProfile(
-        n=n, s=float(n + 1), lam=-(n + 1.0), tau=tau, u=u, du=du,
-        tau0=0.0, tau_max=math.inf, taylor=_CoshTaylor(), dense=dense,
-    )
+    return _tabulated(m.n, float(m.n + 1), values, math.inf, 20.0)

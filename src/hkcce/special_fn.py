@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 # Admissible fractional order.  The expansion coefficient u2 of the scattering
 # solution carries 1/(1 - gamma), so a neighbourhood of gamma = 1 is excluded
 # instead of implementing resonance log branches; the lower cut keeps the
-# branch contrast e^{-2 gamma T} resolvable in the matching window.
+# boundary-layer exponent 2 gamma of the radial integrals away from zero.
 GAMMA_MIN = 0.05
 GAMMA_MAX = 0.95
 
@@ -123,7 +123,7 @@ class QCurvParams:
 
 
 def sphere_q_oracle(p: QCurvParams) -> float:
-    """Closed-form Q_{2 gamma} of the model boundary; oracle for the ODE path."""
+    """Closed-form Q_{2 gamma} of the model boundary; oracle for the series connection."""
     return sphere_q_value(p.n, p.gamma, p.k)
 
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hkcce
 from hkcce.cli import RunConfig, fmt15, main, parse_config
 
 
@@ -13,7 +17,7 @@ class TestParseConfig:
         cfg = parse_config(["qcurv"])
         assert cfg.command == "qcurv"
         assert cfg.n == [4] and cfg.gamma == [0.5] and cfg.k == [1.0]
-        assert cfg.ode_tol == 1e-8 and cfg.quad_tol == 1e-6 and cfg.T == 18.0
+        assert cfg.quad_tol == 1e-6
         assert cfg.emit_csv and cfg.emit_json
 
     def test_explicit_case(self):
@@ -61,11 +65,16 @@ class TestParseConfig:
 
     def test_validate_ranges(self):
         with pytest.raises(ValueError):
-            RunConfig(command="qcurv", ode_tol=1e-14).validate()
-        with pytest.raises(ValueError):
-            RunConfig(command="qcurv", T=50.0).validate()
+            RunConfig(command="qcurv", quad_tol=1e-12).validate()
         with pytest.raises(ValueError):
             RunConfig(command="qcurv", n=[]).validate()
+
+    @pytest.mark.parametrize("flag", ["--ode-tol", "--T"])
+    def test_removed_solver_flags_are_usage_errors(self, flag):
+        # the series connection has no integrator tolerance and no window
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["qcurv", flag, "10"])
+        assert exc.value.code != 0
 
 
 class TestFormatting:
@@ -127,8 +136,8 @@ class TestCommands:
         rc = main(["qcurv", "--out", str(tmp_path / "o"), "--quad-tol", "1e-7"])
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["tolerances"] == {"ode_tol": 1e-8, "quad_tol": 1e-7}
-        assert manifest["T"] == 18.0
+        assert manifest["tolerances"] == {"quad_tol": 1e-7}
+        assert "T" not in manifest
         assert manifest["all_pass"] is True
         assert "wall_clock_s" in manifest and "version" in manifest
 
@@ -176,3 +185,16 @@ class TestCommands:
     def test_usage_error_nonzero(self):
         rc = main(["qcurv", "--gamma", "0.99"])
         assert rc == 2
+
+
+class TestImport:
+    def test_no_scipy_at_import(self):
+        # hkcce needs numpy only; scipy costs ~0.4 s and ~50 MB per interpreter
+        code = ("import sys, hkcce, hkcce.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ)
+        src = str(Path(hkcce.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "[]"

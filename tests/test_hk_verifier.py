@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hkcce.compactification import build_lee
-from hkcce.hk_verifier import (RadialIntegrator, TailSpec, asymptotic_ratio,
-                               defect_identity, verify_adapted, verify_cla,
-                               verify_lee)
+from hkcce.hk_verifier import (VERDICTS, RadialIntegrator, TailSpec,
+                               asymptotic_ratio, defect_identity, verify_adapted,
+                               verify_cla, verify_lee)
 from hkcce.model_geometry import ModelSpace
+from hkcce.special_fn import sphere_q_value
 
 # measured relative gaps (lhs - rhs)/lhs on the models, archived as loose
 # regression baselines; no sharper lower bound is available
@@ -79,6 +80,16 @@ class TestAdaptedForm:
         rep = verify_adapted(n, gamma, 1.0)
         base = GAP_BASELINES[(n, gamma)]
         assert rep.gap / rep.lhs == pytest.approx(base, rel=0.2)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.95])
+    def test_large_n_reaches_a_verdict(self, gamma):
+        # the centre series and the tau = 3 connection stay representable at
+        # n = 60, where a matching point at tau >= 6 underflowed r^{n-s}
+        rep = verify_adapted(60, gamma, 1.0)
+        defect = defect_identity("adapted", 60, 1.0, gamma=gamma)
+        oracle = sphere_q_value(60, gamma, 1.0)
+        assert rep.params["q_value"] == pytest.approx(oracle, rel=1e-10)
+        assert rep.verdict in VERDICTS and defect.verdict in VERDICTS
 
     def test_gap_equals_remainder_sum(self):
         # the integrated identity expresses the inequality gap exactly as the

@@ -4,14 +4,14 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import mpmath
 import numpy as np
 import pytest
 
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import (MatchingError, ResonanceError, default_match_T,
+from hkcce.scattering import (MatchingError, ResonanceError, _connect,
                               frobenius_branch, frobenius_coefficients,
-                              lee_potential_exact, match_and_q, solve_case,
-                              solve_interior)
+                              lee_potential_exact, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 
@@ -72,23 +72,14 @@ class TestFrobeniusCoefficients:
 class TestInteriorSolve:
     def test_taylor_start_values(self):
         p = QCurvParams(4, 0.5, 1.0)
-        prof = solve_interior(p, 1e-8)
+        prof = solve_interior(p)
         u0, du0 = prof.evaluate(prof.tau0)
         # u ~ 1 - lam tau^2 / (2(n+1))
         assert u0[0] - 1.0 == pytest.approx(-p.lam * prof.tau0 ** 2 / 10.0, rel=1e-5)
         assert du0[0] / prof.tau0 == pytest.approx(-p.lam / 5.0, rel=1e-5)
 
-    def test_tolerance_precondition(self):
-        with pytest.raises(ValueError):
-            solve_interior(QCurvParams(4, 0.5, 1.0), 1e-13)
-
-    def test_closure_residual(self):
-        p = QCurvParams(5, 0.4, 1.0)
-        prof = solve_interior(p, 1e-8)
-        assert prof.closure_residual() <= 1e-10
-
     def test_grid_is_increasing(self):
-        prof = solve_interior(QCurvParams(4, 0.25, 1.0), 1e-8)
+        prof = solve_interior(QCurvParams(4, 0.25, 1.0))
         assert np.all(np.diff(prof.tau) > 0)
 
     def test_lee_profile_is_scaled_cosh(self):
@@ -138,37 +129,74 @@ class TestMatching:
                     assert abs(sr.q_value - oracle) <= 1e-6 * max(1.0, abs(oracle))
                     assert sr.q_value > 0.0
 
-    def test_two_T_consistency_in_window(self):
-        # contrast e^{-2 gamma T} must stay well above machine epsilon for
-        # the subdominant branch to be resolvable; these (gamma, T) pairs
-        # keep it >= ~3e-6 across T in [12, 25]
-        for gamma, t_values in ((0.1, (12.0, 18.0, 25.0)),
-                                (0.15, (12.0, 25.0)),
-                                (0.25, (12.0, 16.0))):
-            p = QCurvParams(4, gamma, 1.0)
-            prof = solve_interior(p, 1e-8, tau_max=26.0)
-            for T in t_values:
-                sr = match_and_q(prof, p, T)
-                assert sr.consistency_gap <= 1e-7
-
     def test_condition_estimate_reported(self, solved):
         _, sr = solved(4, 0.5, 1.0)
         assert 1.0 < sr.condition_estimate < 1e12
 
-    def test_T_outside_grid(self):
-        p = QCurvParams(4, 0.5, 1.0)
-        prof = solve_interior(p, 1e-8, tau_max=10.0)
-        with pytest.raises(MatchingError):
-            match_and_q(prof, p, 12.0)
-
     def test_truncation_guard(self):
-        # matching very close to the centre: r(T) near the series boundary
+        # connecting very close to the centre: r(0.3) lies far outside the
+        # radius r(ln 8) the branch series were summed for
         p = QCurvParams(4, 0.5, 4.0)
-        prof = solve_interior(p, 1e-8, tau_max=10.0)
+        prof = solve_interior(p)
+        b1, b2 = frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)
         with pytest.raises(MatchingError):
-            match_and_q(prof, p, 0.3)
+            _connect(prof, p, b1, b2, 0.3)
 
-    def test_default_window(self):
-        assert default_match_T(0.5) == pytest.approx(-math.log(1e-4), rel=1e-12)
-        assert default_match_T(0.05) == 30.0
-        assert default_match_T(0.95) == 6.0
+    def test_singular_system_is_a_matching_error(self):
+        p = QCurvParams(4, 0.5, 1.0)
+        prof = solve_interior(p)
+        b1 = frobenius_branch(p, p.n - p.s)
+        with pytest.raises(MatchingError):
+            _connect(prof, p, b1, b1, 3.0)
+
+    def test_consistency_gap(self, solved):
+        for case in ((4, 0.05, 1.0), (6, 0.5, 2.0), (20, 0.95, 0.5)):
+            _, sr = solved(*case)
+            assert sr.consistency_gap <= 1e-12
+
+
+class TestMpmathReference:
+    """The series pipeline against 30-digit references.
+
+    u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau) (DLMF 15.2.1),
+    c1 = Gamma((n+1)/2) Gamma(gamma) / (Gamma(s/2) Gamma((s+1)/2)) k^{(n-s)/2},
+    the tau -> infinity limit of r^{s-n} u (DLMF 15.8.2).
+    """
+
+    NS = (3, 4, 20, 40, 60)
+    GAMMAS = (0.05, 0.5, 0.95)
+    KS = (0.5, 2.0)
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mpmath.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_profile(self, n, gamma):
+        p = QCurvParams(n, gamma, 1.0)
+        prof = solve_interior(p)
+        taus = np.concatenate([[1e-3, 1e-2], np.linspace(0.1, math.log(8.0), 10)])
+        u, du = prof.evaluate(taus)
+        a, b, c = mpmath.mpf(p.s) / 2, mpmath.mpf(n - p.s) / 2, mpmath.mpf(n + 1) / 2
+        for tau, u_num, du_num in zip(taus, u, du):
+            sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
+            u_ref = mpmath.hyp2f1(a, b, c, -sh * sh)
+            du_ref = -2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
+            assert abs(u_num / u_ref - 1) <= 1e-11, (tau, u_num, u_ref)
+            assert abs(du_num / du_ref - 1) <= 1e-11, (tau, du_num, du_ref)
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_c1_and_q(self, n, gamma):
+        for k in self.KS:
+            p = QCurvParams(n, gamma, k)
+            _, sr = solve_case(p)
+            s = mpmath.mpf(p.s)
+            c1_ref = (mpmath.gamma(mpmath.mpf(n + 1) / 2) * mpmath.gamma(gamma)
+                      / (mpmath.gamma(s / 2) * mpmath.gamma((s + 1) / 2))
+                      * mpmath.mpf(k) ** ((n - s) / 2))
+            assert abs(sr.c1 / c1_ref - 1) <= 1e-10, (k, sr.c1, c1_ref)
+            oracle = sphere_q_value(n, gamma, k)
+            assert abs(sr.q_value / oracle - 1) <= 1e-10, (k, sr.q_value, oracle)
