@@ -30,7 +30,8 @@ the whole interior.  The two Frobenius branches, summed until their last term
 is below machine epsilon on r <= r(ln 8), are connected to u in value and
 tau derivative at the single point tau_m = 3, where the column-equilibrated
 2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
-at tau = 2.5 gives the reported consistency gap.  Derivatives are always
+at tau = 2.5 gives the reported consistency gap, or nan where that
+diagnostic connection fails its own guards.  Derivatives are always
 transported analytically (dr/dtau = -r); second derivatives come from the
 ODE closure, never from finite differences.
 """
@@ -52,6 +53,7 @@ TAU_BRANCH = math.log(8.0)    # the branch series serve tau >= ln 8, i.e. r <= 0
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
 TAU_CHECK = 2.5               # second connection, for the consistency gap
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)      # smallest normal float
 _COND_MAX = 1e12
 _BRANCH_MAX_ORDER = 400
 _TABLE_POINTS = 9
@@ -174,30 +176,26 @@ class FrobeniusBranch:
         return worst
 
 
-def frobenius_branch(p: QCurvParams, mu: float, order: int | None = None) -> FrobeniusBranch:
+def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
     """Branch for validated parameters; mu must be one of the indicial roots.
 
-    Without an explicit order the series is summed until its last term is
-    below machine epsilon relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k),
-    the largest radius at which the branches are evaluated.
+    The series is summed until its last term is below machine epsilon
+    relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k), the largest radius
+    at which the branches are evaluated.
     """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
-    terms = _frobenius_terms(p.n, p.s, p.k, mu)
-    if order is not None:
-        coeffs = list(islice(terms, order + 1))
-    else:
-        r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
-        coeffs, total = [], 0.0
-        for M, a in enumerate(terms):
-            coeffs.append(a)
-            term = abs(a) * r2 ** M
-            total += term
-            if M >= 1 and term <= _EPS * total:
-                break
-            if M == _BRANCH_MAX_ORDER:
-                raise MatchingError(
-                    f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
+    r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
+    coeffs, total = [], 0.0
+    for M, a in enumerate(_frobenius_terms(p.n, p.s, p.k, mu)):
+        coeffs.append(a)
+        term = abs(a) * r2 ** M
+        total += term
+        if M >= 1 and term <= _EPS * total:
+            break
+        if M == _BRANCH_MAX_ORDER:
+            raise MatchingError(
+                f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
     return FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu, coeffs=coeffs)
 
 
@@ -320,7 +318,7 @@ class ScatteringResult:
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
     condition_estimate: float        # of the column-equilibrated system
-    consistency_gap: float           # relative Q change, tau_m = 3 vs 2.5
+    consistency_gap: float           # relative Q change, tau_m = 3 vs 2.5 (nan if 2.5 fails)
     T_match: float                   # connection point tau_m
     r_match: float
     order: int                       # highest branch series order
@@ -341,6 +339,10 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
     u, du = profile.evaluate(tau)
+    # a subnormal r^mu or u keeps only a few digits, which no condition
+    # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
+    if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u[0]), abs(du[0])) >= _TINY):
+        raise MatchingError(f"branch or interior values underflow at tau={tau}")
     # tau derivative of a branch: d/dtau = -r d/dr
     m = np.array([
         [float(b1.value(r)), float(b2.value(r))],
@@ -370,7 +372,12 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     b2 = frobenius_branch(p, p.s)
     c1, c2, cond, r = _connect(profile, p, b1, b2, TAU_MATCH)
     q = _q_of(p, c1, c2)
-    q_check = _q_of(p, *_connect(profile, p, b1, b2, TAU_CHECK)[:2])
+    # the check connection is a diagnostic only: where it cannot be made,
+    # the gap is reported as nan and the tau_m = 3 result stands
+    try:
+        q_check = _q_of(p, *_connect(profile, p, b1, b2, TAU_CHECK)[:2])
+    except MatchingError:
+        q_check = math.nan
     return ScatteringResult(
         params=p, c1=c1, c2=c2, scattering_value=c2 / c1, q_value=q,
         condition_estimate=cond,

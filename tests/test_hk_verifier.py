@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hkcce.compactification import build_lee
-from hkcce.hk_verifier import (VERDICTS, RadialIntegrator, TailSpec,
-                               asymptotic_ratio, defect_identity, verify_adapted,
-                               verify_cla, verify_lee)
+from hkcce.hk_verifier import (RadialIntegrator, TailSpec, asymptotic_ratio,
+                               defect_identity, verify_adapted, verify_cla,
+                               verify_lee)
 from hkcce.model_geometry import ModelSpace
 from hkcce.special_fn import sphere_q_value
 
@@ -82,14 +82,33 @@ class TestAdaptedForm:
         assert rep.gap / rep.lhs == pytest.approx(base, rel=0.2)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.95])
-    def test_large_n_reaches_a_verdict(self, gamma):
+    def test_large_n_q_value(self, gamma):
         # the centre series and the tau = 3 connection stay representable at
         # n = 60, where a matching point at tau >= 6 underflowed r^{n-s}
         rep = verify_adapted(60, gamma, 1.0)
-        defect = defect_identity("adapted", 60, 1.0, gamma=gamma)
-        oracle = sphere_q_value(60, gamma, 1.0)
-        assert rep.params["q_value"] == pytest.approx(oracle, rel=1e-10)
-        assert rep.verdict in VERDICTS and defect.verdict in VERDICTS
+        assert rep.params["q_value"] == pytest.approx(sphere_q_value(60, gamma, 1.0), rel=1e-10)
+
+    # At n = 60 the quadrature error estimate exceeds the tolerance for
+    # gamma = 0.05 (boundary layer), so both checks are inconclusive.  For
+    # gamma = 0.95 lhs is about 5e-17: hk-adapted has gap/lhs = 0.39 and the
+    # defect balance is off by 0.4% with err_est 1.5e-20 > 10 tol |lhs|, but
+    # _verdict and _balance_verdict scale their tolerance by max(|lhs|, 1)
+    # and report equality for both.
+    _SCALE_BUG = pytest.mark.xfail(
+        strict=True, reason="verdict tolerance scaled by max(|lhs|, 1), not |lhs|")
+
+    @pytest.mark.parametrize("kind,gamma,expected", [
+        ("hk", 0.05, "inconclusive"),
+        pytest.param("hk", 0.95, "strict", marks=_SCALE_BUG),
+        ("defect", 0.05, "inconclusive"),
+        pytest.param("defect", 0.95, "inconclusive", marks=_SCALE_BUG),
+    ])
+    def test_large_n_verdict(self, kind, gamma, expected):
+        if kind == "hk":
+            rep = verify_adapted(60, gamma, 1.0)
+        else:
+            rep = defect_identity("adapted", 60, 1.0, gamma=gamma)
+        assert rep.verdict == expected
 
     def test_gap_equals_remainder_sum(self):
         # the integrated identity expresses the inequality gap exactly as the

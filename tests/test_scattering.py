@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import (MatchingError, ResonanceError, _connect,
-                              frobenius_branch, frobenius_coefficients,
-                              lee_potential_exact, solve_case, solve_interior)
+from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
+                              _connect, frobenius_branch,
+                              frobenius_coefficients, lee_potential_exact,
+                              solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 
@@ -63,7 +64,9 @@ class TestFrobeniusCoefficients:
         # gamma = 1/2, n = 4, k = 1: u = r^{3/2} (1 + r/2)^{-3}, so the
         # mu = n-s branch series is the even part of (1+r/2)^{-3}
         p = QCurvParams(4, 0.5, 1.0)
-        b = frobenius_branch(p, p.n - p.s, order=14)
+        mu = p.n - p.s
+        b = FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu,
+                            coeffs=frobenius_coefficients(p.n, p.s, p.k, mu, 14))
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
             assert float(b.series(r)) == pytest.approx(even_part, rel=1e-13)
@@ -153,6 +156,20 @@ class TestMatching:
         for case in ((4, 0.05, 1.0), (6, 0.5, 2.0), (20, 0.95, 0.5)):
             _, sr = solved(*case)
             assert sr.consistency_gap <= 1e-12
+
+    def test_failed_check_connection_keeps_the_result(self):
+        # at n = 150 the tau = 2.5 system (condition ~1e14) fails its guard,
+        # while the tau = 3 connection (~1e10) still gives Q
+        p = QCurvParams(150, 0.5, 1.0)
+        _, sr = solve_case(p)
+        assert math.isnan(sr.consistency_gap)
+        assert sr.q_value == pytest.approx(sphere_q_value(150, 0.5, 1.0), rel=1e-12)
+
+    def test_underflow_is_a_matching_error(self):
+        # r^{n-s} is subnormal at tau = 3 for n = 560, k = 2: the system is
+        # well conditioned but its entries keep only a few digits
+        with pytest.raises(MatchingError, match="underflow"):
+            solve_case(QCurvParams(560, 0.5, 2.0))
 
 
 class TestMpmathReference:
