@@ -14,7 +14,9 @@ Commands
 Output files (under --out, or $HKCCE_OUT): manifest.json, reports/*.json,
 tables/*.csv, all UTF-8, written atomically (temp file + rename), rows sorted
 by (n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
-every verdict passes, 1 on a failing verdict, 2 on I/O failure.
+every verdict passes, 1 on a failing verdict, 2 on a usage error, an I/O
+failure, or a case the solver cannot decide (MatchingError, GeometryError),
+which is reported on one line as "hkcce: <kind>: <reason>".
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ import numpy as np
 from . import __version__
 from .jet_algebra import verify_prop21
 from .model_geometry import ModelSpace
-from .compactification import build_adapted, build_lee, residual_suite
+from .compactification import (GeometryError, build_adapted, build_lee,
+                               residual_suite)
 from .hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,
                           verify_cla, verify_lee)
-from .scattering import solve_case
+from .scattering import MatchingError, solve_case
 from .special_fn import GAMMA_MAX, GAMMA_MIN, QCurvParams, sphere_q_value
 
 _COMMANDS = ("qcurv", "verify", "residuals", "asymptotic", "sweep")
@@ -343,6 +346,13 @@ def _grid(cfg: RunConfig):
                 yield n, gamma, k
 
 
+def _grid_nk(cfg: RunConfig):
+    """(n, k) pairs for the gamma-free targets."""
+    for n in sorted(cfg.n):
+        for k in sorted(cfg.k):
+            yield n, k
+
+
 def run_command(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     started = time.time()
@@ -383,42 +393,34 @@ def run_command(cfg: RunConfig) -> int:
                                 "verdict": "pass" if cert.ok else "fail"})
             rows_by_table["prop21"] = reports
         else:
-            for n, gamma, k in _grid(cfg):
-                if cfg.verify_target == "hk-adapted":
-                    rep = verify_adapted(n, gamma, k, cfg.quad_tol)
-                    items = [rep]
-                elif cfg.verify_target == "hk-cla":
-                    if gamma != sorted(cfg.gamma)[0]:
-                        continue  # gamma-independent
-                    rep = verify_cla(n, k, cfg.quad_tol)
-                    items = [rep]
-                elif cfg.verify_target == "hk-lee":
-                    if gamma != sorted(cfg.gamma)[0]:
-                        continue
-                    rep = verify_lee(n, k, cfg.quad_tol)
-                    items = [rep]
-                else:  # defect
-                    items = [defect_identity("adapted", n, k, cfg.quad_tol, gamma=gamma)]
-                    if gamma == sorted(cfg.gamma)[0]:
-                        items.append(defect_identity("lee", n, k, cfg.quad_tol))
-                for rep in items:
-                    tag = f"{rep.name}_n{n}_g{gamma}_k{k}" if "gamma" in rep.params \
-                        else f"{rep.name}_n{n}_k{k}"
-                    json_reports[tag] = rep.to_dict()
-                    note(rep.passing, tag)
-                    reports.append({
-                        "name": rep.name, "n": n,
-                        "gamma": rep.params.get("gamma", ""), "k": k,
-                        "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-                        "err_est": rep.err_est, "verdict": rep.verdict,
-                    })
+            tol = cfg.quad_tol
+            if cfg.verify_target == "hk-adapted":
+                items = [verify_adapted(n, g, k, tol) for n, g, k in _grid(cfg)]
+            elif cfg.verify_target == "hk-cla":
+                items = [verify_cla(n, k, tol) for n, k in _grid_nk(cfg)]
+            elif cfg.verify_target == "hk-lee":
+                items = [verify_lee(n, k, tol) for n, k in _grid_nk(cfg)]
+            else:  # defect
+                items = [defect_identity("adapted", n, k, tol, gamma=g)
+                         for n, g, k in _grid(cfg)]
+                items += [defect_identity("lee", n, k, tol) for n, k in _grid_nk(cfg)]
+            for rep in items:
+                n, k, gamma = rep.params["n"], rep.params["k"], rep.params.get("gamma")
+                tag = f"{rep.name}_n{n}_k{k}" if gamma is None \
+                    else f"{rep.name}_n{n}_g{gamma}_k{k}"
+                json_reports[tag] = rep.to_dict()
+                note(rep.passing, tag)
+                reports.append({
+                    "name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
+                    "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
+                    "err_est": rep.err_est, "verdict": rep.verdict,
+                })
             rows_by_table[cfg.verify_target] = reports
 
     elif cfg.command == "residuals":
         dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
         args = [("adapted", n, g, k, dump_dir) for n, g, k in _grid(cfg)]
-        args += [("lee", n, None, k, dump_dir)
-                 for n in sorted(cfg.n) for k in sorted(cfg.k)]
+        args += [("lee", n, None, k, dump_dir) for n, k in _grid_nk(cfg)]
         rows = _run_cases(_residual_case, args, cfg.jobs)
         rows_by_table["residuals"] = rows
         for row in rows:
@@ -465,6 +467,9 @@ def main(argv=None) -> int:
         return run_command(cfg)
     except OSError as exc:
         print(f"hkcce: I/O failure: {exc}", file=sys.stderr)
+        return 2
+    except (MatchingError, GeometryError) as exc:
+        print(f"hkcce: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -15,23 +15,30 @@ v = u'/u, m = n - s, w = v/m and c = coth(tau) = f'/f:
 The scalar curvature quantity Jbar = ((2s-n-1)/2)(1 - w^2)/rho^2 and (for the
 adapted case) T = (1 - w^2) rho^{-2 gamma} then satisfy, whenever u solves
 the scattering ODE, the Laplacian and Bochner-type identities checked by
-`residual_suite`; all derivatives are produced by analytic chain rules (v'
-and v'' come from the ODE closure, never from finite differences).
+`residual_suite`; all derivatives are produced by analytic chain rules,
+never by finite differences.
 
-Profiles are evaluated piecewise: the centre series of the interior solution
-up to tau_b = ln 8 (r = 0.25/sqrt(k)), and the matched Frobenius branch
-superposition beyond, which stays machine-accurate down to arbitrarily small
-r and supplies the boundary layer of every radial integral.  Near the
-boundary 1 + w and c - 1 are computed by cancellation-free formulas so that
-smallness of order r^{2 gamma} survives in floating point.
+Profiles are evaluated piecewise.  Up to the connection point tau_m = 3 the
+adapted profile is the centre series of the interior solution, with v' and
+v'' from the ODE closure.  Beyond it, and on the whole line for the Lee case
+(whose eigenfunction r V = 1 + k r^2/4 is a terminating branch), the state
+is built from the branch coefficient lists: with D = r d/dr - m, each term of
+D^k u is (mu - m + 2j)^k a_j r^{mu+2j}, and U_k = r^{-m} D^k u gives
+
+    1 + w = -U1/(m U0),     w' = (U2 U0 - U1^2)/(m U0^2),
+    w'' = -(U3 U0^2 - U2 U1 U0 - 2 (U2 U0 - U1^2) U1)/(m U0^3).
+
+U_1..U_3 carry the factor x = r^e at which 1 + w vanishes (e = 2 gamma for
+the adapted case, 2 for Lee).  With x kept factored out of 1 + w, w', w'',
+S = 1 - w^2 and their combinations, nothing underflows, overflows or cancels
+down to r = 0, where the same state gives the boundary values of T and Jbar.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -50,47 +57,92 @@ class GeometryError(RuntimeError):
 
 @dataclass
 class GeometryState:
-    """Pointwise radial data of a compactified geometry (all numpy arrays)."""
+    """Pointwise radial data of a compactified geometry (numpy arrays).
 
+    The *_hat fields are divided by x = r^e: dw_hat = w'/x, S_hat = S/x,
+    dS_hat = S'/x, ddS_hat = S''/x for S = 1 - w^2, and tf_hat = tf/x for
+    tf = w' - w (w + coth), rho times the trace-free radial Hessian
+    eigenvalue of rho.  These, T and its derivatives and
+    dens = (rho phi / r)^n, where dV_gbar = rho dens dtau dS_ghat, are finite
+    for every r in [0, 2/sqrt(k)).  The warp f and the Jbar and |TF|^2
+    properties grow like negative powers of r and are computed on first
+    access only.
+    """
+
+    n: int
+    e: float                # boundary exponent: 1 + w = O(r^e)
+    kj: float               # (2s - n - 1)/2, the factor of Jbar
     tau: np.ndarray
     r: np.ndarray
-    u: np.ndarray          # normalised solution (r^{s-n} u -> 1)
-    du: np.ndarray
-    w: np.ndarray          # rho'/rho
-    dw: np.ndarray
-    ddw: np.ndarray
-    w_plus_1: np.ndarray   # cancellation-free 1 + w (vanishes at the boundary)
-    rho: np.ndarray
+    x: np.ndarray           # r^e
+    w: np.ndarray           # rho'/rho
+    dw_hat: np.ndarray
+    S_hat: np.ndarray
+    dS_hat: np.ndarray
+    ddS_hat: np.ndarray
+    tf_hat: np.ndarray
     rho_over_r: np.ndarray
-    grad_sq: np.ndarray    # |grad rho|^2 = w^2
-    S: np.ndarray          # 1 - w^2
-    dS: np.ndarray
-    ddS: np.ndarray
-    Jbar: np.ndarray
-    dJbar: np.ndarray
-    ddJbar: np.ndarray
+    rho: np.ndarray
+    coth: np.ndarray
+    phi: np.ndarray         # 1 - k r^2/4 = r f
+    dens: np.ndarray
     T: np.ndarray | None
     dT: np.ndarray | None
     ddT: np.ndarray | None
-    lam_rad: np.ndarray
-    lam_sph: np.ndarray
-    lap_rho: np.ndarray
-    tracefree_sq: np.ndarray
-    coth: np.ndarray
-    f: np.ndarray
-    df: np.ndarray
-    voldens: np.ndarray    # rho^{n+1} f^n, the radial density of dV_gbar
+
+    @property
+    def dw(self):
+        return self.x * self.dw_hat
+
+    @property
+    def grad_sq(self):
+        return self.w * self.w
+
+    @cached_property
+    def f(self):
+        return self.phi / self.r
+
+    @cached_property
+    def df(self):
+        return (2.0 - self.phi) / self.r
+
+    @cached_property
+    def _j_scale(self):
+        # kj x / rho^2, exact at r = 0 when e = 2
+        return self.kj * np.power(self.r, self.e - 2.0) / self.rho_over_r ** 2
+
+    @cached_property
+    def Jbar(self):
+        return self.S_hat * self._j_scale
+
+    @cached_property
+    def dJbar(self):
+        return (self.dS_hat - 2.0 * self.w * self.S_hat) * self._j_scale
+
+    @cached_property
+    def ddJbar(self):
+        w = self.w
+        return (self.ddS_hat - 2.0 * self.dw * self.S_hat - 4.0 * w * self.dS_hat
+                + 4.0 * w * w * self.S_hat) * self._j_scale
+
+    @cached_property
+    def tracefree_sq(self):
+        """|TF Hess_gbar rho|^2 = n/(n+1) tf^2/rho^2."""
+        tf_over_rho = self.tf_hat * np.power(self.r, self.e - 1.0) / self.rho_over_r
+        return self.n / (self.n + 1.0) * tf_over_rho * tf_over_rho
 
 
-@dataclass
-class HessianSplit:
-    """Unit-frame Hessian eigenvalues of rho and derived norms on the grid."""
+def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Each row of coeffs summed as a polynomial in r2; shape (rows, points)."""
+    acc = np.zeros((coeffs.shape[0], r2.size))
+    for col in coeffs.T[::-1]:
+        acc = acc * r2 + col[:, None]
+    return acc
 
-    tau: np.ndarray
-    lam_rad: np.ndarray
-    lam_sph: np.ndarray
-    laplacian: np.ndarray
-    tracefree_sq: np.ndarray
+
+def _d_rows(c: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Rows lam_j^k c_j, k = 0..3: the coefficients of r^{-m} D^k u."""
+    return c * exponents ** np.arange(4.0)[:, None]
 
 
 class CompactifiedGeometry:
@@ -104,14 +156,35 @@ class CompactifiedGeometry:
         self.base = base
         self.s = float(s)
         self.m_exp = base.n - self.s        # n - s
-        self.two_gamma = 2.0 * self.s - base.n
+        # 2 gamma from gamma itself: 2s - n would carry the rounding of s,
+        # 4e-15 relative at gamma = 0.05, into every boundary coefficient
+        self.two_gamma = 2.0 * gamma if gamma is not None else 2.0 * self.s - base.n
         self.gamma = gamma
         self.profile = profile
         self.sr = sr
         self.c1 = sr.c1 if sr is not None else 1.0
-        self.c2_over_c1 = (sr.c2 / sr.c1) if sr is not None else 0.0
         self.q_value = sr.q_value if sr is not None else None
         self.boundary: dict = {}
+        if sr is not None:
+            self.e = self.two_gamma
+            # the branch sums cancel at large n away from the boundary (1e-9
+            # at tau = ln 8 for n = 60), while the centre series is accurate
+            # up to its horizon, the connection point
+            self.tau_branch = profile.tau_max
+            low = np.asarray(sr.branch_low.coeffs, dtype=float)
+            high = np.asarray(sr.branch_high.coeffs, dtype=float)
+            self.q = sr.scattering_value
+            self._high = _d_rows(high, self.e + 2.0 * np.arange(len(high)))
+        else:
+            # Lee: r V = 1 + (k/4) r^2 exactly, a branch on the whole line
+            self.e = 2.0
+            self.tau_branch = 0.0
+            low = np.array([1.0, base.k / 4.0])
+            self.q = 0.0
+            self._high = np.zeros((4, 1))
+        # rows k of D^k on the low branch, j >= 1 (its j = 0 term is 1 and
+        # is annihilated by D), as polynomials in r^2 divided by r^2
+        self._low = _d_rows(low, 2.0 * np.arange(len(low)))[:, 1:]
         rc = base.r_center
         tau_hi = float(base.tau_of_r(rc * _R_HAT_MIN))
         self.grid_tau = np.unique(np.concatenate([
@@ -120,137 +193,83 @@ class CompactifiedGeometry:
         ]))
         self._grid_state: GeometryState | None = None
 
-    # -- raw solution access ------------------------------------------------
-    def _u_centre(self, tau):
-        u, du = self.profile.evaluate(tau)
-        return u / self.c1, du / self.c1
-
-    def _u_branch(self, r):
-        """Normalised u and tau-derivative from the branch superposition."""
-        q = self.c2_over_c1
-        b1, b2 = self.sr.branch_low, self.sr.branch_high
-        u = b1.value(r) + q * b2.value(r)
-        du = -r * (b1.derivative(r) + q * b2.derivative(r))
-        return u, du
-
     # -- state assembly -------------------------------------------------------
     def state(self, tau) -> GeometryState:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        r = np.asarray(self.base.r_of_tau(tau))
-        return self._assemble(tau, r, use_branch=tau > TAU_BRANCH + 1e-12)
+        return self._assemble(tau, np.asarray(self.base.r_of_tau(tau)))
 
     def state_of_r(self, r) -> GeometryState:
+        """State at radii r; r = 0 is the boundary (tau = inf)."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        tau = np.asarray(self.base.tau_of_r(r))
-        return self._assemble(tau, r, use_branch=tau > TAU_BRANCH + 1e-12)
+        with np.errstate(divide="ignore"):
+            tau = np.asarray(self.base.tau_of_r(r))
+        return self._assemble(tau, r)
 
-    def _assemble(self, tau, r, use_branch) -> GeometryState:
-        n, k = self.base.n, self.base.k
-        m = self.m_exp
-        u = np.empty_like(tau)
-        du = np.empty_like(tau)
-        inner = ~use_branch
-        if self.kind == "lee":
-            # closed form V = f' everywhere; stable in either variable
-            u[:] = self.base.df_of_r(r)
-            du[:] = self.base.f_of_r(r)
-        else:
-            if np.any(inner):
-                u[inner], du[inner] = self._u_centre(tau[inner])
-            if np.any(use_branch):
-                u[use_branch], du[use_branch] = self._u_branch(r[use_branch])
+    def _centre(self, tau, r, x, coth):
+        """(1 + w)/x, w'/x, w''/x and rho/r from the centre series and the closure."""
+        n, m = self.base.n, self.m_exp
+        u, du = self.profile.evaluate(tau)
+        u, du = u / self.c1, du / self.c1
         if np.any(u <= 0.0):
             raise GeometryError("scattering solution is not positive on the grid")
-
-        coth = np.empty_like(tau)
-        coth[inner] = 1.0 / np.tanh(tau[inner])
-        coth[use_branch] = self.base.coth_tau_of_r(r[use_branch])
-        f = self.base.f_of_r(r)
-        df = self.base.df_of_r(r)
-
-        lam = self.s * (n - self.s)
         v = du / u
-        if self.kind == "lee":
-            # closure collapses exactly: v' = (f'^2 - f^2)/f'^2 = k/f'^2,
-            # v'' = -2 k f/f'^3; avoids the O(eps n) cancellation of the
-            # generic form near the boundary
-            dv = k / (df * df)
-            ddv = -2.0 * k * f / (df * df * df)
-        else:
-            dv = -n * coth * v - lam - v * v
-            dcoth = 1.0 - coth * coth
-            ddv = -n * dcoth * v - n * coth * dv - 2.0 * v * dv
-        w = v / m
-        dw = dv / m
-        ddw = ddv / m
+        dv = -n * coth * v - self.s * m - v * v
+        ddv = -n * (1.0 - coth * coth) * v - n * coth * dv - 2.0 * v * dv
+        mx = m * x
+        return (1.0 + v / m) / x, dv / mx, ddv / mx, np.power(u / np.power(r, m), 1.0 / m)
 
-        # cancellation-free 1 + w near the boundary: with N = r u_r - m u,
-        # v = -(N + m u)/u so 1 + w = -N/(m u); N is built from the branch
-        # series without the O(1) cancellation of v + m.
-        w_plus_1 = 1.0 + w
-        if self.kind == "lee":
-            # w = -f/f': 1 + w = (f' - f)/f' = k e^{-t}/f' = (k r^2/2)/(1 + k r^2/4)
-            w_plus_1 = (k * r * r / 2.0) / (1.0 + k * r * r / 4.0)
-        elif np.any(use_branch):
-            wb = self._w_plus_1_branch(r[use_branch])
-            w_plus_1 = np.array(w_plus_1)
-            w_plus_1[use_branch] = wb
+    def _branch(self, r, x):
+        """(1 + w)/x, w'/x, w''/x and rho/r from the branch coefficient lists."""
+        m = self.m_exp
+        r2 = r * r
+        low = _power_sums(self._low, r2)
+        high = _power_sums(self._high, r2)
+        U0 = 1.0 + r2 * low[0] + self.q * x * high[0]
+        if np.any(U0 <= 0.0):
+            raise GeometryError("scattering solution is not positive on the grid")
+        V1, V2, V3 = np.power(r, 2.0 - self.e) * low[1:] + self.q * high[1:]   # U_k/x
+        c = V2 * U0 - x * V1 * V1
+        mU0 = m * U0
+        return (-V1 / mU0, c / (mU0 * U0),
+                -(V3 * U0 * U0 - x * V2 * V1 * U0 - 2.0 * x * c * V1) / (mU0 * U0 * U0),
+                np.power(U0, 1.0 / m))
 
-        base = (u / np.power(r, m)) if self.kind != "lee" else u * r
-        rho_over_r = np.power(base, 1.0 / m)
-        rho = r * rho_over_r
+    def _assemble(self, tau, r) -> GeometryState:
+        n = self.base.n
+        e = self.e
+        x = np.power(r, e)
+        coth = 1.0 / np.tanh(tau)
+        p, dp, ddp, ror = (np.empty_like(tau) for _ in range(4))
+        outer = tau > self.tau_branch
+        inner = ~outer
+        if np.any(outer):
+            p[outer], dp[outer], ddp[outer], ror[outer] = self._branch(r[outer], x[outer])
+        if np.any(inner):
+            p[inner], dp[inner], ddp[inner], ror[inner] = \
+                self._centre(tau[inner], r[inner], x[inner], coth[inner])
 
-        S = w_plus_1 * (1.0 - w)          # 1 - w^2 without boundary cancellation
-        dS = -2.0 * w * dw
-        ddS = -2.0 * dw * dw - 2.0 * w * ddw
-
-        kj = (2.0 * self.s - n - 1.0) / 2.0
-        rho2 = rho * rho
-        Jbar = kj * S / rho2
-        dJbar = kj * (dS - 2.0 * w * S) / rho2
-        ddJbar = kj * (ddS - 2.0 * dw * S - 4.0 * w * dS + 4.0 * w * w * S) / rho2
-
+        w = x * p - 1.0
+        phi = -np.expm1(-2.0 * tau)
+        coth_m1_hat = 0.5 * self.base.k * np.power(r, 2.0 - e) / phi    # (coth - 1)/x
+        S_hat = p * (1.0 - w)
+        dS_hat = -2.0 * w * dp
+        ddS_hat = -2.0 * x * dp * dp - 2.0 * w * ddp
         if self.kind == "adapted":
-            tg = self.two_gamma
-            rf = np.power(rho, -tg)
-            T = S * rf
-            dT = (dS - tg * w * S) * rf
-            ddT = (ddS - 2.0 * tg * w * dS - tg * dw * S + tg * tg * w * w * S) * rf
+            rf = np.power(ror, -e)           # x rho^{-2 gamma}
+            T = S_hat * rf
+            dT = (dS_hat - e * w * S_hat) * rf
+            ddT = (ddS_hat - 2.0 * e * w * dS_hat - e * x * dp * S_hat
+                   + e * e * w * w * S_hat) * rf
         else:
             T = dT = ddT = None
-
-        lam_rad = dw / rho
-        lam_sph = w * (w + coth) / rho
-        lap_rho = (dw + n * w * (w + coth)) / rho
-        tf = dw - w * (w + coth)
-        tracefree_sq = (n / (n + 1.0)) * tf * tf / rho2
-        voldens = np.power(rho_over_r, n + 1) * r * np.power(self.base.phi(r), n)
-
         return GeometryState(
-            tau=tau, r=r, u=u, du=du, w=w, dw=dw, ddw=ddw, w_plus_1=w_plus_1,
-            rho=rho, rho_over_r=rho_over_r, grad_sq=w * w, S=S, dS=dS, ddS=ddS,
-            Jbar=Jbar, dJbar=dJbar, ddJbar=ddJbar, T=T, dT=dT, ddT=ddT,
-            lam_rad=lam_rad, lam_sph=lam_sph, lap_rho=lap_rho,
-            tracefree_sq=tracefree_sq, coth=coth, f=f, df=df, voldens=voldens,
+            n=n, e=e, kj=(self.two_gamma - 1.0) / 2.0,
+            tau=tau, r=r, x=x, w=w, dw_hat=dp,
+            S_hat=S_hat, dS_hat=dS_hat, ddS_hat=ddS_hat,
+            tf_hat=dp - w * (p + coth_m1_hat),
+            rho_over_r=ror, rho=r * ror, coth=coth, phi=phi,
+            dens=np.power(ror * phi, n), T=T, dT=dT, ddT=ddT,
         )
-
-    def _w_plus_1_branch(self, r):
-        """1 + w = -N/(m u) with N = r u_r - m u from the branch series.
-
-        N = c1hat r^m (r F') + c2hat r^s ((s-m) G + r G'): every term is small
-        near the boundary, so no O(1) cancellation occurs.
-        """
-        q = self.c2_over_c1
-        m, s = self.m_exp, self.s
-        b1, b2 = self.sr.branch_low, self.sr.branch_high
-        rFp = b1.r_series_derivative(r)
-        rGp = b2.r_series_derivative(r)
-        G = b2.series(r)
-        rm = np.power(r, m)
-        rs = np.power(r, s)
-        u = rm * b1.series(r) + q * rs * G
-        N = rm * rFp + q * rs * ((s - m) * G + rGp)
-        return -N / (m * u)
 
     # -- cached grid state and CSV dump ---------------------------------------
     def grid_state(self) -> GeometryState:
@@ -283,38 +302,13 @@ class CompactifiedGeometry:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _ladder_exponents(gamma: float, count: int = 5) -> list[float]:
-    """Correction exponents of boundary quantities: {2a g + 2b (1-g) + 2c}."""
-    cands = set()
-    for a in range(0, 5):
-        for b in range(0, 5):
-            for c in range(0, 3):
-                e = 2.0 * a * gamma + 2.0 * b * (1.0 - gamma) + 2.0 * c
-                if 1e-9 < e <= 3.5:
-                    cands.add(round(e, 9))
-    out: list[float] = []
-    for e in sorted(cands):
-        if not out or e - out[-1] > 1e-6:
-            out.append(e)
-    return out[:count]
-
-
-def _ladder_extrapolate(values: np.ndarray, radii: np.ndarray,
-                        exponents: list[float]) -> float:
-    """Fit  value(r) = v0 + sum c_i r^{e_i}  and return v0."""
-    cols = [np.ones_like(radii)] + [radii ** e for e in exponents]
-    A = np.vstack(cols).T
-    coef, *_ = np.linalg.lstsq(A, values, rcond=None)
-    return float(coef[0])
-
-
 def build_adapted(m: ModelSpace, sr: ScatteringResult,
                   profile: RadialProfile) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
     Applies the c1 normalisation (so r^{s-n} u -> 1), enforces positivity of
-    u, and extrapolates the boundary value of T by a generalised Richardson
-    ladder at r0 = 0.05/sqrt(k) against its target -(4 gamma/d_gamma) Q.
+    u and T, and reads the boundary value of T off the state at r = 0,
+    against its target -(4 gamma/d_gamma) Q.
     """
     p = sr.params
     if np.any(profile.u <= 0.0):
@@ -322,15 +316,9 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
     if sr.c1 <= 0.0:
         raise GeometryError(f"c1 = {sr.c1} is not positive; normalisation undefined")
     g = CompactifiedGeometry("adapted", m, p.s, profile, sr, p.gamma)
-    st = g.grid_state()
-    if np.any(st.T <= 0.0):
+    if np.any(g.grid_state().T <= 0.0):
         raise GeometryError("T_s is not positive on the geometry grid")
-
-    r0 = 0.05 / math.sqrt(m.k)
-    radii = r0 / 2.0 ** np.arange(6, dtype=float)
-    t_vals = g.state_of_r(radii).T
-    exps = _ladder_exponents(p.gamma)
-    t_b = _ladder_extrapolate(t_vals, radii, exps)
+    t_b = float(g.state_of_r(0.0).T[0])
     target = -(4.0 * p.gamma / d_gamma(p.gamma)) * sr.q_value
     g.boundary = {
         "q": sr.q_value,
@@ -346,14 +334,10 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
     """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'."""
     g = CompactifiedGeometry("lee", m, float(m.n + 1), None, None, None)
-    st = g.grid_state()
-    if np.any(st.Jbar <= 0.0):
+    if np.any(g.grid_state().Jbar <= 0.0):
         raise GeometryError("Jbar_L is not positive on the geometry grid")
     jhat = m.n * m.k / 2.0
-    r0 = 0.05 / math.sqrt(m.k)
-    radii = r0 / 2.0 ** np.arange(4, dtype=float)
-    j_vals = g.state_of_r(radii).Jbar
-    j_b = _ladder_extrapolate(j_vals, radii, [2.0, 4.0])
+    j_b = float(g.state_of_r(0.0).Jbar[0])
     target = (m.n + 1.0) / m.n * jhat
     g.boundary = {
         "J_hat": jhat,
@@ -365,39 +349,8 @@ def build_lee(m: ModelSpace) -> CompactifiedGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Hessian split and residual suite
+# Residual suite
 # ---------------------------------------------------------------------------
-
-def hessian_split(g: CompactifiedGeometry) -> HessianSplit:
-    """Unit-frame Hessian eigenvalues of rho, with the trace identity enforced.
-
-    The trace lam_rad + n lam_sph must match the Laplacian computed by the
-    direct product-rule formula (alpha b^n)^{-1} (b^n rho'/alpha)'; a relative
-    mismatch above 1e-6 wherever |Lap rho| > 1e-6 raises GeometryError.
-    """
-    st = g.grid_state()
-    n = g.base.n
-    lap = st.lam_rad + n * st.lam_sph
-    # direct route with the explicit warped-product factors
-    alpha = st.rho
-    dalpha = st.rho * st.w
-    b = st.rho * st.f
-    db = st.rho * (st.w * st.f + st.df)
-    drho = st.rho * st.w
-    ddrho = st.rho * (st.dw + st.w * st.w)
-    direct = ddrho / alpha ** 2 + n * (db / b) * drho / alpha ** 2 \
-        - (dalpha / alpha) * drho / alpha ** 2
-    # The termwise sum loses significance where w^2/rho dwarfs the Laplacian
-    # (boundary degeneration); check only where the direct route carries at
-    # least ~8 digits, i.e. away from the last three decades of r.
-    mask = (np.abs(direct) > 1e-6) & (st.r > 1e-3 * g.base.r_center)
-    if np.any(mask):
-        rel = np.max(np.abs(lap[mask] - direct[mask]) / np.abs(direct[mask]))
-        if rel > 1e-6:
-            raise GeometryError(f"Hessian trace identity violated: rel error {rel:.2e}")
-    return HessianSplit(tau=st.tau, lam_rad=st.lam_rad, lam_sph=st.lam_sph,
-                        laplacian=lap, tracefree_sq=st.tracefree_sq)
-
 
 @dataclass
 class ResidualProfile:

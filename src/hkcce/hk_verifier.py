@@ -5,58 +5,43 @@ Every verification reduces to radial integrals of the form
     I = Vol(M, ghat) * int_0^inf G(tau) dtau,
     G = (integrand in rho, T or Jbar, their derivatives) * rho^{n+1} f^n,
 
-computed as composite Gauss-Legendre on the interior [tau0, ln 8] (profile
-side) plus a boundary layer in the r variable evaluated from the matched
-Frobenius branch series on dyadic panels, closed by the analytic
-leading-power stub  int_0^r0 A t^{p-1} dt = G(r0)/p.  Error estimates come
-from node doubling plus the stub's first-correction heuristic; doubling the
-quadrature nodes changes results by less than the reported estimate.
+computed by one nested double-exponential rule over the whole radial line
+(Takahasi & Mori, Publ. RIMS 9 (1974) 721-741): tau = log(1 + e^{-pi sinh t})
+maps t in R onto (0, inf), and the trapezoidal sums at steps h and h/2 give
+the value and its error estimate.  The integrands are written in scale-safe
+form (rho^{2 gamma} (rho phi/r)^n rather than rho^{2 gamma - 1} rho^{n+1} f^n),
+so every node, out to tau = 400 (r ~ 1e-174 at k = 1), is finite.
 
-Verdicts: `equality` when |lhs - rhs| <= 10 tol max(|lhs|, 1), `strict` when
-the gap additionally exceeds 1e-3 |lhs| (the observed gaps for gamma != 1/2
-are order one), `fail` for a violated inequality, `inconclusive` when the
-quadrature error estimate cannot support a call.  Every report documents the
-exact conformal weight of its integrals under the boundary rescaling k, so
-that two runs at different k can be compared against k^weight.
+Verdicts: `equality` when |lhs - rhs| <= 10 tol |lhs|, `strict` when the
+gap of an inequality additionally exceeds 1e-3 |lhs| (the observed gaps for
+gamma != 1/2 are order one), `fail` for a violated inequality or an identity
+that does not balance, `inconclusive` when the quadrature error estimate
+cannot support a call.  Every report documents the exact conformal weight of
+its integrals under the boundary rescaling k, so that two runs at different
+k can be compared against k^weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compactification import (TAU_BRANCH, CompactifiedGeometry, build_adapted,
-                               build_lee)
+from .compactification import CompactifiedGeometry, build_adapted, build_lee
 from .model_geometry import ModelSpace, mean_curvature_exact
-from .scattering import TAU0, lee_potential_exact, solve_case
+from .scattering import lee_potential_exact, solve_case
 from .special_fn import QCurvParams, d_gamma, hk_constant, sphere_volume
 
 _EPS = 2.220446049250313e-16
+_DE_STEP = 1.0 / 16.0       # coarse step h; the nodes of h/2 nest those of h
+_DE_T_MAX = 4.0             # tau(4) = 6e-38: G vanishes like tau^n below it
+_TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of the integral
 
 
 # ---------------------------------------------------------------------------
 # Radial integration
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailSpec:
-    """Boundary-layer behaviour of one integrand G ~ A r^p (1 + B r^q + ...).
-
-    beta is the exponent of the absolute roundoff noise eps^2 r^{-beta} in
-    the integrand (from boundary cancellations); it sets how deep the dyadic
-    panels may go before the stub takes over.
-    """
-
-    p: float
-    q: float
-    beta: float = 0.1
-
-    def stub_radius_frac(self) -> float:
-        # noise eps^2 r^{-beta} <= 1e-10  =>  r >= (eps^2 * 1e10)^{1/beta}
-        return max(1e-10, (5.0e-22) ** (1.0 / max(self.beta, 0.1)))
-
 
 def _gl_nodes(a: np.ndarray, b: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights for a batch of intervals [a_i, b_i]."""
@@ -69,54 +54,40 @@ def _gl_nodes(a: np.ndarray, b: np.ndarray, order: int):
 
 
 class RadialIntegrator:
-    """Shared-node quadrature over one compactified geometry."""
+    """Nested double-exponential rule over one compactified geometry.
 
-    def __init__(self, geom: CompactifiedGeometry, tau_panels: int = 10,
-                 order: int = 16):
+    The state is evaluated once, at the nodes of step h/2; every integral
+    reuses it.  The integrands decay towards the boundary at least like
+    e^{-a tau} with a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the
+    nodes run out to tau_max = 40/a.
+    """
+
+    def __init__(self, geom: CompactifiedGeometry):
         self.geom = geom
-        self.order = order
-        rc = geom.base.r_center
-        self.r_branch = rc / 8.0          # r at TAU_BRANCH
-        self.r_floor = rc * 1e-10
-        n_dyadic = int(math.ceil(math.log2(self.r_branch / self.r_floor)))
-        self.r_edges = self.r_branch * 2.0 ** (-np.arange(n_dyadic + 1, dtype=float))
-        tau_edges = np.linspace(TAU0, TAU_BRANCH, tau_panels + 1)
-        self._sets = {}
-        for ord_ in (order, int(order * 1.5)):
-            tn, tw = _gl_nodes(tau_edges[:-1], tau_edges[1:], ord_)
-            rn, rw = _gl_nodes(self.r_edges[1:], self.r_edges[:-1], max(8, ord_ - 4))
-            st_tau = geom.state(tn)
-            st_r = geom.state_of_r(rn)
-            self._sets[ord_] = (st_tau, tw, st_r, rw, rn)
-        edge_states = geom.state_of_r(self.r_edges)
-        self._edge_states = edge_states
+        e = geom.e
+        rate = min(e, 2.0 - e, 1.0) if geom.kind == "adapted" else 1.0
+        t_min = -math.asinh(_TAIL_E_FOLDS / rate / math.pi)
+        half = 0.5 * _DE_STEP
+        i = np.arange(math.floor(t_min / half), round(_DE_T_MAX / half) + 1)
+        t = i * half
+        z = -math.pi * np.sinh(t)
+        self.coarse = i % 2 == 0
+        self.weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))   # h/2 dtau/dt
+        self.state = geom.state(np.logaddexp(0.0, z))
 
-    def integrate(self, g_fn, tail: TailSpec):
+    def levels(self, g_fn):
+        """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""
+        g = g_fn(self.state) * self.weights
+        return 2.0 * float(np.sum(g[self.coarse])), float(np.sum(g))
+
+    def integrate(self, g_fn):
         """(value, err_est) of Vol-normalised int_0^inf G dtau.
 
-        g_fn maps a GeometryState to the integrand values G(tau); the r-side
-        uses int G dtau = int (G/r) dr.
+        g_fn maps a GeometryState to the integrand values G(tau).  The
+        estimate is the change from step h to h/2 plus a roundoff floor.
         """
-        rc = self.geom.base.r_center
-        r_stub = rc * tail.stub_radius_frac()
-        j_stub = int(np.searchsorted(-self.r_edges, -r_stub))  # edges descending
-        j_stub = min(max(j_stub, 1), len(self.r_edges) - 1)
-        results = []
-        for ord_, (st_tau, tw, st_r, rw, rn) in self._sets.items():
-            per_panel = max(8, ord_ - 4)
-            mask = rn < self.r_edges[j_stub]
-            val = float(np.dot(tw, g_fn(st_tau)))
-            gr = g_fn(st_r) / rn
-            gr = np.where(mask, 0.0, gr)
-            val += float(np.dot(rw, gr))
-            results.append(val)
-        edge_val = float(np.atleast_1d(g_fn(self._edge_states))[j_stub])
-        stub = edge_val / tail.p
-        value = results[1] + stub
-        err = abs(results[1] - results[0]) \
-            + abs(stub) * (self.r_edges[j_stub] / rc) ** tail.q \
-            + 50.0 * _EPS * abs(value)
-        return value, err
+        coarse, fine = self.levels(g_fn)
+        return fine, abs(fine - coarse) + 50.0 * _EPS * abs(fine)
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +129,17 @@ class VerificationReport:
         return self.verdict in ("equality", "strict")
 
 
-def _verdict(lhs: float, gap: float, err_est: float, tol: float) -> str:
-    scale = max(abs(lhs), 1.0)
-    vtol = 10.0 * tol * scale
+def _verdict(lhs: float, gap: float, err_est: float, tol: float,
+             identity: bool = False) -> str:
+    """One ladder for inequalities (gap >= 0) and identities (gap = 0)."""
+    vtol = 10.0 * tol * abs(lhs)
     if err_est > vtol:
         return "inconclusive"
     if abs(gap) <= vtol:
         return "equality"
-    if gap > max(vtol, 1e-3 * abs(lhs)):
-        return "strict"
-    if gap < -vtol:
+    if identity or gap < 0.0:
         return "fail"
-    return "inconclusive"
-
-
-def _balance_verdict(lhs: float, gap: float, err_est: float, tol: float) -> str:
-    scale = max(abs(lhs), 1.0)
-    vtol = 10.0 * tol * scale
-    if err_est > vtol:
-        return "inconclusive"
-    return "equality" if abs(gap) <= vtol else "fail"
+    return "strict" if gap > 1e-3 * abs(lhs) else "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +160,28 @@ def _adapted_integrals(geom: CompactifiedGeometry, gamma: float):
     main = int rho^{2g-1} T^{1-kap} dV
     R1   = int 2 kap rho^{1-2g} T^{-kap-1} |TF Hess rho|^2 dV
     R2   = int kap (kap+1) rho T^{-kap-2} |grad T|^2 dV,   kap = (1-g)/g
+
+    With dV = rho dens dtau dS_ghat, |TF Hess rho|^2 = n/(n+1) tf^2/rho^2 and
+    tf = r^{2g} tf_hat, the integrands become rho^{2g} T^{1-kap} dens,
+    2 kap n/(n+1) r^{2g} (rho/r)^{-2g} tf_hat^2 T^{-kap-1} dens and
+    kap (kap+1) T^{-kap-2} T'^2 dens.
     """
     kap = (1.0 - gamma) / gamma
     tg = 2.0 * gamma
+    n = geom.base.n
     itg = RadialIntegrator(geom)
 
     def g_main(st):
-        return np.power(st.rho, tg - 1.0) * np.power(st.T, 1.0 - kap) * st.voldens
+        return np.power(st.rho, tg) * np.power(st.T, 1.0 - kap) * st.dens
 
     def g_r1(st):
-        return 2.0 * kap * np.power(st.rho, 1.0 - tg) \
-            * np.power(st.T, -kap - 1.0) * st.tracefree_sq * st.voldens
+        return 2.0 * kap * n / (n + 1.0) * st.x * np.power(st.rho_over_r, -tg) \
+            * st.tf_hat ** 2 * np.power(st.T, -kap - 1.0) * st.dens
 
     def g_r2(st):
-        grad_T_sq = (st.dT / st.rho) ** 2
-        return kap * (kap + 1.0) * st.rho * np.power(st.T, -kap - 2.0) \
-            * grad_T_sq * st.voldens
+        return kap * (kap + 1.0) * np.power(st.T, -kap - 2.0) * st.dT ** 2 * st.dens
 
-    q_first = min(tg, 2.0 - tg, 2.0)
-    main = itg.integrate(g_main, TailSpec(p=tg, q=q_first, beta=0.1))
-    r1 = itg.integrate(g_r1, TailSpec(p=tg, q=q_first, beta=tg))
-    r2 = itg.integrate(g_r2, TailSpec(p=min(2.0 * tg, 2.0, 4.0 - 2.0 * tg),
-                                      q=q_first, beta=2.0 * tg))
-    return main, r1, r2
+    return itg.integrate(g_main), itg.integrate(g_r1), itg.integrate(g_r2)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +231,7 @@ def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     vol_m = k ** (-n / 2.0) * sphere_volume(n)
     hbar = n * sr.q_value
     lhs = vol_m / hbar
-    itg = RadialIntegrator(geom)
-    vol_x, vol_err = itg.integrate(lambda st: st.voldens, TailSpec(p=1.0, q=1.0))
+    vol_x, vol_err = RadialIntegrator(geom).integrate(lambda st: st.rho * st.dens)
     rhs = (n + 1.0) / n * vol_m * vol_x
     gap = lhs - rhs
     err = (n + 1.0) / n * vol_m * vol_err + abs(lhs) * 1e-9
@@ -293,8 +253,7 @@ def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     jhat = n * k / 2.0
     vol_m = k ** (-n / 2.0) * sphere_volume(n)
     lhs = vol_m / jhat
-    itg = RadialIntegrator(geom)
-    val, ierr = itg.integrate(lambda st: st.rho * st.voldens, TailSpec(p=2.0, q=2.0))
+    val, ierr = RadialIntegrator(geom).integrate(lambda st: st.rho ** 2 * st.dens)
     rhs = 2.0 * (n + 1.0) / n * vol_m * val
     gap = lhs - rhs
     err = 2.0 * (n + 1.0) / n * vol_m * ierr + abs(lhs) * 1e-10
@@ -342,19 +301,11 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
         jhat = n * k / 2.0
         lhs = n ** 2 / (n + 1.0) * vol_m / jhat
         itg = RadialIntegrator(geom)
-        main, main_err = itg.integrate(lambda st: st.rho * st.voldens,
-                                       TailSpec(p=2.0, q=2.0))
-
-        def g_ra(st):
-            return 2.0 * st.rho * np.power(st.Jbar, -3.0) * (st.dJbar / st.rho) ** 2 \
-                * st.voldens
-
-        def g_rb(st):
-            return (n + 1.0) / st.rho * np.power(st.Jbar, -2.0) * st.tracefree_sq \
-                * st.voldens
-
-        ra, ra_err = itg.integrate(g_ra, TailSpec(p=2.0, q=2.0, beta=2.0))
-        rb, rb_err = itg.integrate(g_rb, TailSpec(p=2.0, q=2.0, beta=2.0))
+        main, main_err = itg.integrate(lambda st: st.rho ** 2 * st.dens)
+        ra, ra_err = itg.integrate(
+            lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens)
+        rb, rb_err = itg.integrate(
+            lambda st: (n + 1.0) * np.power(st.Jbar, -2.0) * st.tracefree_sq * st.dens)
         rem1, rem2 = vol_m * ra, vol_m * rb
         rhs = 2.0 * n * vol_m * main + rem1 + rem2
         err = vol_m * (2.0 * n * main_err + ra_err + rb_err) + abs(lhs) * 1e-10
@@ -367,7 +318,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     return VerificationReport(
         name=name, lhs=lhs, rhs=rhs, gap=gap,
         remainders=[("remainder_1", rem1), ("remainder_2", rem2)],
-        verdict=_balance_verdict(lhs, gap, err, tol), err_est=err,
+        verdict=_verdict(lhs, gap, err, tol, identity=True), err_est=err,
         k_weight=k_weight, params=params,
     )
 

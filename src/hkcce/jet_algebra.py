@@ -246,19 +246,6 @@ class Jet:
         return " + ".join(f"({p}) r^{2 * i}" for i, p in enumerate(self.coeffs))
 
 
-def jet_combine(a: Jet, b, op: str) -> Jet:
-    """Dispatch helper: op in {add, mul, invert-unit-leading, scale}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "invert-unit-leading":
-        return a.invert()
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown jet op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Trace-level matrix series.  Metric coefficients in the normal form are
 # polynomials in the Schouten endomorphism A (powers 0..2 suffice at order

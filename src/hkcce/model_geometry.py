@@ -19,7 +19,6 @@ r-normalisation is fixed once and pinned by the r f -> 1 invariant.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +47,6 @@ class ModelSpace:
 
     def df(self, t):
         return 0.5 * (np.exp(t) + self.k * np.exp(-t))
-
-    def d2f(self, t):
-        # independent expression on purpose: residual checks compare it to f
-        return 0.5 * (np.exp(t) - self.k * np.exp(-t))
 
     # -- warp in the centred coordinate tau = t - t0 --------------------------
     def f_tau(self, tau):
@@ -89,54 +84,6 @@ class ModelSpace:
 
     def df_of_r(self, r):
         return (1.0 + self.k * r * r / 4.0) / r
-
-
-def frame(m: ModelSpace, t: float) -> dict:
-    """Warp data and measure densities at parameter time t (t > t0).
-
-    area_density and volume_density are the f^n factors of the induced
-    measure on the level set and of dV_{g_+} = f^n dt dS_ghat.
-    """
-    if not t > m.t0:
-        raise ValueError(f"t={t} not inside the domain (t0={m.t0})")
-    fv = float(m.f(t))
-    r = float(m.r_of_t(t))
-    return {
-        "f": fv,
-        "df": float(m.df(t)),
-        "r": r,
-        "phi": float(m.phi(r)),
-        "dphi": float(m.dphi(r)),
-        "area_density": fv ** m.n,
-        "volume_density": fv ** m.n,
-    }
-
-
-def model_validate(m: ModelSpace, sample_count: int = 100, seed: int = 0) -> dict:
-    """Einstein residuals of dt^2 + f^2 ghat at random sample points.
-
-    radial:     f''/f - 1
-    spherical:  (f f'' + (n-1)(f'^2 - k) - n f^2) / max(1, n f^2)
-
-    The spherical residual is normalised because its raw form is a difference
-    of O(e^{2t}) quantities; the weighted residuals vanish to roundoff.
-    """
-    rng = random.Random(seed)
-    taus = [rng.uniform(1e-3, 6.0) for _ in range(sample_count)]
-    max_rad = 0.0
-    max_sph = 0.0
-    for tau in taus:
-        t = m.t0 + tau
-        fv, dfv, d2fv = float(m.f(t)), float(m.df(t)), float(m.d2f(t))
-        max_rad = max(max_rad, abs(d2fv / fv - 1.0))
-        sph = fv * d2fv + (m.n - 1) * (dfv * dfv - m.k) - m.n * fv * fv
-        max_sph = max(max_sph, abs(sph) / max(1.0, m.n * fv * fv))
-    return {
-        "max_radial_residual": max_rad,
-        "max_spherical_residual": max_sph,
-        "ok": max_rad <= 1e-12 and max_sph <= 1e-12,
-        "samples": sample_count,
-    }
 
 
 def mean_curvature_exact(m: ModelSpace, r: float) -> float:

@@ -31,7 +31,9 @@ is below machine epsilon on r <= r(ln 8), are connected to u in value and
 tau derivative at the single point tau_m = 3, where the column-equilibrated
 2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
 at tau = 2.5 gives the reported consistency gap, or nan where that
-diagnostic connection fails its own guards.  Derivatives are always
+diagnostic connection fails its own guards.  The series coefficients, the
+four connection values and the 2x2 solve are carried in np.longdouble, so
+that c2/c1 is rounded to double only once.  Derivatives are always
 transported analytically (dr/dtau = -r); second derivatives come from the
 ODE closure, never from finite differences.
 """
@@ -49,14 +51,26 @@ import numpy as np
 from .special_fn import QCurvParams, d_gamma
 
 TAU0 = 1e-3                   # inner edge of the radial grids; coth is never evaluated below
-TAU_BRANCH = math.log(8.0)    # the branch series serve tau >= ln 8, i.e. r <= 0.25/sqrt(k)
+TAU_BRANCH = math.log(8.0)    # the branch series are summed for tau >= ln 8, r <= 0.25/sqrt(k)
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
 TAU_CHECK = 2.5               # second connection, for the consistency gap
 _EPS = float(np.finfo(float).eps)
+_LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
 _COND_MAX = 1e12
 _BRANCH_MAX_ORDER = 400
 _TABLE_POINTS = 9
+_X_GROUPS = (0.5, 0.9, 0.97)  # x = tanh^2 tau bounds of the centre-series batches
+
+
+def _s_ext(p: QCurvParams):
+    """s = n/2 + gamma in np.longdouble, where it is exact.
+
+    The double p.s is rounded, so a connection made with it solves for
+    gamma' = p.s - n/2, while Q pairs c2/c1 with d_gamma(gamma): the slope of
+    d_gamma near gamma = 1 turns the rounding into 4e-15 relative at 0.95.
+    """
+    return _LD(p.n) / 2 + _LD(p.gamma)
 
 
 class ResonanceError(ValueError):
@@ -126,33 +140,22 @@ class FrobeniusBranch:
     mu: float
     coeffs: list
     _c: np.ndarray = field(init=False, repr=False, compare=False)    # float a_{2j}
-    _dc: np.ndarray = field(init=False, repr=False, compare=False)   # (mu + 2j) a_{2j}
-    _rc: np.ndarray = field(init=False, repr=False, compare=False)   # 2j a_{2j}
 
     def __post_init__(self):
-        j = np.arange(len(self.coeffs), dtype=float)
         self._c = np.array([float(c) for c in self.coeffs])
-        self._dc = (self.mu + 2.0 * j) * self._c
-        self._rc = 2.0 * j * self._c
 
     def series(self, r):
         """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
         r = np.asarray(r, dtype=float)
         return _horner(self._c, r * r)
 
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        return r ** self.mu * self.series(r)
-
-    def derivative(self, r):
-        """d/dr of the branch."""
-        r = np.asarray(r, dtype=float)
-        return r ** (self.mu - 1.0) * _horner(self._dc, r * r)
-
-    def r_series_derivative(self, r):
-        """r d/dr of the even series factor, sum 2j a_{2j} r^{2j}."""
-        r = np.asarray(r, dtype=float)
-        return _horner(self._rc, r * r)
+    def extended_value_and_derivative(self, r):
+        """Value and tau derivative (-r d/dr) at one radius, in np.longdouble."""
+        r = _LD(r)
+        j = np.arange(len(self.coeffs))
+        terms = np.asarray(self.coeffs, dtype=_LD) * (r * r) ** j
+        r_mu = r ** _LD(self.mu)
+        return r_mu * terms.sum(), -r_mu * ((_LD(self.mu) + 2 * j) * terms).sum()
 
     def truncation_estimate(self, r) -> float:
         """Magnitude of the last kept term relative to the series value."""
@@ -180,14 +183,17 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
     """Branch for validated parameters; mu must be one of the indicial roots.
 
     The series is summed until its last term is below machine epsilon
-    relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k), the largest radius
-    at which the branches are evaluated.
+    relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k), beyond every radius
+    at which the branches are evaluated.  mu, s and the coefficients are
+    np.longdouble, with s = n/2 + gamma exact, for the connection.
     """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
+    s = _s_ext(p)
+    mu = s if math.isclose(mu, p.s) else p.n - s
     r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
     coeffs, total = [], 0.0
-    for M, a in enumerate(_frobenius_terms(p.n, p.s, p.k, mu)):
+    for M, a in enumerate(_frobenius_terms(p.n, s, _LD(p.k), mu)):
         coeffs.append(a)
         term = abs(a) * r2 ** M
         total += term
@@ -196,68 +202,105 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
         if M == _BRANCH_MAX_ORDER:
             raise MatchingError(
                 f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
-    return FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu, coeffs=coeffs)
+    return FrobeniusBranch(n=p.n, s=s, k=p.k, mu=mu, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Interior solution
 # ---------------------------------------------------------------------------
 
+def _powers(x_ext: np.ndarray, j: np.ndarray, dtype) -> np.ndarray:
+    """x^j in dtype, one row per point, from an extended-precision x.
+
+    A rounded x = x_ext (1 - d) would carry its rounding j-fold into x^j
+    (1e-14 in u near tau = 3), so the powers of the rounded x are scaled
+    by 1 + j d.
+    """
+    x = x_ext.astype(dtype)
+    d = np.divide(x_ext - x, x_ext, out=np.zeros_like(x_ext), where=x_ext > 0)
+    return np.power.outer(x, j) * (1 + np.multiply.outer(d.astype(dtype), j))
+
+
+def _terms_estimate(eps: float, x: float) -> int:
+    """About log(eps)/log(x) terms of the centre series, with a margin: t_j
+    decays like j^{gamma - 1}."""
+    return int(1.25 * math.log(eps) / math.log(x)) + 64
+
+
 class CentreSeries:
     """u and u' of the regular interior solution from its series in x = tanh^2 tau.
 
-    The coefficients t_j and t_j (s+2j)/(n+1+2j) are kept up to the order
-    that sums the series to machine precision at tau_max.  A call sums only
-    the terms its largest x needs, as a blocked product: with j = B q + r,
+    The coefficients t_j and t_j (s+2j)/(n+1+2j) are computed in
+    np.longdouble and kept up to the order that sums the series to that
+    precision at tau_max.  A call sums, in the dtype of its argument, its
+    points in groups of similar x, each with the terms the group's upper
+    bound of x needs (near tau = 3 that is ~3500, below x = 0.5 about 50),
+    as a blocked product: with j = B q + r,
     sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so the temporaries
     are (points x sqrt(terms)) rather than (points x terms).
     """
 
     def __init__(self, n: int, s: float, tau_max: float):
         self.n, self.s = n, s
-        x_max = math.tanh(tau_max) ** 2
-        size = 256
+        bounds = _X_GROUPS + (float(np.tanh(_LD(tau_max)) ** 2),)
+        eps_ext = float(np.finfo(_LD).eps)
+        size = _terms_estimate(eps_ext, bounds[-1])
         while True:
-            j = np.arange(size, dtype=float)
-            ratio = (s / 2.0 + j) * ((s + 1.0) / 2.0 + j) / (((n + 1.0) / 2.0 + j) * (1.0 + j))
-            t = np.concatenate(([1.0], np.cumprod(ratio[:-1])))
-            terms = self._terms_needed(ratio, t, x_max)
-            if terms is not None:
+            j = np.arange(size, dtype=_LD)
+            ratio = (_LD(s) / 2 + j) * ((_LD(s) + 1) / 2 + j) / ((_LD(n + 1) / 2 + j) * (1 + j))
+            ratio_float = ratio.astype(float)
+            terms_ext = [self._terms_needed(ratio_float, x, eps_ext) for x in bounds]
+            if None not in terms_ext:
                 break
             size *= 2
-        self.ratio = ratio[:terms]
-        self.t = t[:terms]
-        self.dt = self.t * (s + 2.0 * j[:terms]) / (n + 1.0 + 2.0 * j[:terms])
+        t = np.concatenate(([_LD(1)], np.cumprod(ratio[:terms_ext[-1] - 1])))
+        dt = t * (_LD(s) + 2 * j[:len(t)]) / (n + 1 + 2 * j[:len(t)])
+        self._series = {
+            np.dtype(_LD): (t, dt, terms_ext),
+            np.dtype(float): (t.astype(float), dt.astype(float),
+                              [self._terms_needed(ratio_float, x, _EPS) for x in bounds]),
+        }
 
     @staticmethod
-    def _terms_needed(ratio, t, x: float) -> int | None:
+    def _terms_needed(ratio: np.ndarray, x: float, eps: float) -> int | None:
         """Fewest terms whose tail is below eps times the partial sum at x.
 
         With T_j = t_j x^j, the tail after term j is at most
         T_j rho/(1-rho), rho = max(r_j, 1) x: the ratios r_j = t_{j+1}/t_j
         decrease while above 1 and stay below 1 once they drop under it.
         """
-        T = t * np.power(x, np.arange(len(t), dtype=float))
-        rho = np.maximum(ratio, 1.0) * x
-        ok = (rho < 1.0) & (T * rho <= _EPS * np.cumsum(T) * (1.0 - rho))
-        hits = np.flatnonzero(ok)
-        return int(hits[0]) + 1 if hits.size else None
+        for part in (ratio[:_terms_estimate(eps, x)], ratio):
+            T = np.concatenate(([1.0], np.cumprod(part[:-1] * x)))      # t_j x^j
+            rho = np.maximum(part, 1.0) * x
+            ok = (rho < 1.0) & (T * rho <= eps * np.cumsum(T) * (1.0 - rho))
+            hits = np.flatnonzero(ok)
+            if hits.size:
+                return int(hits[0]) + 1
+        return None
 
     def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        x = np.tanh(tau) ** 2
-        J = self._terms_needed(self.ratio, self.t, float(np.max(x))) or len(self.t)
-        B = math.isqrt(J - 1) + 1
-        Q = -(-J // B)
-        coef = np.zeros((2, Q * B))
-        coef[0, :J] = self.t[:J]
-        coef[1, :J] = self.dt[:J]
-        low = np.power.outer(x, np.arange(B, dtype=float))                # x^r
-        high = np.power.outer(x, B * np.arange(Q, dtype=float))           # x^{Bq}
-        blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(x), 2, Q)
-        sums = np.einsum("pkq,pq->kp", blocks, high)
-        sech_s = np.cosh(tau) ** -self.s
-        return sech_s * sums[0], -(self.n - self.s) * np.tanh(tau) * sech_s * sums[1]
+        tau = np.asarray(tau)
+        if tau.dtype != _LD:
+            tau = tau.astype(float)
+        t, dt, terms = self._series[tau.dtype]
+        x_ext = np.tanh(tau.astype(_LD)) ** 2
+        sums = np.empty((2, len(tau)), dtype=tau.dtype)
+        group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
+        for g in np.unique(group):
+            at = group == g
+            J = int(terms[g])
+            B = math.isqrt(J - 1) + 1
+            Q = -(-J // B)
+            coef = np.zeros((2, Q * B), dtype=tau.dtype)
+            coef[0, :J] = t[:J]
+            coef[1, :J] = dt[:J]
+            low = _powers(x_ext[at], np.arange(B), tau.dtype)            # x^r
+            high = _powers(x_ext[at] ** B, np.arange(Q), tau.dtype)      # x^{Bq}
+            blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
+            sums[:, at] = np.einsum("pkq,pq->kp", blocks, high)
+        s = tau.dtype.type(self.s)
+        sech_s = np.cosh(tau) ** -s
+        return sech_s * sums[0], -(self.n - s) * np.tanh(tau) * sech_s * sums[1]
 
 
 @dataclass
@@ -301,7 +344,7 @@ def _tabulated(n: int, s: float, values: Callable, tau_max: float,
 
 def solve_interior(p: QCurvParams) -> RadialProfile:
     """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH]."""
-    return _tabulated(p.n, p.s, CentreSeries(p.n, p.s, TAU_MATCH), TAU_MATCH, TAU_MATCH)
+    return _tabulated(p.n, p.s, CentreSeries(p.n, _s_ext(p), TAU_MATCH), TAU_MATCH, TAU_MATCH)
 
 
 # ---------------------------------------------------------------------------
@@ -330,40 +373,43 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
              b2: FrobeniusBranch, tau: float):
     """Solve the value/derivative system at tau; returns (c1, c2, cond, r).
 
-    The columns are equilibrated before the condition number is taken, so
-    the guard measures the conditioning of the connection, not the r^{n-s}
-    and r^s scales of the branches.
+    c1 and c2 are np.longdouble: the centre series, both branches and the
+    2x2 solve (Cramer's rule) are evaluated in extended precision.  The
+    columns are equilibrated before the condition number is taken, so the
+    guard measures the conditioning of the connection, not the r^{n-s} and
+    r^s scales of the branches.
     """
     r = (2.0 / math.sqrt(p.k)) * math.exp(-tau)
     trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
-    u, du = profile.evaluate(tau)
+    u, du = profile.values(np.array([tau], dtype=_LD))
     # a subnormal r^mu or u keeps only a few digits, which no condition
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u[0]), abs(du[0])) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={tau}")
-    # tau derivative of a branch: d/dtau = -r d/dr
-    m = np.array([
-        [float(b1.value(r)), float(b2.value(r))],
-        [-r * float(b1.derivative(r)), -r * float(b2.derivative(r))],
-    ])
+    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(tau))
+    m = np.array([b1.extended_value_and_derivative(r_ld),
+                  b2.extended_value_and_derivative(r_ld)]).T
     scale = np.max(np.abs(m), axis=0)
     if not (np.all(np.isfinite(m)) and np.all(scale > 0.0)):
         raise MatchingError(f"branch values not representable at r={r:.2e}")
     m = m / scale
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(np.linalg.cond(m))
+        cond = float(np.linalg.cond(m.astype(float)))
     if not cond <= _COND_MAX:
         raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
-    c1, c2 = (float(c) for c in np.linalg.solve(m, [u[0], du[0]]) / scale)
-    if not (c1 != 0.0 and math.isfinite(c1) and math.isfinite(c2)):
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    c1 = (u[0] * d - b * du[0]) / det / scale[0]
+    c2 = (a * du[0] - c * u[0]) / det / scale[1]
+    if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):
         raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
     return c1, c2, cond, r
 
 
-def _q_of(p: QCurvParams, c1: float, c2: float) -> float:
-    return (2.0 / (p.n - 2.0 * p.gamma)) * d_gamma(p.gamma) * (c2 / c1)
+def _q_of(p: QCurvParams, c1, c2) -> float:
+    return float(2 / (p.n - 2 * _LD(p.gamma)) * _LD(d_gamma(p.gamma)) * (c2 / c1))
 
 
 def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
@@ -379,7 +425,7 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     except MatchingError:
         q_check = math.nan
     return ScatteringResult(
-        params=p, c1=c1, c2=c2, scattering_value=c2 / c1, q_value=q,
+        params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1), q_value=q,
         condition_estimate=cond,
         consistency_gap=abs(q - q_check) / max(abs(q), 1e-300),
         T_match=TAU_MATCH, r_match=r,

@@ -81,10 +81,12 @@ def sphere_q_value(n: int, gamma: float, k: float = 1.0) -> float:
     """Fractional Q-curvature of the round sphere of radius k^{-1/2}.
 
     Closed form k^g * 2/(n-2g) * Gamma(n/2+g)/Gamma(n/2-g), the scattering
-    value of hyperbolic space.  Unvalidated arguments; see `sphere_q_oracle`
-    for the parameter-checked version.
+    value of hyperbolic space.  The Gamma ratio is formed through lgamma, so
+    it stays finite where each factor overflows (n >= 284).  Unvalidated
+    arguments; see `sphere_q_oracle` for the parameter-checked version.
     """
-    return k ** gamma * (2.0 / (n - 2.0 * gamma)) * gamma_fn(n / 2.0 + gamma) / gamma_fn(n / 2.0 - gamma)
+    ratio = math.exp(math.lgamma(n / 2.0 + gamma) - math.lgamma(n / 2.0 - gamma))
+    return k ** gamma * (2.0 / (n - 2.0 * gamma)) * ratio
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,23 @@ class TestCommands:
         rc = main(["qcurv", "--out", str(blocker / "sub")])
         assert rc == 2
 
+    def test_undecidable_case_is_named(self, tmp_path, capsys):
+        # the tau = 3 connection passes its condition guard (4.5e13 > 1e12)
+        # at n = 250: one named line on stderr and status 2, no traceback
+        rc = main(["qcurv", "--n", "250", "--gamma", "0.5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("hkcce: MatchingError: matching system condition")
+
+    def test_gamma_free_targets_once_per_n_k(self, tmp_path):
+        rc = main(["verify", "defect", "--n", "4", "--gamma", "0.25,0.75", "--k", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        rows = json.loads((tmp_path / "o" / "reports" / "defect.json").read_text())
+        assert sorted(row["name"] for row in rows) == [
+            "defect-adapted", "defect-adapted", "defect-lee"]
+
     def test_usage_error_nonzero(self):
         rc = main(["qcurv", "--gamma", "0.99"])
         assert rc == 2

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hkcce.compactification import build_lee
-from hkcce.hk_verifier import (RadialIntegrator, TailSpec, asymptotic_ratio,
-                               defect_identity, verify_adapted, verify_cla,
-                               verify_lee)
+from hkcce.hk_verifier import (RadialIntegrator, _adapted_integrals,
+                               asymptotic_ratio, defect_identity,
+                               verify_adapted, verify_cla, verify_lee)
 from hkcce.model_geometry import ModelSpace
-from hkcce.special_fn import sphere_q_value
+from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
 
 # measured relative gaps (lhs - rhs)/lhs on the models, archived as loose
 # regression baselines; no sharper lower bound is available
@@ -88,20 +88,14 @@ class TestAdaptedForm:
         rep = verify_adapted(60, gamma, 1.0)
         assert rep.params["q_value"] == pytest.approx(sphere_q_value(60, gamma, 1.0), rel=1e-10)
 
-    # At n = 60 the quadrature error estimate exceeds the tolerance for
-    # gamma = 0.05 (boundary layer), so both checks are inconclusive.  For
-    # gamma = 0.95 lhs is about 5e-17: hk-adapted has gap/lhs = 0.39 and the
-    # defect balance is off by 0.4% with err_est 1.5e-20 > 10 tol |lhs|, but
-    # _verdict and _balance_verdict scale their tolerance by max(|lhs|, 1)
-    # and report equality for both.
-    _SCALE_BUG = pytest.mark.xfail(
-        strict=True, reason="verdict tolerance scaled by max(|lhs|, 1), not |lhs|")
-
+    # At gamma = 0.95 lhs is about 5e-17 and hk-adapted has gap/lhs = 0.39:
+    # the verdict tolerance scales with |lhs|, not max(|lhs|, 1), so this is
+    # strict, and the defect identity balances to its tolerance.
     @pytest.mark.parametrize("kind,gamma,expected", [
-        ("hk", 0.05, "inconclusive"),
-        pytest.param("hk", 0.95, "strict", marks=_SCALE_BUG),
-        ("defect", 0.05, "inconclusive"),
-        pytest.param("defect", 0.95, "inconclusive", marks=_SCALE_BUG),
+        ("hk", 0.05, "strict"),
+        ("hk", 0.95, "strict"),
+        ("defect", 0.05, "equality"),
+        ("defect", 0.95, "equality"),
     ])
     def test_large_n_verdict(self, kind, gamma, expected):
         if kind == "hk":
@@ -109,6 +103,15 @@ class TestAdaptedForm:
         else:
             rep = defect_identity("adapted", 60, 1.0, gamma=gamma)
         assert rep.verdict == expected
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_n100_is_conclusive(self, gamma, k):
+        # u = r^{n-s} U0 underflows long before the boundary at n = 100; the
+        # state never forms u there
+        rep = verify_adapted(100, gamma, k)
+        assert rep.verdict == ("equality" if gamma == 0.5 else "strict")
+        assert defect_identity("adapted", 100, k, gamma=gamma).verdict == "equality"
 
     def test_gap_equals_remainder_sum(self):
         # the integrated identity expresses the inequality gap exactly as the
@@ -159,6 +162,82 @@ class TestDefectIdentities:
             defect_identity("bogus", 4, 1.0)
 
 
+class TestMpmathBoundaryLayer:
+    """main, R1 and R2 against mp.quad over a 2F1 profile, n = 4, k = 1.
+
+    u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau), u' from the contiguous
+    2F1(a+1, b+1; c+1), w' from the closure, c1 from its Gamma-function
+    form.  1 - w^2 and T' lose about (2g + min(2g, 2-2g)) tau / ln 10
+    digits to cancellation, so each node is evaluated with that many digits
+    on top of 30.  The integrals are cut where the rest is below e^{-46}.
+    """
+
+    DPS = 30
+
+    @classmethod
+    def _reference(cls, n, gamma, k):
+        import mpmath as mp
+
+        loss = (2 * gamma + min(2 * gamma, 2 - 2 * gamma)) / math.log(10)
+        cache = {}
+
+        def point(tau):
+            key = mp.nstr(tau, cls.DPS)
+            if key not in cache:
+                with mp.workdps(cls.DPS + 10 + int(loss * float(tau))):
+                    g = mp.mpf(gamma)
+                    s = mp.mpf(n) / 2 + g
+                    m = n - s
+                    a, b, c = s / 2, m / 2, mp.mpf(n + 1) / 2
+                    kap = (1 - g) / g
+                    c1 = mp.gamma(c) * mp.gamma(g) / (mp.gamma(s / 2) * mp.gamma((s + 1) / 2)) \
+                        * mp.mpf(k) ** (m / 2)
+                    t = mp.mpf(tau)
+                    sh, ch = mp.sinh(t), mp.cosh(t)
+                    u = mp.hyp2f1(a, b, c, -sh * sh)
+                    du = -2 * sh * ch * a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
+                    coth = ch / sh
+                    v = du / u
+                    w, dw = v / m, (-n * coth * v - s * m - v * v) / m
+                    rho = (u / c1) ** (1 / m)
+                    S = 1 - w * w
+                    T = S * rho ** (-2 * g)
+                    dT = (-2 * w * dw - 2 * g * w * S) * rho ** (-2 * g)
+                    tf_sq = n / (n + 1) * (dw - w * (w + coth)) ** 2 / rho ** 2
+                    vol = rho ** (n + 1) * (mp.sqrt(k) * sh) ** n
+                    cache[key] = (
+                        rho ** (2 * g - 1) * T ** (1 - kap) * vol,
+                        2 * kap * rho ** (1 - 2 * g) * T ** (-kap - 1) * tf_sq * vol,
+                        kap * (kap + 1) * rho * T ** (-kap - 2) * (dT / rho) ** 2 * vol)
+            return cache[key]
+
+        out = []
+        with mp.workdps(cls.DPS):
+            rates = (2 * gamma, 2 * gamma, 2 * min(2 * gamma, 2 - 2 * gamma))
+            for i, rate in enumerate(rates):
+                tau_c = 46 / rate
+                cuts = [0] + [p for p in (0.5, 2, 6, 15, 40, 100, 250) if p < tau_c] + [tau_c]
+                out.append(float(mp.quad(lambda t: point(t)[i], cuts)))
+        return out
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.15, 0.95])
+    def test_integrals_within_err_est(self, adapted, gamma):
+        n, k = 4, 1.0
+        main, r1, r2 = self._reference(n, gamma, k)
+        for (value, err), ref in zip(_adapted_integrals(adapted(n, gamma, k), gamma),
+                                     (main, r1, r2)):
+            assert abs(value - ref) <= err, (value, ref, err)
+        # the same references through the reports
+        rep = verify_adapted(n, gamma, k)
+        assert rep.verdict == "strict"
+        vol_m = sphere_volume(n) * k ** (-n / 2)
+        assert abs(rep.rhs - hk_constant(n, gamma) * vol_m * main) <= rep.err_est
+        defect = defect_identity("adapted", n, k, gamma=gamma)
+        assert defect.verdict == "equality"
+        for (_, value), ref in zip(defect.remainders, (r1, r2)):
+            assert abs(value - vol_m * ref) <= defect.err_est
+
+
 class TestAsymptoticRatio:
     def test_reference_points(self):
         rows = asymptotic_ratio(5, 1.0, [0.3])
@@ -175,23 +254,27 @@ class TestAsymptoticRatio:
 
 class TestQuadrature:
     def test_monotone_refinement(self, lee):
-        # doubling nodes moves the integral by less than the error estimate
-        geom = lee(4, 1.0)
-        coarse = RadialIntegrator(geom, tau_panels=6, order=10)
-        fine = RadialIntegrator(geom, tau_panels=12, order=20)
-        spec = TailSpec(p=2.0, q=2.0)
-        g = lambda st: st.rho * st.voldens
-        v1, e1 = coarse.integrate(g, spec)
-        v2, e2 = fine.integrate(g, spec)
-        assert abs(v2 - v1) <= max(e1, 1e-13)
+        # halving the step moves the integral by less than the error
+        # estimate, and the rule has already converged at step h
+        itg = RadialIntegrator(lee(4, 1.0))
+        g = lambda st: st.rho ** 2 * st.dens
+        coarse, fine = itg.levels(g)
+        val, err = itg.integrate(g)
+        assert val == fine
+        assert abs(fine - coarse) <= err
+        assert abs(fine - coarse) <= 1e-13 * fine
 
     def test_error_estimates_honest(self):
         # the reported estimate bounds the true defect on a known integral:
-        # int rho dV / Vol(M) for the k=1 hemisphere is 1/(n+1)
+        # int rho dV / Vol(M) for the k=1 hemisphere is 1/(n+1), and both
+        # levels of the rule are within it
         geom = build_lee(ModelSpace(4, 1.0))
         itg = RadialIntegrator(geom)
-        val, err = itg.integrate(lambda st: st.rho * st.voldens, TailSpec(p=2.0, q=2.0))
+        g = lambda st: st.rho ** 2 * st.dens
+        val, err = itg.integrate(g)
         assert abs(val - 0.2) <= max(err, 1e-12)
+        for level in itg.levels(g):
+            assert abs(level - 0.2) <= err
 
 
 def test_report_serialisation():

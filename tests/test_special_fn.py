@@ -107,6 +107,15 @@ class TestSphereOracle:
         # approaches the Schouten trace of the unit round sphere, n k/2
         assert sphere_q_value(4, 1.0 - 1e-9, 1.0) == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [284, 400, 1000])
+    def test_large_n_stays_finite(self, n):
+        # Gamma(n/2 + g) alone overflows a double from n = 284
+        import mpmath
+        for g in (0.25, 0.5):
+            ref = 2 / (n - 2 * mpmath.mpf(g)) * mpmath.gamma(mpmath.mpf(n) / 2 + g) \
+                / mpmath.gamma(mpmath.mpf(n) / 2 - g)
+            assert sphere_q_value(n, g, 1.0) == pytest.approx(float(ref), rel=1e-12)
+
     def test_oracle_uses_params(self):
         p = QCurvParams(5, 0.4, 2.0)
         assert sphere_q_oracle(p) == pytest.approx(sphere_q_value(5, 0.4, 2.0), rel=1e-15)
