@@ -32,10 +32,10 @@ tau derivative at the single point tau_m = 3, where the column-equilibrated
 2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
 at tau = 2.5 gives the reported consistency gap, or nan where that
 diagnostic connection fails its own guards.  The series coefficients, the
-four connection values and the 2x2 solve are carried in np.longdouble, so
-that c2/c1 is rounded to double only once.  Derivatives are always
-transported analytically (dr/dtau = -r); second derivatives come from the
-ODE closure, never from finite differences.
+four connection values, the 2x2 solve and d_gamma are carried in
+np.longdouble, so that Q is rounded to double only once.  Derivatives are
+always transported analytically (dr/dtau = -r); second derivatives come
+from the ODE closure, never from finite differences.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special_fn import QCurvParams, d_gamma
+from .special_fn import QCurvParams, d_gamma_ext
 
 TAU0 = 1e-3                   # inner edge of the radial grids; coth is never evaluated below
 TAU_BRANCH = math.log(8.0)    # the branch series are summed for tau >= ln 8, r <= 0.25/sqrt(k)
@@ -409,7 +409,7 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
 
 
 def _q_of(p: QCurvParams, c1, c2) -> float:
-    return float(2 / (p.n - 2 * _LD(p.gamma)) * _LD(d_gamma(p.gamma)) * (c2 / c1))
+    return float(2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1))
 
 
 def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:

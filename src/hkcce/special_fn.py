@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # Admissible fractional order.  The expansion coefficient u2 of the scattering
 # solution carries 1/(1 - gamma), so a neighbourhood of gamma = 1 is excluded
 # instead of implementing resonance log branches; the lower cut keeps the
@@ -39,6 +41,14 @@ _LANCZOS_COEF = (
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
+_LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
+# Stirling series of ln Gamma(z): B_{2m} / (2m (2m-1)) z^{1-2m}, m = 1..6,
+# summed at z = _SHIFT -/+ g, where the seventh term is below 1e-21
+_STIRLING_M = np.arange(1, 7)
+_STIRLING = (np.array([1, -1, 1, -1, 1, -691], dtype=_LD)
+             / np.array([12, 360, 1260, 1680, 1188, 360360], dtype=_LD))
+_SHIFT = 32
+
 
 def gamma_fn(x: float) -> float:
     """Gamma function via Lanczos approximation with reflection.
@@ -59,11 +69,41 @@ def gamma_fn(x: float) -> float:
     return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-def d_gamma(gamma: float) -> float:
-    """Renormalisation constant 2^{2g} Gamma(g)/Gamma(-g); negative on (0,1)."""
+def _gamma_ratio_ext(g: float):
+    """Gamma(1+g)/Gamma(1-g) in np.longdouble, for 0 <= g < 1.
+
+    The recurrence lifts both arguments to N +/- g, N = _SHIFT,
+
+        Gamma(1+g)/Gamma(1-g) = prod_{i<N} (i-g)/(i+g) * Gamma(N+g)/Gamma(N-g),
+
+    and the last ratio is the Stirling series of ln Gamma(N+g) - ln Gamma(N-g),
+    with ln(N+g) - ln(N-g) = 2 atanh(g/N) so that nothing of size N ln N cancels.
+    """
+    g = _LD(g)
+    i = np.arange(1, _SHIFT, dtype=_LD)
+    zp, zm = _SHIFT + g, _SHIFT - g
+    diff = ((2 * _SHIFT - 1) * np.arctanh(g / _SHIFT) + g * np.log(zp * zm) - 2 * g
+            + np.sum(_STIRLING * (zp ** (1 - 2 * _STIRLING_M) - zm ** (1 - 2 * _STIRLING_M))))
+    return np.prod((i - g) / (i + g)) * np.exp(diff)
+
+
+def d_gamma_ext(gamma: float):
+    """d_gamma in np.longdouble: -4^g Gamma(1+g)/Gamma(1-g).
+
+    No reflection is needed, so no sin(pi g) loses digits near g = 1.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"d_gamma requires gamma in (0,1), got {gamma}")
-    return 2.0 ** (2.0 * gamma) * gamma_fn(gamma) / gamma_fn(-gamma)
+    return -np.exp2(2 * _LD(gamma)) * _gamma_ratio_ext(gamma)
+
+
+def d_gamma(gamma: float) -> float:
+    """Renormalisation constant 2^{2g} Gamma(g)/Gamma(-g); negative on (0,1).
+
+    Rounded once from `d_gamma_ext`, so within half an ulp where np.longdouble
+    is the 80-bit type.
+    """
+    return float(d_gamma_ext(gamma))
 
 
 def hk_constant(n: int, gamma: float) -> float:

@@ -15,6 +15,8 @@ from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
                               solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
 
 class TestFrobeniusCoefficients:
     def test_a2_reference_case(self):
@@ -217,3 +219,9 @@ class TestMpmathReference:
             assert abs(sr.c1 / c1_ref - 1) <= 1e-10, (k, sr.c1, c1_ref)
             oracle = sphere_q_value(n, gamma, k)
             assert abs(sr.q_value / oracle - 1) <= 1e-10, (k, sr.q_value, oracle)
+            if EXTENDED:
+                # connection and d_gamma in extended precision: Q is rounded once
+                g = mpmath.mpf(gamma)
+                q_ref = (mpmath.mpf(k) ** g * 2 / (n - 2 * g) * mpmath.gamma(mpmath.mpf(n) / 2 + g)
+                         / mpmath.gamma(mpmath.mpf(n) / 2 - g))
+                assert abs(sr.q_value - q_ref) <= math.ulp(float(q_ref)), (k, sr.q_value, q_ref)

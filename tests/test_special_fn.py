@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,6 +62,15 @@ class TestDGamma:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             d_gamma(bad)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is plain double here")
+    def test_correctly_rounded(self):
+        # near g = 1 a reflection through sin(pi g) would lose digits
+        with mpmath.workdps(30):
+            for g in [1e-6, 0.003, 0.05, 0.25, 0.5, 0.8072, 0.93, 0.9348, 0.95, 0.999]:
+                ref = 4 ** mpmath.mpf(g) * mpmath.gamma(g) / mpmath.gamma(-mpmath.mpf(g))
+                assert abs(d_gamma(g) - ref) <= 0.51 * math.ulp(float(ref)), g
 
 
 class TestHkConstant:
