@@ -3,14 +3,13 @@ lab on rotationally symmetric conformally compact Einstein models."""
 
 __version__ = "0.1.0"
 
-from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma, gamma_fn,
-                         hk_constant, sphere_q_oracle, sphere_q_value,
-                         sphere_volume)
+from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma,
+                         hk_constant, sphere_q_value, sphere_volume)
 from .model_geometry import ModelSpace, mean_curvature_exact
 from .scattering import (FrobeniusBranch, MatchingError, RadialProfile,
                          ResonanceError, ScatteringResult, frobenius_branch,
-                         frobenius_coefficients, lee_potential_exact,
-                         match_and_q, solve_case, solve_interior)
+                         frobenius_coefficients, match_and_q, solve_case,
+                         solve_interior)
 from .jet_algebra import (IntegralClass, Jet, Poly, Prop21Certificate,
                           UnsupportedIntegralError, boundary_integral,
                           expand_normal_form, verify_prop21)
@@ -22,12 +21,11 @@ from .hk_verifier import (VerificationReport, asymptotic_ratio,
 
 __all__ = [
     "__version__",
-    "GAMMA_MAX", "GAMMA_MIN", "QCurvParams", "d_gamma", "gamma_fn",
-    "hk_constant", "sphere_q_oracle", "sphere_q_value", "sphere_volume",
+    "GAMMA_MAX", "GAMMA_MIN", "QCurvParams", "d_gamma",
+    "hk_constant", "sphere_q_value", "sphere_volume",
     "ModelSpace", "mean_curvature_exact",
     "FrobeniusBranch", "MatchingError", "RadialProfile", "ResonanceError",
     "ScatteringResult", "frobenius_branch", "frobenius_coefficients",
-    "lee_potential_exact",
     "match_and_q", "solve_case", "solve_interior",
     "IntegralClass", "Jet", "Poly", "Prop21Certificate",
     "UnsupportedIntegralError", "boundary_integral", "expand_normal_form",

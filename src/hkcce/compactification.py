@@ -32,6 +32,10 @@ U_1..U_3 carry the factor x = r^e at which 1 + w vanishes (e = 2 gamma for
 the adapted case, 2 for Lee).  With x kept factored out of 1 + w, w', w'',
 S = 1 - w^2 and their combinations, nothing underflows, overflows or cancels
 down to r = 0, where the same state gives the boundary values of T and Jbar.
+
+Every assembled state is checked where it is made: T (adapted) and S = 1 - w^2,
+the sign of Jbar (Lee), must be positive at each point evaluated, which
+covers every quadrature node, the residual window and the boundary r = 0.
 """
 
 from __future__ import annotations
@@ -43,12 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import TAU_BRANCH, RadialProfile, ScatteringResult
+from .scattering import RadialProfile, ScatteringResult
 from .special_fn import d_gamma
-
-_GRID_CENTRE = 140
-_GRID_BRANCH = 120
-_R_HAT_MIN = 1e-6              # innermost grid radius, as a fraction of 2/sqrt(k)
 
 
 class GeometryError(RuntimeError):
@@ -185,13 +185,6 @@ class CompactifiedGeometry:
         # rows k of D^k on the low branch, j >= 1 (its j = 0 term is 1 and
         # is annihilated by D), as polynomials in r^2 divided by r^2
         self._low = _d_rows(low, 2.0 * np.arange(len(low)))[:, 1:]
-        rc = base.r_center
-        tau_hi = float(base.tau_of_r(rc * _R_HAT_MIN))
-        self.grid_tau = np.unique(np.concatenate([
-            np.linspace(self.profile.tau0 if profile else 1e-3, TAU_BRANCH, _GRID_CENTRE),
-            np.linspace(TAU_BRANCH, tau_hi, _GRID_BRANCH),
-        ]))
-        self._grid_state: GeometryState | None = None
 
     # -- state assembly -------------------------------------------------------
     def state(self, tau) -> GeometryState:
@@ -211,7 +204,7 @@ class CompactifiedGeometry:
         u, du = self.profile.evaluate(tau)
         u, du = u / self.c1, du / self.c1
         if np.any(u <= 0.0):
-            raise GeometryError("scattering solution is not positive on the grid")
+            raise GeometryError("scattering solution is not positive")
         v = du / u
         dv = -n * coth * v - self.s * m - v * v
         ddv = -n * (1.0 - coth * coth) * v - n * coth * dv - 2.0 * v * dv
@@ -226,7 +219,7 @@ class CompactifiedGeometry:
         high = _power_sums(self._high, r2)
         U0 = 1.0 + r2 * low[0] + self.q * x * high[0]
         if np.any(U0 <= 0.0):
-            raise GeometryError("scattering solution is not positive on the grid")
+            raise GeometryError("scattering solution is not positive")
         V1, V2, V3 = np.power(r, 2.0 - self.e) * low[1:] + self.q * high[1:]   # U_k/x
         c = V2 * U0 - x * V1 * V1
         mU0 = m * U0
@@ -260,8 +253,14 @@ class CompactifiedGeometry:
             dT = (dS_hat - e * w * S_hat) * rf
             ddT = (ddS_hat - 2.0 * e * w * dS_hat - e * x * dp * S_hat
                    + e * e * w * w * S_hat) * rf
+            positive, name = T, "T"
         else:
             T = dT = ddT = None
+            positive, name = S_hat, "Jbar"   # Jbar = S_hat (n+1)/(2 (rho/r)^2)
+        bad = ~(positive > 0.0)
+        if np.any(bad):
+            raise GeometryError(
+                f"{name} is not positive at tau = {tau[np.argmax(bad)]:.6g} ({self.kind})")
         return GeometryState(
             n=n, e=e, kj=(self.two_gamma - 1.0) / 2.0,
             tau=tau, r=r, x=x, w=w, dw_hat=dp,
@@ -271,12 +270,7 @@ class CompactifiedGeometry:
             dens=np.power(ror * phi, n), T=T, dT=dT, ddT=ddT,
         )
 
-    # -- cached grid state and CSV dump ---------------------------------------
-    def grid_state(self) -> GeometryState:
-        if self._grid_state is None:
-            self._grid_state = self.state(self.grid_tau)
-        return self._grid_state
-
+    # -- CSV dump ---------------------------------------------------------------
     def dump_csv(self, path, residuals: dict | None = None):
         """Profile dump: t, r, rho, drho, grad_sq, T_or_J, res_rho, res_T_or_J."""
         if residuals is None:
@@ -306,18 +300,17 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
                   profile: RadialProfile) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
-    Applies the c1 normalisation (so r^{s-n} u -> 1), enforces positivity of
-    u and T, and reads the boundary value of T off the state at r = 0,
-    against its target -(4 gamma/d_gamma) Q.
+    Applies the c1 normalisation (so r^{s-n} u -> 1), checks that the
+    tabulated u and c1 are positive, and reads the boundary value of T off
+    the state at r = 0, against its target -(4 gamma/d_gamma) Q.  T > 0 is
+    checked by every state evaluation, this one included.
     """
     p = sr.params
     if np.any(profile.u <= 0.0):
-        raise GeometryError("u_s must be positive; got a non-positive value on the grid")
+        raise GeometryError("u_s must be positive; got a non-positive value in the profile table")
     if sr.c1 <= 0.0:
         raise GeometryError(f"c1 = {sr.c1} is not positive; normalisation undefined")
     g = CompactifiedGeometry("adapted", m, p.s, profile, sr, p.gamma)
-    if np.any(g.grid_state().T <= 0.0):
-        raise GeometryError("T_s is not positive on the geometry grid")
     t_b = float(g.state_of_r(0.0).T[0])
     target = -(4.0 * p.gamma / d_gamma(p.gamma)) * sr.q_value
     g.boundary = {
@@ -334,8 +327,6 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
     """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'."""
     g = CompactifiedGeometry("lee", m, float(m.n + 1), None, None, None)
-    if np.any(g.grid_state().Jbar <= 0.0):
-        raise GeometryError("Jbar_L is not positive on the geometry grid")
     jhat = m.n * m.k / 2.0
     j_b = float(g.state_of_r(0.0).Jbar[0])
     target = (m.n + 1.0) / m.n * jhat

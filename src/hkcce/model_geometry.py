@@ -53,14 +53,13 @@ class ModelSpace:
         return math.sqrt(self.k) * np.sinh(tau)
 
     def df_tau(self, tau):
+        """f' = sqrt(k) cosh(tau), also the Lee eigenfunction V:
+        Lap_+ V = (n+1) V and r V = 1 + k r^2/4 -> 1."""
         return math.sqrt(self.k) * np.cosh(tau)
 
     # -- coordinate maps ------------------------------------------------------
     def r_of_t(self, t):
         return 2.0 * np.exp(-t)
-
-    def t_of_r(self, r):
-        return np.log(2.0 / r)
 
     def tau_of_r(self, r):
         return np.log(2.0 / (math.sqrt(self.k) * r))
@@ -73,17 +72,6 @@ class ModelSpace:
 
     def dphi(self, r):
         return -self.k * r / 2.0
-
-    def coth_tau_of_r(self, r):
-        # f'/f expressed through the normal form; exact and stable for tiny r
-        return (4.0 + self.k * r * r) / (4.0 - self.k * r * r)
-
-    # warp from r, avoiding exp overflow near the boundary
-    def f_of_r(self, r):
-        return self.phi(r) / r
-
-    def df_of_r(self, r):
-        return (1.0 + self.k * r * r / 4.0) / r
 
 
 def mean_curvature_exact(m: ModelSpace, r: float) -> float:

@@ -36,6 +36,10 @@ four connection values, the 2x2 solve and d_gamma are carried in
 np.longdouble, so that Q is rounded to double only once.  Derivatives are
 always transported analytically (dr/dtau = -r); second derivatives come
 from the ODE closure, never from finite differences.
+
+The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
+is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
+branch r V = 1 + k r^2/4 terminates.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ import numpy as np
 
 from .special_fn import QCurvParams, d_gamma_ext
 
-TAU0 = 1e-3                   # inner edge of the radial grids; coth is never evaluated below
 TAU_BRANCH = math.log(8.0)    # the branch series are summed for tau >= ln 8, r <= 0.25/sqrt(k)
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
 TAU_CHECK = 2.5               # second connection, for the consistency gap
@@ -308,20 +311,16 @@ class RadialProfile:
     """Regular radial solution in closed form: u and u' at any tau.
 
     `evaluate` is dense on [0, tau_max]; tau, u and du tabulate the profile
-    on a coarse grid (checked for positivity by the geometry builders).  The
-    second derivative is never finite-differenced; it is supplied by the ODE
-    closure u'' = -n coth(tau) u' - lam u.
+    on a coarse grid (checked for positivity by `build_adapted`).  The second
+    derivative is never finite-differenced; the geometry takes it from the
+    ODE closure u'' = -n coth(tau) u' - s(n-s) u.
     """
 
-    n: int
-    s: float
-    lam: float
     tau: np.ndarray
     u: np.ndarray
     du: np.ndarray
     tau_max: float
     values: Callable = field(repr=False)     # tau array -> (u, u')
-    tau0: float = TAU0
 
     def evaluate(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -329,22 +328,13 @@ class RadialProfile:
             raise ValueError(f"tau beyond profile horizon {self.tau_max}")
         return self.values(tau)
 
-    def u_dd(self, tau, u, du):
-        """ODE closure for the second derivative."""
-        return -self.n / np.tanh(tau) * du - self.lam * u
-
-
-def _tabulated(n: int, s: float, values: Callable, tau_max: float,
-               table_max: float) -> RadialProfile:
-    tau = np.linspace(0.0, table_max, _TABLE_POINTS)
-    u, du = values(tau)
-    return RadialProfile(n=n, s=s, lam=s * (n - s), tau=tau, u=u, du=du,
-                         tau_max=tau_max, values=values)
-
 
 def solve_interior(p: QCurvParams) -> RadialProfile:
     """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH]."""
-    return _tabulated(p.n, p.s, CentreSeries(p.n, _s_ext(p), TAU_MATCH), TAU_MATCH, TAU_MATCH)
+    values = CentreSeries(p.n, _s_ext(p), TAU_MATCH)
+    tau = np.linspace(0.0, TAU_MATCH, _TABLE_POINTS)
+    u, du = values(tau)
+    return RadialProfile(tau=tau, u=u, du=du, tau_max=TAU_MATCH, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +353,13 @@ class ScatteringResult:
     condition_estimate: float        # of the column-equilibrated system
     consistency_gap: float           # relative Q change, tau_m = 3 vs 2.5 (nan if 2.5 fails)
     T_match: float                   # connection point tau_m
-    r_match: float
-    order: int                       # highest branch series order
     branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
 
 
 def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
              b2: FrobeniusBranch, tau: float):
-    """Solve the value/derivative system at tau; returns (c1, c2, cond, r).
+    """Solve the value/derivative system at tau; returns (c1, c2, cond).
 
     c1 and c2 are np.longdouble: the centre series, both branches and the
     2x2 solve (Cramer's rule) are evaluated in extended precision.  The
@@ -405,7 +393,7 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     c2 = (a * du[0] - c * u[0]) / det / scale[1]
     if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):
         raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
-    return c1, c2, cond, r
+    return c1, c2, cond
 
 
 def _q_of(p: QCurvParams, c1, c2) -> float:
@@ -416,7 +404,7 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     """Extract c1, c2 and Q by two-branch matching at tau = TAU_MATCH."""
     b1 = frobenius_branch(p, p.n - p.s)
     b2 = frobenius_branch(p, p.s)
-    c1, c2, cond, r = _connect(profile, p, b1, b2, TAU_MATCH)
+    c1, c2, cond = _connect(profile, p, b1, b2, TAU_MATCH)
     q = _q_of(p, c1, c2)
     # the check connection is a diagnostic only: where it cannot be made,
     # the gap is reported as nan and the tau_m = 3 result stands
@@ -428,9 +416,7 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
         params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1), q_value=q,
         condition_estimate=cond,
         consistency_gap=abs(q - q_check) / max(abs(q), 1e-300),
-        T_match=TAU_MATCH, r_match=r,
-        order=max(len(b1.coeffs), len(b2.coeffs)) - 1,
-        branch_low=b1, branch_high=b2,
+        T_match=TAU_MATCH, branch_low=b1, branch_high=b2,
     )
 
 
@@ -439,26 +425,3 @@ def solve_case(p: QCurvParams):
     profile = solve_interior(p)
     return profile, match_and_q(profile, p)
 
-
-# ---------------------------------------------------------------------------
-# Exact eigenfunction of the Lee compactification
-# ---------------------------------------------------------------------------
-
-def lee_potential_exact(m) -> RadialProfile:
-    """The positive eigenfunction V with -Lap_+ V + (n+1) V = 0, r V -> 1.
-
-    On the models V = f'(t) exactly: f''' = f' and n (f'/f) f'' = n f', so
-    Lap_+ V = (n+1) V, while r f' = 1 + k r^2/4 -> 1.  Returned as a
-    closed-form RadialProfile for the eigenvalue instance s = n+1
-    (lam = -(n+1)), V = sqrt(k) cosh(tau).
-    """
-    from .model_geometry import ModelSpace
-
-    if not isinstance(m, ModelSpace):
-        raise TypeError("lee_potential_exact expects a ModelSpace")
-    sk = math.sqrt(m.k)
-
-    def values(tau):
-        return sk * np.cosh(tau), sk * np.sinh(tau)
-
-    return _tabulated(m.n, float(m.n + 1), values, math.inf, 20.0)

@@ -6,8 +6,10 @@ scattering matrix S(s) of an asymptotically hyperbolic Einstein space into the
 fractional GJMS operator P_{2g} = d_g S(n/2 + g), and Q_{2g} is
 2/(n - 2g) P_{2g}(1).  On hyperbolic space with a round sphere of radius
 k^{-1/2} at infinity, P_{2g} acts on constants as the gamma ratio
-Gamma(n/2+g)/Gamma(n/2-g); `sphere_q_oracle` exposes that closed form as the
-independent oracle for the radial ODE pipeline.
+Gamma(n/2+g)/Gamma(n/2-g); `sphere_q_value` is that closed form, the
+independent oracle for the series connection.  It and the sphere volume are
+formed through math.lgamma, so they stay finite where a Gamma factor alone
+overflows (from n = 284 on).
 """
 
 from __future__ import annotations
@@ -24,23 +26,6 @@ import numpy as np
 GAMMA_MIN = 0.05
 GAMMA_MAX = 0.95
 
-# Lanczos approximation, g = 7, 9 coefficients (relative error < 1e-13 for
-# positive arguments; negative arguments go through the reflection formula).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 # Stirling series of ln Gamma(z): B_{2m} / (2m (2m-1)) z^{1-2m}, m = 1..6,
 # summed at z = _SHIFT -/+ g, where the seventh term is below 1e-21
@@ -48,25 +33,6 @@ _STIRLING_M = np.arange(1, 7)
 _STIRLING = (np.array([1, -1, 1, -1, 1, -691], dtype=_LD)
              / np.array([12, 360, 1260, 1680, 1188, 360360], dtype=_LD))
 _SHIFT = 32
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function via Lanczos approximation with reflection.
-
-    Raises ValueError at the poles (x = 0, -1, -2, ...).
-    """
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def _gamma_ratio_ext(g: float):
@@ -123,7 +89,7 @@ def sphere_q_value(n: int, gamma: float, k: float = 1.0) -> float:
     Closed form k^g * 2/(n-2g) * Gamma(n/2+g)/Gamma(n/2-g), the scattering
     value of hyperbolic space.  The Gamma ratio is formed through lgamma, so
     it stays finite where each factor overflows (n >= 284).  Unvalidated
-    arguments; see `sphere_q_oracle` for the parameter-checked version.
+    arguments.
     """
     ratio = math.exp(math.lgamma(n / 2.0 + gamma) - math.lgamma(n / 2.0 - gamma))
     return k ** gamma * (2.0 / (n - 2.0 * gamma)) * ratio
@@ -164,13 +130,13 @@ class QCurvParams:
         return self.s * (self.n - self.s)
 
 
-def sphere_q_oracle(p: QCurvParams) -> float:
-    """Closed-form Q_{2 gamma} of the model boundary; oracle for the series connection."""
-    return sphere_q_value(p.n, p.gamma, p.k)
-
-
 def sphere_volume(n: int) -> float:
-    """Volume of the unit n-sphere, 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
+    """Volume of the unit n-sphere, 2 pi^h / Gamma(h) with h = (n+1)/2.
+
+    Formed as 2 exp(h ln pi - lgamma(h)), finite where Gamma(h) overflows;
+    the volume itself is subnormal from n ~ 436 and underflows to 0 beyond.
+    """
     if n < 1:
         raise ValueError("sphere_volume requires n >= 1")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / gamma_fn((n + 1) / 2.0)
+    h = (n + 1) / 2.0
+    return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))

@@ -1,12 +1,23 @@
 """Shared fixtures: session-level caches so the ODE pipeline runs once per
 parameter case across the whole suite."""
 
+import math
+
+import numpy as np
 import pytest
 
 from hkcce.compactification import build_adapted, build_lee
 from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import solve_case
 from hkcce.special_fn import QCurvParams
+
+
+@pytest.fixture(scope="session")
+def taus():
+    """260 radial points on tau in [1e-3, ln 1e6], r down to 1e-6 of r_center:
+    140 up to ln 8, 120 from there on."""
+    return np.concatenate([np.linspace(1e-3, math.log(8.0), 140, endpoint=False),
+                           np.linspace(math.log(8.0), math.log(1e6), 120)])
 
 
 @pytest.fixture(scope="session")

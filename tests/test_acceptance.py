@@ -162,16 +162,16 @@ def test_criterion_08_frobenius_u2_exact():
     _report(8, "u2 exact in rational arithmetic for 20 random triples")
 
 
-def test_criterion_09_positivity_suite(solved, adapted, lee):
+def test_criterion_09_positivity_suite(solved, adapted, lee, taus):
     """Q > 0, T > 0 and Jbar > 0 at all computed grid points."""
     for n, g, k in GRID:
         _, sr = solved(n, g, k)
         assert sr.q_value > 0.0, (n, g, k)
-        st = adapted(n, g, k).grid_state()
+        st = adapted(n, g, k).state(taus)
         assert np.all(st.T > 0.0), (n, g, k)
     for n in NS:
         for k in KS:
-            st = lee(n, k).grid_state()
+            st = lee(n, k).state(taus)
             assert np.all(st.Jbar > 0.0), (n, k)
     _report(9, "positivity: Q, T and Jbar positive across the full grid")
 

@@ -1,5 +1,6 @@
 """CLI configuration, command dispatch, report emission and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -168,8 +169,14 @@ class TestCommands:
         lines = (tmp_path / "o" / "tables" / "qcurv.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2
 
-    def test_failing_verdict_exits_one(self, tmp_path, capsys):
-        # quad_tol below the quadrature error floor forces inconclusive
+    def test_failing_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an inconclusive report is a failing verdict
+        real = hkcce.cli.verify_adapted
+
+        def inconclusive(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), verdict="inconclusive")
+
+        monkeypatch.setattr(hkcce.cli, "verify_adapted", inconclusive)
         rc = main(["verify", "hk-adapted", "--gamma", "0.25",
                    "--quad-tol", "1e-10", "--out", str(tmp_path / "o")])
         assert rc == 1

@@ -26,9 +26,9 @@ def _hessian(st):
 class TestFlatBallCase:
     """gamma = 1/2, k = 1: the adapted metric is the flat unit ball."""
 
-    def test_T_is_constant_two(self, adapted):
+    def test_T_is_constant_two(self, adapted, taus):
         g = adapted(4, 0.5, 1.0)
-        st = g.grid_state()
+        st = g.state(taus)
         assert np.max(np.abs(st.T - 2.0)) <= 1e-6
 
     def test_boundary_row(self, adapted):
@@ -41,8 +41,8 @@ class TestFlatBallCase:
         g = adapted(4, 0.5, 1.0)
         assert g.boundary["Hbar"] == pytest.approx(4.0, abs=1e-9)
 
-    def test_umbilic(self, adapted):
-        st = adapted(4, 0.5, 1.0).grid_state()
+    def test_umbilic(self, adapted, taus):
+        st = adapted(4, 0.5, 1.0).state(taus)
         lam_rad, lam_sph = _hessian(st)
         assert np.max(st.tracefree_sq) <= 1e-9
         assert np.max(np.abs(lam_rad - lam_sph)) <= 1e-6
@@ -54,9 +54,9 @@ class TestFlatBallCase:
 
 
 class TestLeeHemisphere:
-    def test_jbar_constant(self, lee):
+    def test_jbar_constant(self, lee, taus):
         g = lee(4, 1.0)
-        st = g.grid_state()
+        st = g.state(taus)
         assert np.max(np.abs(st.Jbar - 2.5)) <= 1e-10
 
     def test_closed_forms_k1(self, lee):
@@ -74,9 +74,9 @@ class TestLeeHemisphere:
         target = (n + 1.0) / n * (n * k / 2.0)
         assert g.boundary["J_boundary"] == pytest.approx(target, rel=1e-9)
 
-    def test_umbilic(self, lee):
+    def test_umbilic(self, lee, taus):
         for n, k in ((4, 1.0), (5, 2.0)):
-            assert np.max(lee(n, k).grid_state().tracefree_sq) <= 1e-9
+            assert np.max(lee(n, k).state(taus).tracefree_sq) <= 1e-9
 
 
 class TestHessianSplit:
@@ -85,18 +85,18 @@ class TestHessianSplit:
         lam_rad, lam_sph, n = 3.0, 1.0, 4
         assert (n / (n + 1)) * (lam_rad - lam_sph) ** 2 == pytest.approx(3.2)
 
-    def test_split_consistency_on_grid(self, adapted):
+    def test_split_consistency_on_grid(self, adapted, taus):
         g = adapted(4, 0.25, 1.0)
-        st = g.grid_state()
+        st = g.state(taus)
         lam_rad, lam_sph = _hessian(st)
         recon = (g.base.n / (g.base.n + 1.0)) * (lam_rad - lam_sph) ** 2
         assert np.max(np.abs(recon - st.tracefree_sq)) <= 1e-12 * (1 + np.max(recon))
 
-    def test_trace_identity(self, adapted):
+    def test_trace_identity(self, adapted, taus):
         # lam_rad + n lam_sph vs the product-rule Laplacian, to 1e-8 where
         # both are well conditioned
         g = adapted(5, 0.6, 2.0)
-        st = g.grid_state()
+        st = g.state(taus)
         n = g.base.n
         lam_rad, lam_sph = _hessian(st)
         lap = lam_rad + n * lam_sph
@@ -159,10 +159,10 @@ class TestResiduals:
 
 
 class TestStructure:
-    def test_positivity(self, adapted, lee):
-        st = adapted(4, 0.75, 0.5).grid_state()
+    def test_positivity(self, adapted, lee, taus):
+        st = adapted(4, 0.75, 0.5).state(taus)
         assert np.all(st.T > 0)
-        st = lee(6, 2.0).grid_state()
+        st = lee(6, 2.0).state(taus)
         assert np.all(st.Jbar > 0)
 
     def test_rho_normalisation_at_boundary(self, adapted):
@@ -182,6 +182,19 @@ class TestStructure:
         bad = replace(profile, u=profile.u - 2.0 * np.max(profile.u))
         with pytest.raises(GeometryError):
             build_adapted(ModelSpace(4, 1.0), sr, bad)
+
+    def test_nonpositive_T_rejected_where_evaluated(self, solved):
+        # |u'/u| > n - s at tau = 1 alone gives 1 - w^2 < 0, so T < 0 there
+        profile, sr = solved(4, 0.5, 1.0)
+
+        def values(tau):
+            u, du = profile.values(tau)
+            return u, np.where(tau == 1.0, 50.0 * du, du)
+
+        g = build_adapted(ModelSpace(4, 1.0), sr, replace(profile, values=values))
+        assert np.all(g.state([0.5, 1.5]).T > 0.0)
+        with pytest.raises(GeometryError, match="T is not positive at tau = 1 "):
+            g.state([0.5, 1.0, 1.5])
 
     def test_dump_csv(self, adapted, tmp_path):
         g = adapted(4, 0.5, 1.0)

@@ -60,6 +60,12 @@ class TestLeeForm:
         assert rep.lhs == pytest.approx(2.0 ** -2 * sphere_volume(4) / 4.0, rel=1e-12)
         assert rep.verdict == "equality"
 
+    def test_large_n(self):
+        # Gamma((n+1)/2) alone overflows a double from n = 284; past n ~ 436
+        # the sphere volume, and with it lhs, is subnormal
+        assert verify_lee(284, 1.0).verdict == "equality"
+        assert verify_lee(470, 1.0).verdict == "inconclusive"
+
 
 class TestAdaptedForm:
     def test_equality_at_half(self):
@@ -112,6 +118,14 @@ class TestAdaptedForm:
         rep = verify_adapted(100, gamma, k)
         assert rep.verdict == ("equality" if gamma == 0.5 else "strict")
         assert defect_identity("adapted", 100, k, gamma=gamma).verdict == "equality"
+
+    @pytest.mark.parametrize("n,gamma", [(3, 0.05), (10, 0.25), (20, 0.95), (60, 0.1)])
+    def test_conclusive_at_tight_tol(self, n, gamma):
+        # err_est carries Q's checked one-ulp error, not a flat 1e-9 |lhs|
+        rep = verify_adapted(n, gamma, 2.0, tol=1e-10)
+        assert rep.verdict == "strict"
+        assert rep.err_est <= 1e-12 * abs(rep.lhs)
+        assert defect_identity("adapted", n, 2.0, tol=1e-10, gamma=gamma).verdict == "equality"
 
     def test_gap_equals_remainder_sum(self):
         # the integrated identity expresses the inequality gap exactly as the
@@ -250,6 +264,15 @@ class TestAsymptoticRatio:
         for row in asymptotic_ratio(5, 1.0, r_values):
             assert abs(row["ratio"] - 1.0) <= 1e-8
             assert row["abs_err"] <= 1e-8
+
+    @pytest.mark.parametrize("n", [93, 150, 300])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_large_n(self, n, k):
+        # f(tau_r)^n overflows from n = 93 at r = 5e-4; both sides are
+        # divided by it
+        r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
+        for row in asymptotic_ratio(n, k, r_values):
+            assert abs(row["ratio"] - 1.0) <= 1e-8, row
 
 
 class TestQuadrature:

@@ -57,6 +57,20 @@ class TestFrame:
             assert float(m.r_of_t(t) * m.f(t)) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestLeeEigenfunction:
+    def test_df_tau_is_scaled_cosh(self):
+        # V = f' solves -Lap_+ V + (n+1) V = 0 with r V -> 1
+        m = ModelSpace(5, 2.0)
+        taus = np.linspace(0.01, 12.0, 50)
+        V = m.df_tau(taus)
+        assert np.max(np.abs(V / (math.sqrt(2.0) * np.cosh(taus)) - 1.0)) <= 1e-10
+        # V' = f and V'' = f' (f''' = f'), each from its own closed form
+        lap = m.df_tau(taus) + m.n / np.tanh(taus) * m.f_tau(taus)
+        assert np.max(np.abs(-lap + (m.n + 1) * V) / V) <= 1e-12
+        r = np.asarray(m.r_of_tau(taus))
+        assert abs(r[-1] * V[-1] - 1.0) <= 1e-8
+
+
 class TestMeanCurvature:
     def test_reference_value(self):
         assert mean_curvature_exact(ModelSpace(4, 1.0), 0.1) == pytest.approx(

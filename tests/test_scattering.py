@@ -8,11 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, frobenius_branch,
-                              frobenius_coefficients, lee_potential_exact,
-                              solve_case, solve_interior)
+                              frobenius_coefficients, solve_case,
+                              solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -78,28 +77,15 @@ class TestInteriorSolve:
     def test_taylor_start_values(self):
         p = QCurvParams(4, 0.5, 1.0)
         prof = solve_interior(p)
-        u0, du0 = prof.evaluate(prof.tau0)
+        tau0 = 1e-3
+        u0, du0 = prof.evaluate(tau0)
         # u ~ 1 - lam tau^2 / (2(n+1))
-        assert u0[0] - 1.0 == pytest.approx(-p.lam * prof.tau0 ** 2 / 10.0, rel=1e-5)
-        assert du0[0] / prof.tau0 == pytest.approx(-p.lam / 5.0, rel=1e-5)
+        assert u0[0] - 1.0 == pytest.approx(-p.lam * tau0 ** 2 / 10.0, rel=1e-5)
+        assert du0[0] / tau0 == pytest.approx(-p.lam / 5.0, rel=1e-5)
 
     def test_grid_is_increasing(self):
         prof = solve_interior(QCurvParams(4, 0.25, 1.0))
         assert np.all(np.diff(prof.tau) > 0)
-
-    def test_lee_profile_is_scaled_cosh(self):
-        m = ModelSpace(5, 2.0)
-        vp = lee_potential_exact(m)
-        taus = np.linspace(0.01, 12.0, 50)
-        u, du = vp.evaluate(taus)
-        scale = math.sqrt(2.0)
-        assert np.max(np.abs(u / (scale * np.cosh(taus)) - 1.0)) <= 1e-10
-        # eigenfunction residual -Lap V + (n+1) V via the closure
-        lap = vp.u_dd(taus, u, du) + m.n / np.tanh(taus) * du
-        assert np.max(np.abs(-lap + (m.n + 1) * u)) <= 1e-12
-        # normalisation r V -> 1
-        r = np.asarray(m.r_of_tau(taus))
-        assert abs(r[-1] * u[-1] - 1.0) <= 1e-8
 
 
 class TestMatching:

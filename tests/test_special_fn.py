@@ -7,36 +7,12 @@ import numpy as np
 import pytest
 
 from hkcce.special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma,
-                              gamma_fn, hk_constant, sphere_q_oracle,
-                              sphere_q_value, sphere_volume)
+                              hk_constant, sphere_q_value, sphere_volume)
 
 
 def _d_gamma_oracle(g):
     # independent route through math.gamma
     return 2.0 ** (2 * g) * math.gamma(g) / math.gamma(-g)
-
-
-class TestGammaFn:
-    def test_factorial(self):
-        assert gamma_fn(5) == pytest.approx(24.0, rel=1e-12)
-
-    def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_reflection(self):
-        assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_against_stdlib_grid(self):
-        for x in np.arange(-29.8, 30.0, 0.217):
-            x = float(x)
-            if x <= 0 and abs(x - round(x)) < 1e-6:
-                continue
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    @pytest.mark.parametrize("pole", [0.0, -1.0, -7.0])
-    def test_pole_rejected(self, pole):
-        with pytest.raises(ValueError):
-            gamma_fn(pole)
 
 
 class TestDGamma:
@@ -125,10 +101,6 @@ class TestSphereOracle:
             ref = 2 / (n - 2 * mpmath.mpf(g)) * mpmath.gamma(mpmath.mpf(n) / 2 + g) \
                 / mpmath.gamma(mpmath.mpf(n) / 2 - g)
             assert sphere_q_value(n, g, 1.0) == pytest.approx(float(ref), rel=1e-12)
-
-    def test_oracle_uses_params(self):
-        p = QCurvParams(5, 0.4, 2.0)
-        assert sphere_q_oracle(p) == pytest.approx(sphere_q_value(5, 0.4, 2.0), rel=1e-15)
 
 
 class TestParams:
