@@ -14,9 +14,12 @@ Commands
 Output files (under --out, or $HKCCE_OUT): manifest.json, reports/*.json,
 tables/*.csv, all UTF-8, written atomically (temp file + rename), rows sorted
 by (n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
-every verdict passes, 1 on a failing verdict, 2 on a usage error, an I/O
-failure, or a case the solver cannot decide (MatchingError, GeometryError),
-which is reported on one line as "hkcce: <kind>: <reason>".
+every verdict passes, 1 on a failing verdict (each listed on stderr as
+"<kind> <label>", kind `fail` for a failed check or the report's verdict,
+e.g. `inconclusive`), 2 on a usage error, an I/O failure, or a case the
+solver cannot decide (MatchingError, GeometryError), which is reported on one
+line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, an unreadable or
+non-object config file) are refused before any case runs.
 """
 
 from __future__ import annotations
@@ -78,13 +81,15 @@ class RunConfig:
         for n in self.n:
             if int(n) != n or n < 3:
                 raise ValueError(f"n must be an integer >= 3, got {n}")
+            if self.verify_target == "prop21" and n < 5:
+                raise ValueError(f"prop21 requires n >= 5, got {n}")
         for g in self.gamma:
             if not (GAMMA_MIN <= g <= GAMMA_MAX):
                 raise ValueError(
                     f"gamma={g} outside [{GAMMA_MIN}, {GAMMA_MAX}] (resonance guard)")
         for k in self.k:
-            if not k > 0:
-                raise ValueError(f"k must be positive, got {k}")
+            if not 0.0 < k < math.inf:
+                raise ValueError(f"k must be positive and finite, got {k}")
         if not (1e-10 <= self.quad_tol <= 1e-2):
             raise ValueError(f"quad_tol {self.quad_tol} outside [1e-10, 1e-2]")
         if int(self.jobs) != self.jobs or self.jobs < 0:
@@ -137,8 +142,13 @@ def parse_config(argv) -> RunConfig:
     ns = _build_parser().parse_args(argv)
     file_cfg = {}
     if ns.config:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(ns.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {ns.config} must hold a JSON object")
 
     def pick(flag, key, default):
         if flag is not None:
@@ -204,12 +214,11 @@ def _sweep_case(args) -> dict:
     n, gamma, k, quad_tol = args
     row = _qcurv_case((n, gamma, k))
     rep = verify_adapted(n, gamma, k, tol=quad_tol)
-    ok = row["verdict"] == "pass" and rep.passing
     return {
         "n": n, "gamma": gamma, "k": k,
         "Q_num": row["Q_num"], "Q_oracle": row["Q_oracle"],
         "rel_err": row["rel_err"], "lhs": rep.lhs, "rhs": rep.rhs,
-        "gap": rep.gap, "verdict": rep.verdict if ok else "fail",
+        "gap": rep.gap, "verdict": rep.verdict if row["verdict"] == "pass" else "fail",
     }
 
 
@@ -223,21 +232,24 @@ def _residual_case(args) -> dict:
     else:
         g = build_lee(m)
     res = residual_suite(g)
+    other = res["res_T" if kind == "adapted" else "res_J"]
     tol = 1e-8 if kind == "lee" else 1e-5
     ok = all(rp.sup_weighted <= tol for rp in res.values())
     if dump_dir is not None:
         tag = (f"profile_adapted_n{n}_g{gamma}_k{k}" if kind == "adapted"
                else f"profile_lee_n{n}_k{k}")
-        path = Path(dump_dir) / f"{tag}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".csv.tmp")
-        g.dump_csv(tmp, residuals=res)
-        os.replace(tmp, path)
+        taus = res["res_rho"].tau
+        st = g.state(taus)
+        columns = {"t": taus + m.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
+                   "grad_sq": st.grad_sq, "T_or_J": st.T if kind == "adapted" else st.Jbar,
+                   "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
+        rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(taus))]
+        _atomic_write(Path(dump_dir) / f"{tag}.csv", _csv_text(rows))
     return {
         "kind": kind, "n": n, "gamma": gamma if kind == "adapted" else "",
         "k": k,
         "sup_res_rho": res["res_rho"].sup_weighted,
-        "sup_res_T_or_J": res["res_T" if kind == "adapted" else "res_J"].sup_weighted,
+        "sup_res_T_or_J": other.sup_weighted,
         "sup_jbar_crosscheck": res["jbar_crosscheck"].sup_weighted,
         "boundary_gap": (g.boundary.get("T_boundary_rel_gap")
                          if kind == "adapted" else g.boundary.get("J_boundary_rel_gap")),
@@ -360,9 +372,10 @@ def run_command(cfg: RunConfig) -> int:
     json_reports: dict[str, dict] = {}
     failing: list[str] = []
 
-    def note(ok: bool, label: str):
+    def note(ok: bool, label: str, kind: str = "fail"):
+        # a failing label names its kind: a failed check or the verdict
         if not ok:
-            failing.append(label)
+            failing.append(f"{kind} {label}")
 
     if cfg.command == "qcurv":
         rows = _run_cases(_qcurv_case, list(_grid(cfg)), cfg.jobs)
@@ -377,14 +390,12 @@ def run_command(cfg: RunConfig) -> int:
         rows_by_table["sweep"] = rows
         for row in rows:
             note(row["verdict"] in ("equality", "strict"),
-                 f"sweep n={row['n']} gamma={row['gamma']} k={row['k']}")
+                 f"sweep n={row['n']} gamma={row['gamma']} k={row['k']}", row["verdict"])
 
     elif cfg.command == "verify":
         reports = []
         if cfg.verify_target == "prop21":
             for n in sorted(cfg.n):
-                if n < 5:
-                    raise ValueError("prop21 requires n >= 5")
                 cert = verify_prop21(n)
                 json_reports[f"prop21_n{n}"] = json.loads(cert.to_json())
                 note(cert.ok, f"prop21 n={n}")
@@ -409,7 +420,7 @@ def run_command(cfg: RunConfig) -> int:
                 tag = f"{rep.name}_n{n}_k{k}" if gamma is None \
                     else f"{rep.name}_n{n}_g{gamma}_k{k}"
                 json_reports[tag] = rep.to_dict()
-                note(rep.passing, tag)
+                note(rep.passing, tag, rep.verdict)
                 reports.append({
                     "name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
                     "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
@@ -451,7 +462,7 @@ def run_command(cfg: RunConfig) -> int:
         print(f"hkcce: {len(failing)} failing verdict(s); see {report_dir}",
               file=sys.stderr)
         for label in failing[:10]:
-            print(f"  FAIL {label}", file=sys.stderr)
+            print(f"  {label}", file=sys.stderr)
         return 1
     print(f"hkcce: all verdicts pass; wrote {len(written)} file(s) under {cfg.out}")
     return 0

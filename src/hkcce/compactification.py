@@ -40,7 +40,6 @@ covers every quadrature node, the residual window and the boundary r = 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -159,11 +158,8 @@ class CompactifiedGeometry:
         # 2 gamma from gamma itself: 2s - n would carry the rounding of s,
         # 4e-15 relative at gamma = 0.05, into every boundary coefficient
         self.two_gamma = 2.0 * gamma if gamma is not None else 2.0 * self.s - base.n
-        self.gamma = gamma
         self.profile = profile
-        self.sr = sr
         self.c1 = sr.c1 if sr is not None else 1.0
-        self.q_value = sr.q_value if sr is not None else None
         self.boundary: dict = {}
         if sr is not None:
             self.e = self.two_gamma
@@ -270,27 +266,6 @@ class CompactifiedGeometry:
             dens=np.power(ror * phi, n), T=T, dT=dT, ddT=ddT,
         )
 
-    # -- CSV dump ---------------------------------------------------------------
-    def dump_csv(self, path, residuals: dict | None = None):
-        """Profile dump: t, r, rho, drho, grad_sq, T_or_J, res_rho, res_T_or_J."""
-        if residuals is None:
-            residuals = residual_suite(self)
-        res_rho = residuals["res_rho"]
-        res_other = residuals["res_T" if self.kind == "adapted" else "res_J"]
-        st = self.state(res_rho.tau)
-        tq = st.T if self.kind == "adapted" else st.Jbar
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["t", "r", "rho", "drho", "grad_sq", "T_or_J",
-                         "res_rho", "res_T_or_J"])
-            for i in range(len(res_rho.tau)):
-                wr.writerow([
-                    f"{res_rho.tau[i] + self.base.t0:.15g}", f"{st.r[i]:.15g}",
-                    f"{st.rho[i]:.15g}", f"{st.w[i] * st.rho[i]:.15g}",
-                    f"{st.grad_sq[i]:.15g}", f"{tq[i]:.15g}",
-                    f"{res_rho.values[i]:.15g}", f"{res_other.values[i]:.15g}",
-                ])
-
 
 # ---------------------------------------------------------------------------
 # Builders
@@ -319,8 +294,6 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
         "T_boundary_target": target,
         "T_boundary_rel_gap": abs(t_b - target) / max(abs(target), 1e-300),
     }
-    if abs(2.0 * p.gamma - 1.0) < 1e-12:
-        g.boundary["Hbar"] = m.n * sr.q_value   # Hbar = n Q_1 at gamma = 1/2
     return g
 
 

@@ -105,9 +105,6 @@ class RadialIntegrator:
 # Reports
 # ---------------------------------------------------------------------------
 
-VERDICTS = ("equality", "strict", "fail", "inconclusive")
-
-
 @dataclass
 class VerificationReport:
     """Outcome of one inequality or identity check."""
@@ -141,7 +138,7 @@ class VerificationReport:
 
 
 def _verdict(lhs: float, gap: float, err_est: float, tol: float,
-             identity: bool = False) -> str:
+             identity: bool) -> str:
     """One ladder for inequalities (gap >= 0) and identities (gap = 0).
 
     An lhs that is not a finite normal float (the sphere volume underflows
@@ -159,20 +156,44 @@ def _verdict(lhs: float, gap: float, err_est: float, tol: float,
     return "strict" if gap > 1e-3 * abs(lhs) else "inconclusive"
 
 
+def _report(name: str, lhs: float, kap: float, main, remainders, tol: float,
+            k_weight: float, params: dict, identity: bool = False) -> VerificationReport:
+    """Report of lhs against coef * main, with the identity's remainders.
+
+    main = (coef, (value, estimate)); remainders = [(label, coef, (value,
+    estimate))], reported as coef * value.  An identity balances lhs against
+    coef * main plus the remainders; an inequality compares lhs with
+    coef * main alone, and the identity then says its gap is the sum of the
+    remainders, which `defect_gap_consistency` records.  err_est is
+    sum |coef| * estimate plus Q's error, 4 eps (kap + 1) |lhs| for an lhs
+    proportional to Q^-kap (kap = 0: no Q in lhs).
+    """
+    coef, (value, est) = main
+    rhs = coef * value
+    err = abs(coef) * est
+    rems = []
+    for label, c, (v, e) in remainders:
+        rems.append((label, c * v))
+        err += abs(c) * e
+    if identity:
+        for _, v in rems:
+            rhs += v
+    gap = lhs - rhs
+    err += (kap + 1.0) * _Q_REL_ERR * abs(lhs)
+    if rems and not identity:
+        params["defect_gap_consistency"] = abs(gap - sum(v for _, v in rems))
+    return VerificationReport(
+        name=name, lhs=lhs, rhs=rhs, gap=gap, remainders=rems,
+        verdict=_verdict(lhs, gap, err, tol, identity), err_est=err,
+        k_weight=k_weight, params=params)
+
+
 # ---------------------------------------------------------------------------
-# Adapted-compactification integral data (shared by verify_adapted / defect)
+# The two integrated identities
 # ---------------------------------------------------------------------------
 
-def _adapted_case(n: int, gamma: float, k: float):
-    p = QCurvParams(n, gamma, k)
-    m = ModelSpace(n, k)
-    profile, sr = solve_case(p)
-    geom = build_adapted(m, sr, profile)
-    return p, m, geom, sr
-
-
-def _adapted_integrals(geom: CompactifiedGeometry, gamma: float):
-    """Main integral and the two defect remainders of the adapted identity.
+def _adapted_identity(n: int, gamma: float, k: float):
+    """Solution and Vol-normalised integrals of the adapted identity.
 
     main = int rho^{2g-1} T^{1-kap} dV
     R1   = int 2 kap rho^{1-2g} T^{-kap-1} |TF Hess rho|^2 dV
@@ -181,12 +202,14 @@ def _adapted_integrals(geom: CompactifiedGeometry, gamma: float):
     With dV = rho dens dtau dS_ghat, |TF Hess rho|^2 = n/(n+1) tf^2/rho^2 and
     tf = r^{2g} tf_hat, the integrands become rho^{2g} T^{1-kap} dens,
     2 kap n/(n+1) r^{2g} (rho/r)^{-2g} tf_hat^2 T^{-kap-1} dens and
-    kap (kap+1) T^{-kap-2} T'^2 dens.
+    kap (kap+1) T^{-kap-2} T'^2 dens.  At gamma = 1/2 the first is
+    rho dens, so main is Vol(X, gbar)/Vol(M).  Returns (sr, Vol(M, ghat),
+    main, R1, R2), each integral as (value, err_est).
     """
+    profile, sr = solve_case(QCurvParams(n, gamma, k))
+    itg = RadialIntegrator(build_adapted(ModelSpace(n, k), sr, profile))
     kap = (1.0 - gamma) / gamma
     tg = 2.0 * gamma
-    n = geom.base.n
-    itg = RadialIntegrator(geom)
 
     def g_main(st):
         return np.power(st.rho, tg) * np.power(st.T, 1.0 - kap) * st.dens
@@ -198,7 +221,19 @@ def _adapted_integrals(geom: CompactifiedGeometry, gamma: float):
     def g_r2(st):
         return kap * (kap + 1.0) * np.power(st.T, -kap - 2.0) * st.dT ** 2 * st.dens
 
-    return itg.integrate(g_main), itg.integrate(g_r1), itg.integrate(g_r2)
+    return (sr, _boundary_volume(n, k), itg.integrate(g_main), itg.integrate(g_r1),
+            itg.integrate(g_r2))
+
+
+def _lee_identity(n: int, k: float):
+    """Lee integrator, Vol(M, ghat) and the main integral int rho dV / Vol(M)."""
+    itg = RadialIntegrator(build_lee(ModelSpace(n, k)))
+    return itg, _boundary_volume(n, k), itg.integrate(lambda st: st.rho ** 2 * st.dens)
+
+
+def _boundary_volume(n: int, k: float) -> float:
+    """Vol(M, ghat) of the round sphere of radius k^{-1/2}."""
+    return k ** (-n / 2.0) * sphere_volume(n)
 
 
 # ---------------------------------------------------------------------------
@@ -213,51 +248,33 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6) -> Verific
     otherwise.  The gap is cross-checked against the nonnegative defect
     remainders of the integrated identity.
     """
-    p, m, geom, sr = _adapted_case(n, gamma, k)
+    sr, vol_m, main, r1, r2 = _adapted_identity(n, gamma, k)
     kap = (1.0 - gamma) / gamma
-    vol_m = k ** (-n / 2.0) * sphere_volume(n)
-    q = sr.q_value
-    lhs = vol_m * q ** (-kap)
-    (main, main_err), (r1, r1_err), (r2, r2_err) = _adapted_integrals(geom, gamma)
-    rhs = hk_constant(n, gamma) * vol_m * main
     # the identity expresses the gap through the remainders, rescaled by the
     # boundary-term normalisation (2-2g) (-4g/d_g)^{-kap}
-    fac = (-4.0 * gamma / d_gamma(gamma)) ** kap / (2.0 - 2.0 * gamma)
-    remainders = [("tracefree_hessian", fac * vol_m * r1),
-                  ("grad_T", fac * vol_m * r2)]
-    gap = lhs - rhs
-    err = hk_constant(n, gamma) * vol_m * main_err \
-        + fac * vol_m * (r1_err + r2_err) + abs(lhs) * (kap + 1.0) * _Q_REL_ERR
-    verdict = _verdict(lhs, gap, err, tol)
-    return VerificationReport(
-        name="hk-adapted", lhs=lhs, rhs=rhs, gap=gap, remainders=remainders,
-        verdict=verdict, err_est=err, k_weight=gamma - 1.0 - n / 2.0,
-        params={"n": n, "gamma": gamma, "k": k, "tol": tol,
-                "q_value": q, "T_match": sr.T_match,
-                "defect_gap_consistency": abs(gap - (remainders[0][1] + remainders[1][1]))},
-    )
+    fac = (-4.0 * gamma / d_gamma(gamma)) ** kap / (2.0 - 2.0 * gamma) * vol_m
+    return _report(
+        "hk-adapted", vol_m * sr.q_value ** (-kap), kap,
+        (hk_constant(n, gamma) * vol_m, main),
+        [("tracefree_hessian", fac, r1), ("grad_T", fac, r2)], tol,
+        gamma - 1.0 - n / 2.0,
+        {"n": n, "gamma": gamma, "k": k, "tol": tol,
+         "q_value": sr.q_value, "T_match": sr.T_match})
 
 
 def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     """Classical Heintze-Karcher form at gamma = 1/2.
 
     lhs = int_M dS/Hbar with Hbar = n Q_1, rhs = (n+1)/n Vol(X, gbar_s);
-    equality on the models (they are hyperbolic space).
+    equality on the models (they are hyperbolic space).  Vol(X, gbar_s) is
+    the main integral of the adapted identity at gamma = 1/2.
     """
-    p, m, geom, sr = _adapted_case(n, 0.5, k)
-    vol_m = k ** (-n / 2.0) * sphere_volume(n)
+    sr, vol_m, main, _, _ = _adapted_identity(n, 0.5, k)
     hbar = n * sr.q_value
-    lhs = vol_m / hbar
-    vol_x, vol_err = RadialIntegrator(geom).integrate(lambda st: st.rho * st.dens)
-    rhs = (n + 1.0) / n * vol_m * vol_x
-    gap = lhs - rhs
-    err = (n + 1.0) / n * vol_m * vol_err + abs(lhs) * 2.0 * _Q_REL_ERR   # kap = 1
-    return VerificationReport(
-        name="hk-cla", lhs=lhs, rhs=rhs, gap=gap, remainders=[],
-        verdict=_verdict(lhs, gap, err, tol), err_est=err,
-        k_weight=-(n + 1.0) / 2.0,
-        params={"n": n, "k": k, "tol": tol, "Hbar": hbar, "q_value": sr.q_value},
-    )
+    return _report(
+        "hk-cla", vol_m / hbar, 1.0, ((n + 1.0) / n * vol_m, main), [], tol,
+        -(n + 1.0) / 2.0,
+        {"n": n, "k": k, "tol": tol, "Hbar": hbar, "q_value": sr.q_value})
 
 
 def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
@@ -265,21 +282,11 @@ def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
 
     lhs = int_M dS/Jhat, rhs = 2(n+1)/n int_X rho_L dV; equality on models.
     """
-    m = ModelSpace(n, k)
-    geom = build_lee(m)
+    _, vol_m, main = _lee_identity(n, k)
     jhat = n * k / 2.0
-    vol_m = k ** (-n / 2.0) * sphere_volume(n)
-    lhs = vol_m / jhat
-    val, ierr = RadialIntegrator(geom).integrate(lambda st: st.rho ** 2 * st.dens)
-    rhs = 2.0 * (n + 1.0) / n * vol_m * val
-    gap = lhs - rhs
-    err = 2.0 * (n + 1.0) / n * vol_m * ierr + abs(lhs) * 1e-10
-    return VerificationReport(
-        name="hk-lee", lhs=lhs, rhs=rhs, gap=gap, remainders=[],
-        verdict=_verdict(lhs, gap, err, tol), err_est=err,
-        k_weight=-n / 2.0 - 1.0,
-        params={"n": n, "k": k, "tol": tol, "J_hat": jhat},
-    )
+    return _report(
+        "hk-lee", vol_m / jhat, 0.0, (2.0 * (n + 1.0) / n * vol_m, main), [], tol,
+        -n / 2.0 - 1.0, {"n": n, "k": k, "tol": tol, "J_hat": jhat})
 
 
 def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
@@ -296,49 +303,35 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     All remainders are nonnegative; on the models they vanish for gamma=1/2
     and for the Lee case, and the identity balances to quadrature accuracy.
     """
-    vol_m = k ** (-n / 2.0) * sphere_volume(n)
     if kind == "adapted":
         if gamma is None:
             raise ValueError("adapted defect identity needs gamma")
-        p, m, geom, sr = _adapted_case(n, gamma, k)
+        sr, vol_m, main, r1, r2 = _adapted_identity(n, gamma, k)
         kap = (1.0 - gamma) / gamma
         lhs = (2.0 - 2.0 * gamma) * (-4.0 * gamma / d_gamma(gamma)) ** (-kap) \
             * sr.q_value ** (-kap) * vol_m
-        (main, main_err), (r1, r1_err), (r2, r2_err) = _adapted_integrals(geom, gamma)
         coef = (1.0 - gamma) * (n + 2.0 * gamma) ** 2 / (2.0 * (n + 1.0) * gamma)
-        rem1, rem2 = vol_m * r1, vol_m * r2
-        rhs = coef * vol_m * main + rem1 + rem2
-        err = vol_m * (coef * main_err + r1_err + r2_err) \
-            + abs(lhs) * (kap + 1.0) * _Q_REL_ERR
-        name = "defect-adapted"
         params = {"n": n, "gamma": gamma, "k": k, "tol": tol, "q_value": sr.q_value}
         k_weight = gamma - 1.0 - n / 2.0
+        name = "defect-adapted"
     elif kind == "lee":
-        m = ModelSpace(n, k)
-        geom = build_lee(m)
+        itg, vol_m, main = _lee_identity(n, k)
+        r1 = itg.integrate(
+            lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens)
+        r2 = itg.integrate(
+            lambda st: (n + 1.0) * np.power(st.Jbar, -2.0) * st.tracefree_sq * st.dens)
         jhat = n * k / 2.0
         lhs = n ** 2 / (n + 1.0) * vol_m / jhat
-        itg = RadialIntegrator(geom)
-        main, main_err = itg.integrate(lambda st: st.rho ** 2 * st.dens)
-        ra, ra_err = itg.integrate(
-            lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens)
-        rb, rb_err = itg.integrate(
-            lambda st: (n + 1.0) * np.power(st.Jbar, -2.0) * st.tracefree_sq * st.dens)
-        rem1, rem2 = vol_m * ra, vol_m * rb
-        rhs = 2.0 * n * vol_m * main + rem1 + rem2
-        err = vol_m * (2.0 * n * main_err + ra_err + rb_err) + abs(lhs) * 1e-10
-        name = "defect-lee"
+        kap, coef = 0.0, 2.0 * n
         params = {"n": n, "k": k, "tol": tol, "J_hat": jhat}
         k_weight = -n / 2.0 - 1.0
+        name = "defect-lee"
     else:
         raise ValueError(f"unknown defect kind {kind!r}")
-    gap = lhs - rhs
-    return VerificationReport(
-        name=name, lhs=lhs, rhs=rhs, gap=gap,
-        remainders=[("remainder_1", rem1), ("remainder_2", rem2)],
-        verdict=_verdict(lhs, gap, err, tol, identity=True), err_est=err,
-        k_weight=k_weight, params=params,
-    )
+    return _report(
+        name, lhs, kap, (coef * vol_m, main),
+        [("remainder_1", vol_m, r1), ("remainder_2", vol_m, r2)], tol,
+        k_weight, params, identity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +348,9 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     The numerator is evaluated pointwise, the denominator by quadrature.
     Both are divided by f(tau_r)^n, which overflows from n = 93 at
     r = 5e-4 (k = 1): the numerator is V/H_r, the volume integrand
-    V (f/f_r)^n.
+    V (f/f_r)^n.  That integrand narrows like 1/n at tau_r, so the
+    Gauss-Legendre panels are doubled from 18 (up to 18 * 2^8) until two
+    successive levels agree to 1e-11; for n <= 20 the first pair does.
     """
     m = ModelSpace(n, k)
     rows = []
@@ -369,7 +364,11 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
             tn, tw = _gl_nodes(edges[:-1], edges[1:])
             return float(np.dot(tw, m.df_tau(tn) * (m.f_tau(tn) / f_r) ** n))
 
-        v1, v2 = vol_quad(12), vol_quad(18)
+        panels = 18
+        v1, v2 = vol_quad(12), vol_quad(panels)
+        while abs(v1 - v2) > 1e-11 * v2 and panels < 18 * 2 ** 8:
+            panels *= 2
+            v1, v2 = v2, vol_quad(panels)
         ratio = surface / ((n + 1.0) / n * v2)
         rows.append({"n": n, "k": k, "r": float(r), "ratio": ratio,
                      "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})

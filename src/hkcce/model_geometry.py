@@ -36,8 +36,9 @@ class ModelSpace:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n}")
-        if not self.k > 0.0:
-            raise ValueError(f"k must be positive (round-sphere boundary), got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(
+                f"k must be positive and finite (round-sphere boundary), got {self.k}")
         object.__setattr__(self, "t0", 0.5 * math.log(self.k))
         object.__setattr__(self, "r_center", 2.0 / math.sqrt(self.k))
 

@@ -118,8 +118,8 @@ class QCurvParams:
             raise ValueError(
                 f"gamma={self.gamma} outside [{GAMMA_MIN}, {GAMMA_MAX}] (resonance guard)"
             )
-        if not self.k > 0.0:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k}")
         object.__setattr__(self, "s", self.n / 2.0 + self.gamma)
         # spectral condition s(n-s) = n^2/4 - gamma^2 < n^2/4 holds for real gamma
         assert self.s * (self.n - self.s) < self.n ** 2 / 4.0

@@ -105,10 +105,9 @@ class TestCommands:
         assert payload["ok"] is True
 
     def test_prop21_small_n_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            from hkcce.cli import run_command
-            run_command(parse_config(["verify", "prop21", "--n", "4",
-                                      "--out", str(tmp_path / "o")]))
+        # refused up front, before any certificate is computed
+        with pytest.raises(ValueError, match="prop21 requires n >= 5"):
+            parse_config(["verify", "prop21", "--n", "4,5", "--out", str(tmp_path / "o")])
 
     def test_verify_adapted_strict_exit_zero(self, tmp_path):
         rc = main(["verify", "hk-adapted", "--gamma", "0.25",
@@ -150,10 +149,13 @@ class TestCommands:
         kinds = {r["kind"] for r in rows}
         assert kinds == {"adapted", "lee"}
         # profile dumps follow the documented column layout
-        dump = tmp_path / "o" / "tables" / "profile_adapted_n4_g0.5_k1.0.csv"
-        header = dump.read_text().split("\n", 1)[0]
-        assert header == "t,r,rho,drho,grad_sq,T_or_J,res_rho,res_T_or_J"
-        assert (tmp_path / "o" / "tables" / "profile_lee_n4_k1.0.csv").exists()
+        for name in ("profile_adapted_n4_g0.5_k1.0.csv", "profile_lee_n4_k1.0.csv"):
+            data = (tmp_path / "o" / "tables" / name).read_bytes()
+            assert b"\r" not in data               # LF, like every other table
+            lines = data.decode().strip().split("\n")
+            assert lines[0] == "t,r,rho,drho,grad_sq,T_or_J,res_rho,res_T_or_J"
+            assert len(lines) == 1 + 200            # one row per window point
+        assert not list((tmp_path / "o" / "tables").glob("*.tmp"))
 
     def test_asymptotic_command(self, tmp_path):
         rc = main(["asymptotic", "--n", "5", "--k", "1", "--out", str(tmp_path / "o")])
@@ -182,6 +184,9 @@ class TestCommands:
         assert rc == 1
         captured = capsys.readouterr()
         assert "failing verdict" in captured.err
+        # the label names the verdict kind; `fail` is kept for a failed check
+        assert "  inconclusive hk-adapted_n4_g0.25_k1.0\n" in captured.err
+        assert "fail " not in captured.err.lower()
 
     def test_io_failure_exits_two(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -209,6 +214,34 @@ class TestCommands:
     def test_usage_error_nonzero(self):
         rc = main(["qcurv", "--gamma", "0.99"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop21", "--n", "4"],
+        ["verify", "hk-lee", "--k", "inf"],
+        ["qcurv", "--k", "inf"],
+        ["qcurv", "--k", "nan"],
+    ])
+    def test_bad_values_refused_up_front(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hkcce: ")
+        assert not out.exists()
+
+    def test_missing_config_file_refused(self, tmp_path, capsys):
+        rc = main(["qcurv", "--config", str(tmp_path / "absent.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hkcce: cannot read config file")
+
+    def test_non_object_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('[{"n": 5}]')
+        rc = main(["qcurv", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must hold a JSON object" in err[0]
 
 
 class TestImport:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hkcce.compactification import build_lee
-from hkcce.hk_verifier import (RadialIntegrator, _adapted_integrals,
+from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
                                asymptotic_ratio, defect_identity,
                                verify_adapted, verify_cla, verify_lee)
 from hkcce.model_geometry import ModelSpace
@@ -65,6 +65,14 @@ class TestLeeForm:
         # the sphere volume, and with it lhs, is subnormal
         assert verify_lee(284, 1.0).verdict == "equality"
         assert verify_lee(470, 1.0).verdict == "inconclusive"
+
+    @pytest.mark.parametrize("n", [3, 5, 20])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_conclusive_at_tight_tol(self, n, k):
+        # lhs is closed form, so err_est carries only the quadrature estimate
+        # and 4 eps |lhs|, not a flat 1e-10 |lhs|
+        assert verify_lee(n, k, tol=1e-11).verdict == "equality"
+        assert defect_identity("lee", n, k, tol=1e-11).verdict == "equality"
 
 
 class TestAdaptedForm:
@@ -235,11 +243,11 @@ class TestMpmathBoundaryLayer:
         return out
 
     @pytest.mark.parametrize("gamma", [0.05, 0.15, 0.95])
-    def test_integrals_within_err_est(self, adapted, gamma):
+    def test_integrals_within_err_est(self, gamma):
         n, k = 4, 1.0
         main, r1, r2 = self._reference(n, gamma, k)
-        for (value, err), ref in zip(_adapted_integrals(adapted(n, gamma, k), gamma),
-                                     (main, r1, r2)):
+        _, _, *integrals = _adapted_identity(n, gamma, k)
+        for (value, err), ref in zip(integrals, (main, r1, r2)):
             assert abs(value - ref) <= err, (value, ref, err)
         # the same references through the reports
         rep = verify_adapted(n, gamma, k)
@@ -273,6 +281,16 @@ class TestAsymptoticRatio:
         r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
         for row in asymptotic_ratio(n, k, r_values):
             assert abs(row["ratio"] - 1.0) <= 1e-8, row
+
+    @pytest.mark.parametrize("n", [440, 600, 1000])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_panels_refined_at_very_large_n(self, n, k):
+        # V (f/f_r)^n narrows like 1/n at tau_r; 18 panels left |ratio - 1|
+        # at 2.6e-8 for n = 440 and 1.1e-3 for n = 1000
+        r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
+        for row in asymptotic_ratio(n, k, r_values):
+            assert abs(row["ratio"] - 1.0) <= 1e-8, row
+            assert row["abs_err"] <= 1e-8, row
 
 
 class TestQuadrature:

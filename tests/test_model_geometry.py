@@ -125,3 +125,6 @@ def test_constructor_guards():
         ModelSpace(4, 0.0)
     with pytest.raises(ValueError):
         ModelSpace(4, -2.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ModelSpace(4, bad)

@@ -115,6 +115,8 @@ class TestParams:
         dict(n=4, gamma=0.01, k=1.0),
         dict(n=4, gamma=0.5, k=0.0),
         dict(n=4, gamma=0.5, k=-1.0),
+        dict(n=4, gamma=0.5, k=float("inf")),
+        dict(n=4, gamma=0.5, k=float("nan")),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
