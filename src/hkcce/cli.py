@@ -19,7 +19,8 @@ every verdict passes, 1 on a failing verdict (each listed on stderr as
 e.g. `inconclusive`), 2 on a usage error, an I/O failure, or a case the
 solver cannot decide (MatchingError, GeometryError), which is reported on one
 line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, an unreadable or
-non-object config file) are refused before any case runs.
+non-object config file, a config value of the wrong JSON type) are refused
+before any case runs.
 """
 
 from __future__ import annotations
@@ -112,6 +113,46 @@ def _parse_number_list(text: str, cast):
     return out
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) \
+        or isinstance(v, float) and v.is_integer()
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _string(v) -> bool:
+    return isinstance(v, str)
+
+
+# What a config file may give for each key: (description, the tests one value
+# may pass, whether a list of such values is allowed).  Strings go through the
+# same casts as the flags; any other type would fail deep inside a cast.
+_CONFIG_KEYS = {
+    "n": ("an integer or string", (_integer, _string), True),
+    "gamma": ("a number or string", (_number, _string), True),
+    "k": ("a number or string", (_number, _string), True),
+    "quad_tol": ("a number or string", (_number, _string), False),
+    "jobs": ("an integer or string", (_integer, _string), False),
+    "out": ("a string", (_string,), False),
+    "emit": ("a string", (_string,), True),
+}
+
+
+def _check_config_types(file_cfg: dict, path: str):
+    """Refuse a config value of the wrong JSON type, naming its key."""
+    for key, value in file_cfg.items():
+        if key not in _CONFIG_KEYS:
+            continue
+        what, tests, listable = _CONFIG_KEYS[key]
+        items = value if listable and isinstance(value, list) else [value]
+        if not all(any(test(v) for test in tests) for v in items):
+            kind = f"{what}, or a list of those" if listable else what
+            raise ValueError(f"config file {path}: {key!r} must be {kind}, "
+                             f"got {json.dumps(value)}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hkcce",
@@ -149,6 +190,7 @@ def parse_config(argv) -> RunConfig:
             raise ValueError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {ns.config} must hold a JSON object")
+        _check_config_types(file_cfg, ns.config)
 
     def pick(flag, key, default):
         if flag is not None:

@@ -192,6 +192,7 @@ def _report(name: str, lhs: float, kap: float, main, remainders, tol: float,
 # The two integrated identities
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _adapted_identity(n: int, gamma: float, k: float):
     """Solution and Vol-normalised integrals of the adapted identity.
 
@@ -205,6 +206,10 @@ def _adapted_identity(n: int, gamma: float, k: float):
     kap (kap+1) T^{-kap-2} T'^2 dens.  At gamma = 1/2 the first is
     rho dens, so main is Vol(X, gbar)/Vol(M).  Returns (sr, Vol(M, ghat),
     main, R1, R2), each integral as (value, err_est).
+
+    Memoised on (n, gamma, k), for the last case only: `defect_identity`
+    ("adapted") right after `verify_adapted` of the same case reuses the
+    solve, the geometry and the three integrals.
     """
     profile, sr = solve_case(QCurvParams(n, gamma, k))
     itg = RadialIntegrator(build_adapted(ModelSpace(n, k), sr, profile))

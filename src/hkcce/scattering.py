@@ -37,6 +37,12 @@ np.longdouble, so that Q is rounded to double only once.  Derivatives are
 always transported analytically (dr/dtau = -r); second derivatives come
 from the ODE closure, never from finite differences.
 
+The centre series does not depend on k: in tau all of k sits in the
+branches, through r = (2/sqrt(k)) e^{-tau}.  So the series, its table and
+its two connection values are built once per (n, gamma) and shared by every
+k.  `solve_interior` keeps the last interior and `solve_case` the last case,
+one entry each.
+
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
 branch r V = 1 + k r^2/4 terminates.
@@ -44,11 +50,13 @@ branch r V = 1 + k r^2/4 terminates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,14 +74,20 @@ _TABLE_POINTS = 9
 _X_GROUPS = (0.5, 0.9, 0.97)  # x = tanh^2 tau bounds of the centre-series batches
 
 
-def _s_ext(p: QCurvParams):
+def _s_ext(n: int, gamma: float):
     """s = n/2 + gamma in np.longdouble, where it is exact.
 
-    The double p.s is rounded, so a connection made with it solves for
-    gamma' = p.s - n/2, while Q pairs c2/c1 with d_gamma(gamma): the slope of
-    d_gamma near gamma = 1 turns the rounding into 4e-15 relative at 0.95.
+    The double QCurvParams.s is rounded, so a connection made with it solves
+    for gamma' = s - n/2, while Q pairs c2/c1 with d_gamma(gamma): the slope
+    of d_gamma near gamma = 1 turns the rounding into 4e-15 relative at 0.95.
     """
-    return _LD(p.n) / 2 + _LD(p.gamma)
+    return _LD(n) / 2 + _LD(gamma)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: the memoised results are shared between callers."""
+    a.setflags(write=False)
+    return a
 
 
 class ResonanceError(ValueError):
@@ -133,7 +147,7 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrobeniusBranch:
     """One branch r^mu (1 + a2 r^2 + ...) with float evaluation helpers."""
 
@@ -141,11 +155,12 @@ class FrobeniusBranch:
     s: float
     k: float
     mu: float
-    coeffs: list
+    coeffs: tuple
     _c: np.ndarray = field(init=False, repr=False, compare=False)    # float a_{2j}
 
     def __post_init__(self):
-        self._c = np.array([float(c) for c in self.coeffs])
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "_c", _read_only(np.array([float(c) for c in self.coeffs])))
 
     def series(self, r):
         """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
@@ -165,22 +180,6 @@ class FrobeniusBranch:
         last = abs(self._c[-1]) * float(r) ** (2 * (len(self._c) - 1))
         return last / max(abs(float(self.series(r))), 1e-300)
 
-    def recursion_residual(self) -> float:
-        """Max re-substitution defect of the coefficients, relative."""
-        worst = 0.0
-        cs = self.coeffs
-        for M in range(1, len(cs)):
-            x = self.mu + 2 * M
-            P = (x - self.s) * (x - (self.n - self.s))
-            acc = cs[0] * self.mu
-            for m in range(1, M):
-                acc = acc * (self.k / 4)
-                acc += cs[m] * (self.mu + 2 * m)
-            lhs = float(P * cs[M])
-            rhs = float(self.n * self.k / 2 * acc)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return worst
-
 
 def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
     """Branch for validated parameters; mu must be one of the indicial roots.
@@ -192,7 +191,7 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
     """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
-    s = _s_ext(p)
+    s = _s_ext(p.n, p.gamma)
     mu = s if math.isclose(mu, p.s) else p.n - s
     r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
     coeffs, total = [], 0.0
@@ -306,14 +305,16 @@ class CentreSeries:
         return sech_s * sums[0], -(self.n - s) * np.tanh(tau) * sech_s * sums[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)      # arrays and a callable: compared by identity
 class RadialProfile:
     """Regular radial solution in closed form: u and u' at any tau.
 
     `evaluate` is dense on [0, tau_max]; tau, u and du tabulate the profile
-    on a coarse grid (checked for positivity by `build_adapted`).  The second
-    derivative is never finite-differenced; the geometry takes it from the
-    ODE closure u'' = -n coth(tau) u' - s(n-s) u.
+    on a coarse grid (checked for positivity by `build_adapted`), and
+    `connection` holds u and u' in np.longdouble at TAU_MATCH and TAU_CHECK,
+    summed once with the profile.  The second derivative is never
+    finite-differenced; the geometry takes it from the ODE closure
+    u'' = -n coth(tau) u' - s(n-s) u.
     """
 
     tau: np.ndarray
@@ -321,6 +322,7 @@ class RadialProfile:
     du: np.ndarray
     tau_max: float
     values: Callable = field(repr=False)     # tau array -> (u, u')
+    connection: Mapping = field(repr=False)  # tau -> (u, u') in np.longdouble
 
     def evaluate(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -329,19 +331,36 @@ class RadialProfile:
         return self.values(tau)
 
 
-def solve_interior(p: QCurvParams) -> RadialProfile:
-    """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH]."""
-    values = CentreSeries(p.n, _s_ext(p), TAU_MATCH)
+@functools.lru_cache(maxsize=1)
+def _interior(n: int, gamma: float) -> RadialProfile:
+    values = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
     tau = np.linspace(0.0, TAU_MATCH, _TABLE_POINTS)
     u, du = values(tau)
-    return RadialProfile(tau=tau, u=u, du=du, tau_max=TAU_MATCH, values=values)
+    connection = {}
+    for t in (TAU_MATCH, TAU_CHECK):
+        u_t, du_t = values(np.array([t], dtype=_LD))
+        connection[t] = (u_t[0], du_t[0])
+    return RadialProfile(tau=_read_only(tau), u=_read_only(u), du=_read_only(du),
+                         tau_max=TAU_MATCH, values=values,
+                         connection=MappingProxyType(connection))
+
+
+def solve_interior(p: QCurvParams) -> RadialProfile:
+    """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH].
+
+    The solution does not depend on k, so the profile (the series, its
+    table and its connection values) is built from (n, gamma) alone.  Only
+    the last interior is kept: a sweep with k fastest, as the CLI's sorted
+    grid runs, builds each series once, and memory stays flat.
+    """
+    return _interior(p.n, p.gamma)
 
 
 # ---------------------------------------------------------------------------
 # Matching and Q extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ScatteringResult:
     """Matched branch data and the extracted Q-curvature."""
 
@@ -361,6 +380,8 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
              b2: FrobeniusBranch, tau: float):
     """Solve the value/derivative system at tau; returns (c1, c2, cond).
 
+    tau is TAU_MATCH or TAU_CHECK, where the profile stores u and u'.
+
     c1 and c2 are np.longdouble: the centre series, both branches and the
     2x2 solve (Cramer's rule) are evaluated in extended precision.  The
     columns are equilibrated before the condition number is taken, so the
@@ -371,10 +392,10 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
-    u, du = profile.values(np.array([tau], dtype=_LD))
+    u, du = profile.connection[tau]
     # a subnormal r^mu or u keeps only a few digits, which no condition
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
-    if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u[0]), abs(du[0])) >= _TINY):
+    if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={tau}")
     r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(tau))
     m = np.array([b1.extended_value_and_derivative(r_ld),
@@ -389,8 +410,8 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
         raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
     (a, b), (c, d) = m
     det = a * d - b * c
-    c1 = (u[0] * d - b * du[0]) / det / scale[0]
-    c2 = (a * du[0] - c * u[0]) / det / scale[1]
+    c1 = (u * d - b * du) / det / scale[0]
+    c2 = (a * du - c * u) / det / scale[1]
     if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):
         raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
     return c1, c2, cond
@@ -420,8 +441,14 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def solve_case(p: QCurvParams):
-    """Full pipeline: centre series plus the branch connection at TAU_MATCH."""
+    """Full pipeline: centre series plus the branch connection at TAU_MATCH.
+
+    Memoised on the parameters, for the last case only: the sweep asks for
+    a case's Q row and then its hk-adapted report, so the second request
+    returns the same (profile, result) pair.  Both are frozen.
+    """
     profile = solve_interior(p)
     return profile, match_and_q(profile, p)
 

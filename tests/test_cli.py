@@ -243,6 +243,30 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "must hold a JSON object" in err[0]
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"n": [{}]}', "'n'"),
+        ('{"emit": 5}', "'emit'"),
+        ('{"n": 4.5}', "'n'"),
+        ('{"jobs": true}', "'jobs'"),
+    ])
+    def test_wrong_type_config_refused(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["qcurv", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hkcce: config file ")
+        assert f"{key} must be" in err[0]
+        assert not out.exists()
+
+    def test_config_lists_and_strings_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n": [4.0, "5"], "k": "0.5,1", "emit": ["csv"], "jobs": "1"}')
+        got = parse_config(["qcurv", "--config", str(cfg)])
+        assert (got.n, got.k, got.jobs) == ([4, 5], [0.5, 1.0], 1)
+        assert got.emit_csv and not got.emit_json
+
 
 class TestImport:
     def test_no_scipy_at_import(self):

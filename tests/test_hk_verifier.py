@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hkcce import cli, scattering
 from hkcce.compactification import build_lee
 from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
                                asymptotic_ratio, defect_identity,
@@ -182,6 +183,47 @@ class TestDefectIdentities:
             defect_identity("adapted", 4, 1.0)
         with pytest.raises(ValueError):
             defect_identity("bogus", 4, 1.0)
+
+
+def _clear_memos():
+    scattering.solve_case.cache_clear()
+    scattering._interior.cache_clear()
+    _adapted_identity.cache_clear()
+
+
+class TestMemo:
+    """_adapted_identity keeps the last (n, gamma, k); a hit equals a cold run."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        _clear_memos()
+        yield
+        _clear_memos()
+
+    def test_reports_after_hit_equal_cold_runs(self):
+        cases = [(5, 0.3, 2.0), (4, 0.5, 1.0), (7, 0.9, 0.5)]
+        cold = {}
+        for n, gamma, k in cases:
+            _clear_memos()
+            cold[n, "hk"] = verify_adapted(n, gamma, k).to_dict()
+            _clear_memos()
+            cold[n, "defect"] = defect_identity("adapted", n, k, gamma=gamma).to_dict()
+        _clear_memos()
+        for n, gamma, k in cases:
+            assert verify_adapted(n, gamma, k).to_dict() == cold[n, "hk"]
+            assert defect_identity("adapted", n, k, gamma=gamma).to_dict() == cold[n, "defect"]
+        info = _adapted_identity.cache_info()
+        assert (info.hits, info.misses) == (len(cases), len(cases))
+
+    def test_sweep_keeps_one_entry_per_memo(self, tmp_path):
+        rc = cli.main(["sweep", "--n", "4,5,6", "--gamma", "0.25,0.4,0.5,0.6,0.75",
+                       "--k", "0.5,1,2", "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        memos = (scattering.solve_case, scattering._interior, _adapted_identity)
+        assert all(m.cache_info().currsize <= 1 for m in memos)
+        # 15 interiors; each case solved for its Q row, then read back by hk-adapted
+        assert scattering._interior.cache_info().misses == 15
+        assert scattering.solve_case.cache_info()[:2] == (45, 45)
 
 
 class TestMpmathBoundaryLayer:

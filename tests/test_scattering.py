@@ -1,5 +1,6 @@
 """Frobenius branches, interior solver and Q-curvature extraction."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -8,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from hkcce import cli, scattering
 from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, frobenius_branch,
                               frobenius_coefficients, solve_case,
@@ -15,6 +17,23 @@ from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def recursion_residual(b: FrobeniusBranch) -> float:
+    """Max re-substitution defect of a branch's coefficients, relative."""
+    worst = 0.0
+    cs = b.coeffs
+    for M in range(1, len(cs)):
+        x = b.mu + 2 * M
+        P = (x - b.s) * (x - (b.n - b.s))
+        acc = cs[0] * b.mu
+        for m in range(1, M):
+            acc = acc * (b.k / 4)
+            acc += cs[m] * (b.mu + 2 * m)
+        lhs = float(P * cs[M])
+        rhs = float(b.n * b.k / 2 * acc)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    return worst
 
 
 class TestFrobeniusCoefficients:
@@ -54,7 +73,7 @@ class TestFrobeniusCoefficients:
         for gamma in (0.25, 0.6, 0.95):
             p = QCurvParams(5, gamma, 2.0)
             for mu in (p.s, p.n - p.s):
-                assert frobenius_branch(p, mu).recursion_residual() <= 1e-13
+                assert recursion_residual(frobenius_branch(p, mu)) <= 1e-13
 
     def test_mu_must_be_indicial(self):
         p = QCurvParams(4, 0.5, 1.0)
@@ -211,3 +230,63 @@ class TestMpmathReference:
                 q_ref = (mpmath.mpf(k) ** g * 2 / (n - 2 * g) * mpmath.gamma(mpmath.mpf(n) / 2 + g)
                          / mpmath.gamma(mpmath.mpf(n) / 2 - g))
                 assert abs(sr.q_value - q_ref) <= math.ulp(float(q_ref)), (k, sr.q_value, q_ref)
+
+
+def _result_numbers(sr):
+    return (sr.q_value, sr.c1, sr.c2, sr.scattering_value, sr.condition_estimate,
+            sr.consistency_gap)
+
+
+class TestMemo:
+    """solve_case keeps the last case and solve_interior the last (n, gamma)."""
+
+    KS = (0.5, 1.0, 2.0)
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        solve_case.cache_clear()
+        scattering._interior.cache_clear()
+        yield
+        solve_case.cache_clear()
+        scattering._interior.cache_clear()
+
+    def test_hits_equal_cold_runs(self):
+        cold = {}
+        for k in self.KS:
+            solve_case.cache_clear()
+            scattering._interior.cache_clear()
+            cold[k] = _result_numbers(solve_case(QCurvParams(5, 0.3, k))[1])
+        solve_case.cache_clear()
+        scattering._interior.cache_clear()
+        for k in self.KS:
+            profile, sr = solve_case(QCurvParams(5, 0.3, k))   # interior hit from k = 1
+            assert _result_numbers(sr) == cold[k]
+            again = solve_case(QCurvParams(5, 0.3, k))                   # case hit
+            assert again[0] is profile and again[1] is sr
+        assert scattering._interior.cache_info().misses == 1
+        assert solve_case.cache_info().hits == len(self.KS)
+
+    def test_three_k_sweep_builds_one_series(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counting(scattering.CentreSeries):
+            def __init__(self, n, s, tau_max):
+                built.append((n, s))
+                super().__init__(n, s, tau_max)
+
+        monkeypatch.setattr(scattering, "CentreSeries", Counting)
+        rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
+                       "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(built) == 1
+
+    def test_results_are_frozen(self):
+        profile, sr = solve_case(QCurvParams(4, 0.25, 1.0))
+        for obj, name in ((profile, "tau_max"), (sr, "q_value"), (sr.branch_low, "mu")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            profile.u[0] = 0.0
+        assert isinstance(sr.branch_high.coeffs, tuple)
+        # profiles hold arrays, so they compare by identity rather than raise
+        assert profile == profile != solve_interior(QCurvParams(5, 0.25, 1.0))
