@@ -46,7 +46,8 @@ from .compactification import (GeometryError, build_adapted, build_lee,
 from .hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,
                           verify_cla, verify_lee)
 from .scattering import MatchingError, solve_case
-from .special_fn import GAMMA_MAX, GAMMA_MIN, QCurvParams, sphere_q_value
+from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, check_k,
+                         sphere_q_value)
 
 _COMMANDS = ("qcurv", "verify", "residuals", "asymptotic", "sweep")
 _VERIFY_TARGETS = ("hk-adapted", "hk-cla", "hk-lee", "defect", "prop21")
@@ -88,9 +89,9 @@ class RunConfig:
             if not (GAMMA_MIN <= g <= GAMMA_MAX):
                 raise ValueError(
                     f"gamma={g} outside [{GAMMA_MIN}, {GAMMA_MAX}] (resonance guard)")
-        for k in self.k:
-            if not 0.0 < k < math.inf:
-                raise ValueError(f"k must be positive and finite, got {k}")
+        for n in self.n:
+            for k in self.k:
+                check_k(n, k)
         if not (1e-10 <= self.quad_tol <= 1e-2):
             raise ValueError(f"quad_tol {self.quad_tol} outside [1e-10, 1e-2]")
         if int(self.jobs) != self.jobs or self.jobs < 0:

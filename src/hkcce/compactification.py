@@ -275,10 +275,12 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
                   profile: RadialProfile) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
-    Applies the c1 normalisation (so r^{s-n} u -> 1), checks that the
-    tabulated u and c1 are positive, and reads the boundary value of T off
-    the state at r = 0, against its target -(4 gamma/d_gamma) Q.  T > 0 is
-    checked by every state evaluation, this one included.
+    Applies the c1 normalisation (so r^{s-n} u -> 1), checks that c1 and
+    the tabulated u are positive (the table is u at the quadrature's
+    interior nodes, which every radial integral reads), and reads the
+    boundary value of T off the state at r = 0, against its target
+    -(4 gamma/d_gamma) Q.  u > 0 and T > 0 are checked again by every state
+    evaluation, this one included.
     """
     p = sr.params
     if np.any(profile.u <= 0.0):

@@ -8,9 +8,12 @@ Every verification reduces to radial integrals of the form
 computed by one nested double-exponential rule over the whole radial line
 (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741): tau = log(1 + e^{-pi sinh t})
 maps t in R onto (0, inf), and the trapezoidal sums at steps h and h/2 give
-the value and its error estimate.  The integrands are written in scale-safe
-form (rho^{2 gamma} (rho phi/r)^n rather than rho^{2 gamma - 1} rho^{n+1} f^n),
-so every node, out to tau = 400 (r ~ 1e-174 at k = 1), is finite.
+the value and its error estimate.  The lattice is `scattering.de_lattice`,
+whose nodes up to the connection point are also the interior profile's
+table, so the centre series is never re-summed for an integral.  The
+integrands are written in scale-safe form (rho^{2 gamma} (rho phi/r)^n
+rather than rho^{2 gamma - 1} rho^{n+1} f^n), so every node, out to
+tau = 400 (r ~ 1e-174 at k = 1), is finite.
 
 Verdicts: `equality` when |lhs - rhs| <= 10 tol |lhs|, `strict` when the
 gap of an inequality additionally exceeds 1e-3 |lhs| (the observed gaps for
@@ -31,7 +34,7 @@ import numpy as np
 
 from .compactification import CompactifiedGeometry, build_adapted, build_lee
 from .model_geometry import ModelSpace, mean_curvature_exact
-from .scattering import solve_case
+from .scattering import DE_STEP, de_lattice, solve_case
 from .special_fn import QCurvParams, d_gamma, hk_constant, sphere_volume
 
 _EPS = 2.220446049250313e-16
@@ -39,8 +42,6 @@ _TINY = float(np.finfo(float).tiny)      # smallest normal float
 # relative error budget of Q per unit of its exponent: Q is checked to one
 # ulp against a 30-digit reference, the rest covers the rounding of lhs
 _Q_REL_ERR = 4.0 * _EPS
-_DE_STEP = 1.0 / 16.0       # coarse step h; the nodes of h/2 nest those of h
-_DE_T_MAX = 4.0             # tau(4) = 6e-38: G vanishes like tau^n below it
 _TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of the integral
 
 
@@ -67,24 +68,22 @@ def _gl_nodes(a: np.ndarray, b: np.ndarray):
 class RadialIntegrator:
     """Nested double-exponential rule over one compactified geometry.
 
-    The state is evaluated once, at the nodes of step h/2; every integral
-    reuses it.  The integrands decay towards the boundary at least like
-    e^{-a tau} with a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the
-    nodes run out to tau_max = 40/a.
+    The state is evaluated once, at the `de_lattice` nodes of step h/2;
+    every integral reuses it.  The integrands decay towards the boundary at
+    least like e^{-a tau} with a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for
+    Lee), so the nodes run out to tau_max = 40/a.  Up to the connection
+    point the adapted state reads u and u' off the profile's table, which
+    holds exactly these nodes.
     """
 
     def __init__(self, geom: CompactifiedGeometry):
         self.geom = geom
         e = geom.e
         rate = min(e, 2.0 - e, 1.0) if geom.kind == "adapted" else 1.0
-        t_min = -math.asinh(_TAIL_E_FOLDS / rate / math.pi)
-        half = 0.5 * _DE_STEP
-        i = np.arange(math.floor(t_min / half), round(_DE_T_MAX / half) + 1)
-        t = i * half
-        z = -math.pi * np.sinh(t)
+        i, t, z, tau = de_lattice(_TAIL_E_FOLDS / rate)
         self.coarse = i % 2 == 0
-        self.weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))   # h/2 dtau/dt
-        self.state = geom.state(np.logaddexp(0.0, z))
+        self.weights = 0.5 * DE_STEP * math.pi * np.cosh(t) / (1.0 + np.exp(-z))  # h/2 dtau/dt
+        self.state = geom.state(tau)
 
     def levels(self, g_fn):
         """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""

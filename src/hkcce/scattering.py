@@ -38,10 +38,14 @@ always transported analytically (dr/dtau = -r); second derivatives come
 from the ODE closure, never from finite differences.
 
 The centre series does not depend on k: in tau all of k sits in the
-branches, through r = (2/sqrt(k)) e^{-tau}.  So the series, its table and
-its two connection values are built once per (n, gamma) and shared by every
-k.  `solve_interior` keeps the last interior and `solve_case` the last case,
-one entry each.
+branches, through r = (2/sqrt(k)) e^{-tau}.  Nor do the quadrature nodes it
+is summed at: the radial integrals use one nested double-exponential
+lattice (`de_lattice`) whose step and upper end are fixed, and the boundary
+decay rate only moves its lower end, far beyond TAU_MATCH.  So the series is
+summed once per (n, gamma) at the lattice's 155 nodes with tau <= TAU_MATCH,
+which become the profile's table, and at the two connection points; every k
+and every integral shares them.  `solve_interior` keeps the last interior
+and `solve_case` the last case, one entry each.
 
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
@@ -70,7 +74,6 @@ _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
 _COND_MAX = 1e12
 _BRANCH_MAX_ORDER = 400
-_TABLE_POINTS = 9
 _X_GROUPS = (0.5, 0.9, 0.97)  # x = tanh^2 tau bounds of the centre-series batches
 
 
@@ -96,6 +99,32 @@ class ResonanceError(ValueError):
 
 class MatchingError(RuntimeError):
     """Branch matching failed (conditioning, truncation or a degenerate solution)."""
+
+
+# ---------------------------------------------------------------------------
+# Quadrature lattice
+# ---------------------------------------------------------------------------
+
+DE_STEP = 1.0 / 16.0        # coarse step h; the nodes of h/2 nest those of h
+DE_T_MAX = 4.0              # tau(4) = 6e-38: the integrands vanish like tau^n below it
+
+
+def de_lattice(tau_max: float):
+    """Nodes of the nested double-exponential rule on (0, inf), at step h/2.
+
+    tau = log(1 + e^z), z = -pi sinh t maps t in R onto (0, inf)
+    (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741).  The nodes are
+    t = i h/2 for the integers i from the first one whose tau exceeds tau_max
+    up to t = DE_T_MAX, in ascending t and so in descending tau.  tau_max moves
+    only the lower end: the nodes with tau <= tau_max are the same for every
+    larger tau_max.  Returns (i, t, z, tau).
+    """
+    half = 0.5 * DE_STEP
+    t_min = -math.asinh(tau_max / math.pi)
+    i = np.arange(math.floor(t_min / half), round(DE_T_MAX / half) + 1)
+    t = i * half
+    z = -math.pi * np.sinh(t)
+    return i, t, z, np.logaddexp(0.0, z)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +262,10 @@ class CentreSeries:
     """u and u' of the regular interior solution from its series in x = tanh^2 tau.
 
     The coefficients t_j and t_j (s+2j)/(n+1+2j) are computed in
-    np.longdouble and kept up to the order that sums the series to that
-    precision at tau_max.  A call sums, in the dtype of its argument, its
+    np.longdouble and kept in long double and in double, each up to the
+    order that sums the series to that precision at tau_max; `drop_extended`
+    frees the long-double ones once no more long-double sums are needed.
+    A call sums, in the dtype of its argument, its
     points in groups of similar x, each with the terms the group's upper
     bound of x needs (near tau = 3 that is ~3500, below x = 0.5 about 50),
     as a blocked product: with j = B q + r,
@@ -245,40 +276,53 @@ class CentreSeries:
     def __init__(self, n: int, s: float, tau_max: float):
         self.n, self.s = n, s
         bounds = _X_GROUPS + (float(np.tanh(_LD(tau_max)) ** 2),)
-        eps_ext = float(np.finfo(_LD).eps)
-        size = _terms_estimate(eps_ext, bounds[-1])
+        eps = (float(np.finfo(_LD).eps), _EPS)
+        size = _terms_estimate(eps[0], bounds[-1])
         while True:
             j = np.arange(size, dtype=_LD)
             ratio = (_LD(s) / 2 + j) * ((_LD(s) + 1) / 2 + j) / ((_LD(n + 1) / 2 + j) * (1 + j))
             ratio_float = ratio.astype(float)
-            terms_ext = [self._terms_needed(ratio_float, x, eps_ext) for x in bounds]
-            if None not in terms_ext:
+            counts = [self._terms_needed(ratio_float, x, eps) for x in bounds]
+            if None not in counts:
                 break
             size *= 2
+        terms_ext, terms = (list(c) for c in zip(*counts))
         t = np.concatenate(([_LD(1)], np.cumprod(ratio[:terms_ext[-1] - 1])))
         dt = t * (_LD(s) + 2 * j[:len(t)]) / (n + 1 + 2 * j[:len(t)])
+        used = max(terms)
         self._series = {
             np.dtype(_LD): (t, dt, terms_ext),
-            np.dtype(float): (t.astype(float), dt.astype(float),
-                              [self._terms_needed(ratio_float, x, _EPS) for x in bounds]),
+            np.dtype(float): (t[:used].astype(float), dt[:used].astype(float), terms),
         }
 
     @staticmethod
-    def _terms_needed(ratio: np.ndarray, x: float, eps: float) -> int | None:
-        """Fewest terms whose tail is below eps times the partial sum at x.
+    def _terms_needed(ratio: np.ndarray, x: float, eps: tuple) -> tuple | None:
+        """For each eps, the fewest terms whose tail is below eps times the
+        partial sum at x; None if ratio is too short for one of them.
 
         With T_j = t_j x^j, the tail after term j is at most
         T_j rho/(1-rho), rho = max(r_j, 1) x: the ratios r_j = t_{j+1}/t_j
         decrease while above 1 and stay below 1 once they drop under it.
+        One cumulative product and sum serve every eps; they run first over
+        the terms the smallest eps is estimated to need.
         """
-        for part in (ratio[:_terms_estimate(eps, x)], ratio):
+        for part in (ratio[:_terms_estimate(min(eps), x)], ratio):
             T = np.concatenate(([1.0], np.cumprod(part[:-1] * x)))      # t_j x^j
             rho = np.maximum(part, 1.0) * x
-            ok = (rho < 1.0) & (T * rho <= eps * np.cumsum(T) * (1.0 - rho))
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                return int(hits[0]) + 1
+            tail, partial, below = T * rho, np.cumsum(T), rho < 1.0
+            counts = []
+            for e in eps:
+                hits = np.flatnonzero(below & (tail <= e * partial * (1.0 - rho)))
+                if not hits.size:
+                    break
+                counts.append(int(hits[0]) + 1)
+            else:
+                return tuple(counts)
         return None
+
+    def drop_extended(self):
+        """Forget the np.longdouble coefficients: later calls sum in double only."""
+        self._series = {np.dtype(float): self._series[np.dtype(float)]}
 
     def __call__(self, tau):
         tau = np.asarray(tau)
@@ -309,12 +353,17 @@ class CentreSeries:
 class RadialProfile:
     """Regular radial solution in closed form: u and u' at any tau.
 
-    `evaluate` is dense on [0, tau_max]; tau, u and du tabulate the profile
-    on a coarse grid (checked for positivity by `build_adapted`), and
-    `connection` holds u and u' in np.longdouble at TAU_MATCH and TAU_CHECK,
-    summed once with the profile.  The second derivative is never
-    finite-differenced; the geometry takes it from the ODE closure
-    u'' = -n coth(tau) u' - s(n-s) u.
+    tau, u and du tabulate the profile at the interior nodes of the
+    quadrature lattice, the `de_lattice` nodes with tau <= tau_max, in
+    ascending order: they are reversed read-only views of arrays summed in
+    the lattice's own descending order, so that `evaluate` hands the
+    integrator exactly what it would have summed.  `evaluate` returns those
+    arrays when asked for exactly those nodes (compared element by element)
+    and sums the series at any other tau in [0, tau_max]; `build_adapted`
+    checks the table for positivity.  `connection` holds u and u' in
+    np.longdouble at TAU_MATCH and TAU_CHECK, summed once with the profile.
+    The second derivative is never finite-differenced; the geometry takes it
+    from the ODE closure u'' = -n coth(tau) u' - s(n-s) u.
     """
 
     tau: np.ndarray
@@ -326,6 +375,8 @@ class RadialProfile:
 
     def evaluate(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        if np.array_equal(tau, self.tau[::-1]):
+            return self.u[::-1], self.du[::-1]
         if np.any(tau > self.tau_max * (1 + 1e-12)):
             raise ValueError(f"tau beyond profile horizon {self.tau_max}")
         return self.values(tau)
@@ -334,14 +385,14 @@ class RadialProfile:
 @functools.lru_cache(maxsize=1)
 def _interior(n: int, gamma: float) -> RadialProfile:
     values = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
-    tau = np.linspace(0.0, TAU_MATCH, _TABLE_POINTS)
+    tau = de_lattice(TAU_MATCH)[3]
+    tau = tau[tau <= TAU_MATCH]              # descending, as the integrator asks
     u, du = values(tau)
-    connection = {}
-    for t in (TAU_MATCH, TAU_CHECK):
-        u_t, du_t = values(np.array([t], dtype=_LD))
-        connection[t] = (u_t[0], du_t[0])
-    return RadialProfile(tau=_read_only(tau), u=_read_only(u), du=_read_only(du),
-                         tau_max=TAU_MATCH, values=values,
+    u_c, du_c = values(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD))
+    values.drop_extended()
+    connection = {TAU_MATCH: (u_c[0], du_c[0]), TAU_CHECK: (u_c[1], du_c[1])}
+    return RadialProfile(tau=_read_only(tau)[::-1], u=_read_only(u)[::-1],
+                         du=_read_only(du)[::-1], tau_max=TAU_MATCH, values=values,
                          connection=MappingProxyType(connection))
 
 
@@ -349,9 +400,10 @@ def solve_interior(p: QCurvParams) -> RadialProfile:
     """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH].
 
     The solution does not depend on k, so the profile (the series, its
-    table and its connection values) is built from (n, gamma) alone.  Only
-    the last interior is kept: a sweep with k fastest, as the CLI's sorted
-    grid runs, builds each series once, and memory stays flat.
+    values at the quadrature's interior nodes and its connection values) is
+    built from (n, gamma) alone.  Only the last interior is kept: a sweep
+    with k fastest, as the CLI's sorted grid runs, sums each series once,
+    and memory stays flat.
     """
     return _interior(p.n, p.gamma)
 

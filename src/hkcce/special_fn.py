@@ -14,6 +14,7 @@ overflows (from n = 284 on).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,14 @@ import numpy as np
 # boundary-layer exponent 2 gamma of the radial integrals away from zero.
 GAMMA_MIN = 0.05
 GAMMA_MAX = 0.95
+
+# Admissible boundary scale.  The branch coefficients grow like k^j for
+# j up to about n/4 + 10 terms, and the reports scale like k^{-(n/2+1)}, so
+# far from k = 1 they leave the double range.  k is accepted at dimension n
+# when |log10 k| (n/2 + 10) <= K_DECADES.  A scan over n = 3..150 and gamma
+# in {0.05, 0.5, 0.95} found Q and every adapted, hk-cla and hk-lee verdict
+# correct at every decade inside this range and beyond its edge at each n.
+K_DECADES = 200.0
 
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 # Stirling series of ln Gamma(z): B_{2m} / (2m (2m-1)) z^{1-2m}, m = 1..6,
@@ -53,10 +62,12 @@ def _gamma_ratio_ext(g: float):
     return np.prod((i - g) / (i + g)) * np.exp(diff)
 
 
+@functools.lru_cache(maxsize=1)
 def d_gamma_ext(gamma: float):
     """d_gamma in np.longdouble: -4^g Gamma(1+g)/Gamma(1-g).
 
-    No reflection is needed, so no sin(pi g) loses digits near g = 1.
+    No reflection is needed, so no sin(pi g) loses digits near g = 1.  The
+    last gamma's value is kept: one adapted case asks for it six times.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"d_gamma requires gamma in (0,1), got {gamma}")
@@ -95,6 +106,18 @@ def sphere_q_value(n: int, gamma: float, k: float = 1.0) -> float:
     return k ** gamma * (2.0 / (n - 2.0 * gamma)) * ratio
 
 
+def check_k(n: int, k: float) -> None:
+    """Refuse a boundary scale k that is not positive and finite, or whose
+    powers the solve cannot represent at dimension n (see K_DECADES)."""
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
+    decades = K_DECADES / (n / 2.0 + 10.0)
+    if abs(math.log10(k)) > decades:
+        raise ValueError(
+            f"k={k} out of range at n={n}: |log10 k| must not exceed "
+            f"{K_DECADES:g}/(n/2 + 10) = {decades:.3g}")
+
+
 @dataclass(frozen=True)
 class QCurvParams:
     """Parameters of one scattering problem.
@@ -102,7 +125,7 @@ class QCurvParams:
     n      boundary dimension (n >= 3)
     gamma  fractional order in [GAMMA_MIN, GAMMA_MAX]
     k      boundary Einstein constant: Ric = (n-1) k on the representative,
-           i.e. a round sphere of radius k^{-1/2}
+           i.e. a round sphere of radius k^{-1/2}; within `check_k`'s range
     s      spectral parameter n/2 + gamma (derived)
     """
 
@@ -118,8 +141,7 @@ class QCurvParams:
             raise ValueError(
                 f"gamma={self.gamma} outside [{GAMMA_MIN}, {GAMMA_MAX}] (resonance guard)"
             )
-        if not 0.0 < self.k < math.inf:
-            raise ValueError(f"k must be positive and finite, got {self.k}")
+        check_k(self.n, self.k)
         object.__setattr__(self, "s", self.n / 2.0 + self.gamma)
         # spectral condition s(n-s) = n^2/4 - gamma^2 < n^2/4 holds for real gamma
         assert self.s * (self.n - self.s) < self.n ** 2 / 4.0

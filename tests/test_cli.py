@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import hkcce
 from hkcce.cli import RunConfig, fmt15, main, parse_config
+from hkcce.special_fn import K_DECADES, sphere_q_value
 
 
 class TestParseConfig:
@@ -227,6 +229,29 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("hkcce: ")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", (4, 20))
+    @pytest.mark.parametrize("k", [10.0 ** (sign * e) for e in (10, 20, 30, 50, 100, 300)
+                                   for sign in (1, -1)])
+    def test_extreme_k_correct_or_refused_up_front(self, tmp_path, capsys, n, k):
+        # far from k = 1 the branch coefficients and the reports leave the
+        # double range: such a k is refused before any case runs
+        out = tmp_path / "o"
+        rc = main(["qcurv", "--n", str(n), "--gamma", "0.05,0.5,0.95", "--k", repr(k),
+                   "--out", str(out)])
+        accepted = abs(math.log10(k)) * (n / 2 + 10) <= K_DECADES
+        assert rc == (0 if accepted else 2)
+        if accepted:
+            lines = (out / "tables" / "qcurv.csv").read_text().strip().split("\n")
+            for line in lines[1:]:
+                row = line.split(",")
+                oracle = sphere_q_value(n, float(row[1]), k)
+                assert abs(float(row[3]) / oracle - 1) <= 1e-12, row
+        else:
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"hkcce: k={k} out of range at n={n}")
+            assert not out.exists()
 
     def test_missing_config_file_refused(self, tmp_path, capsys):
         rc = main(["qcurv", "--config", str(tmp_path / "absent.json"),

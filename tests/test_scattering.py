@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 from hkcce import cli, scattering
-from hkcce.scattering import (FrobeniusBranch, MatchingError, ResonanceError,
-                              _connect, frobenius_branch,
+from hkcce.compactification import build_adapted
+from hkcce.hk_verifier import RadialIntegrator
+from hkcce.model_geometry import ModelSpace
+from hkcce.scattering import (TAU_CHECK, TAU_MATCH, CentreSeries,
+                              FrobeniusBranch, MatchingError, ResonanceError,
+                              _connect, _s_ext, frobenius_branch,
                               frobenius_coefficients, solve_case,
                               solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
@@ -105,6 +109,73 @@ class TestInteriorSolve:
     def test_grid_is_increasing(self):
         prof = solve_interior(QCurvParams(4, 0.25, 1.0))
         assert np.all(np.diff(prof.tau) > 0)
+
+
+def per_eps_terms(ratio: np.ndarray, x: float, eps: float):
+    """The centre series' term count at x for one eps, searched on its own:
+    the rule `CentreSeries` applies to both precisions in one pass."""
+    for part in (ratio[:scattering._terms_estimate(eps, x)], ratio):
+        T = np.concatenate(([1.0], np.cumprod(part[:-1] * x)))
+        rho = np.maximum(part, 1.0) * x
+        ok = (rho < 1.0) & (T * rho <= eps * np.cumsum(T) * (1.0 - rho))
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return int(hits[0]) + 1
+    return None
+
+
+class TestCentreSeries:
+    @pytest.mark.skipif(not EXTENDED, reason="np.longdouble is plain double here")
+    def test_term_counts_match_the_per_eps_rule(self):
+        eps_ext = float(np.finfo(np.longdouble).eps)
+        eps = float(np.finfo(float).eps)
+        bounds = scattering._X_GROUPS + (float(np.tanh(np.longdouble(TAU_MATCH)) ** 2),)
+        cases = [(n, g) for n in [*range(3, 21), 60] for g in (0.05, 0.5, 0.95)]
+        for n, gamma in cases:
+            s = _s_ext(n, gamma)
+            series = CentreSeries(n, s, TAU_MATCH)
+            terms_ext = series._series[np.dtype(np.longdouble)][2]
+            terms = series._series[np.dtype(float)][2]
+            j = np.arange(2 * terms_ext[-1], dtype=np.longdouble)
+            ratio = ((s / 2 + j) * ((s + 1) / 2 + j)
+                     / ((np.longdouble(n + 1) / 2 + j) * (1 + j))).astype(float)
+            assert terms_ext == [per_eps_terms(ratio, x, eps_ext) for x in bounds], (n, gamma)
+            assert terms == [per_eps_terms(ratio, x, eps) for x in bounds], (n, gamma)
+            # the double coefficients stop at the double term count
+            assert len(series._series[np.dtype(float)][0]) == max(terms) < terms_ext[-1]
+
+
+class TestProfileTable:
+    """The profile's table is the centre series at the quadrature's interior nodes."""
+
+    @pytest.mark.parametrize("gamma", (0.05, 0.5, 0.95))
+    def test_table_is_the_integrators_interior_nodes(self, solved, gamma):
+        profile, sr = solved(6, gamma, 1.0)
+        tau = RadialIntegrator(build_adapted(ModelSpace(6, 1.0), sr, profile)).state.tau
+        inner = tau[tau <= profile.tau_max]
+        assert len(profile.tau) == len(inner) == 155
+        assert np.array_equal(profile.tau, inner[::-1])
+
+    def test_evaluate_at_the_nodes_returns_the_table(self, solved):
+        profile, _ = solved(6, 0.3, 1.0)
+        nodes = profile.tau[::-1].copy()
+        u, du = profile.evaluate(nodes)
+        assert np.shares_memory(u, profile.u) and np.shares_memory(du, profile.du)
+        assert np.array_equal(u[::-1], profile.u) and np.array_equal(du[::-1], profile.du)
+        # the table is what summing the series at the nodes gives, bit for bit
+        u_direct, du_direct = CentreSeries(6, _s_ext(6, 0.3), TAU_MATCH)(nodes)
+        assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
+
+    def test_evaluate_elsewhere_sums_the_series(self, solved):
+        profile, _ = solved(6, 0.3, 1.0)
+        series = CentreSeries(6, _s_ext(6, 0.3), TAU_MATCH)
+        nodes = profile.tau[::-1]
+        for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], profile.tau,
+                    np.append(nodes, 1.0)):
+            u, du = profile.evaluate(tau)
+            assert not np.shares_memory(u, profile.u)
+            u_direct, du_direct = series(tau)
+            assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
 
 
 class TestMatching:
@@ -279,6 +350,24 @@ class TestMemo:
                        "--jobs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
         assert len(built) == 1
+
+    def test_three_k_sweep_sums_the_series_once(self, tmp_path, monkeypatch):
+        calls = []
+        call = scattering.CentreSeries.__call__
+
+        def counting(series, tau):
+            calls.append(np.array(tau))
+            return call(series, tau)
+
+        monkeypatch.setattr(scattering.CentreSeries, "__call__", counting)
+        rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
+                       "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        doubles = [tau for tau in calls if tau.dtype == np.float64]
+        extended = [tau for tau in calls if tau.dtype == np.longdouble]
+        assert len(doubles) == 1 and len(extended) == 1
+        assert np.array_equal(doubles[0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
+        assert list(extended[0]) == [TAU_MATCH, TAU_CHECK]
 
     def test_results_are_frozen(self):
         profile, sr = solve_case(QCurvParams(4, 0.25, 1.0))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hkcce.special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma,
-                              hk_constant, sphere_q_value, sphere_volume)
+                              d_gamma_ext, hk_constant, sphere_q_value,
+                              sphere_volume)
 
 
 def _d_gamma_oracle(g):
@@ -38,6 +39,14 @@ class TestDGamma:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             d_gamma(bad)
+
+    def test_last_gamma_is_kept(self):
+        # an adapted case asks for d_gamma six times with the same gamma
+        d_gamma_ext.cache_clear()
+        values = {d_gamma(0.3) for _ in range(6)}
+        info = d_gamma_ext.cache_info()
+        assert len(values) == 1
+        assert (info.maxsize, info.misses, info.hits) == (1, 1, 5)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="np.longdouble is plain double here")
@@ -117,10 +126,20 @@ class TestParams:
         dict(n=4, gamma=0.5, k=-1.0),
         dict(n=4, gamma=0.5, k=float("inf")),
         dict(n=4, gamma=0.5, k=float("nan")),
+        dict(n=4, gamma=0.5, k=1e20),
+        dict(n=4, gamma=0.5, k=1e-300),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             QCurvParams(**kwargs)
+
+
+    def test_k_range_narrows_with_n(self):
+        # accepted while |log10 k| (n/2 + 10) <= 200: 1e10 at n = 20, not at n = 60
+        for k in (1e10, 1e-10):
+            assert QCurvParams(20, 0.5, k).k == k
+            with pytest.raises(ValueError, match="out of range at n=60"):
+                QCurvParams(60, 0.5, k)
 
 
 def test_sphere_volume():
