@@ -300,13 +300,20 @@ def _residual_case(args) -> dict:
     }
 
 
-def _run_cases(worker, case_args, jobs: int):
+def _run_cases(worker, case_args, jobs: int, chunk: int):
+    """worker over case_args, in order, on `jobs` processes (0: one per CPU).
+
+    The cases go to the workers in runs of `chunk`, and no more workers
+    start than there are runs.  The grids run k fastest, so with
+    chunk = len(k) the cases of one (n, gamma) share a worker, and with it
+    the interior that worker's memo keeps.
+    """
     case_args = list(case_args)
     if jobs == 1 or len(case_args) <= 1:
         return [worker(a) for a in case_args]
-    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(case_args))) as ex:
-        return list(ex.map(worker, case_args))
+    workers = min(jobs if jobs > 0 else (os.cpu_count() or 1), -(-len(case_args) // chunk))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(worker, case_args, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +428,7 @@ def run_command(cfg: RunConfig) -> int:
             failing.append(f"{kind} {label}")
 
     if cfg.command == "qcurv":
-        rows = _run_cases(_qcurv_case, list(_grid(cfg)), cfg.jobs)
+        rows = _run_cases(_qcurv_case, list(_grid(cfg)), cfg.jobs, len(cfg.k))
         rows_by_table["qcurv"] = rows
         for row in rows:
             note(row["verdict"] == "pass", f"qcurv n={row['n']} gamma={row['gamma']} k={row['k']}")
@@ -429,7 +436,7 @@ def run_command(cfg: RunConfig) -> int:
     elif cfg.command == "sweep":
         rows = _run_cases(_sweep_case,
                           [(n, g, k, cfg.quad_tol) for n, g, k in _grid(cfg)],
-                          cfg.jobs)
+                          cfg.jobs, len(cfg.k))
         rows_by_table["sweep"] = rows
         for row in rows:
             note(row["verdict"] in ("equality", "strict"),
@@ -475,7 +482,7 @@ def run_command(cfg: RunConfig) -> int:
         dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
         args = [("adapted", n, g, k, dump_dir) for n, g, k in _grid(cfg)]
         args += [("lee", n, None, k, dump_dir) for n, k in _grid_nk(cfg)]
-        rows = _run_cases(_residual_case, args, cfg.jobs)
+        rows = _run_cases(_residual_case, args, cfg.jobs, len(cfg.k))
         rows_by_table["residuals"] = rows
         for row in rows:
             note(row["verdict"] == "pass",

@@ -56,13 +56,18 @@ def _gl_rule():
 
 
 def _gl_nodes(a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre nodes/weights for a batch of intervals [a_i, b_i]."""
+    """Gauss-Legendre nodes/weights for intervals [a, b] along the last axis.
+
+    a and b are (rows x panels); each row's nodes and weights come out
+    flattened, panel by panel, as one (rows x 32 panels) array each.
+    """
     x, w = _gl_rule()
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    weights = half[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()
+    nodes = mid[..., None] + half[..., None] * x
+    weights = half[..., None] * w
+    shape = (a.shape[0], a.shape[1] * len(x))
+    return nodes.reshape(shape), weights.reshape(shape)
 
 
 class RadialIntegrator:
@@ -355,25 +360,36 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     V (f/f_r)^n.  That integrand narrows like 1/n at tau_r, so the
     Gauss-Legendre panels are doubled from 18 (up to 18 * 2^8) until two
     successive levels agree to 1e-11; for n <= 20 the first pair does.
+
+    Every radius is checked before any quadrature (a radius outside
+    (0, 2/sqrt(k)) raises ValueError).  Each refinement level is then one
+    array pass over the radii still refining, (radii x nodes) at a time,
+    and each radius keeps its own dot product of weights and integrand, so
+    its row does not depend on which other radii share the call.
     """
     m = ModelSpace(n, k)
-    rows = []
-    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-        tau_r = float(m.tau_of_r(r))
-        f_r = m.f_tau(tau_r)
-        surface = m.df_tau(tau_r) / mean_curvature_exact(m, r)
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))
+    h_r = mean_curvature_exact(m, r)
+    tau_r = m.tau_of_r(r)
+    f_r = m.f_tau(tau_r)
+    surface = m.df_tau(tau_r) / h_r
 
-        def vol_quad(panels):
-            edges = np.linspace(0.0, tau_r, panels + 1)
-            tn, tw = _gl_nodes(edges[:-1], edges[1:])
-            return float(np.dot(tw, m.df_tau(tn) * (m.f_tau(tn) / f_r) ** n))
+    def vol_quad(rows, panels):
+        edges = np.linspace(0.0, tau_r[rows], panels + 1, axis=-1)
+        tn, tw = _gl_nodes(edges[:, :-1], edges[:, 1:])
+        g = m.df_tau(tn) * (m.f_tau(tn) / f_r[rows, None]) ** n
+        return np.array([np.dot(w, v) for w, v in zip(tw, g)])
 
-        panels = 18
-        v1, v2 = vol_quad(12), vol_quad(panels)
-        while abs(v1 - v2) > 1e-11 * v2 and panels < 18 * 2 ** 8:
-            panels *= 2
-            v1, v2 = v2, vol_quad(panels)
-        ratio = surface / ((n + 1.0) / n * v2)
-        rows.append({"n": n, "k": k, "r": float(r), "ratio": ratio,
-                     "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})
-    return rows
+    refining = np.arange(len(r))
+    panels = 18
+    v1, v2 = vol_quad(refining, 12), vol_quad(refining, panels)
+    refining = refining[abs(v1 - v2) > 1e-11 * v2]
+    while refining.size and panels < 18 * 2 ** 8:
+        panels *= 2
+        v1[refining] = v2[refining]
+        v2[refining] = vol_quad(refining, panels)
+        refining = refining[abs(v1[refining] - v2[refining]) > 1e-11 * v2[refining]]
+    ratio = surface / ((n + 1.0) / n * v2)
+    abs_err = abs(v1 - v2) / np.maximum(v2, 1e-300) + 1e-12
+    return [{"n": n, "k": k, "r": float(x), "ratio": float(q), "abs_err": float(e)}
+            for x, q, e in zip(r, ratio, abs_err)]

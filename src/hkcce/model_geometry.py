@@ -75,12 +75,15 @@ class ModelSpace:
         return -self.k * r / 2.0
 
 
-def mean_curvature_exact(m: ModelSpace, r: float) -> float:
+def mean_curvature_exact(m: ModelSpace, r):
     """Mean curvature of the level set {r = const} with respect to g_+.
 
     H_r = n (1 - r phi'/phi) = n f'/f, expanding as
     n + J r^2 + (1/2)|A|^2 r^4 + O(r^6) with J = nk/2, |A|^2 = n k^2/4.
+    r may be an array; the first radius outside (0, 2/sqrt(k)) is refused.
     """
-    if not 0.0 < r < m.r_center:
-        raise ValueError(f"r={r} outside (0, {m.r_center})")
+    radii = np.asarray(r)
+    outside = ~((0.0 < radii) & (radii < m.r_center))
+    if outside.any():
+        raise ValueError(f"r={radii[outside].flat[0]} outside (0, {m.r_center})")
     return m.n * (1.0 - r * m.dphi(r) / m.phi(r))

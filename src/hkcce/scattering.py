@@ -45,7 +45,10 @@ decay rate only moves its lower end, far beyond TAU_MATCH.  So the series is
 summed once per (n, gamma) at the lattice's 155 nodes with tau <= TAU_MATCH,
 which become the profile's table, and at the two connection points; every k
 and every integral shares them.  `solve_interior` keeps the last interior
-and `solve_case` the last case, one entry each.
+and `solve_case` the last case, one entry each.  Those points are the same
+for every (n, gamma), and so are the powers of x the sums read there: they
+are tabulated once per process (`_node_powers`), one read-only table per
+node group and block size.
 
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
@@ -125,6 +128,18 @@ def de_lattice(tau_max: float):
     t = i * half
     z = -math.pi * np.sinh(t)
     return i, t, z, np.logaddexp(0.0, z)
+
+
+def _fixed_nodes():
+    """The points the centre series is summed at for every interior: the
+    lattice nodes with tau <= TAU_MATCH in the lattice's descending order,
+    in double, and the two connection points in np.longdouble."""
+    tau = de_lattice(TAU_MATCH)[3]
+    return (_read_only(tau[tau <= TAU_MATCH]),
+            _read_only(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD)))
+
+
+_TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +267,30 @@ def _powers(x_ext: np.ndarray, j: np.ndarray, dtype) -> np.ndarray:
     return np.power.outer(x, j) * (1 + np.multiply.outer(d.astype(dtype), j))
 
 
+def _block_powers(x_ext: np.ndarray, B: int, dtype):
+    """x^r and x^{Bq} for r, q < B, in dtype, one row per point.
+
+    A group of J terms is summed as Q blocks of B terms, B = ceil(sqrt J)
+    and Q = ceil(J / B), which is B - 1 or B, so tables for Q = B serve both.
+    """
+    j = np.arange(B)
+    return _powers(x_ext, j, dtype), _powers(x_ext ** B, j, dtype)
+
+
+@functools.lru_cache(maxsize=128)
+def _node_powers(hi: bytes, lo: bytes, B: int, dtype) -> tuple:
+    """`_block_powers` at x = hi + lo, once per process and read-only.
+
+    Only the fixed nodes come here.  hi and lo are the float64 bytes of the
+    double-double split of the extended x, which is exact, so equal x give
+    equal keys: the bytes of an np.longdouble array itself include its
+    uninitialised padding and would not.  The interiors over n 3..200 and
+    37 gammas in [0.05, 0.95] read 41 tables, 0.24 MB in all.
+    """
+    x_ext = np.frombuffer(hi).astype(_LD) + np.frombuffer(lo).astype(_LD)
+    return tuple(_read_only(a) for a in _block_powers(x_ext, B, dtype))
+
+
 def _terms_estimate(eps: float, x: float) -> int:
     """About log(eps)/log(x) terms of the centre series, with a margin: t_j
     decays like j^{gamma - 1}."""
@@ -261,16 +300,21 @@ def _terms_estimate(eps: float, x: float) -> int:
 class CentreSeries:
     """u and u' of the regular interior solution from its series in x = tanh^2 tau.
 
-    The coefficients t_j and t_j (s+2j)/(n+1+2j) are computed in
-    np.longdouble and kept in long double and in double, each up to the
-    order that sums the series to that precision at tau_max; `drop_extended`
-    frees the long-double ones once no more long-double sums are needed.
+    The term counts come from the coefficient ratios in double; the
+    coefficients t_j and t_j (s+2j)/(n+1+2j) are then computed in
+    np.longdouble up to the long-double count only, and kept in long double
+    and in double, each up to the order that sums the series to that
+    precision at tau_max; `drop_extended` frees the long-double ones once no
+    more long-double sums are needed.
     A call sums, in the dtype of its argument, its
     points in groups of similar x, each with the terms the group's upper
     bound of x needs (near tau = 3 that is ~3500, below x = 0.5 about 50),
     as a blocked product: with j = B q + r,
     sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so the temporaries
-    are (points x sqrt(terms)) rather than (points x terms).
+    are (points x sqrt(terms)) rather than (points x terms).  The tables of
+    x^r and x^{Bq} are built per call, except at the fixed nodes (the
+    profile table's nodes in double and the connection points in long
+    double), where they are read from `_node_powers`.
     """
 
     def __init__(self, n: int, s: float, tau_max: float):
@@ -279,21 +323,27 @@ class CentreSeries:
         eps = (float(np.finfo(_LD).eps), _EPS)
         size = _terms_estimate(eps[0], bounds[-1])
         while True:
-            j = np.arange(size, dtype=_LD)
-            ratio = (_LD(s) / 2 + j) * ((_LD(s) + 1) / 2 + j) / ((_LD(n + 1) / 2 + j) * (1 + j))
-            ratio_float = ratio.astype(float)
-            counts = [self._terms_needed(ratio_float, x, eps) for x in bounds]
+            ratio = self._ratio(n, s, size, float)
+            counts = [self._terms_needed(ratio, x, eps) for x in bounds]
             if None not in counts:
                 break
             size *= 2
         terms_ext, terms = (list(c) for c in zip(*counts))
-        t = np.concatenate(([_LD(1)], np.cumprod(ratio[:terms_ext[-1] - 1])))
-        dt = t * (_LD(s) + 2 * j[:len(t)]) / (n + 1 + 2 * j[:len(t)])
+        j = np.arange(terms_ext[-1], dtype=_LD)
+        t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(j) - 1, _LD))))
+        dt = t * (_LD(s) + 2 * j) / (n + 1 + 2 * j)
         used = max(terms)
         self._series = {
             np.dtype(_LD): (t, dt, terms_ext),
             np.dtype(float): (t[:used].astype(float), dt[:used].astype(float), terms),
         }
+
+    @staticmethod
+    def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
+        """t_{j+1}/t_j for j < size, in dtype."""
+        s = dtype(s)
+        j = np.arange(size, dtype=dtype)
+        return (s / 2 + j) * ((s + 1) / 2 + j) / ((dtype(n + 1) / 2 + j) * (1 + j))
 
     @staticmethod
     def _terms_needed(ratio: np.ndarray, x: float, eps: tuple) -> tuple | None:
@@ -330,6 +380,8 @@ class CentreSeries:
             tau = tau.astype(float)
         t, dt, terms = self._series[tau.dtype]
         x_ext = np.tanh(tau.astype(_LD)) ** 2
+        fixed = any(tau.dtype == nodes.dtype and np.array_equal(tau, nodes)
+                    for nodes in (_TABLE_TAU, _CONNECTION_TAU))
         sums = np.empty((2, len(tau)), dtype=tau.dtype)
         group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
         for g in np.unique(group):
@@ -340,10 +392,15 @@ class CentreSeries:
             coef = np.zeros((2, Q * B), dtype=tau.dtype)
             coef[0, :J] = t[:J]
             coef[1, :J] = dt[:J]
-            low = _powers(x_ext[at], np.arange(B), tau.dtype)            # x^r
-            high = _powers(x_ext[at] ** B, np.arange(Q), tau.dtype)      # x^{Bq}
+            x = x_ext[at]
+            if fixed:
+                hi = x.astype(float)
+                low, high = _node_powers(hi.tobytes(), (x - hi).astype(float).tobytes(),
+                                         B, tau.dtype)
+            else:
+                low, high = _block_powers(x, B, tau.dtype)       # x^r, x^{Bq}
             blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
-            sums[:, at] = np.einsum("pkq,pq->kp", blocks, high)
+            sums[:, at] = np.einsum("pkq,pq->kp", blocks, high[:, :Q])
         s = tau.dtype.type(self.s)
         sech_s = np.cosh(tau) ** -s
         return sech_s * sums[0], -(self.n - s) * np.tanh(tau) * sech_s * sums[1]
@@ -385,13 +442,11 @@ class RadialProfile:
 @functools.lru_cache(maxsize=1)
 def _interior(n: int, gamma: float) -> RadialProfile:
     values = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
-    tau = de_lattice(TAU_MATCH)[3]
-    tau = tau[tau <= TAU_MATCH]              # descending, as the integrator asks
-    u, du = values(tau)
-    u_c, du_c = values(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD))
+    u, du = values(_TABLE_TAU)
+    u_c, du_c = values(_CONNECTION_TAU)
     values.drop_extended()
     connection = {TAU_MATCH: (u_c[0], du_c[0]), TAU_CHECK: (u_c[1], du_c[1])}
-    return RadialProfile(tau=_read_only(tau)[::-1], u=_read_only(u)[::-1],
+    return RadialProfile(tau=_TABLE_TAU[::-1], u=_read_only(u)[::-1],
                          du=_read_only(du)[::-1], tau_max=TAU_MATCH, values=values,
                          connection=MappingProxyType(connection))
 

@@ -1,5 +1,6 @@
 """CLI configuration, command dispatch, report emission and exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hkcce
+from hkcce import cli
 from hkcce.cli import RunConfig, fmt15, main, parse_config
 from hkcce.special_fn import K_DECADES, sphere_q_value
 
@@ -172,6 +174,58 @@ class TestCommands:
         assert rc == 0
         lines = (tmp_path / "o" / "tables" / "qcurv.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2
+
+    @pytest.mark.parametrize("command", ["sweep", "qcurv"])
+    def test_two_jobs_write_what_one_job_writes(self, tmp_path, command):
+        args = [command, "--n", "4,5", "--gamma", "0.25,0.5", "--k", "0.5,1,2"]
+        for jobs in ("1", "2"):
+            assert main(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        for name in (f"tables/{command}.csv", f"reports/{command}.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["sweep", "qcurv", "residuals"])
+    def test_pool_chunks_keep_each_n_gamma_on_one_worker(self, tmp_path, monkeypatch,
+                                                         command):
+        # the k of one (n, gamma) share its interior, which a worker's memo
+        # keeps only while they arrive together
+        chunks, workers = [], []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                args = list(args)
+                chunks.extend(args[i:i + chunksize] for i in range(0, len(args), chunksize))
+                return map(fn, args)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcess)
+        assert main([command, "--n", "4,5", "--gamma", "0.25,0.5", "--k", "0.5,1,2",
+                     "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+        groups = [{tuple(a[:3] if command == "residuals" else a[:2]) for a in c}
+                  for c in chunks]
+        assert all(len(g) == 1 for g in groups)
+        assert len(groups) == len({g.pop() for g in groups})      # no group split
+        assert workers == [2]
+
+    def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
+        workers = []
+
+        class InProcess(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcess)
+        assert main(["qcurv", "--n", "4", "--gamma", "0.5", "--k", "0.5,1,2",
+                     "--jobs", "0", "--out", str(tmp_path / "o")]) == 0
+        assert workers == [1]
 
     def test_failing_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
         # an inconclusive report is a failing verdict

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hkcce import cli, scattering
+from hkcce import cli, hk_verifier, scattering
 from hkcce.compactification import build_lee
 from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
                                asymptotic_ratio, defect_identity,
                                verify_adapted, verify_cla, verify_lee)
-from hkcce.model_geometry import ModelSpace
+from hkcce.model_geometry import ModelSpace, mean_curvature_exact
 from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
 
 # measured relative gaps (lhs - rhs)/lhs on the models, archived as loose
@@ -333,6 +333,99 @@ class TestAsymptoticRatio:
         for row in asymptotic_ratio(n, k, r_values):
             assert abs(row["ratio"] - 1.0) <= 1e-8, row
             assert row["abs_err"] <= 1e-8, row
+
+
+class TestIdentityAudit:
+    """|gap| <= err_est wherever the identity or the equality holds exactly.
+
+    A cheap audit of err_est that needs no high-precision reference: an
+    identity that does not balance within its own error estimate has an
+    estimate that is not an upper bound.
+    """
+
+    KS = (0.5, 1.0, 2.0)
+    GAMMAS = [round(0.05 * i, 2) for i in range(1, 20)]
+
+    @staticmethod
+    def assert_within_err_est(reports):
+        over = [(r.name, r.params.get("gamma"), r.params["k"], r.gap, r.err_est)
+                for r in reports if not abs(r.gap) <= r.err_est]
+        assert not over
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 60])
+    def test_defect_adapted(self, n):
+        self.assert_within_err_est([defect_identity("adapted", n, k, gamma=g)
+                                    for g in self.GAMMAS for k in self.KS])
+
+    @pytest.mark.parametrize("n", [*range(3, 21), 60, 100, 284])
+    def test_lee_forms(self, n):
+        self.assert_within_err_est([r for k in self.KS
+                                    for r in (defect_identity("lee", n, k), verify_lee(n, k))])
+
+    @pytest.mark.parametrize("n", [*range(3, 21), 60, 100])
+    def test_forms_at_half(self, n):
+        self.assert_within_err_est([r for k in self.KS
+                                    for r in (verify_cla(n, k), verify_adapted(n, 0.5, k))])
+
+
+def per_radius_ratio(n, k, r_values):
+    """The ratio rows radius by radius, one Gauss-Legendre sum per level, and
+    each radius's final panel count: the reference for the batched rows."""
+    m = ModelSpace(n, k)
+    x, w = np.polynomial.legendre.leggauss(32)
+    rows, stops = [], []
+    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
+        tau_r = float(m.tau_of_r(r))
+        f_r = m.f_tau(tau_r)
+        surface = m.df_tau(tau_r) / mean_curvature_exact(m, r)
+
+        def vol_quad(panels):
+            edges = np.linspace(0.0, tau_r, panels + 1)
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            tn = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+            tw = (half[:, None] * w[None, :]).ravel()
+            return float(np.dot(tw, m.df_tau(tn) * (m.f_tau(tn) / f_r) ** n))
+
+        panels = 18
+        v1, v2 = vol_quad(12), vol_quad(panels)
+        while abs(v1 - v2) > 1e-11 * v2 and panels < 18 * 2 ** 8:
+            panels *= 2
+            v1, v2 = v2, vol_quad(panels)
+        rows.append({"n": n, "k": k, "r": float(r), "ratio": surface / ((n + 1.0) / n * v2),
+                     "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})
+        stops.append(panels)
+    return rows, stops
+
+
+class TestBatchedAsymptoticRatio:
+    """All radii in one array pass per level, each row as the per-radius sum."""
+
+    KS = (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("n", [*range(3, 21), 93, 440, 1000])
+    def test_rows_equal_the_per_radius_sums(self, n):
+        for k in self.KS:
+            r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
+            rows, stops = per_radius_ratio(n, k, r_values)
+            assert asymptotic_ratio(n, k, r_values) == rows, (n, k)
+            if n >= 440:
+                # radii that stop refining at different levels share the call
+                assert len(set(stops)) >= 3, stops
+            # and a row does not depend on which radii it is batched with
+            mixed = r_values[[19, 0, 7, 3]]
+            assert asymptotic_ratio(n, k, mixed) == per_radius_ratio(n, k, mixed)[0]
+
+    def test_no_radii_no_rows(self):
+        assert asymptotic_ratio(5, 1.0, []) == []
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, 0.0, -0.1])
+    def test_radius_outside_refused_before_any_quadrature(self, monkeypatch, bad):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the radii were checked")
+
+        monkeypatch.setattr(hk_verifier, "_gl_nodes", no_quadrature)
+        with pytest.raises(ValueError, match=rf"^r={bad} outside \(0, 2\.0\)$"):
+            asymptotic_ratio(5, 1.0, [0.1, 0.3, bad, 1.0])
 
 
 class TestQuadrature:

@@ -145,6 +145,78 @@ class TestCentreSeries:
             assert len(series._series[np.dtype(float)][0]) == max(terms) < terms_ext[-1]
 
 
+class TestNodePowers:
+    """Power tables at the fixed nodes: built once per process, read-only."""
+
+    CASES = [(n, g) for n in (3, 5, 10, 20) for g in (0.05, 0.3, 0.5, 0.95)]
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        scattering._interior.cache_clear()
+        scattering._node_powers.cache_clear()
+        yield
+        scattering._interior.cache_clear()
+
+    @staticmethod
+    def _interior(n, gamma):
+        scattering._interior.cache_clear()
+        return scattering._interior(n, gamma)
+
+    @staticmethod
+    def _table_keys(n, gamma):
+        """(dtype, group, B) of every table the interior's sums read."""
+        series = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
+        keys = set()
+        for nodes in (scattering._TABLE_TAU, scattering._CONNECTION_TAU):
+            x = (np.tanh(nodes.astype(np.longdouble)) ** 2).astype(float)
+            terms = series._series[nodes.dtype][2]
+            for g in np.unique(np.searchsorted(scattering._X_GROUPS, x)):
+                keys.add((nodes.dtype, g, math.isqrt(terms[g] - 1) + 1))
+        return keys
+
+    def test_one_read_only_table_per_node_group_and_block(self, monkeypatch):
+        tables = {}
+        cached = scattering._node_powers
+
+        def spy(*key):
+            out = cached(*key)
+            assert tables.setdefault(key, out) is out
+            return out
+
+        monkeypatch.setattr(scattering, "_node_powers", spy)
+        for n, gamma in self.CASES:
+            self._interior(n, gamma)
+        expected = set().union(*(self._table_keys(n, g) for n, g in self.CASES))
+        assert cached.cache_info().currsize == len(tables) == len(expected)
+        for table in tables.values():
+            assert all(not a.flags.writeable for a in table)
+        # interiors already seen add no entry, whatever came in between
+        for n, gamma in reversed(self.CASES):
+            self._interior(n, gamma)
+        assert cached.cache_info().currsize == len(expected)
+
+    def test_sums_from_cached_tables_equal_fresh_ones(self):
+        fresh = {}
+        for n, gamma in self.CASES:
+            scattering._node_powers.cache_clear()
+            p = self._interior(n, gamma)
+            fresh[n, gamma] = (p.u.copy(), p.du.copy(), dict(p.connection))
+        for n, gamma in self.CASES:
+            p = self._interior(n, gamma)
+            u, du, connection = fresh[n, gamma]
+            assert np.array_equal(p.u, u) and np.array_equal(p.du, du)
+            assert dict(p.connection) == connection
+        assert scattering._node_powers.cache_info().hits > 0
+        # and equal to sums that take no table from the cache
+        series = CentreSeries(5, _s_ext(5, 0.3), TAU_MATCH)
+        with_cache = series(scattering._TABLE_TAU)
+        nodes = scattering._TABLE_TAU.copy()
+        nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not a fixed node set any more
+        without = series(nodes)
+        assert np.array_equal(with_cache[0][:-1], without[0][:-1])
+        assert np.array_equal(with_cache[1][:-1], without[1][:-1])
+
+
 class TestProfileTable:
     """The profile's table is the centre series at the quadrature's interior nodes."""
 
