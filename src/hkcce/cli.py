@@ -300,18 +300,21 @@ def _residual_case(args) -> dict:
     }
 
 
-def _run_cases(worker, case_args, jobs: int, chunk: int):
+def _run_cases(worker, case_args, jobs: int, group: int):
     """worker over case_args, in order, on `jobs` processes (0: one per CPU).
 
-    The cases go to the workers in runs of `chunk`, and no more workers
-    start than there are runs.  The grids run k fastest, so with
-    chunk = len(k) the cases of one (n, gamma) share a worker, and with it
-    the interior that worker's memo keeps.
+    The grids run k fastest, so runs of `group` = len(k) cases share one
+    (n, gamma), and with it the interior a worker's memo keeps.  The cases
+    go to the workers in chunks of min(group, cases / workers): whole runs
+    while there are at least as many runs as workers, even shares of the
+    cases otherwise.  No more workers start than there are chunks.
     """
     case_args = list(case_args)
     if jobs == 1 or len(case_args) <= 1:
         return [worker(a) for a in case_args]
-    workers = min(jobs if jobs > 0 else (os.cpu_count() or 1), -(-len(case_args) // chunk))
+    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
+    chunk = min(group, -(-len(case_args) // workers))
+    workers = min(workers, -(-len(case_args) // chunk))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, case_args, chunksize=chunk))
 

@@ -347,6 +347,9 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
 # Asymptotic surface/volume ratio
 # ---------------------------------------------------------------------------
 
+_BATCH_NODES = 2 ** 16        # quadrature nodes per array pass of asymptotic_ratio
+
+
 def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     """Surface integral of V/H_r against (n+1)/n times the weighted volume.
 
@@ -362,10 +365,13 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     successive levels agree to 1e-11; for n <= 20 the first pair does.
 
     Every radius is checked before any quadrature (a radius outside
-    (0, 2/sqrt(k)) raises ValueError).  Each refinement level is then one
-    array pass over the radii still refining, (radii x nodes) at a time,
-    and each radius keeps its own dot product of weights and integrand, so
-    its row does not depend on which other radii share the call.
+    (0, 2/sqrt(k)) raises ValueError).  Each refinement level then runs
+    over the radii still refining as (radii x nodes) arrays, in slices of
+    at most _BATCH_NODES nodes (one radius a slice once a radius alone has
+    more), so a temporary holds at most 2^16 doubles or one radius's
+    nodes, whatever n and however many radii.  Each radius keeps its own dot product of weights and
+    integrand, so its row does not depend on which other radii share the
+    call.
     """
     m = ModelSpace(n, k)
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
@@ -375,10 +381,15 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     surface = m.df_tau(tau_r) / h_r
 
     def vol_quad(rows, panels):
-        edges = np.linspace(0.0, tau_r[rows], panels + 1, axis=-1)
-        tn, tw = _gl_nodes(edges[:, :-1], edges[:, 1:])
-        g = m.df_tau(tn) * (m.f_tau(tn) / f_r[rows, None]) ** n
-        return np.array([np.dot(w, v) for w, v in zip(tw, g)])
+        out = np.empty(len(rows))
+        step = max(1, _BATCH_NODES // (panels * len(_gl_rule()[0])))
+        for i in range(0, len(rows), step):
+            part = rows[i:i + step]
+            edges = np.linspace(0.0, tau_r[part], panels + 1, axis=-1)
+            tn, tw = _gl_nodes(edges[:, :-1], edges[:, 1:])
+            g = m.df_tau(tn) * (m.f_tau(tn) / f_r[part, None]) ** n
+            out[i:i + step] = [np.dot(w, v) for w, v in zip(tw, g)]
+        return out
 
     refining = np.arange(len(r))
     panels = 18

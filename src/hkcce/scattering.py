@@ -139,7 +139,7 @@ def _fixed_nodes():
             _read_only(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD)))
 
 
-_TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
+_FIXED_NODES = _TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +278,19 @@ def _block_powers(x_ext: np.ndarray, B: int, dtype):
 
 
 @functools.lru_cache(maxsize=128)
-def _node_powers(hi: bytes, lo: bytes, B: int, dtype) -> tuple:
-    """`_block_powers` at x = hi + lo, once per process and read-only.
+def _node_powers(which: int, g: int, B: int) -> tuple:
+    """`_block_powers` at group g of the fixed node set `which` (0: the
+    profile table's nodes, in double; 1: the connection points, in long
+    double), once per process and read-only.
 
-    Only the fixed nodes come here.  hi and lo are the float64 bytes of the
-    double-double split of the extended x, which is exact, so equal x give
-    equal keys: the bytes of an np.longdouble array itself include its
-    uninitialised padding and would not.  The interiors over n 3..200 and
-    37 gammas in [0.05, 0.95] read 41 tables, 0.24 MB in all.
+    The node sets are fixed, so (which, g, B) is an exact key.  The
+    interiors over n 3..200 and 37 gammas in [0.05, 0.95] read 41 tables,
+    0.24 MB in all.
     """
-    x_ext = np.frombuffer(hi).astype(_LD) + np.frombuffer(lo).astype(_LD)
-    return tuple(_read_only(a) for a in _block_powers(x_ext, B, dtype))
+    nodes = _FIXED_NODES[which]
+    x_ext = np.tanh(nodes.astype(_LD)) ** 2
+    x = x_ext[np.searchsorted(_X_GROUPS, x_ext.astype(float)) == g]
+    return tuple(_read_only(a) for a in _block_powers(x, B, nodes.dtype))
 
 
 def _terms_estimate(eps: float, x: float) -> int:
@@ -380,8 +382,8 @@ class CentreSeries:
             tau = tau.astype(float)
         t, dt, terms = self._series[tau.dtype]
         x_ext = np.tanh(tau.astype(_LD)) ** 2
-        fixed = any(tau.dtype == nodes.dtype and np.array_equal(tau, nodes)
-                    for nodes in (_TABLE_TAU, _CONNECTION_TAU))
+        fixed = next((i for i, nodes in enumerate(_FIXED_NODES)
+                      if tau.dtype == nodes.dtype and np.array_equal(tau, nodes)), None)
         sums = np.empty((2, len(tau)), dtype=tau.dtype)
         group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
         for g in np.unique(group):
@@ -392,13 +394,10 @@ class CentreSeries:
             coef = np.zeros((2, Q * B), dtype=tau.dtype)
             coef[0, :J] = t[:J]
             coef[1, :J] = dt[:J]
-            x = x_ext[at]
-            if fixed:
-                hi = x.astype(float)
-                low, high = _node_powers(hi.tobytes(), (x - hi).astype(float).tobytes(),
-                                         B, tau.dtype)
+            if fixed is None:
+                low, high = _block_powers(x_ext[at], B, tau.dtype)   # x^r, x^{Bq}
             else:
-                low, high = _block_powers(x, B, tau.dtype)       # x^r, x^{Bq}
+                low, high = _node_powers(fixed, int(g), B)
             blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
             sums[:, at] = np.einsum("pkq,pq->kp", blocks, high[:, :Q])
         s = tau.dtype.type(self.s)

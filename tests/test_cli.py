@@ -183,16 +183,14 @@ class TestCommands:
         for name in (f"tables/{command}.csv", f"reports/{command}.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
-    @pytest.mark.parametrize("command", ["sweep", "qcurv", "residuals"])
-    def test_pool_chunks_keep_each_n_gamma_on_one_worker(self, tmp_path, monkeypatch,
-                                                         command):
-        # the k of one (n, gamma) share its interior, which a worker's memo
-        # keeps only while they arrive together
-        chunks, workers = [], []
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Record the pool's worker count and chunks; run the cases in process."""
+        seen = {"workers": [], "chunks": []}
 
         class InProcess:
             def __init__(self, max_workers):
-                workers.append(max_workers)
+                seen["workers"].append(max_workers)
 
             def __enter__(self):
                 return self
@@ -202,30 +200,37 @@ class TestCommands:
 
             def map(self, fn, args, chunksize=1):
                 args = list(args)
-                chunks.extend(args[i:i + chunksize] for i in range(0, len(args), chunksize))
+                seen["chunks"].extend(args[i:i + chunksize]
+                                      for i in range(0, len(args), chunksize))
                 return map(fn, args)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcess)
+        return seen
+
+    @pytest.mark.parametrize("command", ["sweep", "qcurv", "residuals"])
+    def test_pool_chunks_keep_each_n_gamma_on_one_worker(self, tmp_path, pool, command):
+        # the k of one (n, gamma) share its interior, which a worker's memo
+        # keeps only while they arrive together
         assert main([command, "--n", "4,5", "--gamma", "0.25,0.5", "--k", "0.5,1,2",
                      "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
         groups = [{tuple(a[:3] if command == "residuals" else a[:2]) for a in c}
-                  for c in chunks]
+                  for c in pool["chunks"]]
         assert all(len(g) == 1 for g in groups)
         assert len(groups) == len({g.pop() for g in groups})      # no group split
-        assert workers == [2]
+        assert pool["workers"] == [2]
 
-    def test_no_more_workers_than_chunks(self, tmp_path, monkeypatch):
-        workers = []
-
-        class InProcess(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InProcess)
-        assert main(["qcurv", "--n", "4", "--gamma", "0.5", "--k", "0.5,1,2",
+    @pytest.mark.parametrize("cpus, k, chunks, workers", [
+        (4, "0.5,1,1.5,2,2.5,3", [2, 2, 2], 3),      # one group split evenly
+        (2, "0.5,1,1.5,2,2.5,3", [3, 3], 2),
+        (8, "0.5,1,2", [1, 1, 1], 3),                # never more workers than cases
+    ])
+    def test_one_n_gamma_is_shared_out_over_the_workers(self, tmp_path, monkeypatch, pool,
+                                                        cpus, k, chunks, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["qcurv", "--n", "4", "--gamma", "0.5", "--k", k,
                      "--jobs", "0", "--out", str(tmp_path / "o")]) == 0
-        assert workers == [1]
+        assert [len(c) for c in pool["chunks"]] == chunks
+        assert pool["workers"] == [workers]
 
     def test_failing_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
         # an inconclusive report is a failing verdict

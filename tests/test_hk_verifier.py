@@ -415,6 +415,26 @@ class TestBatchedAsymptoticRatio:
             mixed = r_values[[19, 0, 7, 3]]
             assert asymptotic_ratio(n, k, mixed) == per_radius_ratio(n, k, mixed)[0]
 
+    @pytest.mark.parametrize("batch", [1, 1200, 5000])
+    def test_slices_keep_rows_and_bound_the_arrays(self, monkeypatch, batch):
+        # one radius a slice (1), several up to 18 panels (1200), or
+        # several up to 72 panels (5000): the rows stay the same, and no
+        # pass holds more than the cap or one radius's nodes
+        sizes = []
+        real = hk_verifier._gl_nodes
+
+        def spy(a, b):
+            nodes, weights = real(a, b)
+            sizes.append(nodes.shape)
+            return nodes, weights
+
+        monkeypatch.setattr(hk_verifier, "_BATCH_NODES", batch)
+        monkeypatch.setattr(hk_verifier, "_gl_nodes", spy)
+        r_values = 0.5 * np.logspace(-3, 0, 20)
+        assert asymptotic_ratio(440, 1.0, r_values) == per_radius_ratio(440, 1.0, r_values)[0]
+        assert max(rows for rows, _ in sizes) > (batch > 1)
+        assert all(rows == 1 or rows * nodes <= batch for rows, nodes in sizes)
+
     def test_no_radii_no_rows(self):
         assert asymptotic_ratio(5, 1.0, []) == []
 
