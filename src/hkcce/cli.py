@@ -127,17 +127,39 @@ def _string(v) -> bool:
     return isinstance(v, str)
 
 
+def _number_list(cast):
+    """Read a number list from a flag or config string ('4,5,6', '5..12'),
+    a config list, or one config number."""
+    def read(value):
+        if isinstance(value, str):
+            return _parse_number_list(value, cast)
+        return [cast(x) for x in (value if isinstance(value, list) else [value])]
+    return read
+
+
+def _emit_formats(value) -> set:
+    """The formats named by a comma string or a list of such strings."""
+    text = ",".join(value) if isinstance(value, list) else value
+    formats = {e.strip() for e in text.split(",") if e.strip()}
+    bad = formats - {"csv", "json"}
+    if bad:
+        raise ValueError(f"unknown emit formats: {sorted(bad)}")
+    return formats
+
+
 # What a config file may give for each key: (description, the tests one value
-# may pass, whether a list of such values is allowed).  Strings go through the
-# same casts as the flags; any other type would fail deep inside a cast.
+# may pass, whether a list of such values is allowed, how a flag or config
+# value is read).  Strings go through the same casts as the flags; any other
+# type would fail deep inside a cast.  Keys are read in this order, so a bad
+# emit list is named before a bad number.
 _CONFIG_KEYS = {
-    "n": ("an integer or string", (_integer, _string), True),
-    "gamma": ("a number or string", (_number, _string), True),
-    "k": ("a number or string", (_number, _string), True),
-    "quad_tol": ("a number or string", (_number, _string), False),
-    "jobs": ("an integer or string", (_integer, _string), False),
-    "out": ("a string", (_string,), False),
-    "emit": ("a string", (_string,), True),
+    "emit": ("a string", (_string,), True, _emit_formats),
+    "out": ("a string", (_string,), False, str),
+    "n": ("an integer or string", (_integer, _string), True, _number_list(int)),
+    "gamma": ("a number or string", (_number, _string), True, _number_list(float)),
+    "k": ("a number or string", (_number, _string), True, _number_list(float)),
+    "quad_tol": ("a number or string", (_number, _string), False, float),
+    "jobs": ("an integer or string", (_integer, _string), False, int),
 }
 
 
@@ -146,7 +168,7 @@ def _check_config_types(file_cfg: dict, path: str):
     for key, value in file_cfg.items():
         if key not in _CONFIG_KEYS:
             continue
-        what, tests, listable = _CONFIG_KEYS[key]
+        what, tests, listable, _ = _CONFIG_KEYS[key]
         items = value if listable and isinstance(value, list) else [value]
         if not all(any(test(v) for test in tests) for v in items):
             kind = f"{what}, or a list of those" if listable else what
@@ -193,44 +215,22 @@ def parse_config(argv) -> RunConfig:
             raise ValueError(f"config file {ns.config} must hold a JSON object")
         _check_config_types(file_cfg, ns.config)
 
-    def pick(flag, key, default):
+    def lookup(key):
+        """The flag, then $HKCCE_OUT (for out only), then the config file;
+        None leaves RunConfig's default."""
+        flag = getattr(ns, key)
         if flag is not None:
             return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
+        if key == "out" and "HKCCE_OUT" in os.environ:
+            return os.environ["HKCCE_OUT"]
+        return file_cfg.get(key)
 
-    def pick_list(flag_text, key, default, cast):
-        if flag_text is not None:
-            return _parse_number_list(flag_text, cast)
-        if key in file_cfg:
-            v = file_cfg[key]
-            if isinstance(v, str):
-                return _parse_number_list(v, cast)
-            return [cast(x) for x in (v if isinstance(v, list) else [v])]
-        return default
-
-    emit = pick(ns.emit, "emit", "csv,json")
-    if isinstance(emit, list):
-        emit = ",".join(emit)
-    emit_set = {e.strip() for e in emit.split(",") if e.strip()}
-    bad = emit_set - {"csv", "json"}
-    if bad:
-        raise ValueError(f"unknown emit formats: {sorted(bad)}")
-    out = ns.out if ns.out is not None else os.environ.get(
-        "HKCCE_OUT", file_cfg.get("out", "out"))
-    cfg = RunConfig(
-        command=ns.command,
-        verify_target=getattr(ns, "target", None),
-        n=[int(x) for x in pick_list(ns.n, "n", [4], int)],
-        gamma=[float(x) for x in pick_list(ns.gamma, "gamma", [0.5], float)],
-        k=[float(x) for x in pick_list(ns.k, "k", [1.0], float)],
-        quad_tol=float(pick(ns.quad_tol, "quad_tol", 1e-6)),
-        out=str(out),
-        emit_csv="csv" in emit_set,
-        emit_json="json" in emit_set,
-        jobs=int(pick(ns.jobs, "jobs", 0)),
-    )
+    given = {key: read(value) for key, (*_, read) in _CONFIG_KEYS.items()
+             if (value := lookup(key)) is not None}
+    if "emit" in given:
+        emit = given.pop("emit")
+        given.update(emit_csv="csv" in emit, emit_json="json" in emit)
+    cfg = RunConfig(command=ns.command, verify_target=getattr(ns, "target", None), **given)
     return cfg.validate()
 
 

@@ -333,11 +333,14 @@ class ResidualProfile:
         self.sup_weighted = float(np.max(self.weighted)) if len(self.weighted) else 0.0
 
 
-def _window_taus(g: CompactifiedGeometry, points: int = 200) -> np.ndarray:
+_WINDOW_POINTS = 200   # log-spaced radii of the residual window
+
+
+def _window_taus(g: CompactifiedGeometry) -> np.ndarray:
     """Interior window r in [0.05, 0.9 r_center], log spaced, as tau values."""
     r_hi = 0.9 * g.base.r_center
     r_lo = 0.05
-    rs = np.geomspace(r_lo, r_hi, points)
+    rs = np.geomspace(r_lo, r_hi, _WINDOW_POINTS)
     return np.sort(np.asarray(g.base.tau_of_r(rs)))
 
 
@@ -347,7 +350,7 @@ def _warped_laplacian(st: GeometryState, n: int, h1: np.ndarray,
     return (h2 + (n * (st.w + st.coth) - st.w) * h1) / st.rho ** 2
 
 
-def residual_suite(g: CompactifiedGeometry, points: int = 200) -> dict:
+def residual_suite(g: CompactifiedGeometry) -> dict:
     """Pointwise defects of the compactification identities on the window.
 
     adapted:  res_rho   Lap rho + s rho^{2g-1} T
@@ -358,7 +361,7 @@ def residual_suite(g: CompactifiedGeometry, points: int = 200) -> dict:
     both:     jbar_crosscheck   Jbar formula vs the doubly-warped scalar
                                 curvature of alpha^2 dt^2 + b^2 ghat
     """
-    taus = _window_taus(g, points)
+    taus = _window_taus(g)
     st = g.state(taus)
     n = g.base.n
     out: dict[str, ResidualProfile] = {}

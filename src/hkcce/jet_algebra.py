@@ -10,16 +10,18 @@ boundary scalars
     LapJ  the boundary Laplacian of J
 
 with exact rational coefficients once the boundary dimension n is fixed.
-`Poly` is a sparse multivariate polynomial over these symbols, `Jet` a
-truncated even power series in the defining function r with Poly coefficients,
-and `IntegralClass` the result of integrating a Poly over the closed boundary
-(the Laplacian term drops, A2 splits into E2/(n-2)^2 + J^2/n, and the
+`Poly` is a sparse multivariate polynomial over these symbols, `Jet` an even
+power series in the defining function r with Poly coefficients, truncated at
+r^4, and `IntegralClass` the result of integrating a Poly over the closed
+boundary (the Laplacian term drops, A2 splits into E2/(n-2)^2 + J^2/n, and the
 surviving channels are Vol, int J, int J^2, int E2).
 
-`verify_prop21` re-derives the full r^4 coefficient chain of the asymptotic
-Heintze-Karcher ratio (surface integral of V/H over boundary level sets
-against the enclosed weighted volume) and certifies, in exact arithmetic, that
-the r^2 terms cancel and the r^4 defect is (1/(n(n-2)^3)) int |E|^2 / Vol.
+`expand_normal_form` gives the volume-element, mean-curvature and
+eigenfunction jets in closed form.  `verify_prop21` builds from them the full
+r^4 coefficient chain of the asymptotic Heintze-Karcher ratio (surface
+integral of V/H over boundary level sets against the enclosed weighted
+volume) and certifies, in exact arithmetic, that the r^2 terms cancel and the
+r^4 defect is (1/(n(n-2)^3)) int |E|^2 / Vol.
 """
 
 from __future__ import annotations
@@ -121,17 +123,6 @@ class Poly:
     def coefficient(self, mono: tuple) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def subs_floats(self, values: Mapping[str, float]) -> float:
-        """Numeric evaluation, used to compare against model closed forms."""
-        total = 0.0
-        for mono, c in self.terms.items():
-            x = float(c)
-            for name, e in zip(SYMBOLS, mono):
-                if e:
-                    x *= values[name] ** e
-            total += x
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -150,222 +141,61 @@ class Poly:
 class Jet:
     """Even truncated series  c0 + c2 r^2 + c4 r^4  with Poly coefficients."""
 
-    __slots__ = ("n", "coeffs", "order")
+    __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: list, order: int = JET_ORDER):
-        if order % 2 or order > 8:
-            raise ValueError("jet order must be even and <= 8")
-        want = order // 2 + 1
-        if len(coeffs) != want:
-            raise ValueError(f"need {want} coefficients for order {order}")
+    def __init__(self, n: int, coeffs: list):
+        if len(coeffs) != JET_ORDER // 2 + 1:
+            raise ValueError(f"need {JET_ORDER // 2 + 1} coefficients for order {JET_ORDER}")
         self.n = n
-        self.order = order
         self.coeffs = [c if isinstance(c, Poly) else Poly.constant(n, c) for c in coeffs]
 
-    @classmethod
-    def zero(cls, n: int, order: int = JET_ORDER) -> "Jet":
-        return cls(n, [Poly(n)] * (order // 2 + 1), order)
-
-    @classmethod
-    def one(cls, n: int, order: int = JET_ORDER) -> "Jet":
-        coeffs = [Poly.constant(n, 1)] + [Poly(n)] * (order // 2)
-        return cls(n, coeffs, order)
-
-    def _common(self, other: "Jet") -> int:
+    def _check(self, other: "Jet"):
         if self.n != other.n:
             raise ValueError("mixed rings")
-        return min(self.order, other.order)
 
     def __add__(self, other: "Jet") -> "Jet":
-        order = self._common(other)
-        m = order // 2 + 1
-        return Jet(self.n, [self.coeffs[i] + other.coeffs[i] for i in range(m)], order)
+        self._check(other)
+        return Jet(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + other.scale(-1)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        order = self._common(other)
-        m = order // 2 + 1
+        self._check(other)
+        m = len(self.coeffs)
         out = [Poly(self.n) for _ in range(m)]
-        for i, a in enumerate(self.coeffs[:m]):
+        for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs[:m]):
-                if i + j < m:
-                    out[i + j] = out[i + j] + a * b
-        return Jet(self.n, out, order)
+            for j, b in enumerate(other.coeffs[:m - i]):
+                out[i + j] = out[i + j] + a * b
+        return Jet(self.n, out)
 
     def scale(self, c) -> "Jet":
-        return Jet(self.n, [p.scale(c) for p in self.coeffs], self.order)
+        return Jet(self.n, [p.scale(c) for p in self.coeffs])
 
     def invert(self) -> "Jet":
         """Reciprocal series; requires leading coefficient exactly 1."""
         if self.coeffs[0] != Poly.constant(self.n, 1):
             raise ValueError("invert requires unit leading coefficient")
-        m = self.order // 2 + 1
-        inv = [Poly.constant(self.n, 1)] + [Poly(self.n)] * (m - 1)
-        for i in range(1, m):
+        inv = [Poly.constant(self.n, 1)]
+        for i in range(1, len(self.coeffs)):
             acc = Poly(self.n)
             for j in range(1, i + 1):
                 acc = acc + self.coeffs[j] * inv[i - j]
-            inv[i] = acc.scale(-1)
-        return Jet(self.n, inv, self.order)
-
-    def exp_nilpotent(self) -> "Jet":
-        """exp of a jet with zero constant term."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("exp_nilpotent requires vanishing constant term")
-        m = self.order // 2 + 1
-        out = Jet.one(self.n, self.order)
-        power = Jet.one(self.n, self.order)
-        fact = 1
-        for i in range(1, m):
-            power = power * self
-            fact *= i
-            out = out + power.scale(Fraction(1, fact))
-        return out
+            inv.append(acc.scale(-1))
+        return Jet(self.n, inv)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Jet)
-            and self.n == other.n
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Jet) and self.n == other.n and self.coeffs == other.coeffs
 
     def coefficient(self, r_power: int) -> Poly:
-        if r_power % 2 or r_power > self.order:
-            raise ValueError(f"no r^{r_power} coefficient at order {self.order}")
+        if r_power % 2 or not 0 <= r_power <= JET_ORDER:
+            raise ValueError(f"no r^{r_power} coefficient at order {JET_ORDER}")
         return self.coeffs[r_power // 2]
-
-    def eval_floats(self, r: float, values: Mapping[str, float]) -> float:
-        return sum(p.subs_floats(values) * r ** (2 * i) for i, p in enumerate(self.coeffs))
 
     def __repr__(self):
         return " + ".join(f"({p}) r^{2 * i}" for i, p in enumerate(self.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Trace-level matrix series.  Metric coefficients in the normal form are
-# polynomials in the Schouten endomorphism A (powers 0..2 suffice at order
-# r^4) plus the r^4 tensor g4 of which only the trace A2/4 is used.  That is
-# all the structure needed to run the "trace of a matrix series" route for the
-# determinant and mean-curvature expansions.
-# ---------------------------------------------------------------------------
-
-_G4KEY = "g4"
-
-
-class MatJet:
-    """Even series of symbolic endomorphisms spanned by {I, A, A^2, g4}."""
-
-    def __init__(self, n: int, coeffs: list[dict], order: int = JET_ORDER):
-        self.n = n
-        self.order = order
-        self.coeffs = [dict(c) for c in coeffs]
-        while len(self.coeffs) < order // 2 + 1:
-            self.coeffs.append({})
-
-    @classmethod
-    def identity(cls, n: int) -> "MatJet":
-        return cls(n, [{0: Poly.constant(n, 1)}])
-
-    def __add__(self, other: "MatJet") -> "MatJet":
-        m = min(self.order, other.order) // 2 + 1
-        out = []
-        for i in range(m):
-            d = dict(self.coeffs[i])
-            for key, p in other.coeffs[i].items():
-                d[key] = d.get(key, Poly(self.n)) + p
-            out.append(d)
-        return MatJet(self.n, out, min(self.order, other.order))
-
-    def __mul__(self, other: "MatJet") -> "MatJet":
-        m = min(self.order, other.order) // 2 + 1
-        out = [dict() for _ in range(m)]
-        for i, d1 in enumerate(self.coeffs):
-            for j, d2 in enumerate(other.coeffs):
-                if i + j >= m:
-                    continue
-                for k1, p1 in d1.items():
-                    for k2, p2 in d2.items():
-                        key = self._mul_keys(k1, k2)
-                        out[i + j][key] = out[i + j].get(key, Poly(self.n)) + p1 * p2
-        return MatJet(self.n, out, 2 * (m - 1))
-
-    @staticmethod
-    def _mul_keys(k1, k2):
-        if k1 == _G4KEY or k2 == _G4KEY:
-            # g4 enters at r^4; any nontrivial product exceeds the truncation
-            other = k2 if k1 == _G4KEY else k1
-            if other != 0:
-                raise ValueError("g4 products exceed the r^4 truncation")
-            return _G4KEY
-        p = k1 + k2
-        if p > 2:
-            raise ValueError("A^p with p > 2 has no trace rule at this order")
-        return p
-
-    def scale(self, c) -> "MatJet":
-        return MatJet(
-            self.n, [{k: p.scale(c) for k, p in d.items()} for d in self.coeffs], self.order
-        )
-
-    def truncate(self, order: int) -> "MatJet":
-        return MatJet(self.n, self.coeffs[: order // 2 + 1], order)
-
-    def neg(self) -> "MatJet":
-        return self.scale(-1)
-
-    def trace(self) -> Jet:
-        """Apply tr I = n, tr A = J, tr A^2 = A2, tr g4 = A2/4."""
-        n = self.n
-        rules = {
-            0: Poly.constant(n, n),
-            1: Poly.symbol(n, "J"),
-            2: Poly.symbol(n, "A2"),
-            _G4KEY: Poly.symbol(n, "A2").scale(Fraction(1, 4)),
-        }
-        out = []
-        for d in self.coeffs:
-            acc = Poly(n)
-            for key, p in d.items():
-                acc = acc + p * rules[key]
-            out.append(acc)
-        return Jet(n, out, self.order)
-
-
-def _metric_deviation(n: int) -> MatJet:
-    """A(r) with g_r = g0 (I + A(r)): r^2 (-A) + r^4 g4."""
-    return MatJet(n, [{}, {1: Poly.constant(n, -1)}, {_G4KEY: Poly.constant(n, 1)}])
-
-
-def det_via_trace_log(n: int) -> Jet:
-    """sqrt(det g_r / det g0) as exp((1/2) tr log(I + A)) by jet arithmetic."""
-    a = _metric_deviation(n)
-    # tr log(I+A) = tr A - tr(A^2)/2  (A^3 exceeds order 4)
-    trlog = a.trace() - (a * a).trace().scale(Fraction(1, 2))
-    return trlog.scale(Fraction(1, 2)).exp_nilpotent()
-
-
-def mean_curvature_via_trace(n: int) -> Jet:
-    """H_r = n - (r/2) tr(g_r^{-1} d_r g_r) from the inverse-series route.
-
-    d_r g_r = r (2 M2 + 4 r^2 M4) is odd; the returned jet is the even series
-    n - (r^2/2) tr(g_r^{-1} (2 M2 + 4 r^2 M4)).
-    """
-    a = _metric_deviation(n)
-    # (I + A)^{-1} = I - A + A^2 at this order
-    inv = MatJet.identity(n) + a.neg() + (a * a)
-    # E(r) with d_r g_r * g0^{-1} = r E(r): coefficients 2 M2 + 4 r^2 M4.
-    # H needs tr(inv * E) only through r^2 (the r^2 factor in front shifts it
-    # to r^4); truncating first also keeps products inside the trace rules.
-    e = MatJet(n, [{1: Poly.constant(n, -2)}, {_G4KEY: Poly.constant(n, 4)}], order=2)
-    tr = (inv.truncate(2) * e).trace()
-    return Jet(n, [Poly.constant(n, n),
-                   tr.coeffs[0].scale(Fraction(-1, 2)),
-                   tr.coeffs[1].scale(Fraction(-1, 2))])
 
 
 def expand_normal_form(n: int) -> dict:
@@ -376,9 +206,11 @@ def expand_normal_form(n: int) -> dict:
     v_jet    r V = 1 + (J/2n) r^2 + v4 r^4 with
              v4 = (LapJ - J^2 + n A2) / (8n(n-2))
 
-    Inputs are the trace data tr g2 = -J, tr(g2 g2) = A2 and tr g4 = A2/4;
-    the direct formulas are cross-checked in exact arithmetic against the
-    exp-trace-log and inverse-series routes before returning.
+    With g_r = g0 (I - A r^2 + g4 r^4) in the normal form, these are the
+    closed forms of sqrt(det) and of n - (r/2) tr(g_r^{-1} d_r g_r) on the
+    trace data tr A = J, tr A^2 = A2 and tr g4 = A2/4.
+    `tests/test_jet_algebra.py` checks det_jet and h_jet against the
+    determinant of explicit matrices with that trace data.
     """
     if n < 5:
         raise ValueError("expansion requires n >= 5 (the (n+1)/(n-3) weight)")
@@ -391,11 +223,6 @@ def expand_normal_form(n: int) -> dict:
     h_jet = Jet(n, [Poly.constant(n, n), J, A2.scale(Fraction(1, 2))])
     v4 = (LapJ - J * J + A2.scale(n)).scale(Fraction(1, 8 * n * (n - 2)))
     v_jet = Jet(n, [Poly.constant(n, 1), J.scale(Fraction(1, 2 * n)), v4])
-
-    if det_jet != det_via_trace_log(n):
-        raise AssertionError("determinant jet disagrees with exp-trace-log route")
-    if h_jet != mean_curvature_via_trace(n):
-        raise AssertionError("mean-curvature jet disagrees with trace route")
     return {"det_jet": det_jet, "h_jet": h_jet, "v_jet": v_jet}
 
 

@@ -306,7 +306,7 @@ class CentreSeries:
     coefficients t_j and t_j (s+2j)/(n+1+2j) are then computed in
     np.longdouble up to the long-double count only, and kept in long double
     and in double, each up to the order that sums the series to that
-    precision at tau_max; `drop_extended` frees the long-double ones once no
+    precision at TAU_MATCH; `drop_extended` frees the long-double ones once no
     more long-double sums are needed.
     A call sums, in the dtype of its argument, its
     points in groups of similar x, each with the terms the group's upper
@@ -319,9 +319,9 @@ class CentreSeries:
     double), where they are read from `_node_powers`.
     """
 
-    def __init__(self, n: int, s: float, tau_max: float):
+    def __init__(self, n: int, s: float):
         self.n, self.s = n, s
-        bounds = _X_GROUPS + (float(np.tanh(_LD(tau_max)) ** 2),)
+        bounds = _X_GROUPS + (float(np.tanh(_LD(TAU_MATCH)) ** 2),)
         eps = (float(np.finfo(_LD).eps), _EPS)
         size = _terms_estimate(eps[0], bounds[-1])
         while True:
@@ -440,7 +440,7 @@ class RadialProfile:
 
 @functools.lru_cache(maxsize=1)
 def _interior(n: int, gamma: float) -> RadialProfile:
-    values = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
+    values = CentreSeries(n, _s_ext(n, gamma))
     u, du = values(_TABLE_TAU)
     u_c, du_c = values(_CONNECTION_TAU)
     values.drop_extended()

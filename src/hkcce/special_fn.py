@@ -146,11 +146,6 @@ class QCurvParams:
         # spectral condition s(n-s) = n^2/4 - gamma^2 < n^2/4 holds for real gamma
         assert self.s * (self.n - self.s) < self.n ** 2 / 4.0
 
-    @property
-    def lam(self) -> float:
-        """Eigenvalue factor s(n-s)."""
-        return self.s * (self.n - self.s)
-
 
 def sphere_volume(n: int) -> float:
     """Volume of the unit n-sphere, 2 pi^h / Gamma(h) with h = (n+1)/2.

@@ -1,4 +1,4 @@
-"""Shared fixtures: session-level caches so the ODE pipeline runs once per
+"""Shared fixtures: session-level caches so the series solve runs once per
 parameter case across the whole suite."""
 
 import math

@@ -32,7 +32,7 @@ def _report(num: int, text: str):
 
 
 def test_criterion_01_oracle_equivalence(solved):
-    """Q from the ODE pipeline matches the gamma-ratio oracle on 45 cases."""
+    """Q from the series solve matches the gamma-ratio oracle on 45 cases."""
     t0 = time.time()
     worst = 0.0
     for n, g, k in GRID:

@@ -1,20 +1,55 @@
 """Exact-rational jet algebra and the order-r^4 certificate."""
 
 import json
+import random
 from fractions import Fraction as Fr
 
 import pytest
+import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.ring_series import rs_mul, rs_nth_root, rs_series_inversion
+from sympy.polys.rings import ring
 
-from hkcce.jet_algebra import (IntegralClass, Jet, Poly, UnsupportedIntegralError,
-                               boundary_integral, det_via_trace_log,
-                               expand_normal_form,
-                               mean_curvature_via_trace, verify_prop21)
+from hkcce.jet_algebra import (SYMBOLS, IntegralClass, Jet, Poly,
+                               UnsupportedIntegralError, boundary_integral,
+                               expand_normal_form, verify_prop21)
 
 N = 6  # default ring dimension for the structural tests
 
 
 def sym(name, power=1, n=N):
     return Poly.symbol(n, name, power)
+
+
+def at(p, **values):
+    """p at exact values of its symbols (anything Fraction(str(.)) reads)."""
+    total = Fr(0)
+    for mono, c in p.terms.items():
+        for name, e in zip(SYMBOLS, mono):
+            if e:
+                c *= Fr(str(values[name])) ** e
+        total += c
+    return total
+
+
+def normal_form_matrices(n, seed):
+    """Seeded symmetric rational A with one off-diagonal pair, and a symmetric
+    g4 with tr g4 = tr(A^2)/4 that is not A^2/4."""
+    rng = random.Random(seed)
+
+    def q():
+        return sympy.Rational(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+    A = sympy.diag(*[q() for _ in range(n)])
+    i, j = rng.sample(range(n), 2)
+    A[i, j] = A[j, i] = q()
+    shift = sympy.zeros(n, n)          # symmetric, trace-free and nonzero
+    shift[0, 0] = b = q()
+    shift[1, 1] = -b
+    shift[i, j] = shift[j, i] = q()
+    g4 = A ** 2 / 4 + shift
+    assert g4.trace() == (A ** 2).trace() / 4 and g4 != A ** 2 / 4
+    return A, g4
 
 
 class TestJetArithmetic:
@@ -32,7 +67,7 @@ class TestJetArithmetic:
         assert inv.coefficient(2) == sym("J").scale(Fr(-1, N))
         assert inv.coefficient(4) == sym("J", 2).scale(Fr(1, N * N))
         # round trip
-        assert (a * inv) == Jet.one(N)
+        assert (a * inv) == Jet(N, [1, 0, 0])
 
     def test_invert_requires_unit_leading(self):
         with pytest.raises(ValueError):
@@ -62,34 +97,43 @@ class TestExpandNormalForm:
         h = expand_normal_form(5)["h_jet"]
         assert h.coefficient(4) == sym("A2", 1, 5).scale(Fr(1, 2))
 
-    def test_routes_agree_exactly(self):
-        for n in (5, 7, 9):
+    def test_jets_match_determinants_of_explicit_metrics(self):
+        # g_r = I - A t + g4 t^2 with t = r^2: sqrt(det g_r) and, by Jacobi's
+        # formula, H_r = n - t D'/D with D = det g_r, both to t^2, are the
+        # det and h jets at J = tr A, A2 = tr A^2.  The series are truncated
+        # products in sympy's QQ[t], not the jet code.
+        QT, t = ring("t", QQ)
+        symbol = sympy.Symbol("t")
+        for n in (5, 6, 7, 9, 12, 20):
             jets = expand_normal_form(n)
-            assert jets["det_jet"] == det_via_trace_log(n)
-            assert jets["h_jet"] == mean_curvature_via_trace(n)
+            for seed in (1, 2):
+                A, g4 = normal_form_matrices(n, seed)
+                metric = sympy.eye(n) - A * symbol + g4 * symbol ** 2
+                D = QT.from_expr(metric.det(method="berkowitz"))
+                sqrt_det = rs_nth_root(D, 2, t, 3)
+                h = n - t * rs_mul(D.diff(t), rs_series_inversion(D, t, 2), t, 2)
+                values = {"J": A.trace(), "A2": (A ** 2).trace()}
+                for k in range(3):
+                    assert at(jets["det_jet"].coefficient(2 * k), **values) \
+                        == Fr(str(sqrt_det.coeff(t ** k))), (n, seed, k)
+                    assert at(jets["h_jet"].coefficient(2 * k), **values) \
+                        == Fr(str(h.coeff(t ** k))), (n, seed, k)
 
     def test_round_sphere_model_closed_form(self):
         # unit round boundary data of the n=4 model: J=2, A2=1; the det jet
-        # coefficients do not depend on the ring dimension, so evaluate the
-        # n=5 ring jet on these values against (1 - r^2/4)^4 to order r^4
+        # coefficients do not depend on the ring dimension, so the n=5 ring
+        # jet on these values is (1 - r^2/4)^4 = 1 - r^2 + (3/8) r^4 + O(r^6)
         det = expand_normal_form(5)["det_jet"]
-        vals = {"J": 2.0, "A2": 1.0, "E2": 0.0, "LapJ": 0.0}
-        for r in (0.02, 0.05, 0.1):
-            exact = (1 - r * r / 4) ** 4
-            assert abs(det.eval_floats(r, vals) - exact) < 2.0 * r ** 6
-        assert det.eval_floats(0.0, vals) == 1.0
-        # and the explicit polynomial: 1 - r^2 + 0.375 r^4
-        assert det.coefficient(2).subs_floats(vals) == pytest.approx(-1.0)
-        assert det.coefficient(4).subs_floats(vals) == pytest.approx(0.375)
+        assert [at(det.coefficient(2 * k), J=2, A2=1) for k in range(3)] \
+            == [1, -1, Fr(3, 8)]
 
     def test_v4_vanishes_on_round_data(self):
         # J = nk/2, A2 = nk^2/4, LapJ = 0 kills v4 (matching the vanishing
         # r^4 Frobenius coefficient of the exact eigenfunction)
         for n in (5, 6, 8):
             v4 = expand_normal_form(n)["v_jet"].coefficient(4)
-            for k in (0.5, 1.0, 3.0):
-                vals = {"J": n * k / 2, "A2": n * k * k / 4, "E2": 0.0, "LapJ": 0.0}
-                assert v4.subs_floats(vals) == pytest.approx(0.0, abs=1e-15)
+            for k in (Fr(1, 2), Fr(1), Fr(3)):
+                assert at(v4, J=n * k / 2, A2=n * k * k / 4, LapJ=0) == 0
 
     def test_small_n_unsupported(self):
         with pytest.raises(ValueError):

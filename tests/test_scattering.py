@@ -102,9 +102,10 @@ class TestInteriorSolve:
         prof = solve_interior(p)
         tau0 = 1e-3
         u0, du0 = prof.evaluate(tau0)
-        # u ~ 1 - lam tau^2 / (2(n+1))
-        assert u0[0] - 1.0 == pytest.approx(-p.lam * tau0 ** 2 / 10.0, rel=1e-5)
-        assert du0[0] / tau0 == pytest.approx(-p.lam / 5.0, rel=1e-5)
+        # u ~ 1 - lam tau^2 / (2(n+1)) with lam = s(n - s)
+        lam = p.s * (p.n - p.s)
+        assert u0[0] - 1.0 == pytest.approx(-lam * tau0 ** 2 / 10.0, rel=1e-5)
+        assert du0[0] / tau0 == pytest.approx(-lam / 5.0, rel=1e-5)
 
     def test_grid_is_increasing(self):
         prof = solve_interior(QCurvParams(4, 0.25, 1.0))
@@ -133,7 +134,7 @@ class TestCentreSeries:
         cases = [(n, g) for n in [*range(3, 21), 60] for g in (0.05, 0.5, 0.95)]
         for n, gamma in cases:
             s = _s_ext(n, gamma)
-            series = CentreSeries(n, s, TAU_MATCH)
+            series = CentreSeries(n, s)
             terms_ext = series._series[np.dtype(np.longdouble)][2]
             terms = series._series[np.dtype(float)][2]
             j = np.arange(2 * terms_ext[-1], dtype=np.longdouble)
@@ -165,7 +166,7 @@ class TestNodePowers:
     @staticmethod
     def _table_keys(n, gamma):
         """(dtype, group, B) of every table the interior's sums read."""
-        series = CentreSeries(n, _s_ext(n, gamma), TAU_MATCH)
+        series = CentreSeries(n, _s_ext(n, gamma))
         keys = set()
         for nodes in (scattering._TABLE_TAU, scattering._CONNECTION_TAU):
             x = (np.tanh(nodes.astype(np.longdouble)) ** 2).astype(float)
@@ -208,7 +209,7 @@ class TestNodePowers:
             assert dict(p.connection) == connection
         assert scattering._node_powers.cache_info().hits > 0
         # and equal to sums that take no table from the cache
-        series = CentreSeries(5, _s_ext(5, 0.3), TAU_MATCH)
+        series = CentreSeries(5, _s_ext(5, 0.3))
         with_cache = series(scattering._TABLE_TAU)
         nodes = scattering._TABLE_TAU.copy()
         nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not a fixed node set any more
@@ -235,12 +236,12 @@ class TestProfileTable:
         assert np.shares_memory(u, profile.u) and np.shares_memory(du, profile.du)
         assert np.array_equal(u[::-1], profile.u) and np.array_equal(du[::-1], profile.du)
         # the table is what summing the series at the nodes gives, bit for bit
-        u_direct, du_direct = CentreSeries(6, _s_ext(6, 0.3), TAU_MATCH)(nodes)
+        u_direct, du_direct = CentreSeries(6, _s_ext(6, 0.3))(nodes)
         assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
 
     def test_evaluate_elsewhere_sums_the_series(self, solved):
         profile, _ = solved(6, 0.3, 1.0)
-        series = CentreSeries(6, _s_ext(6, 0.3), TAU_MATCH)
+        series = CentreSeries(6, _s_ext(6, 0.3))
         nodes = profile.tau[::-1]
         for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], profile.tau,
                     np.append(nodes, 1.0)):
@@ -413,9 +414,9 @@ class TestMemo:
         built = []
 
         class Counting(scattering.CentreSeries):
-            def __init__(self, n, s, tau_max):
+            def __init__(self, n, s):
                 built.append((n, s))
-                super().__init__(n, s, tau_max)
+                super().__init__(n, s)
 
         monkeypatch.setattr(scattering, "CentreSeries", Counting)
         rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",

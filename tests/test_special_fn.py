@@ -116,7 +116,6 @@ class TestParams:
     def test_derived_fields(self):
         p = QCurvParams(4, 0.5, 1.0)
         assert p.s == 2.5
-        assert p.lam == pytest.approx(3.75)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, gamma=0.5, k=1.0),
