@@ -216,17 +216,23 @@ def parse_config(argv) -> RunConfig:
         _check_config_types(file_cfg, ns.config)
 
     def lookup(key):
-        """The flag, then $HKCCE_OUT (for out only), then the config file;
-        None leaves RunConfig's default."""
+        """(source, value): the flag, then $HKCCE_OUT (for out only), then
+        the config file; a None value leaves RunConfig's default."""
         flag = getattr(ns, key)
         if flag is not None:
-            return flag
+            return f"--{key.replace('_', '-')}", flag
         if key == "out" and "HKCCE_OUT" in os.environ:
-            return os.environ["HKCCE_OUT"]
-        return file_cfg.get(key)
+            return "$HKCCE_OUT", os.environ["HKCCE_OUT"]
+        return f"config file {ns.config}: {key!r}", file_cfg.get(key)
 
-    given = {key: read(value) for key, (*_, read) in _CONFIG_KEYS.items()
-             if (value := lookup(key)) is not None}
+    given = {}
+    for key, (*_, read) in _CONFIG_KEYS.items():
+        source, value = lookup(key)
+        if value is not None:
+            try:
+                given[key] = read(value)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from exc
     if "emit" in given:
         emit = given.pop("emit")
         given.update(emit_csv="csv" in emit, emit_json="json" in emit)

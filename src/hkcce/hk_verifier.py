@@ -13,7 +13,10 @@ whose nodes up to the connection point are also the interior profile's
 table, so the centre series is never re-summed for an integral.  The
 integrands are written in scale-safe form (rho^{2 gamma} (rho phi/r)^n
 rather than rho^{2 gamma - 1} rho^{n+1} f^n), so every node, out to
-tau = 400 (r ~ 1e-174 at k = 1), is finite.
+tau = 400 (r ~ 1e-174 at k = 1), is finite.  The volume integral of the
+asymptotic surface/volume ratio is summed on the same rule, after a
+substitution that maps (0, tau_r) onto (0, inf); it is the package's only
+quadrature rule, and `_levels` its only level sum.
 
 Verdicts: `equality` when |lhs - rhs| <= 10 tol |lhs|, `strict` when the
 gap of an inequality additionally exceeds 1e-3 |lhs| (the observed gaps for
@@ -34,7 +37,7 @@ import numpy as np
 
 from .compactification import CompactifiedGeometry, build_adapted, build_lee
 from .model_geometry import ModelSpace, mean_curvature_exact
-from .scattering import DE_STEP, de_lattice, solve_case
+from .scattering import de_lattice, solve_case
 from .special_fn import QCurvParams, d_gamma, hk_constant, sphere_volume
 
 _EPS = 2.220446049250313e-16
@@ -49,25 +52,11 @@ _TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of the int
 # Radial integration
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _gl_rule():
-    """32-point Gauss-Legendre rule on [-1, 1], built on first use only."""
-    return np.polynomial.legendre.leggauss(32)
-
-
-def _gl_nodes(a: np.ndarray, b: np.ndarray):
-    """Gauss-Legendre nodes/weights for intervals [a, b] along the last axis.
-
-    a and b are (rows x panels); each row's nodes and weights come out
-    flattened, panel by panel, as one (rows x 32 panels) array each.
-    """
-    x, w = _gl_rule()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = mid[..., None] + half[..., None] * x
-    weights = half[..., None] * w
-    shape = (a.shape[0], a.shape[1] * len(x))
-    return nodes.reshape(shape), weights.reshape(shape)
+def _levels(g: np.ndarray, weights: np.ndarray, coarse: np.ndarray):
+    """Trapezoidal sums at steps h and h/2 of one `de_lattice` integral,
+    from the integrand values g at its nodes."""
+    g = g * weights
+    return 2.0 * float(g[coarse].sum()), float(g.sum())
 
 
 class RadialIntegrator:
@@ -85,15 +74,12 @@ class RadialIntegrator:
         self.geom = geom
         e = geom.e
         rate = min(e, 2.0 - e, 1.0) if geom.kind == "adapted" else 1.0
-        i, t, z, tau = de_lattice(_TAIL_E_FOLDS / rate)
-        self.coarse = i % 2 == 0
-        self.weights = 0.5 * DE_STEP * math.pi * np.cosh(t) / (1.0 + np.exp(-z))  # h/2 dtau/dt
+        tau, self.weights, self.coarse = de_lattice(_TAIL_E_FOLDS / rate)
         self.state = geom.state(tau)
 
     def levels(self, g_fn):
         """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""
-        g = g_fn(self.state) * self.weights
-        return 2.0 * float(np.sum(g[self.coarse])), float(np.sum(g))
+        return _levels(g_fn(self.state), self.weights, self.coarse)
 
     def integrate(self, g_fn):
         """(value, err_est) of Vol-normalised int_0^inf G dtau.
@@ -347,9 +333,6 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
 # Asymptotic surface/volume ratio
 # ---------------------------------------------------------------------------
 
-_BATCH_NODES = 2 ** 16        # quadrature nodes per array pass of asymptotic_ratio
-
-
 def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     """Surface integral of V/H_r against (n+1)/n times the weighted volume.
 
@@ -359,19 +342,17 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     models (the r^4 defect coefficient is int |E|^2-proportional and E = 0).
     The numerator is evaluated pointwise, the denominator by quadrature.
     Both are divided by f(tau_r)^n, which overflows from n = 93 at
-    r = 5e-4 (k = 1): the numerator is V/H_r, the volume integrand
-    V (f/f_r)^n.  That integrand narrows like 1/n at tau_r, so the
-    Gauss-Legendre panels are doubled from 18 (up to 18 * 2^8) until two
-    successive levels agree to 1e-11; for n <= 20 the first pair does.
+    r = 5e-4 (k = 1): the numerator is V/H_r, the volume integral
+    int_0^{tau_r} V (f/f_r)^n dtau.  That integrand narrows like 1/n at
+    tau_r; tau = tau_r e^{-s/(n+1)} turns it into
+    tau V (f/f_r)^n / (n+1) ds on (0, inf), whose peak at s = 0 has O(1)
+    width for every n and which decays like e^{-s}.  So it is summed on the
+    Lee integrator's lattice, `de_lattice(_TAIL_E_FOLDS)`, and abs_err is
+    the relative change from step h to h/2 plus 1e-12.
 
     Every radius is checked before any quadrature (a radius outside
-    (0, 2/sqrt(k)) raises ValueError).  Each refinement level then runs
-    over the radii still refining as (radii x nodes) arrays, in slices of
-    at most _BATCH_NODES nodes (one radius a slice once a radius alone has
-    more), so a temporary holds at most 2^16 doubles or one radius's
-    nodes, whatever n and however many radii.  Each radius keeps its own dot product of weights and
-    integrand, so its row does not depend on which other radii share the
-    call.
+    (0, 2/sqrt(k)) raises ValueError); each radius is then one sum of its
+    own, so its row does not depend on which other radii share the call.
     """
     m = ModelSpace(n, k)
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
@@ -379,28 +360,13 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     tau_r = m.tau_of_r(r)
     f_r = m.f_tau(tau_r)
     surface = m.df_tau(tau_r) / h_r
-
-    def vol_quad(rows, panels):
-        out = np.empty(len(rows))
-        step = max(1, _BATCH_NODES // (panels * len(_gl_rule()[0])))
-        for i in range(0, len(rows), step):
-            part = rows[i:i + step]
-            edges = np.linspace(0.0, tau_r[part], panels + 1, axis=-1)
-            tn, tw = _gl_nodes(edges[:, :-1], edges[:, 1:])
-            g = m.df_tau(tn) * (m.f_tau(tn) / f_r[part, None]) ** n
-            out[i:i + step] = [np.dot(w, v) for w, v in zip(tw, g)]
-        return out
-
-    refining = np.arange(len(r))
-    panels = 18
-    v1, v2 = vol_quad(refining, 12), vol_quad(refining, panels)
-    refining = refining[abs(v1 - v2) > 1e-11 * v2]
-    while refining.size and panels < 18 * 2 ** 8:
-        panels *= 2
-        v1[refining] = v2[refining]
-        v2[refining] = vol_quad(refining, panels)
-        refining = refining[abs(v1[refining] - v2[refining]) > 1e-11 * v2[refining]]
-    ratio = surface / ((n + 1.0) / n * v2)
-    abs_err = abs(v1 - v2) / np.maximum(v2, 1e-300) + 1e-12
-    return [{"n": n, "k": k, "r": float(x), "ratio": float(q), "abs_err": float(e)}
-            for x, q, e in zip(r, ratio, abs_err)]
+    s, weights, coarse = de_lattice(_TAIL_E_FOLDS)
+    tau = tau_r[:, None] * np.exp(-s / (n + 1.0))
+    g = tau * m.df_tau(tau) * (m.f_tau(tau) / f_r[:, None]) ** n / (n + 1.0)
+    rows = []
+    for x, g_x, surface_x in zip(r, g, surface):
+        v1, v2 = _levels(g_x, weights, coarse)
+        rows.append({"n": n, "k": k, "r": float(x),
+                     "ratio": float(surface_x / ((n + 1.0) / n * v2)),
+                     "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})
+    return rows

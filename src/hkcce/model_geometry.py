@@ -42,13 +42,6 @@ class ModelSpace:
         object.__setattr__(self, "t0", 0.5 * math.log(self.k))
         object.__setattr__(self, "r_center", 2.0 / math.sqrt(self.k))
 
-    # -- warp in the t coordinate -------------------------------------------
-    def f(self, t):
-        return 0.5 * (np.exp(t) - self.k * np.exp(-t))
-
-    def df(self, t):
-        return 0.5 * (np.exp(t) + self.k * np.exp(-t))
-
     # -- warp in the centred coordinate tau = t - t0 --------------------------
     def f_tau(self, tau):
         return math.sqrt(self.k) * np.sinh(tau)
@@ -59,9 +52,6 @@ class ModelSpace:
         return math.sqrt(self.k) * np.cosh(tau)
 
     # -- coordinate maps ------------------------------------------------------
-    def r_of_t(self, t):
-        return 2.0 * np.exp(-t)
-
     def tau_of_r(self, r):
         return np.log(2.0 / (math.sqrt(self.k) * r))
 
@@ -80,10 +70,11 @@ def mean_curvature_exact(m: ModelSpace, r):
 
     H_r = n (1 - r phi'/phi) = n f'/f, expanding as
     n + J r^2 + (1/2)|A|^2 r^4 + O(r^6) with J = nk/2, |A|^2 = n k^2/4.
-    r may be an array; the first radius outside (0, 2/sqrt(k)) is refused.
+    r may be a number, a list or an array; the first radius outside
+    (0, 2/sqrt(k)) is refused.
     """
     radii = np.asarray(r)
     outside = ~((0.0 < radii) & (radii < m.r_center))
     if outside.any():
         raise ValueError(f"r={radii[outside].flat[0]} outside (0, {m.r_center})")
-    return m.n * (1.0 - r * m.dphi(r) / m.phi(r))
+    return m.n * (1.0 - radii * m.dphi(radii) / m.phi(radii))

@@ -113,28 +113,32 @@ DE_T_MAX = 4.0              # tau(4) = 6e-38: the integrands vanish like tau^n b
 
 
 def de_lattice(tau_max: float):
-    """Nodes of the nested double-exponential rule on (0, inf), at step h/2.
+    """The package's one quadrature rule: nested double-exponential on (0, inf).
 
     tau = log(1 + e^z), z = -pi sinh t maps t in R onto (0, inf)
     (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741).  The nodes are
     t = i h/2 for the integers i from the first one whose tau exceeds tau_max
     up to t = DE_T_MAX, in ascending t and so in descending tau.  tau_max moves
     only the lower end: the nodes with tau <= tau_max are the same for every
-    larger tau_max.  Returns (i, t, z, tau).
+    larger tau_max.  Returns (tau, weights, coarse): the nodes, their weights
+    h/2 dtau/dt at step h/2, and the mask of the nodes of step h (even i).
+    Summing G w over all nodes gives the rule at step h/2, and twice the
+    sum over the coarse nodes gives it at step h.
     """
     half = 0.5 * DE_STEP
     t_min = -math.asinh(tau_max / math.pi)
     i = np.arange(math.floor(t_min / half), round(DE_T_MAX / half) + 1)
     t = i * half
     z = -math.pi * np.sinh(t)
-    return i, t, z, np.logaddexp(0.0, z)
+    weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))
+    return np.logaddexp(0.0, z), weights, i % 2 == 0
 
 
 def _fixed_nodes():
     """The points the centre series is summed at for every interior: the
     lattice nodes with tau <= TAU_MATCH in the lattice's descending order,
     in double, and the two connection points in np.longdouble."""
-    tau = de_lattice(TAU_MATCH)[3]
+    tau = de_lattice(TAU_MATCH)[0]
     return (_read_only(tau[tau <= TAU_MATCH]),
             _read_only(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD)))
 

@@ -344,6 +344,25 @@ class TestCommands:
         assert f"{key} must be" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, flags, source", [
+        ('{"jobs": "2.0"}', [], "config file {cfg}: 'jobs': "),
+        ('{"gamma": "0.5,x"}', [], "config file {cfg}: 'gamma': "),
+        (None, ["--n", "4.5"], "--n: "),
+        (None, ["--k", "1,abc"], "--k: "),
+        (None, ["--n", "5..x"], "--n: "),
+    ], ids=["config-jobs", "config-gamma", "flag-n", "flag-k", "flag-n-range"])
+    def test_uncastable_value_names_its_source(self, tmp_path, capsys, config, flags, source):
+        # a value of the right type that its cast refuses names its key or flag
+        cfg = tmp_path / "cfg.json"
+        if config is not None:
+            cfg.write_text(config)
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main(["qcurv", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("hkcce: " + source.format(cfg=cfg)), err
+        assert not out.exists()
+
     def test_config_lists_and_strings_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"n": [4.0, "5"], "k": "0.5,1", "emit": ["csv"], "jobs": "1"}')

@@ -1,6 +1,7 @@
 """Inequality verdicts, defect identities and the asymptotic ratio."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hkcce.compactification import build_lee
 from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
                                asymptotic_ratio, defect_identity,
                                verify_adapted, verify_cla, verify_lee)
-from hkcce.model_geometry import ModelSpace, mean_curvature_exact
+from hkcce.model_geometry import ModelSpace
 from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
 
 # measured relative gaps (lhs - rhs)/lhs on the models, archived as loose
@@ -327,8 +328,10 @@ class TestAsymptoticRatio:
     @pytest.mark.parametrize("n", [440, 600, 1000])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_panels_refined_at_very_large_n(self, n, k):
-        # V (f/f_r)^n narrows like 1/n at tau_r; 18 panels left |ratio - 1|
-        # at 2.6e-8 for n = 440 and 1.1e-3 for n = 1000
+        # V (f/f_r)^n narrows like 1/n at tau_r, which 18 fixed
+        # Gauss-Legendre panels once missed (|ratio - 1| at 2.6e-8 for
+        # n = 440 and 1.1e-3 for n = 1000); tau = tau_r e^{-s/(n+1)} gives
+        # it O(1) width, so the one lattice serves every n
         r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
         for row in asymptotic_ratio(n, k, r_values):
             assert abs(row["ratio"] - 1.0) <= 1e-8, row
@@ -368,72 +371,54 @@ class TestIdentityAudit:
                                     for r in (verify_cla(n, k), verify_adapted(n, 0.5, k))])
 
 
-def per_radius_ratio(n, k, r_values):
-    """The ratio rows radius by radius, one Gauss-Legendre sum per level, and
-    each radius's final panel count: the reference for the batched rows."""
-    m = ModelSpace(n, k)
-    x, w = np.polynomial.legendre.leggauss(32)
-    rows, stops = [], []
-    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-        tau_r = float(m.tau_of_r(r))
-        f_r = m.f_tau(tau_r)
-        surface = m.df_tau(tau_r) / mean_curvature_exact(m, r)
-
-        def vol_quad(panels):
-            edges = np.linspace(0.0, tau_r, panels + 1)
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            tn = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-            tw = (half[:, None] * w[None, :]).ravel()
-            return float(np.dot(tw, m.df_tau(tn) * (m.f_tau(tn) / f_r) ** n))
-
-        panels = 18
-        v1, v2 = vol_quad(12), vol_quad(panels)
-        while abs(v1 - v2) > 1e-11 * v2 and panels < 18 * 2 ** 8:
-            panels *= 2
-            v1, v2 = v2, vol_quad(panels)
-        rows.append({"n": n, "k": k, "r": float(r), "ratio": surface / ((n + 1.0) / n * v2),
-                     "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})
-        stops.append(panels)
-    return rows, stops
-
-
 class TestBatchedAsymptoticRatio:
-    """All radii in one array pass per level, each row as the per-radius sum."""
+    """All radii in one call, each row its own sum on the one lattice."""
 
     KS = (0.5, 1.0, 2.0)
 
     @pytest.mark.parametrize("n", [*range(3, 21), 93, 440, 1000])
     def test_rows_equal_the_per_radius_sums(self, n):
+        # a row does not depend on which radii share the call: each equals
+        # the call for its radius alone
         for k in self.KS:
             r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
-            rows, stops = per_radius_ratio(n, k, r_values)
-            assert asymptotic_ratio(n, k, r_values) == rows, (n, k)
-            if n >= 440:
-                # radii that stop refining at different levels share the call
-                assert len(set(stops)) >= 3, stops
-            # and a row does not depend on which radii it is batched with
+            alone = [row for r in r_values for row in asymptotic_ratio(n, k, [r])]
+            assert asymptotic_ratio(n, k, r_values) == alone, (n, k)
             mixed = r_values[[19, 0, 7, 3]]
-            assert asymptotic_ratio(n, k, mixed) == per_radius_ratio(n, k, mixed)[0]
+            assert asymptotic_ratio(n, k, mixed) == [alone[i] for i in (19, 0, 7, 3)]
 
-    @pytest.mark.parametrize("batch", [1, 1200, 5000])
-    def test_slices_keep_rows_and_bound_the_arrays(self, monkeypatch, batch):
-        # one radius a slice (1), several up to 18 panels (1200), or
-        # several up to 72 panels (5000): the rows stay the same, and no
-        # pass holds more than the cap or one radius's nodes
-        sizes = []
-        real = hk_verifier._gl_nodes
-
-        def spy(a, b):
-            nodes, weights = real(a, b)
-            sizes.append(nodes.shape)
-            return nodes, weights
-
-        monkeypatch.setattr(hk_verifier, "_BATCH_NODES", batch)
-        monkeypatch.setattr(hk_verifier, "_gl_nodes", spy)
+    def test_memory_does_not_grow_with_n(self):
+        # the substituted integrand has O(1) width for every n, so one
+        # lattice serves all n: the peak of a 20-radius call is the same at
+        # n = 20000 as at n = 20
         r_values = 0.5 * np.logspace(-3, 0, 20)
-        assert asymptotic_ratio(440, 1.0, r_values) == per_radius_ratio(440, 1.0, r_values)[0]
-        assert max(rows for rows, _ in sizes) > (batch > 1)
-        assert all(rows == 1 or rows * nodes <= batch for rows, nodes in sizes)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                asymptotic_ratio(n, 1.0, r_values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)        # the first call makes one-off allocations
+        assert peak(20000) <= 1.5 * peak(20)
+
+    @pytest.mark.parametrize("n", [*range(3, 21), 93, 440, 1000])
+    def test_abs_err_bounds_the_error(self, n):
+        # the ratio is exactly 1, so |ratio - 1| is the true error; from
+        # n ~ 20000 the rounding of (f/f_r)^n exceeds the estimate
+        for k in self.KS:
+            r_values = 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20)
+            for row in asymptotic_ratio(n, k, r_values):
+                assert abs(row["ratio"] - 1.0) <= row["abs_err"], row
+
+    def test_grid_within_1e_14(self):
+        # the CLI's 20 radii over n 3..20 and k 0.5, 1, 2
+        worst = max(abs(row["ratio"] - 1.0) for n in range(3, 21) for k in self.KS
+                    for row in asymptotic_ratio(n, k, 0.5 / math.sqrt(k)
+                                                * np.logspace(-3, 0, 20)))
+        assert worst <= 1e-14
 
     def test_no_radii_no_rows(self):
         assert asymptotic_ratio(5, 1.0, []) == []
@@ -443,7 +428,7 @@ class TestBatchedAsymptoticRatio:
         def no_quadrature(*args):
             raise AssertionError("quadrature ran before the radii were checked")
 
-        monkeypatch.setattr(hk_verifier, "_gl_nodes", no_quadrature)
+        monkeypatch.setattr(hk_verifier, "de_lattice", no_quadrature)
         with pytest.raises(ValueError, match=rf"^r={bad} outside \(0, 2\.0\)$"):
             asymptotic_ratio(5, 1.0, [0.1, 0.3, bad, 1.0])
 

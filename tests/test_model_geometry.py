@@ -17,12 +17,14 @@ class TestEinsteinResiduals:
         #   radial     f''/f - 1
         #   spherical  (f f'' + (n-1)(f'^2 - k) - n f^2) / max(1, n f^2)
         # The spherical residual is normalised because its raw form is a
-        # difference of O(e^{2t}) quantities.
+        # difference of O(e^{2t}) quantities.  f and f' are read at
+        # tau = t - t0, f'' from the t form.
         m = ModelSpace(n, k)
         rng = random.Random(0)
         for _ in range(100):
-            t = m.t0 + rng.uniform(1e-3, 6.0)
-            f, df = float(m.f(t)), float(m.df(t))
+            tau = rng.uniform(1e-3, 6.0)
+            t = m.t0 + tau
+            f, df = float(m.f_tau(tau)), float(m.df_tau(tau))
             d2f = 0.5 * (math.exp(t) - k * math.exp(-t))    # independent of m.f
             assert abs(d2f / f - 1.0) <= 1e-12
             sph = f * d2f + (n - 1) * (df * df - k) - n * f * f
@@ -33,28 +35,29 @@ class TestEinsteinResiduals:
         # k=1: t0 = 0, f = sinh t
         assert m.t0 == 0.0
         for t in (0.3, 1.0, 2.5):
-            assert float(m.f(t)) == pytest.approx(math.sinh(t), rel=1e-14)
+            assert float(m.f_tau(t - m.t0)) == pytest.approx(math.sinh(t), rel=1e-14)
 
 
 class TestFrame:
     def test_unit_warp_value(self):
         # the level-set and volume densities are both f^n
         m = ModelSpace(4, 1.0)
-        f = float(m.f(m.t0 + 1.0))
+        f = float(m.f_tau(1.0))
         assert f == pytest.approx(math.sinh(1.0), rel=1e-13)
         assert f ** m.n == pytest.approx(math.sinh(1.0) ** 4, rel=1e-13)
 
     def test_center_location_k4(self):
         m = ModelSpace(4, 4.0)
         assert m.t0 == pytest.approx(math.log(2.0))
-        assert float(m.r_of_t(m.t0)) == pytest.approx(1.0, rel=1e-14)
-        assert float(m.f(m.t0)) == pytest.approx(0.0, abs=1e-15)
+        # the centre t = t0 is tau = 0
+        assert float(m.r_of_tau(0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert float(m.f_tau(0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_normalisation_rf_to_one(self):
         for k in (0.5, 1.0, 4.0):
             m = ModelSpace(5, k)
-            t = 30.0
-            assert float(m.r_of_t(t) * m.f(t)) == pytest.approx(1.0, abs=1e-12)
+            tau = 30.0 - m.t0
+            assert float(m.r_of_tau(tau) * m.f_tau(tau)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLeeEigenfunction:
@@ -87,6 +90,14 @@ class TestMeanCurvature:
         m = ModelSpace(7, 2.0)
         assert mean_curvature_exact(m, 1e-8) == pytest.approx(7.0, abs=1e-12)
 
+    def test_list_of_radii(self):
+        # a list gives the values of the same radii as an array, bit for bit
+        m = ModelSpace(4, 1.0)
+        radii = [0.1, 0.3, 1.7]
+        got = mean_curvature_exact(m, radii)
+        assert got.tolist() == mean_curvature_exact(m, np.array(radii)).tolist()
+        assert got.tolist() == [float(mean_curvature_exact(m, r)) for r in radii]
+
     def test_domain(self):
         m = ModelSpace(4, 1.0)
         with pytest.raises(ValueError):
@@ -115,7 +126,8 @@ def test_coth_invariance_across_k():
             tau = rng.uniform(0.05, 5.0)
             t = m.t0 + tau
             target = 1.0 / math.tanh(tau)
-            assert float(m.df(t) / m.f(t)) == pytest.approx(target, rel=1e-14)
+            assert float(m.df_tau(t - m.t0) / m.f_tau(t - m.t0)) == pytest.approx(
+                target, rel=1e-14)
 
 
 def test_constructor_guards():
