@@ -16,6 +16,15 @@ r^4, and `IntegralClass` the result of integrating a Poly over the closed
 boundary (the Laplacian term drops, A2 splits into E2/(n-2)^2 + J^2/n, and the
 surviving channels are Vol, int J, int J^2, int E2).
 
+The public constructors are the only gates: `Poly(n, terms)`, `Poly.constant`
+and `Poly.symbol` check every monomial (four non-negative int exponents) and
+every coefficient (int or Fraction), `Jet(n, coeffs)` refuses a coefficient of
+another ring, and `IntegralClass` takes exact fields only.  The ring
+operations (`+`, `-`, `*`, `scale`, `Jet` products and `invert`) and
+`expand_normal_form` build their results through a private constructor from
+terms they produced themselves, which are already pruned of zeros and have
+valid monomials, so no result is checked a second time.
+
 `expand_normal_form` gives the volume-element, mean-curvature and
 eigenfunction jets in closed form.  `verify_prop21` builds from them the full
 r^4 coefficient chain of the asymptotic Heintze-Karcher ratio (surface
@@ -29,11 +38,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
 SYMBOLS = ("J", "A2", "E2", "LapJ")
 _IDX = {name: i for i, name in enumerate(SYMBOLS)}
 _ZERO_MONO = (0, 0, 0, 0)
+_ONE = {_ZERO_MONO: 1}
+_J, _J2, _A2, _LAPJ = (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)
 
 JET_ORDER = 4  # truncation at r^4 throughout; O(r^5) is never represented
 
@@ -50,6 +62,25 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(x).__name__}")
 
 
+def _mul_into(acc: dict, p: dict, q: dict) -> dict:
+    """acc += p * q on term dicts; cancelled terms stay in acc as zeros."""
+    if p == _ONE:
+        p, q = q, p
+    if q == _ONE:  # the jets' constant term: the product is p, with no multiplications
+        for mono, c in p.items():
+            acc[mono] = acc[mono] + c if mono in acc else c
+        return acc
+    for (a0, a1, a2, a3), c1 in p.items():
+        for (b0, b1, b2, b3), c2 in q.items():
+            mono, c = (a0 + b0, a1 + b1, a2 + b2, a3 + b3), c1 * c2
+            acc[mono] = acc[mono] + c if mono in acc else c
+    return acc
+
+
+def _pruned(terms: dict) -> dict:
+    return {mono: c for mono, c in terms.items() if c}
+
+
 class Poly:
     """Sparse polynomial over (J, A2, E2, LapJ) with Fraction coefficients.
 
@@ -60,25 +91,36 @@ class Poly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[tuple, Fraction] | None = None):
-        if n < 3:
-            raise ValueError("Poly requires n >= 3")
-        self.n = int(n)
+        if type(n) is not int or n < 3:
+            raise ValueError(f"Poly requires an int n >= 3, got {n!r}")
+        self.n = n
         pruned = {}
         for mono, c in (terms or {}).items():
+            mono = tuple(mono)
+            if len(mono) != 4 or not all(type(e) is int and e >= 0 for e in mono):
+                raise ValueError(f"bad monomial {mono}: need 4 non-negative int exponents")
             c = _as_fraction(c)
-            if c != 0:
-                if len(mono) != 4 or any(e < 0 for e in mono):
-                    raise ValueError(f"bad monomial {mono}")
-                pruned[tuple(mono)] = c
+            if c:
+                pruned[mono] = c
         self.terms = pruned
 
     # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, n: int, terms: dict) -> "Poly":
+        """Poly on terms a ring operation produced: pruned, valid, not re-checked."""
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
+
     @classmethod
     def constant(cls, n: int, c) -> "Poly":
         return cls(n, {_ZERO_MONO: _as_fraction(c)})
 
     @classmethod
     def symbol(cls, n: int, name: str, power: int = 1) -> "Poly":
+        if name not in _IDX:
+            raise ValueError(f"unknown symbol {name!r}; SYMBOLS = {SYMBOLS}")
         mono = [0, 0, 0, 0]
         mono[_IDX[name]] = power
         return cls(n, {tuple(mono): Fraction(1)})
@@ -92,24 +134,21 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return Poly(self.n, out)
+            out[mono] = out[mono] + c if mono in out else c
+        return Poly._of(self.n, _pruned(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(-1)
+        return self + Poly._of(other.n, {m: -c for m, c in other.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(self.n, out)
+        return Poly._of(self.n, _pruned(_mul_into({}, self.terms, other.terms)))
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
-        return Poly(self.n, {m: c * v for m, v in self.terms.items()})
+        if not c:
+            return Poly._of(self.n, {})
+        return Poly._of(self.n, {m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
@@ -146,8 +185,19 @@ class Jet:
     def __init__(self, n: int, coeffs: list):
         if len(coeffs) != JET_ORDER // 2 + 1:
             raise ValueError(f"need {JET_ORDER // 2 + 1} coefficients for order {JET_ORDER}")
+        for c in coeffs:
+            if isinstance(c, Poly) and c.n != n:
+                raise ValueError(f"coefficient of the n={c.n} ring in a jet of n={n}")
         self.n = n
         self.coeffs = [c if isinstance(c, Poly) else Poly.constant(n, c) for c in coeffs]
+
+    @classmethod
+    def _of(cls, n: int, coeffs: list) -> "Jet":
+        """Jet on Polys of ring n that ring operations produced, not re-checked."""
+        jet = object.__new__(cls)
+        jet.n = n
+        jet.coeffs = coeffs
+        return jet
 
     def _check(self, other: "Jet"):
         if self.n != other.n:
@@ -155,36 +205,37 @@ class Jet:
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check(other)
-        return Jet(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return Jet._of(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Jet") -> "Jet":
         return self + other.scale(-1)
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check(other)
-        m = len(self.coeffs)
-        out = [Poly(self.n) for _ in range(m)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs[:m - i]):
-                out[i + j] = out[i + j] + a * b
-        return Jet(self.n, out)
+        a = [p.terms for p in self.coeffs]
+        b = [p.terms for p in other.coeffs]
+        out = []
+        for k in range(len(a)):
+            acc = {}
+            for i in range(k + 1):
+                _mul_into(acc, a[i], b[k - i])
+            out.append(Poly._of(self.n, _pruned(acc)))
+        return Jet._of(self.n, out)
 
     def scale(self, c) -> "Jet":
-        return Jet(self.n, [p.scale(c) for p in self.coeffs])
+        return Jet._of(self.n, [p.scale(c) for p in self.coeffs])
 
     def invert(self) -> "Jet":
         """Reciprocal series; requires leading coefficient exactly 1."""
-        if self.coeffs[0] != Poly.constant(self.n, 1):
+        if self.coeffs[0].terms != _ONE:
             raise ValueError("invert requires unit leading coefficient")
-        inv = [Poly.constant(self.n, 1)]
+        inv = [{_ZERO_MONO: Fraction(1)}]
         for i in range(1, len(self.coeffs)):
-            acc = Poly(self.n)
+            acc = {}
             for j in range(1, i + 1):
-                acc = acc + self.coeffs[j] * inv[i - j]
-            inv.append(acc.scale(-1))
-        return Jet(self.n, inv)
+                _mul_into(acc, self.coeffs[j].terms, inv[i - j])
+            inv.append({mono: -c for mono, c in acc.items() if c})
+        return Jet._of(self.n, [Poly._of(self.n, t) for t in inv])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Jet) and self.n == other.n and self.coeffs == other.coeffs
@@ -214,15 +265,17 @@ def expand_normal_form(n: int) -> dict:
     """
     if n < 5:
         raise ValueError("expansion requires n >= 5 (the (n+1)/(n-3) weight)")
-    J = Poly.symbol(n, "J")
-    A2 = Poly.symbol(n, "A2")
-    LapJ = Poly.symbol(n, "LapJ")
 
-    det_jet = Jet(n, [Poly.constant(n, 1), J.scale(Fraction(-1, 2)),
-                      (J * J - A2).scale(Fraction(1, 8))])
-    h_jet = Jet(n, [Poly.constant(n, n), J, A2.scale(Fraction(1, 2))])
-    v4 = (LapJ - J * J + A2.scale(n)).scale(Fraction(1, 8 * n * (n - 2)))
-    v_jet = Jet(n, [Poly.constant(n, 1), J.scale(Fraction(1, 2 * n)), v4])
+    def jet(*coeffs):
+        return Jet._of(n, [Poly._of(n, terms) for terms in coeffs])
+
+    one = Fraction(1)
+    v4 = Fraction(1, 8 * n * (n - 2))
+    det_jet = jet({_ZERO_MONO: one}, {_J: Fraction(-1, 2)},
+                  {_J2: Fraction(1, 8), _A2: Fraction(-1, 8)})
+    h_jet = jet({_ZERO_MONO: Fraction(n)}, {_J: one}, {_A2: Fraction(1, 2)})
+    v_jet = jet({_ZERO_MONO: one}, {_J: Fraction(1, 2 * n)},
+                {_LAPJ: v4, _J2: -v4, _A2: n * v4})
     return {"det_jet": det_jet, "h_jet": h_jet, "v_jet": v_jet}
 
 
@@ -239,12 +292,17 @@ class IntegralClass:
     j2: Fraction = Fraction(0)
     e2: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        for name in ("vol", "j", "j2", "e2"):
+            object.__setattr__(self, name, _as_fraction(getattr(self, name)))
+
     def __add__(self, other: "IntegralClass") -> "IntegralClass":
         return IntegralClass(self.vol + other.vol, self.j + other.j,
                              self.j2 + other.j2, self.e2 + other.e2)
 
     def __sub__(self, other: "IntegralClass") -> "IntegralClass":
-        return self + other.scale(-1)
+        return IntegralClass(self.vol - other.vol, self.j - other.j,
+                             self.j2 - other.j2, self.e2 - other.e2)
 
     def scale(self, c) -> "IntegralClass":
         c = _as_fraction(c)
@@ -253,6 +311,10 @@ class IntegralClass:
     def as_strings(self) -> dict:
         return {"Vol": str(self.vol), "intJ": str(self.j),
                 "intJ2": str(self.j2), "intE2": str(self.e2)}
+
+
+# (J power, E2 power) of each channel monomial -> its IntegralClass field
+_CHANNELS = {(0, 0): "vol", (1, 0): "j", (2, 0): "j2", (0, 1): "e2"}
 
 
 def boundary_integral(p: Poly) -> IntegralClass:
@@ -265,9 +327,9 @@ def boundary_integral(p: Poly) -> IntegralClass:
     zero would be wrong.
     """
     n = p.n
-    reduced = Poly(n)
-    a2_rule = (Poly.symbol(n, "E2").scale(Fraction(1, (n - 2) ** 2))
-               + Poly.symbol(n, "J", 2).scale(Fraction(1, n)))
+    # (J power, E2 power) -> coefficient, with A2^a expanded by the binomial
+    # rule:  A2^a = sum_i C(a, i) (E2/(n-2)^2)^i (J^2/n)^(a-i)
+    reduced: dict[tuple, Fraction] = {}
     for mono, c in p.terms.items():
         jp, a2p, e2p, lp = mono
         if lp:
@@ -276,29 +338,19 @@ def boundary_integral(p: Poly) -> IntegralClass:
             raise UnsupportedIntegralError(
                 f"LapJ occurs in a product ({mono}); int of that is not zero in general"
             )
-        term = Poly.constant(n, c)
-        if jp:
-            term = term * Poly.symbol(n, "J", jp)
-        if e2p:
-            term = term * Poly.symbol(n, "E2", e2p)
-        for _ in range(a2p):
-            term = term * a2_rule
-        reduced = reduced + term
-    out = IntegralClass()
-    for mono, c in reduced.terms.items():
-        jp, a2p, e2p, lp = mono
-        assert a2p == 0 and lp == 0
-        if jp == 0 and e2p == 0:
-            out = out + IntegralClass(vol=c)
-        elif jp == 1 and e2p == 0:
-            out = out + IntegralClass(j=c)
-        elif jp == 2 and e2p == 0:
-            out = out + IntegralClass(j2=c)
-        elif jp == 0 and e2p == 1:
-            out = out + IntegralClass(e2=c)
-        else:
-            raise UnsupportedIntegralError(f"monomial {mono} outside the channel set")
-    return out
+        for i in range(a2p + 1):
+            key = (jp + 2 * (a2p - i), e2p + i)
+            term = c * Fraction(comb(a2p, i), (n - 2) ** (2 * i) * n ** (a2p - i))
+            reduced[key] = reduced[key] + term if key in reduced else term
+    channels = {}
+    for (jp, e2p), c in reduced.items():
+        if not c:
+            continue
+        if (jp, e2p) not in _CHANNELS:
+            raise UnsupportedIntegralError(
+                f"monomial {(jp, 0, e2p, 0)} outside the channel set")
+        channels[_CHANNELS[jp, e2p]] = c
+    return IntegralClass(**channels)
 
 
 # ---------------------------------------------------------------------------

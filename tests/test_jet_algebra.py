@@ -6,6 +6,8 @@ from fractions import Fraction as Fr
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.ring_series import rs_mul, rs_nth_root, rs_series_inversion
 from sympy.polys.rings import ring
@@ -209,3 +211,197 @@ class TestProp21:
         payload = json.loads(verify_prop21(5).to_json())
         assert payload["beta"]["intE2"] == "1/135"
         assert payload["ok"] is True
+
+
+class TestPublicGates:
+    """The public constructors are the only checks; ring results are trusted."""
+
+    @pytest.mark.parametrize("mono", [(Fr(1, 2), 0, 0, 0), (0.5, 0, 0, 0), (True, 0, 0, 0),
+                                      (-1, 0, 0, 0), (1, 0, 0), (0, 0, 0, 0, 0)])
+    def test_poly_refuses_bad_monomials(self, mono):
+        with pytest.raises(ValueError, match="monomial"):
+            Poly(5, {mono: 1})
+        with pytest.raises(ValueError, match="monomial"):
+            Poly(5, {mono: 0})  # refused even where the term would be pruned
+
+    @pytest.mark.parametrize("n", [5.5, 5.0, True, 2])
+    def test_poly_refuses_a_ring_dimension_that_is_not_an_int_from_3(self, n):
+        with pytest.raises(ValueError, match="n >= 3"):
+            Poly(n)
+
+    def test_poly_refuses_inexact_coefficients(self):
+        with pytest.raises(TypeError):
+            Poly(5, {(1, 0, 0, 0): 0.5})
+
+    def test_unknown_symbol_names_the_symbols(self):
+        with pytest.raises(ValueError, match="SYMBOLS"):
+            Poly.symbol(5, "X")
+        with pytest.raises(ValueError, match="monomial"):
+            Poly.symbol(5, "J", -1)
+
+    def test_jet_refuses_a_coefficient_of_another_ring(self):
+        with pytest.raises(ValueError, match="ring"):
+            Jet(5, [Poly.constant(6, 1), 0, 0])
+
+    def test_integral_class_fields_are_exact(self):
+        with pytest.raises(TypeError):
+            IntegralClass(vol=0.5)
+        out = IntegralClass(j=3)
+        assert type(out.j) is Fr and type(out.vol) is Fr
+        assert out == IntegralClass(j=Fr(3))
+
+
+def sympy_prop21(n):
+    """The prop21 chain in plain sympy, with no Poly or Jet code.
+
+    Truncated series in r over J, A2 and LapJ.  Each boundary integral checks
+    that LapJ occurs only linearly and bare, drops it, substitutes
+    A2 -> E2/(n-2)^2 + J^2/n and reads the channels (Vol, J, J^2, E2).
+    """
+    r, J, A2, E2, LapJ = sympy.symbols("r J A2 E2 LapJ")
+    det = 1 - J / 2 * r ** 2 + (J ** 2 - A2) / 8 * r ** 4
+    h = n + J * r ** 2 + A2 / 2 * r ** 4
+    v = 1 + J / (2 * n) * r ** 2 + (LapJ - J ** 2 + n * A2) / (8 * n * (n - 2)) * r ** 4
+
+    def coefficients(series):
+        series = sympy.expand(series)
+        return [series.coeff(r, k) for k in range(5)]
+
+    def integrate(coeff):
+        in_lapj = sympy.Poly(coeff, LapJ)
+        assert in_lapj.degree() <= 1
+        assert not in_lapj.coeff_monomial(LapJ).free_symbols
+        reduced = sympy.expand(in_lapj.coeff_monomial(1).subs(A2, E2 / (n - 2) ** 2 + J ** 2 / n))
+        fields = {(0, 0): "vol", (1, 0): "j", (2, 0): "j2", (0, 1): "e2"}
+        out = dict.fromkeys(fields.values(), Fr(0))
+        for mono, c in sympy.Poly(reduced, J, E2).terms():
+            out[fields[mono]] = Fr(int(c.p), int(c.q))
+        return out
+
+    def weighted(channels, w):
+        return {name: w * c for name, c in channels.items()}
+
+    surf = coefficients(sympy.series(v / (h / n), r, 0, 5).removeO())
+    surf_integrand = coefficients(sum(c * r ** k for k, c in enumerate(surf)) * det)
+    vol_integrand = coefficients(v * det)
+    alpha2 = integrate(surf_integrand[4])
+    beta2 = weighted(integrate(vol_integrand[4]), Fr(n + 1, n - 3))
+    alpha = {mono: Fr(int(c.p), int(c.q))
+             for mono, c in sympy.Poly(surf[4], J, A2, E2, LapJ).terms()}
+    return {"alpha": alpha,
+            "alpha1": integrate(surf_integrand[2]),
+            "alpha2": alpha2,
+            "beta1": weighted(integrate(vol_integrand[2]), Fr(n + 1, n - 1)),
+            "beta2": beta2,
+            "beta": {name: alpha2[name] - beta2[name] for name in alpha2}}
+
+
+class TestSympyReference:
+    @pytest.mark.parametrize("n", (5, 6, 7, 9, 12, 20))
+    def test_certificate_matches_the_sympy_chain(self, n):
+        ref = sympy_prop21(n)
+        cert = verify_prop21(n)
+        assert cert.alpha.terms == ref["alpha"]
+        for name in ("alpha1", "alpha2", "beta1", "beta2", "beta"):
+            got = getattr(cert, name)
+            assert {"vol": got.vol, "j": got.j, "j2": got.j2, "e2": got.e2} == ref[name], name
+        assert ref["beta"] == {"vol": 0, "j": 0, "j2": 0, "e2": Fr(1, n * (n - 2) ** 3)}
+
+
+# -- property tests of the ring against plain dicts of Fractions ------------
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+CHANNEL_MONOS = ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                 (0, 0, 0, 1))
+MONO = st.one_of(st.sampled_from(CHANNEL_MONOS),
+                 st.tuples(*[st.integers(0, 2)] * 4))
+COEFF = st.builds(Fr, st.integers(-4, 4), st.integers(1, 3))
+TERMS = st.dictionaries(MONO, COEFF, max_size=5)
+RING_N = st.sampled_from((5, 6, 9))
+
+
+def nonzero(terms):
+    return {mono: c for mono, c in terms.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, Fr(0)) + sign * c
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            out[mono] = out.get(mono, Fr(0)) + c1 * c2
+    return out
+
+
+def ref_a2_power(n, power):
+    """A2^power after A2 -> E2/(n-2)^2 + J^2/n, by repeated products."""
+    rule = {(0, 0, 1, 0): Fr(1, (n - 2) ** 2), (2, 0, 0, 0): Fr(1, n)}
+    out = {(0, 0, 0, 0): Fr(1)}
+    for _ in range(power):
+        out = ref_mul(out, rule)
+    return out
+
+
+def ref_integral(n, terms):
+    """Channel values of the integral of pruned terms, or None if refused."""
+    reduced = {}
+    for (jp, a2p, e2p, lp), c in terms.items():
+        if lp:
+            if (jp, a2p, e2p, lp) == (0, 0, 0, 1):
+                continue
+            return None
+        reduced = ref_add(reduced, ref_mul({(jp, 0, e2p, 0): c}, ref_a2_power(n, a2p)))
+    fields = {(0, 0, 0, 0): "vol", (1, 0, 0, 0): "j", (2, 0, 0, 0): "j2", (0, 0, 1, 0): "e2"}
+    reduced = nonzero(reduced)
+    if any(mono not in fields for mono in reduced):
+        return None
+    return {fields[mono]: c for mono, c in reduced.items()}
+
+
+def assert_pruned_exact(p, expected, n):
+    assert p.n == n
+    assert p.terms == nonzero(expected)
+    assert all(type(c) is Fr and c != 0 for c in p.terms.values())
+
+
+class TestRingProperties:
+    @PROPERTY
+    @given(n=RING_N, ra=TERMS, rb=TERMS, shared=st.integers(0, 3), c=COEFF)
+    def test_ring_operations_match_dict_reference(self, n, ra, rb, shared, c):
+        # b repeats the first `shared` terms of a with opposite sign, so that
+        # sums and products cancel terms
+        a = nonzero(ra)
+        b = nonzero({**rb, **{mono: -v for mono, v in list(a.items())[:shared]}})
+        pa, pb = Poly(n, ra), Poly(n, b)
+        assert_pruned_exact(pa, a, n)
+        assert_pruned_exact(pa + pb, ref_add(a, b), n)
+        assert_pruned_exact(pa - pb, ref_add(a, b, -1), n)
+        assert_pruned_exact(pa * pb, ref_mul(a, b), n)
+        assert_pruned_exact(pa.scale(c), {mono: c * v for mono, v in a.items()}, n)
+        assert_pruned_exact((pa + pb) - pb, a, n)
+        # the cross terms of (a + b)(a - b) cancel inside one product
+        assert_pruned_exact((pa + pb) * (pa - pb), ref_add(ref_mul(a, a), ref_mul(b, b), -1), n)
+        assert (pa - pa).is_zero()
+
+    @PROPERTY
+    @given(n=RING_N, raw=TERMS, power=st.integers(0, 3), c=COEFF)
+    def test_boundary_integral_matches_dict_reference(self, n, raw, power, c):
+        # adding c (A2^power - its reduction) changes no integral, but brings
+        # monomials outside the channels that cancel only after reduction
+        zero_integral = ref_add({(0, power, 0, 0): c},
+                                {mono: c * v for mono, v in ref_a2_power(n, power).items()}, -1)
+        for terms in (nonzero(raw), nonzero(ref_add(raw, zero_integral))):
+            expected = ref_integral(n, terms)
+            p = Poly(n, terms)
+            if expected is None:
+                with pytest.raises(UnsupportedIntegralError):
+                    boundary_integral(p)
+            else:
+                assert boundary_integral(p) == IntegralClass(**expected)
