@@ -17,13 +17,14 @@ boundary (the Laplacian term drops, A2 splits into E2/(n-2)^2 + J^2/n, and the
 surviving channels are Vol, int J, int J^2, int E2).
 
 The public constructors are the only gates: `Poly(n, terms)`, `Poly.constant`
-and `Poly.symbol` check every monomial (four non-negative int exponents) and
-every coefficient (int or Fraction), `Jet(n, coeffs)` refuses a coefficient of
-another ring, and `IntegralClass` takes exact fields only.  The ring
-operations (`+`, `-`, `*`, `scale`, `Jet` products and `invert`) and
-`expand_normal_form` build their results through a private constructor from
-terms they produced themselves, which are already pruned of zeros and have
-valid monomials, so no result is checked a second time.
+and `Poly.symbol` check the ring dimension (an int n >= 3), every monomial
+(four non-negative int exponents) and every coefficient (int or Fraction, not
+bool); `Jet(n, coeffs)` checks n the same way and refuses a coefficient of
+another ring; `IntegralClass` takes exact fields only.  The ring operations
+(`+`, `-`, `*`, `scale`, `Jet` products and `invert`) build their results
+through a private constructor from terms they produced themselves, which are
+already pruned of zeros and have valid monomials, so no result is checked a
+second time.
 
 `expand_normal_form` gives the volume-element, mean-curvature and
 eigenfunction jets in closed form.  `verify_prop21` builds from them the full
@@ -44,8 +45,6 @@ from typing import Mapping
 SYMBOLS = ("J", "A2", "E2", "LapJ")
 _IDX = {name: i for i, name in enumerate(SYMBOLS)}
 _ZERO_MONO = (0, 0, 0, 0)
-_ONE = {_ZERO_MONO: 1}
-_J, _J2, _A2, _LAPJ = (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)
 
 JET_ORDER = 4  # truncation at r^4 throughout; O(r^5) is never represented
 
@@ -57,19 +56,13 @@ class UnsupportedIntegralError(ValueError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"exact coefficient expected (int or Fraction), got {type(x).__name__}")
 
 
 def _mul_into(acc: dict, p: dict, q: dict) -> dict:
     """acc += p * q on term dicts; cancelled terms stay in acc as zeros."""
-    if p == _ONE:
-        p, q = q, p
-    if q == _ONE:  # the jets' constant term: the product is p, with no multiplications
-        for mono, c in p.items():
-            acc[mono] = acc[mono] + c if mono in acc else c
-        return acc
     for (a0, a1, a2, a3), c1 in p.items():
         for (b0, b1, b2, b3), c2 in q.items():
             mono, c = (a0 + b0, a1 + b1, a2 + b2, a3 + b3), c1 * c2
@@ -183,6 +176,8 @@ class Jet:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: list):
+        if type(n) is not int or n < 3:
+            raise ValueError(f"Jet requires an int n >= 3, got {n!r}")
         if len(coeffs) != JET_ORDER // 2 + 1:
             raise ValueError(f"need {JET_ORDER // 2 + 1} coefficients for order {JET_ORDER}")
         for c in coeffs:
@@ -227,7 +222,7 @@ class Jet:
 
     def invert(self) -> "Jet":
         """Reciprocal series; requires leading coefficient exactly 1."""
-        if self.coeffs[0].terms != _ONE:
+        if self.coeffs[0].terms != {_ZERO_MONO: 1}:
             raise ValueError("invert requires unit leading coefficient")
         inv = [{_ZERO_MONO: Fraction(1)}]
         for i in range(1, len(self.coeffs)):
@@ -265,17 +260,15 @@ def expand_normal_form(n: int) -> dict:
     """
     if n < 5:
         raise ValueError("expansion requires n >= 5 (the (n+1)/(n-3) weight)")
+    J = Poly.symbol(n, "J")
+    A2 = Poly.symbol(n, "A2")
+    LapJ = Poly.symbol(n, "LapJ")
 
-    def jet(*coeffs):
-        return Jet._of(n, [Poly._of(n, terms) for terms in coeffs])
-
-    one = Fraction(1)
-    v4 = Fraction(1, 8 * n * (n - 2))
-    det_jet = jet({_ZERO_MONO: one}, {_J: Fraction(-1, 2)},
-                  {_J2: Fraction(1, 8), _A2: Fraction(-1, 8)})
-    h_jet = jet({_ZERO_MONO: Fraction(n)}, {_J: one}, {_A2: Fraction(1, 2)})
-    v_jet = jet({_ZERO_MONO: one}, {_J: Fraction(1, 2 * n)},
-                {_LAPJ: v4, _J2: -v4, _A2: n * v4})
+    det_jet = Jet(n, [Poly.constant(n, 1), J.scale(Fraction(-1, 2)),
+                      (J * J - A2).scale(Fraction(1, 8))])
+    h_jet = Jet(n, [Poly.constant(n, n), J, A2.scale(Fraction(1, 2))])
+    v4 = (LapJ - J * J + A2.scale(n)).scale(Fraction(1, 8 * n * (n - 2)))
+    v_jet = Jet(n, [Poly.constant(n, 1), J.scale(Fraction(1, 2 * n)), v4])
     return {"det_jet": det_jet, "h_jet": h_jet, "v_jet": v_jet}
 
 

@@ -229,9 +229,12 @@ class TestPublicGates:
         with pytest.raises(ValueError, match="n >= 3"):
             Poly(n)
 
-    def test_poly_refuses_inexact_coefficients(self):
+    @pytest.mark.parametrize("c", [0.5, True, False])
+    def test_poly_refuses_inexact_coefficients(self, c):
         with pytest.raises(TypeError):
-            Poly(5, {(1, 0, 0, 0): 0.5})
+            Poly(5, {(1, 0, 0, 0): c})
+        with pytest.raises(TypeError):
+            Poly.constant(5, c)
 
     def test_unknown_symbol_names_the_symbols(self):
         with pytest.raises(ValueError, match="SYMBOLS"):
@@ -243,9 +246,17 @@ class TestPublicGates:
         with pytest.raises(ValueError, match="ring"):
             Jet(5, [Poly.constant(6, 1), 0, 0])
 
+    @pytest.mark.parametrize("n", [5.0, True, 2])
+    def test_jet_refuses_a_ring_dimension_that_is_not_an_int_from_3(self, n):
+        p = Poly.constant(5, 1)
+        with pytest.raises(ValueError, match="n >= 3"):
+            Jet(n, [p, p, p])  # 5.0 passes the ring check, since 5.0 == 5
+
     def test_integral_class_fields_are_exact(self):
         with pytest.raises(TypeError):
             IntegralClass(vol=0.5)
+        with pytest.raises(TypeError):
+            IntegralClass(e2=True)
         out = IntegralClass(j=3)
         assert type(out.j) is Fr and type(out.vol) is Fr
         assert out == IntegralClass(j=Fr(3))
