@@ -36,18 +36,28 @@ down to r = 0, where the same state gives the boundary values of T and Jbar.
 Every assembled state is checked where it is made: T (adapted) and S = 1 - w^2,
 the sign of Jbar (Lee), must be positive at each point evaluated, which
 covers every quadrature node, the residual window and the boundary r = 0.
+
+Each geometry assembles its quadrature state once, on first use
+(`CompactifiedGeometry.lattice`): the `de_lattice` nodes for its boundary
+decay rate and the boundary point r = 0 (tau = inf) in one `_assemble`
+call.  The integrator reads the node rows, and `boundary` reads the r = 0
+row, so the boundary check runs when either is first used, not at build
+time; a geometry that only meets `residual_suite` assembles no lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import RadialProfile, ScatteringResult
+from .scattering import RadialProfile, ScatteringResult, de_lattice
 from .special_fn import d_gamma
+
+TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
 
 
 class GeometryError(RuntimeError):
@@ -88,6 +98,13 @@ class GeometryState:
     T: np.ndarray | None
     dT: np.ndarray | None
     ddT: np.ndarray | None
+
+    def rows(self, sl) -> "GeometryState":
+        """The state at the points sl selects: every array it holds, sliced."""
+        out = object.__new__(GeometryState)
+        out.__dict__.update((k, v[sl] if isinstance(v, np.ndarray) else v)
+                            for k, v in vars(self).items())
+        return out
 
     @property
     def dw(self):
@@ -144,6 +161,15 @@ def _d_rows(c: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return c * exponents ** np.arange(4.0)[:, None]
 
 
+class Lattice(NamedTuple):
+    """The quadrature state of one geometry, from one assembly."""
+
+    state: GeometryState     # at the `de_lattice` nodes, in their order
+    weights: np.ndarray      # h/2 dtau/dt at step h/2
+    coarse: np.ndarray       # mask of the nodes of step h
+    boundary: GeometryState  # the one row at r = 0 (tau = inf)
+
+
 class CompactifiedGeometry:
     """One compactified model geometry with dense pointwise evaluation."""
 
@@ -160,7 +186,8 @@ class CompactifiedGeometry:
         self.two_gamma = 2.0 * gamma if gamma is not None else 2.0 * self.s - base.n
         self.profile = profile
         self.c1 = sr.c1 if sr is not None else 1.0
-        self.boundary: dict = {}
+        self.gamma = gamma
+        self.q_value = sr.q_value if sr is not None else None
         if sr is not None:
             self.e = self.two_gamma
             # the branch sums cancel at large n away from the boundary (1e-9
@@ -170,17 +197,65 @@ class CompactifiedGeometry:
             low = np.asarray(sr.branch_low.coeffs, dtype=float)
             high = np.asarray(sr.branch_high.coeffs, dtype=float)
             self.q = sr.scattering_value
-            self._high = _d_rows(high, self.e + 2.0 * np.arange(len(high)))
         else:
             # Lee: r V = 1 + (k/4) r^2 exactly, a branch on the whole line
             self.e = 2.0
             self.tau_branch = 0.0
             low = np.array([1.0, base.k / 4.0])
             self.q = 0.0
-            self._high = np.zeros((4, 1))
+            high = np.zeros(1)
         # rows k of D^k on the low branch, j >= 1 (its j = 0 term is 1 and
-        # is annihilated by D), as polynomials in r^2 divided by r^2
-        self._low = _d_rows(low, 2.0 * np.arange(len(low)))[:, 1:]
+        # is annihilated by D), as polynomials in r^2 divided by r^2, over
+        # the same rows of the high branch; zero-padded to one length, which
+        # leaves every Horner sum exact (0 r^2 + 0 = 0)
+        rows = (_d_rows(low, 2.0 * np.arange(len(low)))[:, 1:],
+                _d_rows(high, self.e + 2.0 * np.arange(len(high))))
+        self._rows = np.zeros((8, max(a.shape[1] for a in rows)))
+        self._rows[:4, :rows[0].shape[1]] = rows[0]
+        self._rows[4:, :rows[1].shape[1]] = rows[1]
+
+    # -- quadrature state and boundary values ---------------------------------
+    @cached_property
+    def lattice(self) -> Lattice:
+        """The `de_lattice` nodes and r = 0, assembled once, on first use.
+
+        The integrands decay towards the boundary at least like e^{-a tau},
+        a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
+        out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
+        state reads u and u' off the profile's table, which holds exactly
+        these nodes.  The r = 0 row rides in the same assembly, so its
+        positivity check runs here too.
+        """
+        rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
+        tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
+        st = self._assemble(np.append(tau, np.inf),
+                            np.append(self.base.r_of_tau(tau), 0.0))
+        return Lattice(st.rows(slice(-1)), weights, coarse, st.rows(slice(-1, None)))
+
+    @cached_property
+    def boundary(self) -> dict:
+        """T (adapted) or Jbar (Lee) at r = 0, from the lattice's boundary
+        row, against its target: -(4 gamma/d_gamma) Q, or (n+1)/n Jhat."""
+        st = self.lattice.boundary
+        if self.kind == "adapted":
+            t_b = float(st.T[0])
+            target = -(4.0 * self.gamma / d_gamma(self.gamma)) * self.q_value
+            return {
+                "q": self.q_value,
+                "T_boundary": t_b,
+                "T_boundary_target": target,
+                "T_boundary_rel_gap": abs(t_b - target) / max(abs(target), 1e-300),
+            }
+        n = self.base.n
+        jhat = n * self.base.k / 2.0
+        j_b = float(st.Jbar[0])
+        target = (n + 1.0) / n * jhat
+        return {
+            "J_hat": jhat,
+            "J_boundary": j_b,
+            "J_boundary_target": target,
+            "J_boundary_rel_gap": abs(j_b - target) / max(abs(target), 1e-300),
+        }
 
     # -- state assembly -------------------------------------------------------
     def state(self, tau) -> GeometryState:
@@ -211,8 +286,8 @@ class CompactifiedGeometry:
         """(1 + w)/x, w'/x, w''/x and rho/r from the branch coefficient lists."""
         m = self.m_exp
         r2 = r * r
-        low = _power_sums(self._low, r2)
-        high = _power_sums(self._high, r2)
+        sums = _power_sums(self._rows, r2)
+        low, high = sums[:4], sums[4:]
         U0 = 1.0 + r2 * low[0] + self.q * x * high[0]
         if np.any(U0 <= 0.0):
             raise GeometryError("scattering solution is not positive")
@@ -275,43 +350,27 @@ def build_adapted(m: ModelSpace, sr: ScatteringResult,
                   profile: RadialProfile) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
-    Applies the c1 normalisation (so r^{s-n} u -> 1), checks that c1 and
+    Applies the c1 normalisation (so r^{s-n} u -> 1) and checks that c1 and
     the tabulated u are positive (the table is u at the quadrature's
-    interior nodes, which every radial integral reads), and reads the
-    boundary value of T off the state at r = 0, against its target
-    -(4 gamma/d_gamma) Q.  u > 0 and T > 0 are checked again by every state
-    evaluation, this one included.
+    interior nodes, which every radial integral reads).  u > 0 and T > 0
+    are checked again by every state evaluation, the lattice's r = 0 row
+    (`boundary`) included.
     """
     p = sr.params
     if np.any(profile.u <= 0.0):
         raise GeometryError("u_s must be positive; got a non-positive value in the profile table")
     if sr.c1 <= 0.0:
         raise GeometryError(f"c1 = {sr.c1} is not positive; normalisation undefined")
-    g = CompactifiedGeometry("adapted", m, p.s, profile, sr, p.gamma)
-    t_b = float(g.state_of_r(0.0).T[0])
-    target = -(4.0 * p.gamma / d_gamma(p.gamma)) * sr.q_value
-    g.boundary = {
-        "q": sr.q_value,
-        "T_boundary": t_b,
-        "T_boundary_target": target,
-        "T_boundary_rel_gap": abs(t_b - target) / max(abs(target), 1e-300),
-    }
-    return g
+    return CompactifiedGeometry("adapted", m, p.s, profile, sr, p.gamma)
 
 
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
-    """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'."""
-    g = CompactifiedGeometry("lee", m, float(m.n + 1), None, None, None)
-    jhat = m.n * m.k / 2.0
-    j_b = float(g.state_of_r(0.0).Jbar[0])
-    target = (m.n + 1.0) / m.n * jhat
-    g.boundary = {
-        "J_hat": jhat,
-        "J_boundary": j_b,
-        "J_boundary_target": target,
-        "J_boundary_rel_gap": abs(j_b - target) / max(abs(target), 1e-300),
-    }
-    return g
+    """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'.
+
+    Nothing is evaluated here: `boundary` reads Jbar at r = 0, against
+    (n+1)/n Jhat, off the lattice state when it is first asked for.
+    """
+    return CompactifiedGeometry("lee", m, float(m.n + 1), None, None, None)
 
 
 # ---------------------------------------------------------------------------

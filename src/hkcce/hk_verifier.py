@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compactification import CompactifiedGeometry, build_adapted, build_lee
+from .compactification import TAIL_E_FOLDS, CompactifiedGeometry, build_adapted, build_lee
 from .model_geometry import ModelSpace, mean_curvature_exact
 from .scattering import de_lattice, solve_case
 from .special_fn import QCurvParams, d_gamma, hk_constant, sphere_volume
@@ -45,7 +45,6 @@ _TINY = float(np.finfo(float).tiny)      # smallest normal float
 # relative error budget of Q per unit of its exponent: Q is checked to one
 # ulp against a 30-digit reference, the rest covers the rounding of lhs
 _Q_REL_ERR = 4.0 * _EPS
-_TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of the integral
 
 
 # ---------------------------------------------------------------------------
@@ -53,33 +52,36 @@ _TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of the int
 # ---------------------------------------------------------------------------
 
 def _levels(g: np.ndarray, weights: np.ndarray, coarse: np.ndarray):
-    """Trapezoidal sums at steps h and h/2 of one `de_lattice` integral,
-    from the integrand values g at its nodes."""
+    """Trapezoidal sums at steps h and h/2 of `de_lattice` integrals, from
+    the integrand values g at its nodes (last axis); one sum per row.
+
+    The coarse nodes are copied to a contiguous array first, so that each
+    row is summed exactly as it would be on its own.
+    """
     g = g * weights
-    return 2.0 * float(g[coarse].sum()), float(g.sum())
+    return 2.0 * np.ascontiguousarray(g[..., coarse]).sum(axis=-1), g.sum(axis=-1)
 
 
 class RadialIntegrator:
     """Nested double-exponential rule over one compactified geometry.
 
-    The state is evaluated once, at the `de_lattice` nodes of step h/2;
-    every integral reuses it.  The integrands decay towards the boundary at
-    least like e^{-a tau} with a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for
-    Lee), so the nodes run out to tau_max = 40/a.  Up to the connection
-    point the adapted state reads u and u' off the profile's table, which
-    holds exactly these nodes.
+    The state, weights and coarse mask are the geometry's `lattice`: its
+    `de_lattice` nodes of step h/2, out to where the integrands' boundary
+    decay leaves e^{-40} of an integral, assembled once together with the
+    boundary row r = 0 that `CompactifiedGeometry.boundary` reads.  So the
+    positivity check of the boundary row runs when the first integrator of
+    a geometry (or its `boundary`) is made, and every integral reuses the
+    one state.
     """
 
     def __init__(self, geom: CompactifiedGeometry):
         self.geom = geom
-        e = geom.e
-        rate = min(e, 2.0 - e, 1.0) if geom.kind == "adapted" else 1.0
-        tau, self.weights, self.coarse = de_lattice(_TAIL_E_FOLDS / rate)
-        self.state = geom.state(tau)
+        self.state, self.weights, self.coarse, _ = geom.lattice
 
     def levels(self, g_fn):
         """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""
-        return _levels(g_fn(self.state), self.weights, self.coarse)
+        coarse, fine = _levels(g_fn(self.state), self.weights, self.coarse)
+        return float(coarse), float(fine)
 
     def integrate(self, g_fn):
         """(value, err_est) of Vol-normalised int_0^inf G dtau.
@@ -220,8 +222,14 @@ def _adapted_identity(n: int, gamma: float, k: float):
             itg.integrate(g_r2))
 
 
+@functools.lru_cache(maxsize=1)
 def _lee_identity(n: int, k: float):
-    """Lee integrator, Vol(M, ghat) and the main integral int rho dV / Vol(M)."""
+    """Lee integrator, Vol(M, ghat) and the main integral int rho dV / Vol(M).
+
+    Memoised on (n, k), for the last case only, like `_adapted_identity`:
+    `defect_identity("lee")` right after `verify_lee` of the same case
+    reuses the geometry, its lattice state and the main integral.
+    """
     itg = RadialIntegrator(build_lee(ModelSpace(n, k)))
     return itg, _boundary_volume(n, k), itg.integrate(lambda st: st.rho ** 2 * st.dens)
 
@@ -347,12 +355,13 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     tau_r; tau = tau_r e^{-s/(n+1)} turns it into
     tau V (f/f_r)^n / (n+1) ds on (0, inf), whose peak at s = 0 has O(1)
     width for every n and which decays like e^{-s}.  So it is summed on the
-    Lee integrator's lattice, `de_lattice(_TAIL_E_FOLDS)`, and abs_err is
+    Lee integrator's lattice, `de_lattice(TAIL_E_FOLDS)`, and abs_err is
     the relative change from step h to h/2 plus 1e-12.
 
     Every radius is checked before any quadrature (a radius outside
     (0, 2/sqrt(k)) raises ValueError); each radius is then one sum of its
-    own, so its row does not depend on which other radii share the call.
+    own, so its row does not depend on which other radii share the call,
+    and all rows are summed in one array pass.
     """
     m = ModelSpace(n, k)
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
@@ -360,13 +369,11 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     tau_r = m.tau_of_r(r)
     f_r = m.f_tau(tau_r)
     surface = m.df_tau(tau_r) / h_r
-    s, weights, coarse = de_lattice(_TAIL_E_FOLDS)
+    s, weights, coarse = de_lattice(TAIL_E_FOLDS)
     tau = tau_r[:, None] * np.exp(-s / (n + 1.0))
     g = tau * m.df_tau(tau) * (m.f_tau(tau) / f_r[:, None]) ** n / (n + 1.0)
-    rows = []
-    for x, g_x, surface_x in zip(r, g, surface):
-        v1, v2 = _levels(g_x, weights, coarse)
-        rows.append({"n": n, "k": k, "r": float(x),
-                     "ratio": float(surface_x / ((n + 1.0) / n * v2)),
-                     "abs_err": abs(v1 - v2) / max(v2, 1e-300) + 1e-12})
-    return rows
+    v1, v2 = _levels(g, weights, coarse)
+    return [{"n": n, "k": k, "r": float(x),
+             "ratio": float(surface_x / ((n + 1.0) / n * v2_x)),
+             "abs_err": float(abs(v1_x - v2_x) / max(v2_x, 1e-300) + 1e-12)}
+            for x, v1_x, v2_x, surface_x in zip(r, v1, v2, surface)]

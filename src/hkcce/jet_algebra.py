@@ -20,7 +20,9 @@ The public constructors are the only gates: `Poly(n, terms)`, `Poly.constant`
 and `Poly.symbol` check the ring dimension (an int n >= 3), every monomial
 (four non-negative int exponents) and every coefficient (int or Fraction, not
 bool); `Jet(n, coeffs)` checks n the same way and refuses a coefficient of
-another ring; `IntegralClass` takes exact fields only.  The ring operations
+another ring; `IntegralClass` takes exact fields only.  An operand of
+another type gets `NotImplemented` from every ring operator, so Python
+raises the usual `TypeError` naming both types.  The ring operations
 (`+`, `-`, `*`, `scale`, `Jet` products and `invert`) build their results
 through a private constructor from terms they produced themselves, which are
 already pruned of zeros and have valid monomials, so no result is checked a
@@ -124,6 +126,8 @@ class Poly:
             raise ValueError(f"mixed rings: n={self.n} vs n={other.n}")
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
@@ -131,9 +135,13 @@ class Poly:
         return Poly._of(self.n, _pruned(out))
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + Poly._of(other.n, {m: -c for m, c in other.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         return Poly._of(self.n, _pruned(_mul_into({}, self.terms, other.terms)))
 
@@ -199,13 +207,19 @@ class Jet:
             raise ValueError("mixed rings")
 
     def __add__(self, other: "Jet") -> "Jet":
+        if not isinstance(other, Jet):
+            return NotImplemented
         self._check(other)
         return Jet._of(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Jet") -> "Jet":
+        if not isinstance(other, Jet):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __mul__(self, other: "Jet") -> "Jet":
+        if not isinstance(other, Jet):
+            return NotImplemented
         self._check(other)
         a = [p.terms for p in self.coeffs]
         b = [p.terms for p in other.coeffs]
@@ -290,10 +304,14 @@ class IntegralClass:
             object.__setattr__(self, name, _as_fraction(getattr(self, name)))
 
     def __add__(self, other: "IntegralClass") -> "IntegralClass":
+        if not isinstance(other, IntegralClass):
+            return NotImplemented
         return IntegralClass(self.vol + other.vol, self.j + other.j,
                              self.j2 + other.j2, self.e2 + other.e2)
 
     def __sub__(self, other: "IntegralClass") -> "IntegralClass":
+        if not isinstance(other, IntegralClass):
+            return NotImplemented
         return IntegralClass(self.vol - other.vol, self.j - other.j,
                              self.j2 - other.j2, self.e2 - other.e2)
 

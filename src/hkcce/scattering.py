@@ -311,7 +311,10 @@ class CentreSeries:
     np.longdouble up to the long-double count only, and kept in long double
     and in double, each up to the order that sums the series to that
     precision at TAU_MATCH; `drop_extended` frees the long-double ones once no
-    more long-double sums are needed.
+    more long-double sums are needed.  Long-double sums are made only at the
+    connection points, which lie in the last group of x, so only that
+    group's long-double count is computed; a long-double sum at a smaller x
+    takes the double count of its group.
     A call sums, in the dtype of its argument, its
     points in groups of similar x, each with the terms the group's upper
     bound of x needs (near tau = 3 that is ~3500, below x = 0.5 about 50),
@@ -326,15 +329,17 @@ class CentreSeries:
     def __init__(self, n: int, s: float):
         self.n, self.s = n, s
         bounds = _X_GROUPS + (float(np.tanh(_LD(TAU_MATCH)) ** 2),)
-        eps = (float(np.finfo(_LD).eps), _EPS)
-        size = _terms_estimate(eps[0], bounds[-1])
+        eps_ext = float(np.finfo(_LD).eps)
+        eps = ((_EPS,),) * (len(bounds) - 1) + ((eps_ext, _EPS),)
+        size = _terms_estimate(eps_ext, bounds[-1])
         while True:
             ratio = self._ratio(n, s, size, float)
-            counts = [self._terms_needed(ratio, x, eps) for x in bounds]
+            counts = [self._terms_needed(ratio, x, e) for x, e in zip(bounds, eps)]
             if None not in counts:
                 break
             size *= 2
-        terms_ext, terms = (list(c) for c in zip(*counts))
+        terms = [c[-1] for c in counts]
+        terms_ext = terms[:-1] + [counts[-1][0]]
         j = np.arange(terms_ext[-1], dtype=_LD)
         t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(j) - 1, _LD))))
         dt = t * (_LD(s) + 2 * j) / (n + 1 + 2 * j)

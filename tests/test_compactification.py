@@ -1,15 +1,17 @@
 """Compactified geometries: closed-form cases, chain rules and residuals."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from hkcce.compactification import (GeometryError, build_adapted, build_lee,
+from hkcce.compactification import (TAIL_E_FOLDS, CompactifiedGeometry, GeometryError,
+                                    GeometryState, build_adapted, build_lee,
                                     residual_suite)
-from hkcce.hk_verifier import verify_cla
+from hkcce.hk_verifier import RadialIntegrator, verify_cla
 from hkcce.model_geometry import ModelSpace
+from hkcce.scattering import de_lattice
 from hkcce.special_fn import QCurvParams, d_gamma
 
 
@@ -196,3 +198,76 @@ class TestStructure:
         assert np.all(g.state([0.5, 1.5]).T > 0.0)
         with pytest.raises(GeometryError, match="T is not positive at tau = 1 "):
             g.state([0.5, 1.0, 1.5])
+
+
+def _same_bits(a: GeometryState, b: GeometryState):
+    """Every array field of a and b holds the same doubles, bit for bit."""
+    for f in fields(GeometryState):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestLatticeState:
+    """One assembly per geometry: the quadrature nodes and r = 0 together.
+
+    The suite turns RuntimeWarning into an error (pyproject.toml), so these
+    cases also show that the r = 0 row assembles without a warning.
+    """
+
+    CASES = [("adapted", n, gamma, k) for n in (3, 6) for gamma in (0.05, 0.5, 0.95)
+             for k in (0.5, 2.0)] + [("lee", n, None, k) for n in (3, 6, 10) for k in (0.5, 2.0)]
+
+    @staticmethod
+    def _geometry(solved, kind, n, gamma, k):
+        # a fresh geometry, not the session fixture's, so no lattice is cached yet
+        if kind == "lee":
+            return build_lee(ModelSpace(n, k))
+        profile, sr = solved(n, gamma, k)
+        return build_adapted(ModelSpace(n, k), sr, profile)
+
+    @pytest.mark.parametrize("kind,n,gamma,k", CASES)
+    def test_folded_state_equals_the_separate_evaluations(self, solved, kind, n, gamma, k):
+        g = self._geometry(solved, kind, n, gamma, k)
+        rate = min(2.0 * gamma, 2.0 - 2.0 * gamma, 1.0) if kind == "adapted" else 1.0
+        tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
+        lat = g.lattice
+        assert np.array_equal(lat.weights, weights) and np.array_equal(lat.coarse, coarse)
+        _same_bits(lat.state, g.state(tau))
+        _same_bits(lat.boundary, g.state_of_r(0.0))
+        if kind == "lee":
+            assert lat.boundary.Jbar.tobytes() == g.state_of_r(0.0).Jbar.tobytes()
+
+    def test_one_assembly_per_geometry(self, solved, monkeypatch):
+        calls = []
+        assemble = CompactifiedGeometry._assemble
+
+        def counted(self, tau, r):
+            calls.append(len(tau))
+            return assemble(self, tau, r)
+
+        monkeypatch.setattr(CompactifiedGeometry, "_assemble", counted)
+        for kind, n, gamma, k in (("adapted", 4, 0.3, 1.0), ("lee", 5, None, 2.0)):
+            calls.clear()
+            g = self._geometry(solved, kind, n, gamma, k)
+            assert calls == []                     # building evaluates nothing
+            residual_suite(g)
+            assert len(calls) == 1 and "lattice" not in vars(g)
+            itg = RadialIntegrator(g)
+            g.boundary
+            RadialIntegrator(g)
+            assert len(calls) == 2                 # the window, then the lattice
+            assert calls[1] == len(itg.state.tau) + 1
+
+    def test_nonpositive_boundary_T_raises_on_first_use(self, solved):
+        # a scattering value of the wrong sign turns T negative towards r = 0,
+        # T(0) = -(4 gamma/d_gamma) Q included; the build itself evaluates no
+        # state, so the error comes where the lattice is first assembled
+        profile, sr = solved(4, 0.3, 1.0)
+        bad = replace(sr, scattering_value=-sr.scattering_value)
+        for use in (lambda g: g.boundary, RadialIntegrator):
+            g = build_adapted(ModelSpace(4, 1.0), bad, profile)
+            with pytest.raises(GeometryError, match="is not positive"):
+                use(g)

@@ -9,7 +9,7 @@ import pytest
 from hkcce import cli, hk_verifier, scattering
 from hkcce.compactification import build_lee
 from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
-                               asymptotic_ratio, defect_identity,
+                               _lee_identity, asymptotic_ratio, defect_identity,
                                verify_adapted, verify_cla, verify_lee)
 from hkcce.model_geometry import ModelSpace
 from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
@@ -190,6 +190,7 @@ def _clear_memos():
     scattering.solve_case.cache_clear()
     scattering._interior.cache_clear()
     _adapted_identity.cache_clear()
+    _lee_identity.cache_clear()
 
 
 class TestMemo:
@@ -215,6 +216,24 @@ class TestMemo:
             assert defect_identity("adapted", n, k, gamma=gamma).to_dict() == cold[n, "defect"]
         info = _adapted_identity.cache_info()
         assert (info.hits, info.misses) == (len(cases), len(cases))
+
+    def test_lee_reports_after_hit_equal_cold_runs(self):
+        # _lee_identity keeps the last (n, k): defect-lee right after hk-lee
+        # of the same case reuses its geometry, lattice state and main integral
+        cases = [(5, 2.0), (4, 1.0), (10, 0.5)]
+        cold = {}
+        for n, k in cases:
+            _clear_memos()
+            cold[n, "hk"] = verify_lee(n, k).to_dict()
+            _clear_memos()
+            cold[n, "defect"] = defect_identity("lee", n, k).to_dict()
+        _clear_memos()
+        for n, k in cases:
+            assert verify_lee(n, k).to_dict() == cold[n, "hk"]
+            assert defect_identity("lee", n, k).to_dict() == cold[n, "defect"]
+            assert _lee_identity.cache_info().currsize <= 1
+        info = _lee_identity.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (len(cases), len(cases), 1)
 
     def test_sweep_keeps_one_entry_per_memo(self, tmp_path):
         rc = cli.main(["sweep", "--n", "4,5,6", "--gamma", "0.25,0.4,0.5,0.6,0.75",

@@ -252,6 +252,33 @@ class TestPublicGates:
         with pytest.raises(ValueError, match="n >= 3"):
             Jet(n, [p, p, p])  # 5.0 passes the ring check, since 5.0 == 5
 
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("other", [1, Fr(1, 2), 0.5, None])
+    def test_poly_operators_refuse_a_foreign_operand(self, op, other):
+        p = Poly.symbol(5, "J")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"p {op} other")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"other {op} p")
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("other", [1, Fr(1, 2), Poly.constant(5, 1)])
+    def test_jet_operators_refuse_a_foreign_operand(self, op, other):
+        jet = expand_normal_form(5)["v_jet"]
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"jet {op} other")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"other {op} jet")
+
+    @pytest.mark.parametrize("op", ["+", "-"])
+    @pytest.mark.parametrize("other", [1, Fr(1, 2), Poly.constant(5, 1)])
+    def test_integral_class_operators_refuse_a_foreign_operand(self, op, other):
+        c = IntegralClass(vol=1)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"c {op} other")
+        with pytest.raises(TypeError, match="unsupported operand"):
+            eval(f"other {op} c")
+
     def test_integral_class_fields_are_exact(self):
         with pytest.raises(TypeError):
             IntegralClass(vol=0.5)
