@@ -43,6 +43,10 @@ decay rate and the boundary point r = 0 (tau = inf) in one `_assemble`
 call.  The integrator reads the node rows, and `boundary` reads the r = 0
 row, so the boundary check runs when either is first used, not at build
 time; a geometry that only meets `residual_suite` assembles no lattice.
+That state is first order: every integrand and `boundary` read only w,
+w', S, S', T, T' and their companions, so the lattice leaves out w'',
+S'' and T'' (None in its state), and its branch sums skip the D^3 rows.
+`state` and `state_of_r`, which `residual_suite` reads, give the full state.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class GeometryState:
     dw_hat: np.ndarray
     S_hat: np.ndarray
     dS_hat: np.ndarray
-    ddS_hat: np.ndarray
+    ddS_hat: np.ndarray | None      # None in the first-order (lattice) state
     tf_hat: np.ndarray
     rho_over_r: np.ndarray
     rho: np.ndarray
@@ -97,7 +101,7 @@ class GeometryState:
     dens: np.ndarray
     T: np.ndarray | None
     dT: np.ndarray | None
-    ddT: np.ndarray | None
+    ddT: np.ndarray | None  # None for Lee and in the first-order state
 
     def rows(self, sl) -> "GeometryState":
         """The state at the points sl selects: every array it holds, sliced."""
@@ -205,14 +209,16 @@ class CompactifiedGeometry:
             self.q = 0.0
             high = np.zeros(1)
         # rows k of D^k on the low branch, j >= 1 (its j = 0 term is 1 and
-        # is annihilated by D), as polynomials in r^2 divided by r^2, over
+        # is annihilated by D), as polynomials in r^2 divided by r^2, and
         # the same rows of the high branch; zero-padded to one length, which
-        # leaves every Horner sum exact (0 r^2 + 0 = 0)
+        # leaves every Horner sum exact (0 r^2 + 0 = 0).  Row order: low
+        # k = 0..2, high k = 0..2, then the two D^3 rows, which a first-order
+        # state does not sum
         rows = (_d_rows(low, 2.0 * np.arange(len(low)))[:, 1:],
                 _d_rows(high, self.e + 2.0 * np.arange(len(high))))
         self._rows = np.zeros((8, max(a.shape[1] for a in rows)))
-        self._rows[:4, :rows[0].shape[1]] = rows[0]
-        self._rows[4:, :rows[1].shape[1]] = rows[1]
+        for a, at in zip(rows, ([0, 1, 2, 6], [3, 4, 5, 7])):
+            self._rows[at, :a.shape[1]] = a
 
     # -- quadrature state and boundary values ---------------------------------
     @cached_property
@@ -224,12 +230,13 @@ class CompactifiedGeometry:
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
         state reads u and u' off the profile's table, which holds exactly
         these nodes.  The r = 0 row rides in the same assembly, so its
-        positivity check runs here too.
+        positivity check runs here too.  The state is first order: no
+        integrand reads w'', ddS_hat or ddT, so they are not assembled.
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
         tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
         st = self._assemble(np.append(tau, np.inf),
-                            np.append(self.base.r_of_tau(tau), 0.0))
+                            np.append(self.base.r_of_tau(tau), 0.0), second_order=False)
         return Lattice(st.rows(slice(-1)), weights, coarse, st.rows(slice(-1, None)))
 
     @cached_property
@@ -269,8 +276,9 @@ class CompactifiedGeometry:
             tau = np.asarray(self.base.tau_of_r(r))
         return self._assemble(tau, r)
 
-    def _centre(self, tau, r, x, coth):
-        """(1 + w)/x, w'/x, w''/x and rho/r from the centre series and the closure."""
+    def _centre(self, tau, r, x, coth, second_order):
+        """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
+        centre series and the closure."""
         n, m = self.base.n, self.m_exp
         u, du = self.profile.evaluate(tau)
         u, du = u / self.c1, du / self.c1
@@ -278,55 +286,67 @@ class CompactifiedGeometry:
             raise GeometryError("scattering solution is not positive")
         v = du / u
         dv = -n * coth * v - self.s * m - v * v
-        ddv = -n * (1.0 - coth * coth) * v - n * coth * dv - 2.0 * v * dv
         mx = m * x
-        return (1.0 + v / m) / x, dv / mx, ddv / mx, np.power(u / np.power(r, m), 1.0 / m)
+        out = ((1.0 + v / m) / x, dv / mx, np.power(u / np.power(r, m), 1.0 / m))
+        if not second_order:
+            return out
+        ddv = -n * (1.0 - coth * coth) * v - n * coth * dv - 2.0 * v * dv
+        return out + (ddv / mx,)
 
-    def _branch(self, r, x):
-        """(1 + w)/x, w'/x, w''/x and rho/r from the branch coefficient lists."""
+    def _branch(self, r, x, second_order):
+        """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
+        branch coefficient lists."""
         m = self.m_exp
         r2 = r * r
-        sums = _power_sums(self._rows, r2)
-        low, high = sums[:4], sums[4:]
-        U0 = 1.0 + r2 * low[0] + self.q * x * high[0]
+        sums = _power_sums(self._rows if second_order else self._rows[:6], r2)
+        U0 = 1.0 + r2 * sums[0] + self.q * x * sums[3]
         if np.any(U0 <= 0.0):
             raise GeometryError("scattering solution is not positive")
-        V1, V2, V3 = np.power(r, 2.0 - self.e) * low[1:] + self.q * high[1:]   # U_k/x
+        low_scale = np.power(r, 2.0 - self.e)
+        V1, V2 = low_scale * sums[1:3] + self.q * sums[4:6]        # U_k/x
         c = V2 * U0 - x * V1 * V1
         mU0 = m * U0
-        return (-V1 / mU0, c / (mU0 * U0),
-                -(V3 * U0 * U0 - x * V2 * V1 * U0 - 2.0 * x * c * V1) / (mU0 * U0 * U0),
-                np.power(U0, 1.0 / m))
+        out = (-V1 / mU0, c / (mU0 * U0), np.power(U0, 1.0 / m))
+        if not second_order:
+            return out
+        V3 = low_scale * sums[6] + self.q * sums[7]
+        return out + (-(V3 * U0 * U0 - x * V2 * V1 * U0 - 2.0 * x * c * V1)
+                      / (mU0 * U0 * U0),)
 
-    def _assemble(self, tau, r) -> GeometryState:
+    def _assemble(self, tau, r, second_order=True) -> GeometryState:
+        """The state at (tau, r); with second_order=False (the lattice's
+        state) w'', ddS_hat and ddT are left out and set to None."""
         n = self.base.n
         e = self.e
         x = np.power(r, e)
         coth = 1.0 / np.tanh(tau)
-        p, dp, ddp, ror = (np.empty_like(tau) for _ in range(4))
+        cols = np.empty((4 if second_order else 3, len(tau)))
         outer = tau > self.tau_branch
         inner = ~outer
         if np.any(outer):
-            p[outer], dp[outer], ddp[outer], ror[outer] = self._branch(r[outer], x[outer])
+            cols[:, outer] = self._branch(r[outer], x[outer], second_order)
         if np.any(inner):
-            p[inner], dp[inner], ddp[inner], ror[inner] = \
-                self._centre(tau[inner], r[inner], x[inner], coth[inner])
+            cols[:, inner] = self._centre(tau[inner], r[inner], x[inner], coth[inner],
+                                          second_order)
+        p, dp, ror = cols[:3]
+        ddp = cols[3] if second_order else None
 
         w = x * p - 1.0
         phi = -np.expm1(-2.0 * tau)
         coth_m1_hat = 0.5 * self.base.k * np.power(r, 2.0 - e) / phi    # (coth - 1)/x
         S_hat = p * (1.0 - w)
         dS_hat = -2.0 * w * dp
-        ddS_hat = -2.0 * x * dp * dp - 2.0 * w * ddp
+        ddS_hat = -2.0 * x * dp * dp - 2.0 * w * ddp if second_order else None
+        T = dT = ddT = None
         if self.kind == "adapted":
             rf = np.power(ror, -e)           # x rho^{-2 gamma}
             T = S_hat * rf
             dT = (dS_hat - e * w * S_hat) * rf
-            ddT = (ddS_hat - 2.0 * e * w * dS_hat - e * x * dp * S_hat
-                   + e * e * w * w * S_hat) * rf
+            if second_order:
+                ddT = (ddS_hat - 2.0 * e * w * dS_hat - e * x * dp * S_hat
+                       + e * e * w * w * S_hat) * rf
             positive, name = T, "T"
         else:
-            T = dT = ddT = None
             positive, name = S_hat, "Jbar"   # Jbar = S_hat (n+1)/(2 (rho/r)^2)
         bad = ~(positive > 0.0)
         if np.any(bad):

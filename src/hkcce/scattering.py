@@ -31,11 +31,13 @@ is below machine epsilon on r <= r(ln 8), are connected to u in value and
 tau derivative at the single point tau_m = 3, where the column-equilibrated
 2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
 at tau = 2.5 gives the reported consistency gap, or nan where that
-diagnostic connection fails its own guards.  The series coefficients, the
-four connection values, the 2x2 solve and d_gamma are carried in
-np.longdouble, so that Q is rounded to double only once.  Derivatives are
-always transported analytically (dr/dtau = -r); second derivatives come
-from the ODE closure, never from finite differences.
+diagnostic connection fails its own guards.  It is made when
+`ScatteringResult.consistency_gap` is first read, which only the qcurv
+table does; a sweep or a verification makes one connection.  The series
+coefficients, the four connection values, the 2x2 solve and d_gamma are
+carried in np.longdouble, so that Q is rounded to double only once.
+Derivatives are always transported analytically (dr/dtau = -r); second
+derivatives come from the ODE closure, never from finite differences.
 
 The centre series does not depend on k: in tau all of k sits in the
 branches, through r = (2/sqrt(k)) e^{-tau}.  Nor do the quadrature nodes it
@@ -44,11 +46,11 @@ lattice (`de_lattice`) whose step and upper end are fixed, and the boundary
 decay rate only moves its lower end, far beyond TAU_MATCH.  So the series is
 summed once per (n, gamma) at the lattice's 155 nodes with tau <= TAU_MATCH,
 which become the profile's table, and at the two connection points; every k
-and every integral shares them.  `solve_interior` keeps the last interior
-and `solve_case` the last case, one entry each.  Those points are the same
-for every (n, gamma), and so are the powers of x the sums read there: they
-are tabulated once per process (`_node_powers`), one read-only table per
-node group and block size.
+and every integral shares them.  `solve_interior` keeps the last interior,
+`solve_case` the last case and `de_lattice` the last lattice, one entry
+each.  Those points are the same for every (n, gamma), and so are the
+powers of x the sums read there: they are tabulated once per process
+(`_node_powers`), one read-only table per node group and block size.
 
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
@@ -112,6 +114,7 @@ DE_STEP = 1.0 / 16.0        # coarse step h; the nodes of h/2 nest those of h
 DE_T_MAX = 4.0              # tau(4) = 6e-38: the integrands vanish like tau^n below it
 
 
+@functools.lru_cache(maxsize=1)
 def de_lattice(tau_max: float):
     """The package's one quadrature rule: nested double-exponential on (0, inf).
 
@@ -124,6 +127,10 @@ def de_lattice(tau_max: float):
     h/2 dtau/dt at step h/2, and the mask of the nodes of step h (even i).
     Summing G w over all nodes gives the rule at step h/2, and twice the
     sum over the coarse nodes gives it at step h.
+
+    Memoised on tau_max, for the last lattice only, with read-only arrays:
+    the geometries of a k-run share one tau_max, and so do every Lee
+    geometry and `asymptotic_ratio` (tau_max = 40).
     """
     half = 0.5 * DE_STEP
     t_min = -math.asinh(tau_max / math.pi)
@@ -131,7 +138,7 @@ def de_lattice(tau_max: float):
     t = i * half
     z = -math.pi * np.sinh(t)
     weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))
-    return np.logaddexp(0.0, z), weights, i % 2 == 0
+    return tuple(_read_only(a) for a in (np.logaddexp(0.0, z), weights, i % 2 == 0))
 
 
 def _fixed_nodes():
@@ -197,7 +204,11 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrobeniusBranch:
-    """One branch r^mu (1 + a2 r^2 + ...) with float evaluation helpers."""
+    """One branch r^mu (1 + a2 r^2 + ...) with float evaluation helpers.
+
+    The arrays the connection reads (the coefficients in np.longdouble, the
+    exponents j and the factors mu + 2j) are built once, with the branch.
+    """
 
     n: int
     s: float
@@ -205,10 +216,19 @@ class FrobeniusBranch:
     mu: float
     coeffs: tuple
     _c: np.ndarray = field(init=False, repr=False, compare=False)    # float a_{2j}
+    _c_ext: np.ndarray = field(init=False, repr=False, compare=False)
+    _j: np.ndarray = field(init=False, repr=False, compare=False)
+    _mu_2j: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "_c", _read_only(np.array([float(c) for c in self.coeffs])))
+        coeffs = tuple(self.coeffs)
+        c_ext = np.array(coeffs, dtype=_LD)
+        j = np.arange(len(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_c", _read_only(c_ext.astype(float)))
+        object.__setattr__(self, "_c_ext", _read_only(c_ext))
+        object.__setattr__(self, "_j", _read_only(j))
+        object.__setattr__(self, "_mu_2j", _read_only(_LD(self.mu) + 2 * j))
 
     def series(self, r):
         """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
@@ -218,15 +238,22 @@ class FrobeniusBranch:
     def extended_value_and_derivative(self, r):
         """Value and tau derivative (-r d/dr) at one radius, in np.longdouble."""
         r = _LD(r)
-        j = np.arange(len(self.coeffs))
-        terms = np.asarray(self.coeffs, dtype=_LD) * (r * r) ** j
+        terms = self._c_ext * (r * r) ** self._j
         r_mu = r ** _LD(self.mu)
-        return r_mu * terms.sum(), -r_mu * ((_LD(self.mu) + 2 * j) * terms).sum()
+        return r_mu * terms.sum(), -r_mu * (self._mu_2j * terms).sum()
 
     def truncation_estimate(self, r) -> float:
-        """Magnitude of the last kept term relative to the series value."""
-        last = abs(self._c[-1]) * float(r) ** (2 * (len(self._c) - 1))
-        return last / max(abs(float(self.series(r))), 1e-300)
+        """Magnitude of the last kept term relative to the series value.
+
+        The series is summed by Horner on Python floats: the same double
+        operations as `series`, without numpy's per-operation cost.
+        """
+        r = float(r)
+        x, acc = r * r, 0.0
+        for c in reversed(self._c.tolist()):
+            acc = acc * x + c
+        last = abs(self._c[-1]) * r ** (2 * (len(self._c) - 1))
+        return last / max(abs(acc), 1e-300)
 
 
 def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
@@ -340,9 +367,9 @@ class CentreSeries:
             size *= 2
         terms = [c[-1] for c in counts]
         terms_ext = terms[:-1] + [counts[-1][0]]
-        j = np.arange(terms_ext[-1], dtype=_LD)
-        t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(j) - 1, _LD))))
-        dt = t * (_LD(s) + 2 * j) / (n + 1 + 2 * j)
+        two_j = 2.0 * np.arange(terms_ext[-1])      # exact in double, cast once
+        t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(two_j) - 1, _LD))))
+        dt = t * (_LD(s) + two_j.astype(_LD)) / (n + 1 + two_j).astype(_LD)
         used = max(terms)
         self._series = {
             np.dtype(_LD): (t, dt, terms_ext),
@@ -351,10 +378,16 @@ class CentreSeries:
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
-        """t_{j+1}/t_j for j < size, in dtype."""
+        """t_{j+1}/t_j for j < size, in dtype.
+
+        The denominator ((n+1)/2 + j)(1 + j) is a half-integer far below
+        2^53, so it is formed exactly in double and cast once.
+        """
         s = dtype(s)
-        j = np.arange(size, dtype=dtype)
-        return (s / 2 + j) * ((s + 1) / 2 + j) / ((dtype(n + 1) / 2 + j) * (1 + j))
+        j = np.arange(size, dtype=float)
+        den = ((n + 1) / 2 + j) * (1 + j)
+        j = j.astype(dtype, copy=False)
+        return (s / 2 + j) * ((s + 1) / 2 + j) / den.astype(dtype, copy=False)
 
     @staticmethod
     def _terms_needed(ratio: np.ndarray, x: float, eps: tuple) -> tuple | None:
@@ -477,7 +510,11 @@ def solve_interior(p: QCurvParams) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Matched branch data and the extracted Q-curvature."""
+    """Matched branch data and the extracted Q-curvature.
+
+    `consistency_gap` is a diagnostic that only the qcurv table reads, so
+    its second connection, at TAU_CHECK, is made when it is first read.
+    """
 
     params: QCurvParams
     c1: float
@@ -485,10 +522,27 @@ class ScatteringResult:
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
     condition_estimate: float        # of the column-equilibrated system
-    consistency_gap: float           # relative Q change, tau_m = 3 vs 2.5 (nan if 2.5 fails)
     T_match: float                   # connection point tau_m
     branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
+    profile: RadialProfile = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def consistency_gap(self) -> float:
+        """Relative Q change, tau_m = TAU_MATCH vs TAU_CHECK; nan where the
+        TAU_CHECK connection fails its own guards (the TAU_MATCH result stands)."""
+        p, q = self.params, self.q_value
+        try:
+            q_check = _q_of(p, *_connect(self.profile, p, self.branch_low,
+                                         self.branch_high, TAU_CHECK)[:2])
+        except MatchingError:
+            q_check = math.nan
+        return abs(q - q_check) / max(abs(q), 1e-300)
+
+    def __getstate__(self):
+        # the profile's read-only connection mapping does not pickle: a
+        # pickled result carries its gap instead of its profile
+        return dict(vars(self), consistency_gap=self.consistency_gap, profile=None)
 
 
 def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
@@ -541,18 +595,10 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     b1 = frobenius_branch(p, p.n - p.s)
     b2 = frobenius_branch(p, p.s)
     c1, c2, cond = _connect(profile, p, b1, b2, TAU_MATCH)
-    q = _q_of(p, c1, c2)
-    # the check connection is a diagnostic only: where it cannot be made,
-    # the gap is reported as nan and the tau_m = 3 result stands
-    try:
-        q_check = _q_of(p, *_connect(profile, p, b1, b2, TAU_CHECK)[:2])
-    except MatchingError:
-        q_check = math.nan
     return ScatteringResult(
-        params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1), q_value=q,
-        condition_estimate=cond,
-        consistency_gap=abs(q - q_check) / max(abs(q), 1e-300),
-        T_match=TAU_MATCH, branch_low=b1, branch_high=b2,
+        params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1),
+        q_value=_q_of(p, c1, c2), condition_estimate=cond, T_match=TAU_MATCH,
+        branch_low=b1, branch_high=b2, profile=profile,
     )
 
 

@@ -128,6 +128,24 @@ class TestCommands:
         assert lines[0] == "n,gamma,k,Q_num,Q_oracle,rel_err,lhs,rhs,gap,verdict"
         assert len(lines) == 1 + 4
 
+    def test_sweep_rows_equal_qcurv_and_verify_rows(self, tmp_path):
+        # the sweep's Q columns come from the same helper as qcurv's, and its
+        # lhs/rhs/gap from the same report as `verify hk-adapted`
+        grid = ["--n", "3,5", "--gamma", "0.3,0.5", "--k", "0.5,2", "--jobs", "1"]
+        rows = {}
+        for name, command in (("sweep", ["sweep"]), ("qcurv", ["qcurv"]),
+                              ("hk-adapted", ["verify", "hk-adapted"])):
+            assert main(command + grid + ["--out", str(tmp_path / name)]) == 0
+            rows[name] = json.loads((tmp_path / name / "reports" / f"{name}.json").read_text())
+        assert len(rows["sweep"]) == len(rows["qcurv"]) == len(rows["hk-adapted"]) == 8
+        # the JSON reports keep each double's round-trip repr, so equal
+        # values here are equal bits
+        for sweep, qcurv, verify in zip(rows["sweep"], rows["qcurv"], rows["hk-adapted"]):
+            for key in ("n", "gamma", "k", "Q_num", "Q_oracle", "rel_err"):
+                assert sweep[key] == qcurv[key], key
+            for key in ("n", "gamma", "k", "lhs", "rhs", "gap"):
+                assert sweep[key] == verify[key], key
+
     def test_determinism_byte_identical(self, tmp_path):
         args = ["sweep", "--n", "4", "--gamma", "0.25,0.5", "--k", "1"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -200,11 +200,22 @@ class TestStructure:
             g.state([0.5, 1.0, 1.5])
 
 
+_SECOND_ORDER = ("ddS_hat", "ddT")
+
+
 def _same_bits(a: GeometryState, b: GeometryState):
-    """Every array field of a and b holds the same doubles, bit for bit."""
+    """Every field that a holds equals b's, array fields bit for bit.
+
+    a is a first-order lattice state: its second-order fields are None,
+    while b, a full state, carries them (ddT only in the adapted case,
+    where there is a T).
+    """
     for f in fields(GeometryState):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
+        if f.name in _SECOND_ORDER:
+            assert x is None, f.name
+            assert (y is not None) == (f.name == "ddS_hat" or b.T is not None), f.name
+        elif isinstance(x, np.ndarray):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
         else:
             assert x == y, f.name
@@ -244,9 +255,9 @@ class TestLatticeState:
         calls = []
         assemble = CompactifiedGeometry._assemble
 
-        def counted(self, tau, r):
+        def counted(self, tau, r, second_order=True):
             calls.append(len(tau))
-            return assemble(self, tau, r)
+            return assemble(self, tau, r, second_order)
 
         monkeypatch.setattr(CompactifiedGeometry, "_assemble", counted)
         for kind, n, gamma, k in (("adapted", 4, 0.3, 1.0), ("lee", 5, None, 2.0)):

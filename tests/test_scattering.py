@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction as Fr
 
@@ -15,12 +16,16 @@ from hkcce.hk_verifier import RadialIntegrator
 from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import (TAU_CHECK, TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
-                              _connect, _s_ext, frobenius_branch,
-                              frobenius_coefficients, solve_case,
-                              solve_interior)
+                              _connect, _q_of, _s_ext, de_lattice,
+                              frobenius_branch, frobenius_coefficients,
+                              match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+LD = np.longdouble
+# the grid the trimmed arithmetic is checked on, bit for bit
+WIDE_NS = range(3, 201)
+WIDE_GAMMAS = [float(g) for g in np.linspace(0.05, 0.95, 37)]
 
 
 def recursion_residual(b: FrobeniusBranch) -> float:
@@ -96,6 +101,46 @@ class TestFrobeniusCoefficients:
             assert float(b.series(r)) == pytest.approx(even_part, rel=1e-13)
 
 
+class TestBranchArithmetic:
+    """The connection's branch helpers keep their numbers bit for bit."""
+
+    def test_truncation_estimate_equals_the_numpy_horner(self):
+        for n in WIDE_NS:
+            for gamma in WIDE_GAMMAS:
+                for k in (0.5, 1.0, 2.0):
+                    p = QCurvParams(n, gamma, k)
+                    for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
+                        for tau in (TAU_MATCH, TAU_CHECK):
+                            r = (2.0 / math.sqrt(k)) * math.exp(-tau)
+                            c = b._c
+                            last = abs(c[-1]) * r ** (2 * (len(c) - 1))
+                            series = float(b.series(r))         # numpy's Horner
+                            expected = last / max(abs(series), 1e-300)
+                            assert b.truncation_estimate(r) == expected, (n, gamma, k, b.mu)
+
+    def test_extended_values_equal_a_fresh_evaluation(self):
+        # the arrays built once per branch give what forming them per call gave
+        p = QCurvParams(7, 0.3, 2.0)
+        for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
+            for tau in (TAU_MATCH, TAU_CHECK):
+                r = 2 / np.sqrt(LD(p.k)) * np.exp(-LD(tau))
+                j = np.arange(len(b.coeffs))
+                terms = np.asarray(b.coeffs, dtype=LD) * (r * r) ** j
+                r_mu = r ** LD(b.mu)
+                expected = (r_mu * terms.sum(), -r_mu * ((LD(b.mu) + 2 * j) * terms).sum())
+                assert b.extended_value_and_derivative(r) == expected
+
+
+class TestDeLattice:
+    def test_memoised_and_read_only(self):
+        lattice = de_lattice(40.0)
+        assert de_lattice(40.0) is lattice
+        for a in lattice:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
 class TestInteriorSolve:
     def test_taylor_start_values(self):
         p = QCurvParams(4, 0.5, 1.0)
@@ -147,6 +192,37 @@ class TestCentreSeries:
                 (n, gamma)
             # the double coefficients stop at the double term count
             assert len(series._series[np.dtype(float)][0]) == max(terms) < terms_ext[-1]
+
+    @staticmethod
+    def _all_long_double(n, s, count):
+        """Reference t_j and t_j (s+2j)/(n+1+2j), j < count, with every
+        factor formed in np.longdouble, the integer ones included."""
+        j = np.arange(count, dtype=LD)
+        r = j[:-1]
+        ratio = (s / 2 + r) * ((s + 1) / 2 + r) / ((LD(n + 1) / 2 + r) * (1 + r))
+        t = np.concatenate(([LD(1)], np.cumprod(ratio)))
+        return t, t * (LD(s) + 2 * j) / (n + 1 + 2 * j)
+
+    def test_coefficients_and_counts_equal_the_all_long_double_formula(self):
+        for n in WIDE_NS:
+            for gamma in WIDE_GAMMAS:
+                s = _s_ext(n, gamma)
+                series = CentreSeries(n, s)
+                t_ext, dt_ext, terms_ext = series._series[np.dtype(LD)]
+                t, dt, terms = series._series[np.dtype(float)]
+                t_ref, dt_ref = self._all_long_double(n, s, len(t_ext))
+                # equal values are equal bits here (no zero, no nan); the
+                # bytes of a long double hold padding besides its 80 bits
+                assert np.array_equal(t_ext, t_ref), (n, gamma)
+                assert np.array_equal(dt_ext, dt_ref), (n, gamma)
+                assert t.tobytes() == t_ref[:len(t)].astype(float).tobytes(), (n, gamma)
+                assert dt.tobytes() == dt_ref[:len(dt)].astype(float).tobytes(), (n, gamma)
+                # the term counts are read off the double ratios alone
+                # (`_terms_needed`), so equal ratios give equal counts
+                j = np.arange(2 * terms_ext[-1], dtype=float)
+                ratio = (float(s) / 2 + j) * ((float(s) + 1) / 2 + j) \
+                    / ((float(n + 1) / 2 + j) * (1 + j))
+                assert CentreSeries._ratio(n, s, len(j), float).tobytes() == ratio.tobytes()
 
 
 class TestNodePowers:
@@ -324,6 +400,56 @@ class TestMatching:
         # well conditioned but its entries keep only a few digits
         with pytest.raises(MatchingError, match="underflow"):
             solve_case(QCurvParams(560, 0.5, 2.0))
+
+
+class TestOnDemandGap:
+    """The TAU_CHECK connection is made when consistency_gap is first read."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        solve_case.cache_clear()
+        yield
+        solve_case.cache_clear()
+
+    @pytest.mark.parametrize("command,per_case", [("sweep", 1), ("qcurv", 2)])
+    def test_connections_per_case(self, tmp_path, monkeypatch, command, per_case):
+        calls = []
+
+        def counted(profile, p, b1, b2, tau):
+            calls.append((p.k, tau))
+            return _connect(profile, p, b1, b2, tau)
+
+        monkeypatch.setattr(scattering, "_connect", counted)
+        rc = cli.main([command, "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
+                       "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        taus = (TAU_MATCH, TAU_CHECK)[:per_case]
+        assert calls == [(k, tau) for k in (0.5, 1.0, 2.0) for tau in taus]
+
+    def test_gap_equals_the_eager_formula(self):
+        for n in (3, 4, 10, 20):
+            for gamma in (0.05, 0.5, 0.95):
+                for k in (0.5, 2.0):
+                    p = QCurvParams(n, gamma, k)
+                    profile = solve_interior(p)
+                    sr = match_and_q(profile, p)
+                    assert "consistency_gap" not in vars(sr)        # not made yet
+                    c1, c2, _ = _connect(profile, p, sr.branch_low, sr.branch_high,
+                                         TAU_CHECK)
+                    q, q_check = sr.q_value, _q_of(p, c1, c2)
+                    expected = abs(q - q_check) / max(abs(q), 1e-300)
+                    gap = sr.consistency_gap
+                    assert np.float64(gap).tobytes() == np.float64(expected).tobytes()
+                    assert vars(sr)["consistency_gap"] is gap       # made once
+
+    def test_result_pickles_with_its_gap(self):
+        for n in (5, 150):                               # a gap, and a nan gap
+            sr = match_and_q(solve_interior(QCurvParams(n, 0.5, 1.0)),
+                             QCurvParams(n, 0.5, 1.0))
+            back = pickle.loads(pickle.dumps(sr))
+            assert back == sr and back.profile is None
+            assert np.float64(back.consistency_gap).tobytes() == \
+                np.float64(sr.consistency_gap).tobytes()
 
 
 class TestMpmathReference:

@@ -1,0 +1,184 @@
+"""Digest every output of hkcce over a fixed grid: do two checkouts give the same numbers?
+
+    python3 tools/same_numbers.py
+
+Run from any directory; hkcce is imported from this checkout's ``src/``.  The
+grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
+
+  - every CLI command on that grid (qcurv, sweep, residuals with their
+    profile dumps, asymptotic, and verify hk-adapted, hk-cla, hk-lee,
+    defect), plus ``verify prop21 --n 5..20``: the exit status and the bytes
+    of every file written, the manifest read without ``wall_clock_s``;
+  - the scattering results, ``consistency_gap`` included, at n 3,4,10,150
+    (at n = 150 the check connection fails and the gap is nan);
+  - every residual profile of ``residual_suite`` (raw values, sup included),
+    which reads the full, second-order state;
+  - both ``boundary`` dicts (adapted and Lee) of every geometry;
+  - the first-order fields of every geometry's quadrature lattice, its
+    weights and its coarse mask;
+  - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid.
+
+One sha256 digest is printed per item, then their total.  Two checkouts
+give the same numbers on this set when every line agrees.  A RuntimeWarning
+is an error.  Floats are hashed by their bits, so the digests depend on the
+platform (np.longdouble is 80-bit on x86 and plain double elsewhere):
+compare two checkouts on one machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from dataclasses import fields
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+warnings.simplefilter("error", RuntimeWarning)
+
+import numpy as np  # noqa: E402
+
+from hkcce import cli  # noqa: E402
+from hkcce.compactification import (GeometryState, build_adapted, build_lee,  # noqa: E402
+                                    residual_suite)
+from hkcce.hk_verifier import asymptotic_ratio  # noqa: E402
+from hkcce.model_geometry import ModelSpace  # noqa: E402
+from hkcce.scattering import solve_case  # noqa: E402
+from hkcce.special_fn import QCurvParams  # noqa: E402
+
+NS, GAMMAS, KS = (3, 4, 10), (0.25, 0.5), (0.5, 1.0, 2.0)
+GRID = ["--n", "3,4,10", "--gamma", "0.25,0.5", "--k", "0.5,1,2"]
+COMMANDS = {
+    "cli qcurv": ["qcurv", *GRID],
+    "cli sweep": ["sweep", *GRID],
+    "cli residuals": ["residuals", *GRID],
+    "cli asymptotic": ["asymptotic", *GRID],
+    "cli verify hk-adapted": ["verify", "hk-adapted", *GRID],
+    "cli verify hk-cla": ["verify", "hk-cla", *GRID],
+    "cli verify hk-lee": ["verify", "hk-lee", *GRID],
+    "cli verify defect": ["verify", "defect", *GRID],
+    "cli verify prop21": ["verify", "prop21", "--n", "5..20"],
+}
+SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
+
+
+def _feed(h, obj):
+    """Hash obj by type and content: floats and arrays by their bytes."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"array {obj.dtype} {obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (float, np.floating)):
+        h.update(b"float " + np.asarray(obj).tobytes())
+    elif isinstance(obj, dict):
+        h.update(f"dict {len(obj)}".encode())
+        for key in sorted(obj, key=str):
+            _feed(h, str(key))
+            _feed(h, obj[key])
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"seq {len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+    else:
+        h.update(f"{type(obj).__name__} {obj!r}".encode())
+
+
+def digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def cli_run(argv) -> dict:
+    """Exit status and every file a CLI run writes, by path under its out dir."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.main([*argv, "--jobs", "1", "--out", tmp])
+        files = {}
+        for path in sorted(Path(tmp).rglob("*")):
+            if not path.is_file():
+                continue
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["wall_clock_s"]
+                manifest["files"] = [os.path.relpath(f, tmp) for f in manifest["files"]]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(tmp))] = data
+    return {"status": status, "files": files}
+
+
+def geometries():
+    """(label, geometry) for every adapted case of the grid and every Lee (n, k)."""
+    for n in NS:
+        for k in KS:
+            for gamma in GAMMAS:
+                profile, sr = solve_case(QCurvParams(n, gamma, k))
+                yield f"adapted {n} {gamma} {k}", build_adapted(ModelSpace(n, k), sr, profile)
+            yield f"lee {n} {k}", build_lee(ModelSpace(n, k))
+
+
+def scattering_results() -> dict:
+    out = {}
+    for n in (*NS, 150):
+        for gamma in GAMMAS:
+            for k in KS:
+                _, sr = solve_case(QCurvParams(n, gamma, k))
+                out[f"{n} {gamma} {k}"] = [sr.c1, sr.c2, sr.scattering_value, sr.q_value,
+                                           sr.condition_estimate, sr.T_match,
+                                           sr.consistency_gap]
+    return out
+
+
+def residuals() -> dict:
+    return {label: {name: [p.tau, p.r, p.values, p.weighted, p.sup_weighted]
+                    for name, p in residual_suite(g).items()}
+            for label, g in geometries()}
+
+
+def boundaries() -> dict:
+    return {label: g.boundary for label, g in geometries()}
+
+
+def lattices() -> dict:
+    def first_order(st):
+        return {f.name: getattr(st, f.name) for f in fields(GeometryState)
+                if f.name not in SECOND_ORDER}
+
+    out = {}
+    for label, g in geometries():
+        lat = g.lattice
+        out[label] = [first_order(lat.state), first_order(lat.boundary),
+                      lat.weights, lat.coarse]
+    return out
+
+
+def asymptotic_tables() -> dict:
+    return {f"{n} {k}": asymptotic_ratio(n, k, 0.5 / k ** 0.5 * np.logspace(-3, 0, 20))
+            for n in (60, 120) for k in KS}
+
+
+def main() -> int:
+    items = {name: (lambda argv=argv: cli_run(argv)) for name, argv in COMMANDS.items()}
+    items.update({
+        "scattering results": scattering_results,
+        "residual suites": residuals,
+        "boundary dicts": boundaries,
+        "lattice first-order state": lattices,
+        "asymptotic tables n 60, 120": asymptotic_tables,
+    })
+    total = hashlib.sha256()
+    for name, make in items.items():
+        d = digest(make())
+        total.update(d.encode())
+        print(f"{d}  {name}")
+    print(f"{total.hexdigest()}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
