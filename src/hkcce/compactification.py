@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import RadialProfile, ScatteringResult, de_lattice
+from .scattering import RadialProfile, ScatteringResult, _power_sums, de_lattice
 from .special_fn import d_gamma
 
 TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
@@ -150,14 +150,6 @@ class GeometryState:
         """|TF Hess_gbar rho|^2 = n/(n+1) tf^2/rho^2."""
         tf_over_rho = self.tf_hat * np.power(self.r, self.e - 1.0) / self.rho_over_r
         return self.n / (self.n + 1.0) * tf_over_rho * tf_over_rho
-
-
-def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Each row of coeffs summed as a polynomial in r2; shape (rows, points)."""
-    acc = np.zeros((coeffs.shape[0], r2.size))
-    for col in coeffs.T[::-1]:
-        acc = acc * r2 + col[:, None]
-    return acc
 
 
 def _d_rows(c: np.ndarray, exponents: np.ndarray) -> np.ndarray:

@@ -28,16 +28,13 @@ after the Pfaff transformation (DLMF 15.8.1) as the centre series
 Every term is positive, so neither sum cancels at any n, and both converge on
 the whole interior.  The two Frobenius branches, summed until their last term
 is below machine epsilon on r <= r(ln 8), are connected to u in value and
-tau derivative at the single point tau_m = 3, where the column-equilibrated
-2x2 system stays well conditioned (below 5e4 for n <= 40); a second connection
-at tau = 2.5 gives the reported consistency gap, or nan where that
-diagnostic connection fails its own guards.  It is made when
-`ScatteringResult.consistency_gap` is first read, which only the qcurv
-table does; a sweep or a verification makes one connection.  The series
-coefficients, the four connection values, the 2x2 solve and d_gamma are
-carried in np.longdouble, so that Q is rounded to double only once.
-Derivatives are always transported analytically (dr/dtau = -r); second
-derivatives come from the ODE closure, never from finite differences.
+tau derivative at the one point tau_m = 3, where the column-equilibrated
+2x2 system stays well conditioned (below 5e4 for n <= 40).  The series
+coefficients, u and u' there, both branch values and derivatives, the 2x2
+solve and d_gamma are carried in np.longdouble, so that Q is rounded to
+double only once.  Derivatives are always transported analytically
+(dr/dtau = -r); second derivatives come from the ODE closure, never from
+finite differences.
 
 The centre series does not depend on k: in tau all of k sits in the
 branches, through r = (2/sqrt(k)) e^{-tau}.  Nor do the quadrature nodes it
@@ -45,7 +42,7 @@ is summed at: the radial integrals use one nested double-exponential
 lattice (`de_lattice`) whose step and upper end are fixed, and the boundary
 decay rate only moves its lower end, far beyond TAU_MATCH.  So the series is
 summed once per (n, gamma) at the lattice's 155 nodes with tau <= TAU_MATCH,
-which become the profile's table, and at the two connection points; every k
+which become the profile's table, and at the connection point; every k
 and every integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
 each.  Those points are the same for every (n, gamma), and so are the
@@ -64,8 +61,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -73,7 +69,6 @@ from .special_fn import QCurvParams, d_gamma_ext
 
 TAU_BRANCH = math.log(8.0)    # the branch series are summed for tau >= ln 8, r <= 0.25/sqrt(k)
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
-TAU_CHECK = 2.5               # second connection, for the consistency gap
 _EPS = float(np.finfo(float).eps)
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
@@ -144,10 +139,10 @@ def de_lattice(tau_max: float):
 def _fixed_nodes():
     """The points the centre series is summed at for every interior: the
     lattice nodes with tau <= TAU_MATCH in the lattice's descending order,
-    in double, and the two connection points in np.longdouble."""
+    in double, and the connection point TAU_MATCH in np.longdouble."""
     tau = de_lattice(TAU_MATCH)[0]
     return (_read_only(tau[tau <= TAU_MATCH]),
-            _read_only(np.array([TAU_MATCH, TAU_CHECK], dtype=_LD)))
+            _read_only(np.array([TAU_MATCH], dtype=_LD)))
 
 
 _FIXED_NODES = _TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
@@ -194,11 +189,12 @@ def frobenius_coefficients(n, s, k, mu, order: int):
     return list(islice(_frobenius_terms(n, s, k, mu), order + 1))
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j c_j x^j for the short branch series."""
-    acc = np.zeros_like(x)
-    for cj in c[::-1]:
-        acc = acc * x + cj
+def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Each row of coeffs summed as a polynomial in r2; shape (rows, points)."""
+    acc = np.zeros((coeffs.shape[0], r2.size))
+    for col in coeffs.T[::-1, :, None]:
+        acc *= r2
+        acc += col
     return acc
 
 
@@ -233,7 +229,7 @@ class FrobeniusBranch:
     def series(self, r):
         """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
         r = np.asarray(r, dtype=float)
-        return _horner(self._c, r * r)
+        return _power_sums(self._c[None], (r * r).ravel())[0].reshape(r.shape)
 
     def extended_value_and_derivative(self, r):
         """Value and tau derivative (-r d/dr) at one radius, in np.longdouble."""
@@ -311,7 +307,7 @@ def _block_powers(x_ext: np.ndarray, B: int, dtype):
 @functools.lru_cache(maxsize=128)
 def _node_powers(which: int, g: int, B: int) -> tuple:
     """`_block_powers` at group g of the fixed node set `which` (0: the
-    profile table's nodes, in double; 1: the connection points, in long
+    profile table's nodes, in double; 1: the connection point, in long
     double), once per process and read-only.
 
     The node sets are fixed, so (which, g, B) is an exact key.  The
@@ -339,7 +335,7 @@ class CentreSeries:
     and in double, each up to the order that sums the series to that
     precision at TAU_MATCH; `drop_extended` frees the long-double ones once no
     more long-double sums are needed.  Long-double sums are made only at the
-    connection points, which lie in the last group of x, so only that
+    connection point, which lies in the last group of x, so only that
     group's long-double count is computed; a long-double sum at a smaller x
     takes the double count of its group.
     A call sums, in the dtype of its argument, its
@@ -349,7 +345,7 @@ class CentreSeries:
     sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so the temporaries
     are (points x sqrt(terms)) rather than (points x terms).  The tables of
     x^r and x^{Bq} are built per call, except at the fixed nodes (the
-    profile table's nodes in double and the connection points in long
+    profile table's nodes in double and the connection point in long
     double), where they are read from `_node_powers`.
     """
 
@@ -458,8 +454,8 @@ class RadialProfile:
     integrator exactly what it would have summed.  `evaluate` returns those
     arrays when asked for exactly those nodes (compared element by element)
     and sums the series at any other tau in [0, tau_max]; `build_adapted`
-    checks the table for positivity.  `connection` holds u and u' in
-    np.longdouble at TAU_MATCH and TAU_CHECK, summed once with the profile.
+    checks the table for positivity.  `connection` is the pair (u, u') at
+    TAU_MATCH in np.longdouble, summed once with the profile.
     The second derivative is never finite-differenced; the geometry takes it
     from the ODE closure u'' = -n coth(tau) u' - s(n-s) u.
     """
@@ -469,7 +465,7 @@ class RadialProfile:
     du: np.ndarray
     tau_max: float
     values: Callable = field(repr=False)     # tau array -> (u, u')
-    connection: Mapping = field(repr=False)  # tau -> (u, u') in np.longdouble
+    connection: tuple = field(repr=False)    # (u, u') at TAU_MATCH, np.longdouble
 
     def evaluate(self, tau):
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -486,10 +482,9 @@ def _interior(n: int, gamma: float) -> RadialProfile:
     u, du = values(_TABLE_TAU)
     u_c, du_c = values(_CONNECTION_TAU)
     values.drop_extended()
-    connection = {TAU_MATCH: (u_c[0], du_c[0]), TAU_CHECK: (u_c[1], du_c[1])}
     return RadialProfile(tau=_TABLE_TAU[::-1], u=_read_only(u)[::-1],
                          du=_read_only(du)[::-1], tau_max=TAU_MATCH, values=values,
-                         connection=MappingProxyType(connection))
+                         connection=(u_c[0], du_c[0]))
 
 
 def solve_interior(p: QCurvParams) -> RadialProfile:
@@ -510,11 +505,7 @@ def solve_interior(p: QCurvParams) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Matched branch data and the extracted Q-curvature.
-
-    `consistency_gap` is a diagnostic that only the qcurv table reads, so
-    its second connection, at TAU_CHECK, is made when it is first read.
-    """
+    """Matched branch data and the extracted Q-curvature."""
 
     params: QCurvParams
     c1: float
@@ -527,29 +518,10 @@ class ScatteringResult:
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
     profile: RadialProfile = field(repr=False, compare=False)
 
-    @functools.cached_property
-    def consistency_gap(self) -> float:
-        """Relative Q change, tau_m = TAU_MATCH vs TAU_CHECK; nan where the
-        TAU_CHECK connection fails its own guards (the TAU_MATCH result stands)."""
-        p, q = self.params, self.q_value
-        try:
-            q_check = _q_of(p, *_connect(self.profile, p, self.branch_low,
-                                         self.branch_high, TAU_CHECK)[:2])
-        except MatchingError:
-            q_check = math.nan
-        return abs(q - q_check) / max(abs(q), 1e-300)
-
-    def __getstate__(self):
-        # the profile's read-only connection mapping does not pickle: a
-        # pickled result carries its gap instead of its profile
-        return dict(vars(self), consistency_gap=self.consistency_gap, profile=None)
-
 
 def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
-             b2: FrobeniusBranch, tau: float):
-    """Solve the value/derivative system at tau; returns (c1, c2, cond).
-
-    tau is TAU_MATCH or TAU_CHECK, where the profile stores u and u'.
+             b2: FrobeniusBranch):
+    """Solve the value/derivative system at TAU_MATCH; returns (c1, c2, cond).
 
     c1 and c2 are np.longdouble: the centre series, both branches and the
     2x2 solve (Cramer's rule) are evaluated in extended precision.  The
@@ -557,16 +529,16 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     guard measures the conditioning of the connection, not the r^{n-s} and
     r^s scales of the branches.
     """
-    r = (2.0 / math.sqrt(p.k)) * math.exp(-tau)
+    r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
     trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
-    u, du = profile.connection[tau]
+    u, du = profile.connection
     # a subnormal r^mu or u keeps only a few digits, which no condition
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
-        raise MatchingError(f"branch or interior values underflow at tau={tau}")
-    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(tau))
+        raise MatchingError(f"branch or interior values underflow at tau={TAU_MATCH}")
+    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
     m = np.array([b1.extended_value_and_derivative(r_ld),
                   b2.extended_value_and_derivative(r_ld)]).T
     scale = np.max(np.abs(m), axis=0)
@@ -586,18 +558,15 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     return c1, c2, cond
 
 
-def _q_of(p: QCurvParams, c1, c2) -> float:
-    return float(2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1))
-
-
 def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     """Extract c1, c2 and Q by two-branch matching at tau = TAU_MATCH."""
     b1 = frobenius_branch(p, p.n - p.s)
     b2 = frobenius_branch(p, p.s)
-    c1, c2, cond = _connect(profile, p, b1, b2, TAU_MATCH)
+    c1, c2, cond = _connect(profile, p, b1, b2)
+    q = 2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1)
     return ScatteringResult(
         params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1),
-        q_value=_q_of(p, c1, c2), condition_estimate=cond, T_match=TAU_MATCH,
+        q_value=float(q), condition_estimate=cond, T_match=TAU_MATCH,
         branch_low=b1, branch_high=b2, profile=profile,
     )
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import pickle
 import random
 from fractions import Fraction as Fr
 
@@ -14,11 +13,10 @@ from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
 from hkcce.hk_verifier import RadialIntegrator
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import (TAU_CHECK, TAU_MATCH, CentreSeries,
+from hkcce.scattering import (TAU_BRANCH, TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
-                              _connect, _q_of, _s_ext, de_lattice,
-                              frobenius_branch, frobenius_coefficients,
-                              match_and_q, solve_case, solve_interior)
+                              _connect, _s_ext, de_lattice, frobenius_branch,
+                              frobenius_coefficients, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -104,17 +102,18 @@ class TestFrobeniusCoefficients:
 class TestBranchArithmetic:
     """The connection's branch helpers keep their numbers bit for bit."""
 
-    def test_truncation_estimate_equals_the_numpy_horner(self):
+    def test_truncation_estimate_equals_the_row_power_sums(self):
         for n in WIDE_NS:
             for gamma in WIDE_GAMMAS:
                 for k in (0.5, 1.0, 2.0):
                     p = QCurvParams(n, gamma, k)
+                    radii = [(2.0 / math.sqrt(k)) * math.exp(-tau)
+                             for tau in (TAU_BRANCH, TAU_MATCH)]
                     for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
-                        for tau in (TAU_MATCH, TAU_CHECK):
-                            r = (2.0 / math.sqrt(k)) * math.exp(-tau)
-                            c = b._c
+                        c = b._c
+                        sums = b.series(np.array(radii)).tolist()    # `_power_sums`
+                        for r, series in zip(radii, sums):
                             last = abs(c[-1]) * r ** (2 * (len(c) - 1))
-                            series = float(b.series(r))         # numpy's Horner
                             expected = last / max(abs(series), 1e-300)
                             assert b.truncation_estimate(r) == expected, (n, gamma, k, b.mu)
 
@@ -122,7 +121,7 @@ class TestBranchArithmetic:
         # the arrays built once per branch give what forming them per call gave
         p = QCurvParams(7, 0.3, 2.0)
         for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
-            for tau in (TAU_MATCH, TAU_CHECK):
+            for tau in (TAU_BRANCH, TAU_MATCH):
                 r = 2 / np.sqrt(LD(p.k)) * np.exp(-LD(tau))
                 j = np.arange(len(b.coeffs))
                 terms = np.asarray(b.coeffs, dtype=LD) * (r * r) ** j
@@ -186,8 +185,8 @@ class TestCentreSeries:
             ratio = ((s / 2 + j) * ((s + 1) / 2 + j)
                      / ((np.longdouble(n + 1) / 2 + j) * (1 + j))).astype(float)
             assert terms == [per_eps_terms(ratio, x, eps) for x in bounds], (n, gamma)
-            # long double is summed only in the last group, where both
-            # connection points lie; the other groups keep the double count
+            # long double is summed only in the last group, where the
+            # connection point lies; the other groups keep the double count
             assert terms_ext == terms[:-1] + [per_eps_terms(ratio, bounds[-1], eps_ext)], \
                 (n, gamma)
             # the double coefficients stop at the double term count
@@ -280,12 +279,12 @@ class TestNodePowers:
         for n, gamma in self.CASES:
             scattering._node_powers.cache_clear()
             p = self._interior(n, gamma)
-            fresh[n, gamma] = (p.u.copy(), p.du.copy(), dict(p.connection))
+            fresh[n, gamma] = (p.u.copy(), p.du.copy(), p.connection)
         for n, gamma in self.CASES:
             p = self._interior(n, gamma)
             u, du, connection = fresh[n, gamma]
             assert np.array_equal(p.u, u) and np.array_equal(p.du, du)
-            assert dict(p.connection) == connection
+            assert p.connection == connection
         assert scattering._node_powers.cache_info().hits > 0
         # and equal to sums that take no table from the cache
         series = CentreSeries(5, _s_ext(5, 0.3))
@@ -367,89 +366,29 @@ class TestMatching:
         assert 1.0 < sr.condition_estimate < 1e12
 
     def test_truncation_guard(self):
-        # connecting very close to the centre: r(0.3) lies far outside the
-        # radius r(ln 8) the branch series were summed for
+        # `frobenius_branch` sums to machine epsilon at r(ln 8), beyond
+        # r(TAU_MATCH); branches cut after a2 leave ~1.5e-2 there
         p = QCurvParams(4, 0.5, 4.0)
         prof = solve_interior(p)
-        b1, b2 = frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)
-        with pytest.raises(MatchingError):
-            _connect(prof, p, b1, b2, 0.3)
+        s = _s_ext(p.n, p.gamma)
+        b1, b2 = (FrobeniusBranch(n=p.n, s=s, k=p.k, mu=mu,
+                                  coeffs=frobenius_coefficients(p.n, s, p.k, mu, 1))
+                  for mu in (p.n - s, s))
+        with pytest.raises(MatchingError, match="Frobenius truncation"):
+            _connect(prof, p, b1, b2)
 
     def test_singular_system_is_a_matching_error(self):
         p = QCurvParams(4, 0.5, 1.0)
         prof = solve_interior(p)
         b1 = frobenius_branch(p, p.n - p.s)
         with pytest.raises(MatchingError):
-            _connect(prof, p, b1, b1, 3.0)
-
-    def test_consistency_gap(self, solved):
-        for case in ((4, 0.05, 1.0), (6, 0.5, 2.0), (20, 0.95, 0.5)):
-            _, sr = solved(*case)
-            assert sr.consistency_gap <= 1e-12
-
-    def test_failed_check_connection_keeps_the_result(self):
-        # at n = 150 the tau = 2.5 system (condition ~1e14) fails its guard,
-        # while the tau = 3 connection (~1e10) still gives Q
-        p = QCurvParams(150, 0.5, 1.0)
-        _, sr = solve_case(p)
-        assert math.isnan(sr.consistency_gap)
-        assert sr.q_value == pytest.approx(sphere_q_value(150, 0.5, 1.0), rel=1e-12)
+            _connect(prof, p, b1, b1)
 
     def test_underflow_is_a_matching_error(self):
         # r^{n-s} is subnormal at tau = 3 for n = 560, k = 2: the system is
         # well conditioned but its entries keep only a few digits
         with pytest.raises(MatchingError, match="underflow"):
             solve_case(QCurvParams(560, 0.5, 2.0))
-
-
-class TestOnDemandGap:
-    """The TAU_CHECK connection is made when consistency_gap is first read."""
-
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        solve_case.cache_clear()
-        yield
-        solve_case.cache_clear()
-
-    @pytest.mark.parametrize("command,per_case", [("sweep", 1), ("qcurv", 2)])
-    def test_connections_per_case(self, tmp_path, monkeypatch, command, per_case):
-        calls = []
-
-        def counted(profile, p, b1, b2, tau):
-            calls.append((p.k, tau))
-            return _connect(profile, p, b1, b2, tau)
-
-        monkeypatch.setattr(scattering, "_connect", counted)
-        rc = cli.main([command, "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
-                       "--jobs", "1", "--out", str(tmp_path / "o")])
-        assert rc == 0
-        taus = (TAU_MATCH, TAU_CHECK)[:per_case]
-        assert calls == [(k, tau) for k in (0.5, 1.0, 2.0) for tau in taus]
-
-    def test_gap_equals_the_eager_formula(self):
-        for n in (3, 4, 10, 20):
-            for gamma in (0.05, 0.5, 0.95):
-                for k in (0.5, 2.0):
-                    p = QCurvParams(n, gamma, k)
-                    profile = solve_interior(p)
-                    sr = match_and_q(profile, p)
-                    assert "consistency_gap" not in vars(sr)        # not made yet
-                    c1, c2, _ = _connect(profile, p, sr.branch_low, sr.branch_high,
-                                         TAU_CHECK)
-                    q, q_check = sr.q_value, _q_of(p, c1, c2)
-                    expected = abs(q - q_check) / max(abs(q), 1e-300)
-                    gap = sr.consistency_gap
-                    assert np.float64(gap).tobytes() == np.float64(expected).tobytes()
-                    assert vars(sr)["consistency_gap"] is gap       # made once
-
-    def test_result_pickles_with_its_gap(self):
-        for n in (5, 150):                               # a gap, and a nan gap
-            sr = match_and_q(solve_interior(QCurvParams(n, 0.5, 1.0)),
-                             QCurvParams(n, 0.5, 1.0))
-            back = pickle.loads(pickle.dumps(sr))
-            assert back == sr and back.profile is None
-            assert np.float64(back.consistency_gap).tobytes() == \
-                np.float64(sr.consistency_gap).tobytes()
 
 
 class TestMpmathReference:
@@ -460,7 +399,7 @@ class TestMpmathReference:
     the tau -> infinity limit of r^{s-n} u (DLMF 15.8.2).
     """
 
-    NS = (3, 4, 20, 40, 60)
+    NS = (3, 4, 20, 40, 60, 150)      # at n = 150 the condition is ~1e9
     GAMMAS = (0.05, 0.5, 0.95)
     KS = (0.5, 2.0)
 
@@ -506,8 +445,7 @@ class TestMpmathReference:
 
 
 def _result_numbers(sr):
-    return (sr.q_value, sr.c1, sr.c2, sr.scattering_value, sr.condition_estimate,
-            sr.consistency_gap)
+    return sr.q_value, sr.c1, sr.c2, sr.scattering_value, sr.condition_estimate
 
 
 class TestMemo:
@@ -569,7 +507,7 @@ class TestMemo:
         extended = [tau for tau in calls if tau.dtype == np.longdouble]
         assert len(doubles) == 1 and len(extended) == 1
         assert np.array_equal(doubles[0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
-        assert list(extended[0]) == [TAU_MATCH, TAU_CHECK]
+        assert list(extended[0]) == [TAU_MATCH]
 
     def test_results_are_frozen(self):
         profile, sr = solve_case(QCurvParams(4, 0.25, 1.0))
