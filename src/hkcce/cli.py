@@ -256,7 +256,7 @@ def _q_row(n: int, gamma: float, k: float):
 
 def _qcurv_case(args) -> dict:
     sr, row, ok = _q_row(*args)
-    row.update(c1=sr.c1, c2=sr.c2, condition=sr.condition_estimate, T_match=sr.T_match,
+    row.update(c1=sr.c1, c2=sr.c2, condition=sr.condition_estimate,
                verdict="pass" if ok else "fail")
     return row
 

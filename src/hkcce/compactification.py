@@ -58,7 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import RadialProfile, ScatteringResult, _power_sums, de_lattice
+from .scattering import (TAU_MATCH, RadialProfile, ScatteringResult, _power_sums,
+                         de_lattice)
 from .special_fn import d_gamma
 
 TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
@@ -189,7 +190,7 @@ class CompactifiedGeometry:
             # the branch sums cancel at large n away from the boundary (1e-9
             # at tau = ln 8 for n = 60), while the centre series is accurate
             # up to its horizon, the connection point
-            self.tau_branch = profile.tau_max
+            self.tau_branch = TAU_MATCH
             low = np.asarray(sr.branch_low.coeffs, dtype=float)
             high = np.asarray(sr.branch_high.coeffs, dtype=float)
             self.q = sr.scattering_value

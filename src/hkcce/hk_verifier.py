@@ -262,7 +262,7 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6) -> Verific
         [("tracefree_hessian", fac, r1), ("grad_T", fac, r2)], tol,
         gamma - 1.0 - n / 2.0,
         {"n": n, "gamma": gamma, "k": k, "tol": tol,
-         "q_value": sr.q_value, "T_match": sr.T_match})
+         "q_value": sr.q_value})
 
 
 def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:

@@ -41,9 +41,12 @@ branches, through r = (2/sqrt(k)) e^{-tau}.  Nor do the quadrature nodes it
 is summed at: the radial integrals use one nested double-exponential
 lattice (`de_lattice`) whose step and upper end are fixed, and the boundary
 decay rate only moves its lower end, far beyond TAU_MATCH.  So the series is
-summed once per (n, gamma) at the lattice's 155 nodes with tau <= TAU_MATCH,
-which become the profile's table, and at the connection point; every k
-and every integral shares them.  `solve_interior` keeps the last interior,
+built once per (n, gamma) and summed twice: in np.longdouble at the
+connection point when it is built (`CentreSeries.connection`, the one
+extended-precision sum of the interior, after which only double
+coefficients are kept), and in double at the lattice's 155 nodes with
+tau <= TAU_MATCH, which become the profile's table; every k and every
+integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
 each.  Those points are the same for every (n, gamma), and so are the
 powers of x the sums read there: they are tabulated once per process
@@ -226,11 +229,6 @@ class FrobeniusBranch:
         object.__setattr__(self, "_j", _read_only(j))
         object.__setattr__(self, "_mu_2j", _read_only(_LD(self.mu) + 2 * j))
 
-    def series(self, r):
-        """The even factor sum a_{2j} r^{2j} (without the r^mu prefactor)."""
-        r = np.asarray(r, dtype=float)
-        return _power_sums(self._c[None], (r * r).ravel())[0].reshape(r.shape)
-
     def extended_value_and_derivative(self, r):
         """Value and tau derivative (-r d/dr) at one radius, in np.longdouble."""
         r = _LD(r)
@@ -242,7 +240,8 @@ class FrobeniusBranch:
         """Magnitude of the last kept term relative to the series value.
 
         The series is summed by Horner on Python floats: the same double
-        operations as `series`, without numpy's per-operation cost.
+        operations as the row sums of `_power_sums`, without numpy's
+        per-operation cost.
         """
         r = float(r)
         x, acc = r * r, 0.0
@@ -306,9 +305,10 @@ def _block_powers(x_ext: np.ndarray, B: int, dtype):
 
 @functools.lru_cache(maxsize=128)
 def _node_powers(which: int, g: int, B: int) -> tuple:
-    """`_block_powers` at group g of the fixed node set `which` (0: the
-    profile table's nodes, in double; 1: the connection point, in long
-    double), once per process and read-only.
+    """`_block_powers` at group g of the fixed node set `which`, once per
+    process and read-only: 0 is the profile table's nodes, in double, which
+    a `CentreSeries` call there reads; 1 is the connection point, in long
+    double, which every `CentreSeries` construction reads.
 
     The node sets are fixed, so (which, g, B) is an exact key.  The
     interiors over n 3..200 and 37 gammas in [0.05, 0.95] read 41 tables,
@@ -320,6 +320,21 @@ def _node_powers(which: int, g: int, B: int) -> tuple:
     return tuple(_read_only(a) for a in _block_powers(x, B, nodes.dtype))
 
 
+def _blocked_sums(t: np.ndarray, dt: np.ndarray, powers: tuple) -> np.ndarray:
+    """sum_j t_j x^j and sum_j dt_j x^j, shape (2, points), in the dtype of
+    `powers`, the tables (x^r, x^{Bq}) of `_block_powers` at the points,
+    B = ceil(sqrt J) for J terms.  With j = B q + r, sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so
+    the temporaries are (points x sqrt(terms)) rather than (points x terms).
+    """
+    low, high = powers
+    J, B = len(t), low.shape[1]
+    Q = -(-J // B)
+    coef = np.zeros((2, Q * B), dtype=low.dtype)
+    coef[0, :J], coef[1, :J] = t, dt
+    blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
+    return np.einsum("pkq,pq->kp", blocks, high[:, :Q])
+
+
 def _terms_estimate(eps: float, x: float) -> int:
     """About log(eps)/log(x) terms of the centre series, with a margin: t_j
     decays like j^{gamma - 1}."""
@@ -329,28 +344,26 @@ def _terms_estimate(eps: float, x: float) -> int:
 class CentreSeries:
     """u and u' of the regular interior solution from its series in x = tanh^2 tau.
 
-    The term counts come from the coefficient ratios in double; the
-    coefficients t_j and t_j (s+2j)/(n+1+2j) are then computed in
-    np.longdouble up to the long-double count only, and kept in long double
-    and in double, each up to the order that sums the series to that
-    precision at TAU_MATCH; `drop_extended` frees the long-double ones once no
-    more long-double sums are needed.  Long-double sums are made only at the
-    connection point, which lies in the last group of x, so only that
-    group's long-double count is computed; a long-double sum at a smaller x
-    takes the double count of its group.
-    A call sums, in the dtype of its argument, its
-    points in groups of similar x, each with the terms the group's upper
-    bound of x needs (near tau = 3 that is ~3500, below x = 0.5 about 50),
-    as a blocked product: with j = B q + r,
-    sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so the temporaries
-    are (points x sqrt(terms)) rather than (points x terms).  The tables of
-    x^r and x^{Bq} are built per call, except at the fixed nodes (the
-    profile table's nodes in double and the connection point in long
-    double), where they are read from `_node_powers`.
+    The term counts come from the coefficient ratios in double, one per
+    group of x, each the count that sums the series to double precision at
+    the group's upper bound of x (near tau = 3 that is ~3500, below
+    x = 0.5 about 50), and one more that sums it to long-double precision
+    at TAU_MATCH.  Construction computes the coefficients t_j and
+    t_j (s+2j)/(n+1+2j) in np.longdouble up to that long-double count, sums
+    them once at TAU_MATCH into `connection`, the pair (u, u') there in
+    np.longdouble, and keeps them in double only, up to the largest double
+    count.  This is the interior's one extended-precision sum; no method
+    changes a built series.
+
+    A call takes tau in double and returns u and u' in double.  It sums its
+    points in groups of similar x, each with its group's terms, as a blocked
+    product (`_blocked_sums`).  The tables of x^r and x^{Bq} are built from
+    x in long double per call, except at the profile table's nodes, where
+    they are read from `_node_powers`, as the connection's are.
     """
 
-    def __init__(self, n: int, s: float):
-        self.n, self.s = n, s
+    def __init__(self, n: int, s):
+        s = _LD(s)
         bounds = _X_GROUPS + (float(np.tanh(_LD(TAU_MATCH)) ** 2),)
         eps_ext = float(np.finfo(_LD).eps)
         eps = ((_EPS,),) * (len(bounds) - 1) + ((eps_ext, _EPS),)
@@ -361,16 +374,20 @@ class CentreSeries:
             if None not in counts:
                 break
             size *= 2
-        terms = [c[-1] for c in counts]
-        terms_ext = terms[:-1] + [counts[-1][0]]
-        two_j = 2.0 * np.arange(terms_ext[-1])      # exact in double, cast once
+        terms_ext = counts[-1][0]
+        two_j = 2.0 * np.arange(terms_ext)          # exact in double, cast once
         t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(two_j) - 1, _LD))))
-        dt = t * (_LD(s) + two_j.astype(_LD)) / (n + 1 + two_j).astype(_LD)
-        used = max(terms)
-        self._series = {
-            np.dtype(_LD): (t, dt, terms_ext),
-            np.dtype(float): (t[:used].astype(float), dt[:used].astype(float), terms),
-        }
+        dt = t * (s + two_j.astype(_LD)) / (n + 1 + two_j).astype(_LD)
+        B = math.isqrt(terms_ext - 1) + 1        # the connection lies in the last group
+        u, du = _blocked_sums(t, dt, _node_powers(1, len(_X_GROUPS), B))
+        tau = _CONNECTION_TAU
+        sech_s = np.cosh(tau) ** -s
+        self.connection = ((sech_s * u)[0], (-(n - s) * np.tanh(tau) * sech_s * du)[0])
+        self.n, self.s = n, float(s)
+        self._terms = [c[-1] for c in counts]     # double terms of each group of x
+        self._terms_ext = terms_ext               # long-double terms of the connection
+        used = max(self._terms)
+        self._t, self._dt = (_read_only(c[:used].astype(float)) for c in (t, dt))
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
@@ -410,37 +427,20 @@ class CentreSeries:
                 return tuple(counts)
         return None
 
-    def drop_extended(self):
-        """Forget the np.longdouble coefficients: later calls sum in double only."""
-        self._series = {np.dtype(float): self._series[np.dtype(float)]}
-
     def __call__(self, tau):
-        tau = np.asarray(tau)
-        if tau.dtype != _LD:
-            tau = tau.astype(float)
-        t, dt, terms = self._series[tau.dtype]
+        tau = np.asarray(tau, dtype=float)
         x_ext = np.tanh(tau.astype(_LD)) ** 2
-        fixed = next((i for i, nodes in enumerate(_FIXED_NODES)
-                      if tau.dtype == nodes.dtype and np.array_equal(tau, nodes)), None)
-        sums = np.empty((2, len(tau)), dtype=tau.dtype)
         group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
+        fixed = np.array_equal(tau, _TABLE_TAU)
+        sums = np.empty((2, len(tau)))
         for g in np.unique(group):
             at = group == g
-            J = int(terms[g])
+            J = self._terms[g]
             B = math.isqrt(J - 1) + 1
-            Q = -(-J // B)
-            coef = np.zeros((2, Q * B), dtype=tau.dtype)
-            coef[0, :J] = t[:J]
-            coef[1, :J] = dt[:J]
-            if fixed is None:
-                low, high = _block_powers(x_ext[at], B, tau.dtype)   # x^r, x^{Bq}
-            else:
-                low, high = _node_powers(fixed, int(g), B)
-            blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
-            sums[:, at] = np.einsum("pkq,pq->kp", blocks, high[:, :Q])
-        s = tau.dtype.type(self.s)
-        sech_s = np.cosh(tau) ** -s
-        return sech_s * sums[0], -(self.n - s) * np.tanh(tau) * sech_s * sums[1]
+            powers = _node_powers(0, int(g), B) if fixed else _block_powers(x_ext[at], B, float)
+            sums[:, at] = _blocked_sums(self._t[:J], self._dt[:J], powers)
+        sech_s = np.cosh(tau) ** -self.s
+        return sech_s * sums[0], -(self.n - self.s) * np.tanh(tau) * sech_s * sums[1]
 
 
 @dataclass(frozen=True, eq=False)      # arrays and a callable: compared by identity
@@ -448,14 +448,14 @@ class RadialProfile:
     """Regular radial solution in closed form: u and u' at any tau.
 
     tau, u and du tabulate the profile at the interior nodes of the
-    quadrature lattice, the `de_lattice` nodes with tau <= tau_max, in
+    quadrature lattice, the `de_lattice` nodes with tau <= TAU_MATCH, in
     ascending order: they are reversed read-only views of arrays summed in
     the lattice's own descending order, so that `evaluate` hands the
     integrator exactly what it would have summed.  `evaluate` returns those
     arrays when asked for exactly those nodes (compared element by element)
-    and sums the series at any other tau in [0, tau_max]; `build_adapted`
-    checks the table for positivity.  `connection` is the pair (u, u') at
-    TAU_MATCH in np.longdouble, summed once with the profile.
+    and sums the series at any other tau in [0, TAU_MATCH]; `build_adapted`
+    checks the table for positivity.  `connection` is the series'
+    `connection`, the pair (u, u') at TAU_MATCH in np.longdouble.
     The second derivative is never finite-differenced; the geometry takes it
     from the ODE closure u'' = -n coth(tau) u' - s(n-s) u.
     """
@@ -463,7 +463,6 @@ class RadialProfile:
     tau: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    tau_max: float
     values: Callable = field(repr=False)     # tau array -> (u, u')
     connection: tuple = field(repr=False)    # (u, u') at TAU_MATCH, np.longdouble
 
@@ -471,20 +470,18 @@ class RadialProfile:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         if np.array_equal(tau, self.tau[::-1]):
             return self.u[::-1], self.du[::-1]
-        if np.any(tau > self.tau_max * (1 + 1e-12)):
-            raise ValueError(f"tau beyond profile horizon {self.tau_max}")
+        if np.any(tau > TAU_MATCH * (1 + 1e-12)):
+            raise ValueError(f"tau beyond profile horizon {TAU_MATCH}")
         return self.values(tau)
 
 
 @functools.lru_cache(maxsize=1)
 def _interior(n: int, gamma: float) -> RadialProfile:
-    values = CentreSeries(n, _s_ext(n, gamma))
-    u, du = values(_TABLE_TAU)
-    u_c, du_c = values(_CONNECTION_TAU)
-    values.drop_extended()
+    series = CentreSeries(n, _s_ext(n, gamma))
+    u, du = series(_TABLE_TAU)
     return RadialProfile(tau=_TABLE_TAU[::-1], u=_read_only(u)[::-1],
-                         du=_read_only(du)[::-1], tau_max=TAU_MATCH, values=values,
-                         connection=(u_c[0], du_c[0]))
+                         du=_read_only(du)[::-1], values=series,
+                         connection=series.connection)
 
 
 def solve_interior(p: QCurvParams) -> RadialProfile:
@@ -513,10 +510,8 @@ class ScatteringResult:
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
     condition_estimate: float        # of the column-equilibrated system
-    T_match: float                   # connection point tau_m
     branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
-    profile: RadialProfile = field(repr=False, compare=False)
 
 
 def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
@@ -566,8 +561,7 @@ def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
     q = 2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1)
     return ScatteringResult(
         params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1),
-        q_value=float(q), condition_estimate=cond, T_match=TAU_MATCH,
-        branch_low=b1, branch_high=b2, profile=profile,
+        q_value=float(q), condition_estimate=cond, branch_low=b1, branch_high=b2,
     )
 
 

@@ -1,5 +1,6 @@
 """Frobenius branches, interior solver and Q-curvature extraction."""
 
+import copy
 import dataclasses
 import math
 import random
@@ -16,7 +17,8 @@ from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import (TAU_BRANCH, TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, _s_ext, de_lattice, frobenius_branch,
-                              frobenius_coefficients, solve_case, solve_interior)
+                              frobenius_coefficients, match_and_q, solve_case,
+                              solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -24,6 +26,13 @@ LD = np.longdouble
 # the grid the trimmed arithmetic is checked on, bit for bit
 WIDE_NS = range(3, 201)
 WIDE_GAMMAS = [float(g) for g in np.linspace(0.05, 0.95, 37)]
+
+
+def branch_series(b: FrobeniusBranch, r) -> np.ndarray:
+    """The even factor sum a_{2j} r^{2j} of a branch (without the r^mu
+    prefactor), in double by the row Horner `_power_sums`."""
+    r = np.asarray(r, dtype=float)
+    return scattering._power_sums(b._c[None], (r * r).ravel())[0].reshape(r.shape)
 
 
 def recursion_residual(b: FrobeniusBranch) -> float:
@@ -96,7 +105,7 @@ class TestFrobeniusCoefficients:
                             coeffs=frobenius_coefficients(p.n, p.s, p.k, mu, 14))
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
-            assert float(b.series(r)) == pytest.approx(even_part, rel=1e-13)
+            assert float(branch_series(b, r)) == pytest.approx(even_part, rel=1e-13)
 
 
 class TestBranchArithmetic:
@@ -111,7 +120,7 @@ class TestBranchArithmetic:
                              for tau in (TAU_BRANCH, TAU_MATCH)]
                     for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
                         c = b._c
-                        sums = b.series(np.array(radii)).tolist()    # `_power_sums`
+                        sums = branch_series(b, np.array(radii)).tolist()
                         for r, series in zip(radii, sums):
                             last = abs(c[-1]) * r ** (2 * (len(c) - 1))
                             expected = last / max(abs(series), 1e-300)
@@ -179,18 +188,46 @@ class TestCentreSeries:
         for n, gamma in cases:
             s = _s_ext(n, gamma)
             series = CentreSeries(n, s)
-            terms_ext = series._series[np.dtype(np.longdouble)][2]
-            terms = series._series[np.dtype(float)][2]
-            j = np.arange(2 * terms_ext[-1], dtype=np.longdouble)
+            terms_ext, terms = series._terms_ext, series._terms
+            j = np.arange(2 * terms_ext, dtype=np.longdouble)
             ratio = ((s / 2 + j) * ((s + 1) / 2 + j)
                      / ((np.longdouble(n + 1) / 2 + j) * (1 + j))).astype(float)
             assert terms == [per_eps_terms(ratio, x, eps) for x in bounds], (n, gamma)
-            # long double is summed only in the last group, where the
-            # connection point lies; the other groups keep the double count
-            assert terms_ext == terms[:-1] + [per_eps_terms(ratio, bounds[-1], eps_ext)], \
-                (n, gamma)
+            # long double is summed only at the connection point, which
+            # lies in the last group
+            assert terms_ext == per_eps_terms(ratio, bounds[-1], eps_ext), (n, gamma)
             # the double coefficients stop at the double term count
-            assert len(series._series[np.dtype(float)][0]) == max(terms) < terms_ext[-1]
+            assert len(series._t) == len(series._dt) == max(terms) < terms_ext
+
+    def test_a_built_series_holds_double_only_and_stays_as_built(self, monkeypatch):
+        built = []
+
+        class Recording(CentreSeries):
+            def __init__(self, n, s):
+                super().__init__(n, s)
+                built.append((self, dict(vars(self)), copy.deepcopy(vars(self))))
+
+        monkeypatch.setattr(scattering, "CentreSeries", Recording)
+        scattering._interior.cache_clear()
+        try:
+            for n, gamma in ((3, 0.05), (10, 0.5), (150, 0.95)):
+                profile = scattering._interior(n, gamma)
+                profile.evaluate(np.linspace(0.1, TAU_MATCH, 7))
+                u, du = profile.values(np.array([1.0], dtype=LD))
+                assert u.dtype == du.dtype == np.float64
+                match_and_q(profile, QCurvParams(n, gamma, 1.0))
+                series, objects, values = built[-1]
+                assert profile.values is series and profile.connection is series.connection
+                assert vars(series).keys() == objects.keys()
+                for name, value in vars(series).items():
+                    assert value is objects[name], name
+                    if isinstance(value, np.ndarray):
+                        assert value.dtype == np.float64 and not value.flags.writeable, name
+                        assert np.array_equal(value, values[name]), name
+                    else:
+                        assert value == values[name], name
+        finally:
+            scattering._interior.cache_clear()
 
     @staticmethod
     def _all_long_double(n, s, count):
@@ -202,23 +239,39 @@ class TestCentreSeries:
         t = np.concatenate(([LD(1)], np.cumprod(ratio)))
         return t, t * (LD(s) + 2 * j) / (n + 1 + 2 * j)
 
+    @staticmethod
+    def _blocked_connection(n, s, t, dt):
+        """(u, u') at TAU_MATCH from the coefficients t and dt: the blocked
+        long-double sum, j = B q + r, over freshly built power tables."""
+        J = len(t)
+        B = math.isqrt(J - 1) + 1
+        Q = -(-J // B)
+        tau = np.array([TAU_MATCH], dtype=LD)
+        low, high = scattering._block_powers(np.tanh(tau) ** 2, B, LD)   # x^r, x^{Bq}
+        coef = np.zeros((2, Q * B), dtype=LD)
+        coef[0, :J], coef[1, :J] = t, dt
+        blocks = (low @ coef.reshape(2 * Q, B).T).reshape(1, 2, Q)
+        u, du = np.einsum("pkq,pq->kp", blocks, high[:, :Q])
+        sech_s = np.cosh(tau) ** -s
+        return (sech_s * u)[0], (-(n - s) * np.tanh(tau) * sech_s * du)[0]
+
     def test_coefficients_and_counts_equal_the_all_long_double_formula(self):
         for n in WIDE_NS:
             for gamma in WIDE_GAMMAS:
                 s = _s_ext(n, gamma)
                 series = CentreSeries(n, s)
-                t_ext, dt_ext, terms_ext = series._series[np.dtype(LD)]
-                t, dt, terms = series._series[np.dtype(float)]
-                t_ref, dt_ref = self._all_long_double(n, s, len(t_ext))
-                # equal values are equal bits here (no zero, no nan); the
-                # bytes of a long double hold padding besides its 80 bits
-                assert np.array_equal(t_ext, t_ref), (n, gamma)
-                assert np.array_equal(dt_ext, dt_ref), (n, gamma)
+                t, dt, terms_ext = series._t, series._dt, series._terms_ext
+                t_ref, dt_ref = self._all_long_double(n, s, terms_ext)
+                # compared by value: the bytes of a long double hold padding
+                # besides its 80 bits
+                u, du = series.connection
+                assert (u, du) == self._blocked_connection(n, s, t_ref, dt_ref), (n, gamma)
+                assert type(u) is type(du) is LD
                 assert t.tobytes() == t_ref[:len(t)].astype(float).tobytes(), (n, gamma)
                 assert dt.tobytes() == dt_ref[:len(dt)].astype(float).tobytes(), (n, gamma)
                 # the term counts are read off the double ratios alone
                 # (`_terms_needed`), so equal ratios give equal counts
-                j = np.arange(2 * terms_ext[-1], dtype=float)
+                j = np.arange(2 * terms_ext, dtype=float)
                 ratio = (float(s) / 2 + j) * ((float(s) + 1) / 2 + j) \
                     / ((float(n + 1) / 2 + j) * (1 + j))
                 assert CentreSeries._ratio(n, s, len(j), float).tobytes() == ratio.tobytes()
@@ -245,13 +298,12 @@ class TestNodePowers:
     def _table_keys(n, gamma):
         """(dtype, group, B) of every table the interior's sums read."""
         series = CentreSeries(n, _s_ext(n, gamma))
-        keys = set()
-        for nodes in (scattering._TABLE_TAU, scattering._CONNECTION_TAU):
-            x = (np.tanh(nodes.astype(np.longdouble)) ** 2).astype(float)
-            terms = series._series[nodes.dtype][2]
-            for g in np.unique(np.searchsorted(scattering._X_GROUPS, x)):
-                keys.add((nodes.dtype, g, math.isqrt(terms[g] - 1) + 1))
-        return keys
+        x = (np.tanh(scattering._TABLE_TAU.astype(np.longdouble)) ** 2).astype(float)
+        keys = {(np.float64, g, math.isqrt(series._terms[g] - 1) + 1)
+                for g in np.unique(np.searchsorted(scattering._X_GROUPS, x))}
+        # the connection point lies in the last group
+        last = len(scattering._X_GROUPS)
+        return keys | {(np.longdouble, last, math.isqrt(series._terms_ext - 1) + 1)}
 
     def test_one_read_only_table_per_node_group_and_block(self, monkeypatch):
         tables = {}
@@ -303,7 +355,7 @@ class TestProfileTable:
     def test_table_is_the_integrators_interior_nodes(self, solved, gamma):
         profile, sr = solved(6, gamma, 1.0)
         tau = RadialIntegrator(build_adapted(ModelSpace(6, 1.0), sr, profile)).state.tau
-        inner = tau[tau <= profile.tau_max]
+        inner = tau[tau <= TAU_MATCH]
         assert len(profile.tau) == len(inner) == 155
         assert np.array_equal(profile.tau, inner[::-1])
 
@@ -503,15 +555,13 @@ class TestMemo:
         rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
                        "--jobs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
-        doubles = [tau for tau in calls if tau.dtype == np.float64]
-        extended = [tau for tau in calls if tau.dtype == np.longdouble]
-        assert len(doubles) == 1 and len(extended) == 1
-        assert np.array_equal(doubles[0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
-        assert list(extended[0]) == [TAU_MATCH]
+        # the connection is summed when the series is built, not by a call
+        assert len(calls) == 1 and calls[0].dtype == np.float64
+        assert np.array_equal(calls[0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
 
     def test_results_are_frozen(self):
         profile, sr = solve_case(QCurvParams(4, 0.25, 1.0))
-        for obj, name in ((profile, "tau_max"), (sr, "q_value"), (sr.branch_low, "mu")):
+        for obj, name in ((profile, "connection"), (sr, "q_value"), (sr.branch_low, "mu")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, 0.0)
         with pytest.raises(ValueError, match="read-only"):

@@ -11,6 +11,8 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     of every file written, the manifest read without ``wall_clock_s``;
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
+  - the interiors at n 3,4,10,150: each profile's table (u, du) and its
+    connection pair (u, u') at tau = 3, a long-double pair;
   - every residual profile of ``residual_suite`` (raw values, sup included),
     which reads the full, second-order state;
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
@@ -22,7 +24,9 @@ One sha256 digest is printed per item, then their total.  Two checkouts
 give the same numbers on this set when every line agrees.  A RuntimeWarning
 is an error.  Floats are hashed by their bits, so the digests depend on the
 platform (np.longdouble is 80-bit on x86 and plain double elsewhere):
-compare two checkouts on one machine.
+compare two checkouts on one machine.  Long doubles are hashed by value
+(their shortest round-trip decimal), because their bytes hold padding
+besides the 80 bits of the number.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from hkcce.compactification import (GeometryState, build_adapted, build_lee,  # 
                                     residual_suite)
 from hkcce.hk_verifier import asymptotic_ratio  # noqa: E402
 from hkcce.model_geometry import ModelSpace  # noqa: E402
-from hkcce.scattering import solve_case  # noqa: E402
+from hkcce.scattering import solve_case, solve_interior  # noqa: E402
 from hkcce.special_fn import QCurvParams  # noqa: E402
 
 NS, GAMMAS, KS = (3, 4, 10), (0.25, 0.5), (0.5, 1.0, 2.0)
@@ -68,8 +72,11 @@ SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
 
 
 def _feed(h, obj):
-    """Hash obj by type and content: floats and arrays by their bytes."""
-    if isinstance(obj, np.ndarray):
+    """Hash obj by type and content: floats and arrays by their bytes, long
+    doubles by value."""
+    if isinstance(obj, np.longdouble):
+        h.update(b"longdouble " + np.format_float_scientific(obj, unique=True).encode())
+    elif isinstance(obj, np.ndarray):
         h.update(f"array {obj.dtype} {obj.shape}".encode())
         h.update(np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, (float, np.floating)):
@@ -129,7 +136,16 @@ def scattering_results() -> dict:
             for k in KS:
                 _, sr = solve_case(QCurvParams(n, gamma, k))
                 out[f"{n} {gamma} {k}"] = [sr.c1, sr.c2, sr.scattering_value, sr.q_value,
-                                           sr.condition_estimate, sr.T_match]
+                                           sr.condition_estimate]
+    return out
+
+
+def interiors() -> dict:
+    out = {}
+    for n in (*NS, 150):
+        for gamma in GAMMAS:
+            profile = solve_interior(QCurvParams(n, gamma, 1.0))
+            out[f"{n} {gamma}"] = [profile.u, profile.du, profile.connection]
     return out
 
 
@@ -165,6 +181,7 @@ def main() -> int:
     items = {name: (lambda argv=argv: cli_run(argv)) for name, argv in COMMANDS.items()}
     items.update({
         "scattering results": scattering_results,
+        "interior tables and connections": interiors,
         "residual suites": residuals,
         "boundary dicts": boundaries,
         "lattice first-order state": lattices,
