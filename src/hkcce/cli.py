@@ -246,7 +246,7 @@ def parse_config(argv) -> RunConfig:
 
 def _q_row(n: int, gamma: float, k: float):
     """(ScatteringResult, the Q columns of a row, whether Q meets its oracle)."""
-    _, sr = solve_case(QCurvParams(n, gamma, k))
+    sr = solve_case(QCurvParams(n, gamma, k))
     oracle = sphere_q_value(n, gamma, k)
     rel = abs(sr.q_value - oracle) / max(1.0, abs(oracle))
     row = {"n": n, "gamma": gamma, "k": k,
@@ -272,13 +272,8 @@ def _sweep_case(args) -> dict:
 
 def _residual_case(args) -> dict:
     kind, n, gamma, k, dump_dir = args
-    m = ModelSpace(n, k)
-    if kind == "adapted":
-        p = QCurvParams(n, gamma, k)
-        profile, sr = solve_case(p)
-        g = build_adapted(m, sr, profile)
-    else:
-        g = build_lee(m)
+    g = (build_adapted(solve_case(QCurvParams(n, gamma, k))) if kind == "adapted"
+         else build_lee(ModelSpace(n, k)))
     res = residual_suite(g)
     other = res["res_T" if kind == "adapted" else "res_J"]
     tol = 1e-8 if kind == "lee" else 1e-5
@@ -288,7 +283,7 @@ def _residual_case(args) -> dict:
                else f"profile_lee_n{n}_k{k}")
         taus = res["res_rho"].tau
         st = g.state(taus)
-        columns = {"t": taus + m.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
+        columns = {"t": taus + g.base.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
                    "grad_sq": st.grad_sq, "T_or_J": st.T if kind == "adapted" else st.Jbar,
                    "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
         rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(taus))]

@@ -19,8 +19,10 @@ the scattering ODE, the Laplacian and Bochner-type identities checked by
 never by finite differences.
 
 Profiles are evaluated piecewise.  Up to the connection point tau_m = 3 the
-adapted profile is the centre series of the interior solution, with v' and
-v'' from the ODE closure.  Beyond it, and on the whole line for the Lee case
+adapted profile is the centre series that the scattering result carries
+(`ScatteringResult.interior`), with v' and v'' from the ODE closure; a
+geometry is built from that one result, which fixes its model (n, k), s,
+gamma, c1 and Q as well.  Beyond it, and on the whole line for the Lee case
 (whose eigenfunction r V = 1 + k r^2/4 is a terminating branch), the state
 is built from the branch coefficient lists: with D = r d/dr - m, each term of
 D^k u is (mu - m + 2j)^k a_j r^{mu+2j}, and U_k = r^{-m} D^k u gives
@@ -58,8 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import (TAU_MATCH, RadialProfile, ScatteringResult, _power_sums,
-                         de_lattice)
+from .scattering import TAU_MATCH, ScatteringResult, _power_sums, de_lattice
 from .special_fn import d_gamma
 
 TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
@@ -168,39 +169,40 @@ class Lattice(NamedTuple):
 
 
 class CompactifiedGeometry:
-    """One compactified model geometry with dense pointwise evaluation."""
+    """One compactified model geometry with dense pointwise evaluation.
 
-    def __init__(self, kind: str, base: ModelSpace, s: float,
-                 profile: RadialProfile | None,
-                 sr: ScatteringResult | None,
-                 gamma: float | None):
-        self.kind = kind                    # "adapted" or "lee"
+    Adapted when built from a scattering result, whose s, gamma, c1, Q and
+    interior series it reads; Lee (s = n + 1) when sr is None.
+    """
+
+    def __init__(self, base: ModelSpace, sr: ScatteringResult | None):
         self.base = base
-        self.s = float(s)
-        self.m_exp = base.n - self.s        # n - s
-        # 2 gamma from gamma itself: 2s - n would carry the rounding of s,
-        # 4e-15 relative at gamma = 0.05, into every boundary coefficient
-        self.two_gamma = 2.0 * gamma if gamma is not None else 2.0 * self.s - base.n
-        self.profile = profile
-        self.c1 = sr.c1 if sr is not None else 1.0
-        self.gamma = gamma
-        self.q_value = sr.q_value if sr is not None else None
         if sr is not None:
-            self.e = self.two_gamma
+            self.kind = "adapted"
+            self.s, self.gamma = sr.params.s, sr.params.gamma
+            # 2 gamma from gamma itself: 2s - n would carry the rounding of s,
+            # 4e-15 relative at gamma = 0.05, into every boundary coefficient
+            self.two_gamma = self.e = 2.0 * self.gamma
+            self.interior, self.c1 = sr.interior, sr.c1
+            self.q_value, self.q = sr.q_value, sr.scattering_value
             # the branch sums cancel at large n away from the boundary (1e-9
             # at tau = ln 8 for n = 60), while the centre series is accurate
             # up to its horizon, the connection point
             self.tau_branch = TAU_MATCH
             low = np.asarray(sr.branch_low.coeffs, dtype=float)
             high = np.asarray(sr.branch_high.coeffs, dtype=float)
-            self.q = sr.scattering_value
         else:
+            self.kind = "lee"
+            self.s, self.gamma = float(base.n + 1), None
+            self.two_gamma = 2.0 * self.s - base.n
+            self.interior, self.c1 = None, 1.0
+            self.q_value, self.q = None, 0.0
             # Lee: r V = 1 + (k/4) r^2 exactly, a branch on the whole line
             self.e = 2.0
             self.tau_branch = 0.0
             low = np.array([1.0, base.k / 4.0])
-            self.q = 0.0
             high = np.zeros(1)
+        self.m_exp = base.n - self.s        # n - s
         # rows k of D^k on the low branch, j >= 1 (its j = 0 term is 1 and
         # is annihilated by D), as polynomials in r^2 divided by r^2, and
         # the same rows of the high branch; zero-padded to one length, which
@@ -221,7 +223,7 @@ class CompactifiedGeometry:
         The integrands decay towards the boundary at least like e^{-a tau},
         a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
-        state reads u and u' off the profile's table, which holds exactly
+        state reads u and u' off the interior's table, which holds exactly
         these nodes.  The r = 0 row rides in the same assembly, so its
         positivity check runs here too.  The state is first order: no
         integrand reads w'', ddS_hat or ddT, so they are not assembled.
@@ -273,7 +275,7 @@ class CompactifiedGeometry:
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
         centre series and the closure."""
         n, m = self.base.n, self.m_exp
-        u, du = self.profile.evaluate(tau)
+        u, du = self.interior(tau)
         u, du = u / self.c1, du / self.c1
         if np.any(u <= 0.0):
             raise GeometryError("scattering solution is not positive")
@@ -359,22 +361,22 @@ class CompactifiedGeometry:
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_adapted(m: ModelSpace, sr: ScatteringResult,
-                  profile: RadialProfile) -> CompactifiedGeometry:
+def build_adapted(sr: ScatteringResult) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
-    Applies the c1 normalisation (so r^{s-n} u -> 1) and checks that c1 and
-    the tabulated u are positive (the table is u at the quadrature's
-    interior nodes, which every radial integral reads).  u > 0 and T > 0
-    are checked again by every state evaluation, the lattice's r = 0 row
-    (`boundary`) included.
+    The model is the result's (n, k), and the interior its series.  Applies
+    the c1 normalisation (so r^{s-n} u -> 1) and checks that c1 and the
+    tabulated u are positive (the table is u at the quadrature's interior
+    nodes, which every radial integral reads).  u > 0 and T > 0 are checked
+    again by every state evaluation, the lattice's r = 0 row (`boundary`)
+    included.
     """
     p = sr.params
-    if np.any(profile.u <= 0.0):
-        raise GeometryError("u_s must be positive; got a non-positive value in the profile table")
+    if np.any(sr.interior.u <= 0.0):
+        raise GeometryError("u_s must be positive; got a non-positive value in the interior table")
     if sr.c1 <= 0.0:
         raise GeometryError(f"c1 = {sr.c1} is not positive; normalisation undefined")
-    return CompactifiedGeometry("adapted", m, p.s, profile, sr, p.gamma)
+    return CompactifiedGeometry(ModelSpace(p.n, p.k), sr)
 
 
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
@@ -383,7 +385,7 @@ def build_lee(m: ModelSpace) -> CompactifiedGeometry:
     Nothing is evaluated here: `boundary` reads Jbar at r = 0, against
     (n+1)/n Jhat, off the lattice state when it is first asked for.
     """
-    return CompactifiedGeometry("lee", m, float(m.n + 1), None, None, None)
+    return CompactifiedGeometry(m, None)
 
 
 # ---------------------------------------------------------------------------

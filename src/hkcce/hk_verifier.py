@@ -9,7 +9,7 @@ computed by one nested double-exponential rule over the whole radial line
 (Takahasi & Mori, Publ. RIMS 9 (1974) 721-741): tau = log(1 + e^{-pi sinh t})
 maps t in R onto (0, inf), and the trapezoidal sums at steps h and h/2 give
 the value and its error estimate.  The lattice is `scattering.de_lattice`,
-whose nodes up to the connection point are also the interior profile's
+whose nodes up to the connection point are also the interior series'
 table, so the centre series is never re-summed for an integral.  The
 integrands are written in scale-safe form (rho^{2 gamma} (rho phi/r)^n
 rather than rho^{2 gamma - 1} rho^{n+1} f^n), so every node, out to
@@ -203,8 +203,8 @@ def _adapted_identity(n: int, gamma: float, k: float):
     ("adapted") right after `verify_adapted` of the same case reuses the
     solve, the geometry and the three integrals.
     """
-    profile, sr = solve_case(QCurvParams(n, gamma, k))
-    itg = RadialIntegrator(build_adapted(ModelSpace(n, k), sr, profile))
+    sr = solve_case(QCurvParams(n, gamma, k))
+    itg = RadialIntegrator(build_adapted(sr))
     kap = (1.0 - gamma) / gamma
     tg = 2.0 * gamma
 
@@ -318,6 +318,8 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
         k_weight = gamma - 1.0 - n / 2.0
         name = "defect-adapted"
     elif kind == "lee":
+        if gamma is not None:
+            raise ValueError("lee defect identity takes no gamma")
         itg, vol_m, main = _lee_identity(n, k)
         r1 = itg.integrate(
             lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens)

@@ -45,12 +45,16 @@ built once per (n, gamma) and summed twice: in np.longdouble at the
 connection point when it is built (`CentreSeries.connection`, the one
 extended-precision sum of the interior, after which only double
 coefficients are kept), and in double at the lattice's 155 nodes with
-tau <= TAU_MATCH, which become the profile's table; every k and every
+tau <= TAU_MATCH, which become the series' table; every k and every
 integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
 each.  Those points are the same for every (n, gamma), and so are the
 powers of x the sums read there: they are tabulated once per process
 (`_node_powers`), one read-only table per node group and block size.
+
+A `ScatteringResult` carries the series it was matched to (`interior`),
+so a geometry is built from the result alone and cannot pair one case's
+interior with another case's c1 and Q.
 
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
@@ -64,7 +68,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
@@ -306,9 +309,9 @@ def _block_powers(x_ext: np.ndarray, B: int, dtype):
 @functools.lru_cache(maxsize=128)
 def _node_powers(which: int, g: int, B: int) -> tuple:
     """`_block_powers` at group g of the fixed node set `which`, once per
-    process and read-only: 0 is the profile table's nodes, in double, which
-    a `CentreSeries` call there reads; 1 is the connection point, in long
-    double, which every `CentreSeries` construction reads.
+    process and read-only: 0 is the table's nodes, in double, and 1 is the
+    connection point, in long double; every `CentreSeries` construction
+    reads both.
 
     The node sets are fixed, so (which, g, B) is an exact key.  The
     interiors over n 3..200 and 37 gammas in [0.05, 0.95] read 41 tables,
@@ -352,14 +355,20 @@ class CentreSeries:
     t_j (s+2j)/(n+1+2j) in np.longdouble up to that long-double count, sums
     them once at TAU_MATCH into `connection`, the pair (u, u') there in
     np.longdouble, and keeps them in double only, up to the largest double
-    count.  This is the interior's one extended-precision sum; no method
-    changes a built series.
+    count.  This is the interior's one extended-precision sum.  It then sums
+    them in double at the 155 lattice nodes with tau <= TAU_MATCH into the
+    table tau, u, du: ascending, read-only views of arrays summed in the
+    lattice's own descending order, so that a call at those nodes hands the
+    integrator exactly what it would have summed; `build_adapted` checks
+    the table for positivity.  No method changes a built series.
 
-    A call takes tau in double and returns u and u' in double.  It sums its
-    points in groups of similar x, each with its group's terms, as a blocked
-    product (`_blocked_sums`).  The tables of x^r and x^{Bq} are built from
-    x in long double per call, except at the profile table's nodes, where
-    they are read from `_node_powers`, as the connection's are.
+    A call takes tau in [0, TAU_MATCH] in double and returns u and u' in
+    double.  It sums its points in groups of similar x, each with its
+    group's terms, as a blocked product (`_blocked_sums`).  The tables of
+    x^r and x^{Bq} are built from x in long double per call, and read from
+    `_node_powers` for the table and the connection.  The second derivative
+    is never summed; the geometry takes it from the ODE closure
+    u'' = -n coth(tau) u' - s(n-s) u.
     """
 
     def __init__(self, n: int, s):
@@ -388,6 +397,8 @@ class CentreSeries:
         self._terms_ext = terms_ext               # long-double terms of the connection
         used = max(self._terms)
         self._t, self._dt = (_read_only(c[:used].astype(float)) for c in (t, dt))
+        u, du = self._sums(_TABLE_TAU, fixed=True)
+        self.tau, self.u, self.du = _TABLE_TAU[::-1], _read_only(u)[::-1], _read_only(du)[::-1]
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
@@ -428,10 +439,26 @@ class CentreSeries:
         return None
 
     def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
+        """u and u' at tau in [0, TAU_MATCH], in double.
+
+        At exactly the table's nodes in the lattice's descending order
+        (compared element by element) the table is returned, as read-only
+        views; anywhere else the series is summed.  Beyond the horizon the
+        term counts no longer reach double precision, so it raises
+        ValueError there.
+        """
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        if np.array_equal(tau, _TABLE_TAU):
+            return self.u[::-1], self.du[::-1]
+        if np.any(tau > TAU_MATCH * (1 + 1e-12)):
+            raise ValueError(f"tau beyond the centre series' horizon {TAU_MATCH}")
+        return self._sums(tau, fixed=False)
+
+    def _sums(self, tau: np.ndarray, fixed: bool):
+        """u and u' at tau, in double; with fixed, tau is the table's nodes
+        and the power tables are read from `_node_powers`."""
         x_ext = np.tanh(tau.astype(_LD)) ** 2
         group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
-        fixed = np.array_equal(tau, _TABLE_TAU)
         sums = np.empty((2, len(tau)))
         for g in np.unique(group):
             at = group == g
@@ -443,55 +470,19 @@ class CentreSeries:
         return sech_s * sums[0], -(self.n - self.s) * np.tanh(tau) * sech_s * sums[1]
 
 
-@dataclass(frozen=True, eq=False)      # arrays and a callable: compared by identity
-class RadialProfile:
-    """Regular radial solution in closed form: u and u' at any tau.
-
-    tau, u and du tabulate the profile at the interior nodes of the
-    quadrature lattice, the `de_lattice` nodes with tau <= TAU_MATCH, in
-    ascending order: they are reversed read-only views of arrays summed in
-    the lattice's own descending order, so that `evaluate` hands the
-    integrator exactly what it would have summed.  `evaluate` returns those
-    arrays when asked for exactly those nodes (compared element by element)
-    and sums the series at any other tau in [0, TAU_MATCH]; `build_adapted`
-    checks the table for positivity.  `connection` is the series'
-    `connection`, the pair (u, u') at TAU_MATCH in np.longdouble.
-    The second derivative is never finite-differenced; the geometry takes it
-    from the ODE closure u'' = -n coth(tau) u' - s(n-s) u.
-    """
-
-    tau: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
-    values: Callable = field(repr=False)     # tau array -> (u, u')
-    connection: tuple = field(repr=False)    # (u, u') at TAU_MATCH, np.longdouble
-
-    def evaluate(self, tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        if np.array_equal(tau, self.tau[::-1]):
-            return self.u[::-1], self.du[::-1]
-        if np.any(tau > TAU_MATCH * (1 + 1e-12)):
-            raise ValueError(f"tau beyond profile horizon {TAU_MATCH}")
-        return self.values(tau)
-
-
 @functools.lru_cache(maxsize=1)
-def _interior(n: int, gamma: float) -> RadialProfile:
-    series = CentreSeries(n, _s_ext(n, gamma))
-    u, du = series(_TABLE_TAU)
-    return RadialProfile(tau=_TABLE_TAU[::-1], u=_read_only(u)[::-1],
-                         du=_read_only(du)[::-1], values=series,
-                         connection=series.connection)
+def _interior(n: int, gamma: float) -> CentreSeries:
+    return CentreSeries(n, _s_ext(n, gamma))
 
 
-def solve_interior(p: QCurvParams) -> RadialProfile:
+def solve_interior(p: QCurvParams) -> CentreSeries:
     """The regular interior solution (u(0) = 1) as its centre series on [0, TAU_MATCH].
 
-    The solution does not depend on k, so the profile (the series, its
-    values at the quadrature's interior nodes and its connection values) is
-    built from (n, gamma) alone.  Only the last interior is kept: a sweep
-    with k fastest, as the CLI's sorted grid runs, sums each series once,
-    and memory stays flat.
+    The solution does not depend on k, so the series (with its table at the
+    quadrature's interior nodes and its connection values) is built from
+    (n, gamma) alone.  Only the last interior is kept: a sweep with k
+    fastest, as the CLI's sorted grid runs, sums each series once, and
+    memory stays flat.
     """
     return _interior(p.n, p.gamma)
 
@@ -502,7 +493,8 @@ def solve_interior(p: QCurvParams) -> RadialProfile:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Matched branch data and the extracted Q-curvature."""
+    """Matched branch data, the extracted Q-curvature and the interior
+    solution they were matched to: the one object a geometry is built from."""
 
     params: QCurvParams
     c1: float
@@ -512,9 +504,10 @@ class ScatteringResult:
     condition_estimate: float        # of the column-equilibrated system
     branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False)  # mu = s
+    interior: CentreSeries = field(repr=False, compare=False)   # the (n, gamma) series
 
 
-def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
+def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
              b2: FrobeniusBranch):
     """Solve the value/derivative system at TAU_MATCH; returns (c1, c2, cond).
 
@@ -528,7 +521,7 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
-    u, du = profile.connection
+    u, du = interior.connection
     # a subnormal r^mu or u keeps only a few digits, which no condition
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
@@ -553,26 +546,26 @@ def _connect(profile: RadialProfile, p: QCurvParams, b1: FrobeniusBranch,
     return c1, c2, cond
 
 
-def match_and_q(profile: RadialProfile, p: QCurvParams) -> ScatteringResult:
+def match_and_q(interior: CentreSeries, p: QCurvParams) -> ScatteringResult:
     """Extract c1, c2 and Q by two-branch matching at tau = TAU_MATCH."""
     b1 = frobenius_branch(p, p.n - p.s)
     b2 = frobenius_branch(p, p.s)
-    c1, c2, cond = _connect(profile, p, b1, b2)
+    c1, c2, cond = _connect(interior, p, b1, b2)
     q = 2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1)
     return ScatteringResult(
         params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1),
         q_value=float(q), condition_estimate=cond, branch_low=b1, branch_high=b2,
+        interior=interior,
     )
 
 
 @functools.lru_cache(maxsize=1)
-def solve_case(p: QCurvParams):
+def solve_case(p: QCurvParams) -> ScatteringResult:
     """Full pipeline: centre series plus the branch connection at TAU_MATCH.
 
     Memoised on the parameters, for the last case only: the sweep asks for
     a case's Q row and then its hk-adapted report, so the second request
-    returns the same (profile, result) pair.  Both are frozen.
+    returns the same result, which is frozen and carries its interior.
     """
-    profile = solve_interior(p)
-    return profile, match_and_q(profile, p)
+    return match_and_q(solve_interior(p), p)
 

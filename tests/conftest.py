@@ -22,7 +22,7 @@ def taus():
 
 @pytest.fixture(scope="session")
 def solved():
-    """solved(n, gamma, k) -> (profile, ScatteringResult), cached."""
+    """solved(n, gamma, k) -> ScatteringResult (with its interior), cached."""
     cache = {}
 
     def get(n, gamma, k):
@@ -42,8 +42,7 @@ def adapted(solved):
     def get(n, gamma, k):
         key = (n, gamma, k)
         if key not in cache:
-            profile, sr = solved(n, gamma, k)
-            cache[key] = build_adapted(ModelSpace(n, k), sr, profile)
+            cache[key] = build_adapted(solved(n, gamma, k))
         return cache[key]
 
     return get

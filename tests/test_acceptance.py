@@ -36,7 +36,7 @@ def test_criterion_01_oracle_equivalence(solved):
     t0 = time.time()
     worst = 0.0
     for n, g, k in GRID:
-        _, sr = solved(n, g, k)
+        sr = solved(n, g, k)
         oracle = sphere_q_value(n, g, k)
         rel = abs(sr.q_value - oracle) / max(1.0, abs(oracle))
         assert rel <= 1e-6, (n, g, k, rel)
@@ -165,7 +165,7 @@ def test_criterion_08_frobenius_u2_exact():
 def test_criterion_09_positivity_suite(solved, adapted, lee, taus):
     """Q > 0, T > 0 and Jbar > 0 at all computed grid points."""
     for n, g, k in GRID:
-        _, sr = solved(n, g, k)
+        sr = solved(n, g, k)
         assert sr.q_value > 0.0, (n, g, k)
         st = adapted(n, g, k).state(taus)
         assert np.all(st.T > 0.0), (n, g, k)
@@ -180,9 +180,9 @@ def test_criterion_10_scaling_covariance(solved):
     """Q(k)/Q(1) = k^gamma to 2e-6 relative."""
     worst = 0.0
     for gamma in GAMMAS:
-        _, base = solved(4, gamma, 1.0)
+        base = solved(4, gamma, 1.0)
         for k in (0.5, 2.0, 4.0):
-            _, sr = solved(4, gamma, k)
+            sr = solved(4, gamma, k)
             rel = abs(sr.q_value / base.q_value - k ** gamma) / k ** gamma
             assert rel <= 2e-6, (gamma, k, rel)
             worst = max(worst, rel)

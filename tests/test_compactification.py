@@ -180,24 +180,43 @@ class TestStructure:
             g = adapted(*case)
             assert g.boundary["T_boundary_rel_gap"] <= 1e-4
 
+    def test_model_and_interior_are_the_results(self, solved):
+        for n, gamma, k in ((4, 0.3, 1.0), (5, 0.6, 2.0), (10, 0.95, 0.5)):
+            sr = solved(n, gamma, k)
+            g = build_adapted(sr)
+            assert g.base == ModelSpace(sr.params.n, sr.params.k)
+            assert (g.s, g.gamma, g.c1, g.q_value) == (sr.params.s, gamma, sr.c1, sr.q_value)
+            assert g.interior is sr.interior
+
     def test_nonpositive_u_rejected(self, solved):
-        profile, sr = solved(4, 0.5, 1.0)
-        bad = replace(profile, u=profile.u - 2.0 * np.max(profile.u))
+        sr = solved(4, 0.5, 1.0)
+        interior = sr.interior
+        bad = StubInterior(interior.u - 2.0 * np.max(interior.u), interior)
         with pytest.raises(GeometryError):
-            build_adapted(ModelSpace(4, 1.0), sr, bad)
+            build_adapted(replace(sr, interior=bad))
 
     def test_nonpositive_T_rejected_where_evaluated(self, solved):
         # |u'/u| > n - s at tau = 1 alone gives 1 - w^2 < 0, so T < 0 there
-        profile, sr = solved(4, 0.5, 1.0)
+        sr = solved(4, 0.5, 1.0)
 
         def values(tau):
-            u, du = profile.values(tau)
+            u, du = sr.interior(tau)
             return u, np.where(tau == 1.0, 50.0 * du, du)
 
-        g = build_adapted(ModelSpace(4, 1.0), sr, replace(profile, values=values))
+        g = build_adapted(replace(sr, interior=StubInterior(sr.interior.u, values)))
         assert np.all(g.state([0.5, 1.5]).T > 0.0)
         with pytest.raises(GeometryError, match="T is not positive at tau = 1 "):
             g.state([0.5, 1.0, 1.5])
+
+
+class StubInterior:
+    """A stand-in for an interior series: a table u and the values at any tau."""
+
+    def __init__(self, u, values):
+        self.u, self.values = u, values
+
+    def __call__(self, tau):
+        return self.values(tau)
 
 
 _SECOND_ORDER = ("ddS_hat", "ddT")
@@ -236,8 +255,7 @@ class TestLatticeState:
         # a fresh geometry, not the session fixture's, so no lattice is cached yet
         if kind == "lee":
             return build_lee(ModelSpace(n, k))
-        profile, sr = solved(n, gamma, k)
-        return build_adapted(ModelSpace(n, k), sr, profile)
+        return build_adapted(solved(n, gamma, k))
 
     @pytest.mark.parametrize("kind,n,gamma,k", CASES)
     def test_folded_state_equals_the_separate_evaluations(self, solved, kind, n, gamma, k):
@@ -276,9 +294,9 @@ class TestLatticeState:
         # a scattering value of the wrong sign turns T negative towards r = 0,
         # T(0) = -(4 gamma/d_gamma) Q included; the build itself evaluates no
         # state, so the error comes where the lattice is first assembled
-        profile, sr = solved(4, 0.3, 1.0)
+        sr = solved(4, 0.3, 1.0)
         bad = replace(sr, scattering_value=-sr.scattering_value)
         for use in (lambda g: g.boundary, RadialIntegrator):
-            g = build_adapted(ModelSpace(4, 1.0), bad, profile)
+            g = build_adapted(bad)
             with pytest.raises(GeometryError, match="is not positive"):
                 use(g)

@@ -180,8 +180,10 @@ class TestDefectIdentities:
         assert rep.verdict == "equality"
 
     def test_requires_gamma_for_adapted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs gamma"):
             defect_identity("adapted", 4, 1.0)
+        with pytest.raises(ValueError, match="takes no gamma"):
+            defect_identity("lee", 4, 1.0, gamma=0.3)
         with pytest.raises(ValueError):
             defect_identity("bogus", 4, 1.0)
 

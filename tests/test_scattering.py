@@ -13,7 +13,6 @@ import pytest
 from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
 from hkcce.hk_verifier import RadialIntegrator
-from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import (TAU_BRANCH, TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, _s_ext, de_lattice, frobenius_branch,
@@ -154,7 +153,7 @@ class TestInteriorSolve:
         p = QCurvParams(4, 0.5, 1.0)
         prof = solve_interior(p)
         tau0 = 1e-3
-        u0, du0 = prof.evaluate(tau0)
+        u0, du0 = prof(tau0)
         # u ~ 1 - lam tau^2 / (2(n+1)) with lam = s(n - s)
         lam = p.s * (p.n - p.s)
         assert u0[0] - 1.0 == pytest.approx(-lam * tau0 ** 2 / 10.0, rel=1e-5)
@@ -211,13 +210,14 @@ class TestCentreSeries:
         scattering._interior.cache_clear()
         try:
             for n, gamma in ((3, 0.05), (10, 0.5), (150, 0.95)):
-                profile = scattering._interior(n, gamma)
-                profile.evaluate(np.linspace(0.1, TAU_MATCH, 7))
-                u, du = profile.values(np.array([1.0], dtype=LD))
+                interior = scattering._interior(n, gamma)
+                interior(np.linspace(0.1, TAU_MATCH, 7))
+                interior(scattering._TABLE_TAU)
+                u, du = interior(np.array([1.0], dtype=LD))
                 assert u.dtype == du.dtype == np.float64
-                match_and_q(profile, QCurvParams(n, gamma, 1.0))
+                sr = match_and_q(interior, QCurvParams(n, gamma, 1.0))
                 series, objects, values = built[-1]
-                assert profile.values is series and profile.connection is series.connection
+                assert interior is series and sr.interior is series
                 assert vars(series).keys() == objects.keys()
                 for name, value in vars(series).items():
                     assert value is objects[name], name
@@ -340,66 +340,70 @@ class TestNodePowers:
         assert scattering._node_powers.cache_info().hits > 0
         # and equal to sums that take no table from the cache
         series = CentreSeries(5, _s_ext(5, 0.3))
-        with_cache = series(scattering._TABLE_TAU)
         nodes = scattering._TABLE_TAU.copy()
-        nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not a fixed node set any more
-        without = series(nodes)
-        assert np.array_equal(with_cache[0][:-1], without[0][:-1])
-        assert np.array_equal(with_cache[1][:-1], without[1][:-1])
+        nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not the table's nodes any more
+        u, du = series(nodes)
+        assert np.array_equal(u[:-1], series.u[:0:-1])
+        assert np.array_equal(du[:-1], series.du[:0:-1])
 
 
 class TestProfileTable:
-    """The profile's table is the centre series at the quadrature's interior nodes."""
+    """The series' table is the centre series at the quadrature's interior nodes."""
 
     @pytest.mark.parametrize("gamma", (0.05, 0.5, 0.95))
     def test_table_is_the_integrators_interior_nodes(self, solved, gamma):
-        profile, sr = solved(6, gamma, 1.0)
-        tau = RadialIntegrator(build_adapted(ModelSpace(6, 1.0), sr, profile)).state.tau
+        sr = solved(6, gamma, 1.0)
+        tau = RadialIntegrator(build_adapted(sr)).state.tau
         inner = tau[tau <= TAU_MATCH]
-        assert len(profile.tau) == len(inner) == 155
-        assert np.array_equal(profile.tau, inner[::-1])
+        assert len(sr.interior.tau) == len(inner) == 155
+        assert np.array_equal(sr.interior.tau, inner[::-1])
 
     def test_evaluate_at_the_nodes_returns_the_table(self, solved):
-        profile, _ = solved(6, 0.3, 1.0)
-        nodes = profile.tau[::-1].copy()
-        u, du = profile.evaluate(nodes)
-        assert np.shares_memory(u, profile.u) and np.shares_memory(du, profile.du)
-        assert np.array_equal(u[::-1], profile.u) and np.array_equal(du[::-1], profile.du)
-        # the table is what summing the series at the nodes gives, bit for bit
+        interior = solved(6, 0.3, 1.0).interior
+        nodes = interior.tau[::-1].copy()
+        u, du = interior(nodes)
+        assert np.shares_memory(u, interior.u) and np.shares_memory(du, interior.du)
+        assert np.array_equal(u[::-1], interior.u) and np.array_equal(du[::-1], interior.du)
+        # a series built afresh sums the same table, bit for bit
         u_direct, du_direct = CentreSeries(6, _s_ext(6, 0.3))(nodes)
         assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
 
     def test_evaluate_elsewhere_sums_the_series(self, solved):
-        profile, _ = solved(6, 0.3, 1.0)
+        interior = solved(6, 0.3, 1.0).interior
         series = CentreSeries(6, _s_ext(6, 0.3))
-        nodes = profile.tau[::-1]
-        for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], profile.tau,
+        nodes = interior.tau[::-1]
+        for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], interior.tau,
                     np.append(nodes, 1.0)):
-            u, du = profile.evaluate(tau)
-            assert not np.shares_memory(u, profile.u)
+            u, du = interior(tau)
+            assert not np.shares_memory(u, interior.u)
             u_direct, du_direct = series(tau)
             assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
+        # beyond the horizon the term counts no longer reach double precision
+        # (7e-7 relative at tau = 3.5 for n = 10, gamma = 0.5): refused
+        for call in (interior, CentreSeries(10, _s_ext(10, 0.5))):
+            with pytest.raises(ValueError, match="horizon"):
+                call(np.array([1.0, 3.5]))
 
 
 class TestMatching:
     def test_unit_sphere_q(self, solved):
-        _, sr = solved(4, 0.5, 1.0)
+        sr = solved(4, 0.5, 1.0)
         assert sr.q_value == pytest.approx(1.0, abs=1e-6)
         assert sr.c1 != 0.0
         assert sr.scattering_value == pytest.approx(sr.c2 / sr.c1, rel=1e-15)
 
     def test_quarter_q(self, solved):
-        _, sr = solved(4, 0.25, 1.0)
+        sr = solved(4, 0.25, 1.0)
         assert sr.q_value == pytest.approx(0.704446, abs=1e-5)
 
     def test_k2_scaling(self, solved):
-        _, sr = solved(4, 0.5, 2.0)
+        sr = solved(4, 0.5, 2.0)
         assert sr.q_value == pytest.approx(math.sqrt(2.0), abs=1e-5)
 
     def test_q_normalisation_invariant(self, solved):
         for case in ((4, 0.5, 1.0), (5, 0.6, 2.0)):
             p = QCurvParams(*case)
-            _, sr = solved(*case)
+            sr = solved(*case)
             from hkcce.special_fn import d_gamma
             expected = (2.0 / (p.n - 2 * p.gamma)) * d_gamma(p.gamma) * sr.c2 / sr.c1
             assert sr.q_value == pytest.approx(expected, rel=1e-15)
@@ -408,13 +412,13 @@ class TestMatching:
         for n in (4, 6):
             for gamma in (0.25, 0.5, 0.75):
                 for k in (0.5, 2.0):
-                    _, sr = solved(n, gamma, k)
+                    sr = solved(n, gamma, k)
                     oracle = sphere_q_value(n, gamma, k)
                     assert abs(sr.q_value - oracle) <= 1e-6 * max(1.0, abs(oracle))
                     assert sr.q_value > 0.0
 
     def test_condition_estimate_reported(self, solved):
-        _, sr = solved(4, 0.5, 1.0)
+        sr = solved(4, 0.5, 1.0)
         assert 1.0 < sr.condition_estimate < 1e12
 
     def test_truncation_guard(self):
@@ -466,7 +470,7 @@ class TestMpmathReference:
         p = QCurvParams(n, gamma, 1.0)
         prof = solve_interior(p)
         taus = np.concatenate([[1e-3, 1e-2], np.linspace(0.1, math.log(8.0), 10)])
-        u, du = prof.evaluate(taus)
+        u, du = prof(taus)
         a, b, c = mpmath.mpf(p.s) / 2, mpmath.mpf(n - p.s) / 2, mpmath.mpf(n + 1) / 2
         for tau, u_num, du_num in zip(taus, u, du):
             sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
@@ -480,7 +484,7 @@ class TestMpmathReference:
     def test_c1_and_q(self, n, gamma):
         for k in self.KS:
             p = QCurvParams(n, gamma, k)
-            _, sr = solve_case(p)
+            sr = solve_case(p)
             s = mpmath.mpf(p.s)
             c1_ref = (mpmath.gamma(mpmath.mpf(n + 1) / 2) * mpmath.gamma(gamma)
                       / (mpmath.gamma(s / 2) * mpmath.gamma((s + 1) / 2))
@@ -518,14 +522,17 @@ class TestMemo:
         for k in self.KS:
             solve_case.cache_clear()
             scattering._interior.cache_clear()
-            cold[k] = _result_numbers(solve_case(QCurvParams(5, 0.3, k))[1])
+            cold[k] = _result_numbers(solve_case(QCurvParams(5, 0.3, k)))
         solve_case.cache_clear()
         scattering._interior.cache_clear()
+        results = []
         for k in self.KS:
-            profile, sr = solve_case(QCurvParams(5, 0.3, k))   # interior hit from k = 1
+            sr = solve_case(QCurvParams(5, 0.3, k))          # interior hit from k = 1
             assert _result_numbers(sr) == cold[k]
-            again = solve_case(QCurvParams(5, 0.3, k))                   # case hit
-            assert again[0] is profile and again[1] is sr
+            assert solve_case(QCurvParams(5, 0.3, k)) is sr  # case hit
+            results.append(sr)
+        # the three results of the k-run carry one interior
+        assert all(sr.interior is results[0].interior for sr in results)
         assert scattering._interior.cache_info().misses == 1
         assert solve_case.cache_info().hits == len(self.KS)
 
@@ -544,28 +551,30 @@ class TestMemo:
         assert len(built) == 1
 
     def test_three_k_sweep_sums_the_series_once(self, tmp_path, monkeypatch):
-        calls = []
-        call = scattering.CentreSeries.__call__
+        sums = []
+        summed = scattering.CentreSeries._sums
 
-        def counting(series, tau):
-            calls.append(np.array(tau))
-            return call(series, tau)
+        def counting(series, tau, fixed):
+            sums.append((np.array(tau), fixed))
+            return summed(series, tau, fixed)
 
-        monkeypatch.setattr(scattering.CentreSeries, "__call__", counting)
+        monkeypatch.setattr(scattering.CentreSeries, "_sums", counting)
         rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
                        "--jobs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
-        # the connection is summed when the series is built, not by a call
-        assert len(calls) == 1 and calls[0].dtype == np.float64
-        assert np.array_equal(calls[0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
+        # the connection and the table are summed when the series is built;
+        # the three geometries' calls at the table's nodes read the table
+        assert len(sums) == 1 and sums[0][1] and sums[0][0].dtype == np.float64
+        assert np.array_equal(sums[0][0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
 
     def test_results_are_frozen(self):
-        profile, sr = solve_case(QCurvParams(4, 0.25, 1.0))
-        for obj, name in ((profile, "connection"), (sr, "q_value"), (sr.branch_low, "mu")):
+        sr = solve_case(QCurvParams(4, 0.25, 1.0))
+        for obj, name in ((sr, "interior"), (sr, "q_value"), (sr.branch_low, "mu")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, 0.0)
-        with pytest.raises(ValueError, match="read-only"):
-            profile.u[0] = 0.0
+        for table in (sr.interior.tau, sr.interior.u, sr.interior.du):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
         assert isinstance(sr.branch_high.coeffs, tuple)
-        # profiles hold arrays, so they compare by identity rather than raise
-        assert profile == profile != solve_interior(QCurvParams(5, 0.25, 1.0))
+        # results compare by their numbers, not by the series they carry
+        assert sr == dataclasses.replace(sr, interior=None)

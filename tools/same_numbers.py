@@ -11,7 +11,7 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     of every file written, the manifest read without ``wall_clock_s``;
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
-  - the interiors at n 3,4,10,150: each profile's table (u, du) and its
+  - the interiors at n 3,4,10,150: each centre series' table (u, du) and its
     connection pair (u, u') at tau = 3, a long-double pair;
   - every residual profile of ``residual_suite`` (raw values, sup included),
     which reads the full, second-order state;
@@ -124,8 +124,8 @@ def geometries():
     for n in NS:
         for k in KS:
             for gamma in GAMMAS:
-                profile, sr = solve_case(QCurvParams(n, gamma, k))
-                yield f"adapted {n} {gamma} {k}", build_adapted(ModelSpace(n, k), sr, profile)
+                sr = solve_case(QCurvParams(n, gamma, k))
+                yield f"adapted {n} {gamma} {k}", build_adapted(sr)
             yield f"lee {n} {k}", build_lee(ModelSpace(n, k))
 
 
@@ -134,7 +134,7 @@ def scattering_results() -> dict:
     for n in (*NS, 150):
         for gamma in GAMMAS:
             for k in KS:
-                _, sr = solve_case(QCurvParams(n, gamma, k))
+                sr = solve_case(QCurvParams(n, gamma, k))
                 out[f"{n} {gamma} {k}"] = [sr.c1, sr.c2, sr.scattering_value, sr.q_value,
                                            sr.condition_estimate]
     return out
@@ -144,8 +144,8 @@ def interiors() -> dict:
     out = {}
     for n in (*NS, 150):
         for gamma in GAMMAS:
-            profile = solve_interior(QCurvParams(n, gamma, 1.0))
-            out[f"{n} {gamma}"] = [profile.u, profile.du, profile.connection]
+            series = solve_interior(QCurvParams(n, gamma, 1.0))
+            out[f"{n} {gamma}"] = [series.u, series.du, series.connection]
     return out
 
 
