@@ -265,8 +265,9 @@ def _sweep_case(args) -> dict:
     n, gamma, k, quad_tol = args
     _, row, ok = _q_row(n, gamma, k)
     rep = verify_adapted(n, gamma, k, tol=quad_tol)
+    # a Q off its oracle is a numerical shortfall, not a refuted inequality
     row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap,
-               verdict=rep.verdict if ok else "fail")
+               verdict=rep.verdict if ok else "inconclusive")
     return row
 
 
@@ -281,12 +282,11 @@ def _residual_case(args) -> dict:
     if dump_dir is not None:
         tag = (f"profile_adapted_n{n}_g{gamma}_k{k}" if kind == "adapted"
                else f"profile_lee_n{n}_k{k}")
-        taus = res["res_rho"].tau
-        st = g.state(taus)
-        columns = {"t": taus + g.base.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
+        st = g.window          # the state `residual_suite` read
+        columns = {"t": st.tau + g.base.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
                    "grad_sq": st.grad_sq, "T_or_J": st.T if kind == "adapted" else st.Jbar,
                    "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
-        rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(taus))]
+        rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(st.tau))]
         _atomic_write(Path(dump_dir) / f"{tag}.csv", _csv_text(rows))
     return {
         "kind": kind, "n": n, "gamma": gamma if kind == "adapted" else "",

@@ -48,7 +48,8 @@ time; a geometry that only meets `residual_suite` assembles no lattice.
 That state is first order: every integrand and `boundary` read only w,
 w', S, S', T, T' and their companions, so the lattice leaves out w'',
 S'' and T'' (None in its state), and its branch sums skip the D^3 rows.
-`state` and `state_of_r`, which `residual_suite` reads, give the full state.
+`window` (the residual window, read by `residual_suite`), `state` and
+`state_of_r` give the full state.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .scattering import TAU_MATCH, ScatteringResult, _power_sums, de_lattice
 from .special_fn import d_gamma
 
 TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
+_WINDOW_POINTS = 200       # log-spaced radii of the residual window
 
 
 class GeometryError(RuntimeError):
@@ -259,6 +261,13 @@ class CompactifiedGeometry:
             "J_boundary_rel_gap": abs(j_b - target) / max(abs(target), 1e-300),
         }
 
+    @cached_property
+    def window(self) -> GeometryState:
+        """The full state on the residual window, r in [0.05, 0.9 r_center]
+        at log-spaced radii, in ascending tau; assembled once, on first use."""
+        rs = np.geomspace(0.05, 0.9 * self.base.r_center, _WINDOW_POINTS)
+        return self.state(np.sort(np.asarray(self.base.tau_of_r(rs))))
+
     # -- state assembly -------------------------------------------------------
     def state(self, tau) -> GeometryState:
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -407,17 +416,6 @@ class ResidualProfile:
         self.sup_weighted = float(np.max(self.weighted)) if len(self.weighted) else 0.0
 
 
-_WINDOW_POINTS = 200   # log-spaced radii of the residual window
-
-
-def _window_taus(g: CompactifiedGeometry) -> np.ndarray:
-    """Interior window r in [0.05, 0.9 r_center], log spaced, as tau values."""
-    r_hi = 0.9 * g.base.r_center
-    r_lo = 0.05
-    rs = np.geomspace(r_lo, r_hi, _WINDOW_POINTS)
-    return np.sort(np.asarray(g.base.tau_of_r(rs)))
-
-
 def _warped_laplacian(st: GeometryState, n: int, h1: np.ndarray,
                       h2: np.ndarray) -> np.ndarray:
     """Lap_gbar of a radial scalar from its first/second tau derivatives."""
@@ -425,7 +423,7 @@ def _warped_laplacian(st: GeometryState, n: int, h1: np.ndarray,
 
 
 def residual_suite(g: CompactifiedGeometry) -> dict:
-    """Pointwise defects of the compactification identities on the window.
+    """Pointwise defects of the compactification identities on `g.window`.
 
     adapted:  res_rho   Lap rho + s rho^{2g-1} T
               res_T     Lap T + (2g-1) w T'/rho^2 + 2 rho^{-2g}|TF|^2
@@ -435,8 +433,8 @@ def residual_suite(g: CompactifiedGeometry) -> dict:
     both:     jbar_crosscheck   Jbar formula vs the doubly-warped scalar
                                 curvature of alpha^2 dt^2 + b^2 ghat
     """
-    taus = _window_taus(g)
-    st = g.state(taus)
+    st = g.window
+    taus = st.tau
     n = g.base.n
     out: dict[str, ResidualProfile] = {}
 

@@ -18,6 +18,11 @@ asymptotic surface/volume ratio is summed on the same rule, after a
 substitution that maps (0, tau_r) onto (0, inf); it is the package's only
 quadrature rule, and `_levels` its only level sum.
 
+The five reports read two integrated identities, adapted and Lee, whose
+integrands (main, r1, r2) are one table per family.  `_identity` holds one
+case's identity and sums each integral when a report first reads it, so
+`hk-cla` sums main alone.
+
 Verdicts: `equality` when |lhs - rhs| <= 10 tol |lhs|, `strict` when the
 gap of an inequality additionally exceeds 1e-3 |lhs| (the observed gaps for
 gamma != 1/2 are order one), `fail` for a violated inequality or an identity
@@ -184,59 +189,66 @@ def _report(name: str, lhs: float, kap: float, main, remainders, tol: float,
 # The two integrated identities
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
-def _adapted_identity(n: int, gamma: float, k: float):
-    """Solution and Vol-normalised integrals of the adapted identity.
+def _adapted_integrands(n: int, gamma: float) -> dict:
+    """Integrands of the adapted identity, in dV/(Vol(M) dtau):
 
     main = int rho^{2g-1} T^{1-kap} dV
-    R1   = int 2 kap rho^{1-2g} T^{-kap-1} |TF Hess rho|^2 dV
-    R2   = int kap (kap+1) rho T^{-kap-2} |grad T|^2 dV,   kap = (1-g)/g
+    r1   = int 2 kap rho^{1-2g} T^{-kap-1} |TF Hess rho|^2 dV
+    r2   = int kap (kap+1) rho T^{-kap-2} |grad T|^2 dV,   kap = (1-g)/g
 
     With dV = rho dens dtau dS_ghat, |TF Hess rho|^2 = n/(n+1) tf^2/rho^2 and
     tf = r^{2g} tf_hat, the integrands become rho^{2g} T^{1-kap} dens,
     2 kap n/(n+1) r^{2g} (rho/r)^{-2g} tf_hat^2 T^{-kap-1} dens and
     kap (kap+1) T^{-kap-2} T'^2 dens.  At gamma = 1/2 the first is
-    rho dens, so main is Vol(X, gbar)/Vol(M).  Returns (sr, Vol(M, ghat),
-    main, R1, R2), each integral as (value, err_est).
-
-    Memoised on (n, gamma, k), for the last case only: `defect_identity`
-    ("adapted") right after `verify_adapted` of the same case reuses the
-    solve, the geometry and the three integrals.
+    rho dens, so main is Vol(X, gbar)/Vol(M).
     """
-    sr = solve_case(QCurvParams(n, gamma, k))
-    itg = RadialIntegrator(build_adapted(sr))
     kap = (1.0 - gamma) / gamma
     tg = 2.0 * gamma
+    return {
+        "main": lambda st: np.power(st.rho, tg) * np.power(st.T, 1.0 - kap) * st.dens,
+        "r1": lambda st: (2.0 * kap * n / (n + 1.0) * st.x * np.power(st.rho_over_r, -tg)
+                          * st.tf_hat ** 2 * np.power(st.T, -kap - 1.0) * st.dens),
+        "r2": lambda st: kap * (kap + 1.0) * np.power(st.T, -kap - 2.0) * st.dT ** 2 * st.dens,
+    }
 
-    def g_main(st):
-        return np.power(st.rho, tg) * np.power(st.T, 1.0 - kap) * st.dens
 
-    def g_r1(st):
-        return 2.0 * kap * n / (n + 1.0) * st.x * np.power(st.rho_over_r, -tg) \
-            * st.tf_hat ** 2 * np.power(st.T, -kap - 1.0) * st.dens
+def _lee_integrands(n: int) -> dict:
+    """Integrands of the Lee identity: main = int rho dV, r1 = int 2 rho
+    J^{-3} |grad J|^2 dV and r2 = int (n+1) rho^{-1} J^{-2} |TF Hess rho|^2 dV."""
+    return {
+        "main": lambda st: st.rho ** 2 * st.dens,
+        "r1": lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens,
+        "r2": lambda st: (n + 1.0) * np.power(st.Jbar, -2.0) * st.tracefree_sq * st.dens,
+    }
 
-    def g_r2(st):
-        return kap * (kap + 1.0) * np.power(st.T, -kap - 2.0) * st.dT ** 2 * st.dens
 
-    return (sr, _boundary_volume(n, k), itg.integrate(g_main), itg.integrate(g_r1),
-            itg.integrate(g_r2))
+class _Integrals(dict):
+    """Vol-normalised integrals of one identity by name, each summed on its
+    first read and kept, as (value, err_est)."""
+
+    def __init__(self, geom: CompactifiedGeometry, integrands: dict):
+        super().__init__()
+        self._itg = RadialIntegrator(geom)
+        self._integrands = integrands
+
+    def __missing__(self, name: str):
+        self[name] = self._itg.integrate(self._integrands[name])
+        return self[name]
 
 
 @functools.lru_cache(maxsize=1)
-def _lee_identity(n: int, k: float):
-    """Lee integrator, Vol(M, ghat) and the main integral int rho dV / Vol(M).
-
-    Memoised on (n, k), for the last case only, like `_adapted_identity`:
-    `defect_identity("lee")` right after `verify_lee` of the same case
-    reuses the geometry, its lattice state and the main integral.
-    """
-    itg = RadialIntegrator(build_lee(ModelSpace(n, k)))
-    return itg, _boundary_volume(n, k), itg.integrate(lambda st: st.rho ** 2 * st.dens)
-
-
-def _boundary_volume(n: int, k: float) -> float:
-    """Vol(M, ghat) of the round sphere of radius k^{-1/2}."""
-    return k ** (-n / 2.0) * sphere_volume(n)
+def _identity(n: int, gamma: float | None, k: float):
+    """(sr, Vol(M, ghat), integrals) of one case's integrated identity:
+    adapted, or Lee when gamma is None (sr is None); M is the round sphere
+    of radius k^{-1/2}.  Memoised for the last case only, so a defect
+    identity right after the inequality of its case reuses the solve, the
+    geometry, its lattice state and the integrals that inequality read."""
+    if gamma is None:
+        sr, geom, integrands = None, build_lee(ModelSpace(n, k)), _lee_integrands(n)
+    else:
+        sr = solve_case(QCurvParams(n, gamma, k))
+        geom, integrands = build_adapted(sr), _adapted_integrands(n, gamma)
+    return sr, k ** (-n / 2.0) * sphere_volume(n), _Integrals(geom, integrands)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +263,17 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6) -> Verific
     otherwise.  The gap is cross-checked against the nonnegative defect
     remainders of the integrated identity.
     """
-    sr, vol_m, main, r1, r2 = _adapted_identity(n, gamma, k)
+    sr, vol_m, integrals = _identity(n, gamma, k)
     kap = (1.0 - gamma) / gamma
     # the identity expresses the gap through the remainders, rescaled by the
     # boundary-term normalisation (2-2g) (-4g/d_g)^{-kap}
     fac = (-4.0 * gamma / d_gamma(gamma)) ** kap / (2.0 - 2.0 * gamma) * vol_m
     return _report(
         "hk-adapted", vol_m * sr.q_value ** (-kap), kap,
-        (hk_constant(n, gamma) * vol_m, main),
-        [("tracefree_hessian", fac, r1), ("grad_T", fac, r2)], tol,
-        gamma - 1.0 - n / 2.0,
-        {"n": n, "gamma": gamma, "k": k, "tol": tol,
-         "q_value": sr.q_value})
+        (hk_constant(n, gamma) * vol_m, integrals["main"]),
+        [("tracefree_hessian", fac, integrals["r1"]), ("grad_T", fac, integrals["r2"])],
+        tol, gamma - 1.0 - n / 2.0,
+        {"n": n, "gamma": gamma, "k": k, "tol": tol, "q_value": sr.q_value})
 
 
 def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
@@ -272,10 +283,10 @@ def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     equality on the models (they are hyperbolic space).  Vol(X, gbar_s) is
     the main integral of the adapted identity at gamma = 1/2.
     """
-    sr, vol_m, main, _, _ = _adapted_identity(n, 0.5, k)
+    sr, vol_m, integrals = _identity(n, 0.5, k)
     hbar = n * sr.q_value
     return _report(
-        "hk-cla", vol_m / hbar, 1.0, ((n + 1.0) / n * vol_m, main), [], tol,
+        "hk-cla", vol_m / hbar, 1.0, ((n + 1.0) / n * vol_m, integrals["main"]), [], tol,
         -(n + 1.0) / 2.0,
         {"n": n, "k": k, "tol": tol, "Hbar": hbar, "q_value": sr.q_value})
 
@@ -285,11 +296,11 @@ def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
 
     lhs = int_M dS/Jhat, rhs = 2(n+1)/n int_X rho_L dV; equality on models.
     """
-    _, vol_m, main = _lee_identity(n, k)
+    _, vol_m, integrals = _identity(n, None, k)
     jhat = n * k / 2.0
     return _report(
-        "hk-lee", vol_m / jhat, 0.0, (2.0 * (n + 1.0) / n * vol_m, main), [], tol,
-        -n / 2.0 - 1.0, {"n": n, "k": k, "tol": tol, "J_hat": jhat})
+        "hk-lee", vol_m / jhat, 0.0, (2.0 * (n + 1.0) / n * vol_m, integrals["main"]), [],
+        tol, -n / 2.0 - 1.0, {"n": n, "k": k, "tol": tol, "J_hat": jhat})
 
 
 def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
@@ -309,7 +320,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     if kind == "adapted":
         if gamma is None:
             raise ValueError("adapted defect identity needs gamma")
-        sr, vol_m, main, r1, r2 = _adapted_identity(n, gamma, k)
+        sr, vol_m, integrals = _identity(n, gamma, k)
         kap = (1.0 - gamma) / gamma
         lhs = (2.0 - 2.0 * gamma) * (-4.0 * gamma / d_gamma(gamma)) ** (-kap) \
             * sr.q_value ** (-kap) * vol_m
@@ -320,11 +331,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     elif kind == "lee":
         if gamma is not None:
             raise ValueError("lee defect identity takes no gamma")
-        itg, vol_m, main = _lee_identity(n, k)
-        r1 = itg.integrate(
-            lambda st: 2.0 * np.power(st.Jbar, -3.0) * st.dJbar ** 2 * st.dens)
-        r2 = itg.integrate(
-            lambda st: (n + 1.0) * np.power(st.Jbar, -2.0) * st.tracefree_sq * st.dens)
+        _, vol_m, integrals = _identity(n, None, k)
         jhat = n * k / 2.0
         lhs = n ** 2 / (n + 1.0) * vol_m / jhat
         kap, coef = 0.0, 2.0 * n
@@ -334,9 +341,9 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     else:
         raise ValueError(f"unknown defect kind {kind!r}")
     return _report(
-        name, lhs, kap, (coef * vol_m, main),
-        [("remainder_1", vol_m, r1), ("remainder_2", vol_m, r2)], tol,
-        k_weight, params, identity=True)
+        name, lhs, kap, (coef * vol_m, integrals["main"]),
+        [("remainder_1", vol_m, integrals["r1"]), ("remainder_2", vol_m, integrals["r2"])],
+        tol, k_weight, params, identity=True)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
@@ -188,11 +187,6 @@ def _frobenius_terms(n, s, k, mu):
         acc = acc * (k / 4)
         acc += a * (mu + 2 * M)
         M += 1
-
-
-def frobenius_coefficients(n, s, k, mu, order: int):
-    """Even branch coefficients a_0=1, a_2, ... a_{2*order} of r^mu (sum a_{2j} r^{2j})."""
-    return list(islice(_frobenius_terms(n, s, k, mu), order + 1))
 
 
 def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:

@@ -2,13 +2,14 @@
 parameter case across the whole suite."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from hkcce.compactification import build_adapted, build_lee
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import solve_case
+from hkcce.scattering import _frobenius_terms, solve_case
 from hkcce.special_fn import QCurvParams
 
 
@@ -18,6 +19,13 @@ def taus():
     140 up to ln 8, 120 from there on."""
     return np.concatenate([np.linspace(1e-3, math.log(8.0), 140, endpoint=False),
                            np.linspace(math.log(8.0), math.log(1e6), 120)])
+
+
+@pytest.fixture(scope="session")
+def branch_terms():
+    """branch_terms(n, s, k, mu, order) -> [a_0 = 1, a_2, ..., a_{2 order}],
+    the even coefficients of the branch r^mu (sum a_{2j} r^{2j})."""
+    return lambda n, s, k, mu, order: list(islice(_frobenius_terms(n, s, k, mu), order + 1))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from hkcce.compactification import residual_suite
 from hkcce.hk_verifier import (asymptotic_ratio, defect_identity,
                                verify_adapted, verify_cla, verify_lee)
 from hkcce.jet_algebra import verify_prop21
-from hkcce.scattering import frobenius_coefficients, solve_case
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 NS = (4, 5, 6)
@@ -146,7 +145,7 @@ def test_criterion_07_asymptotic_ratio():
     _report(7, f"asymptotic ratio = 1, worst deviation {worst:.1e} (<=1e-8)")
 
 
-def test_criterion_08_frobenius_u2_exact():
+def test_criterion_08_frobenius_u2_exact(branch_terms):
     """u2 = (n-2g) J/(8(1-g)) exactly in rational arithmetic, 20 random triples."""
     rng = random.Random(20250810)
     for _ in range(20):
@@ -156,7 +155,7 @@ def test_criterion_08_frobenius_u2_exact():
             gamma = Fr(19, 20)
         k = Fr(rng.randint(1, 12), rng.randint(1, 12))
         s = Fr(n, 2) + gamma
-        a = frobenius_coefficients(n, s, k, n - s, 3)
+        a = branch_terms(n, s, k, n - s, 3)
         jhat = Fr(n) * k / 2
         assert a[1] == (n - 2 * gamma) / (8 * (1 - gamma)) * jhat
     _report(8, "u2 exact in rational arithmetic for 20 random triples")

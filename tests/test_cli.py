@@ -14,6 +14,7 @@ import pytest
 import hkcce
 from hkcce import cli
 from hkcce.cli import RunConfig, fmt15, main, parse_config
+from hkcce.compactification import CompactifiedGeometry
 from hkcce.special_fn import K_DECADES, sphere_q_value
 
 
@@ -179,6 +180,24 @@ class TestCommands:
             assert len(lines) == 1 + 200            # one row per window point
         assert not list((tmp_path / "o" / "tables").glob("*.tmp"))
 
+    def test_residual_window_assembled_once(self, tmp_path, monkeypatch):
+        # residual_suite and the profile dump read one window state; the
+        # other assembly of each geometry is its lattice, read by `boundary`
+        assembled = []
+        real = CompactifiedGeometry._assemble
+
+        def counting(geom, tau, *args, **kwargs):
+            assembled.append((geom.kind, len(tau)))
+            return real(geom, tau, *args, **kwargs)
+
+        monkeypatch.setattr(CompactifiedGeometry, "_assemble", counting)
+        rc = main(["residuals", "--n", "4", "--gamma", "0.5", "--k", "1",
+                   "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert (tmp_path / "o" / "tables" / "profile_lee_n4_k1.0.csv").is_file()
+        assert [kind for kind, _ in assembled] == ["adapted"] * 2 + ["lee"] * 2
+        assert [points == 200 for _, points in assembled] == [True, False] * 2
+
     def test_asymptotic_command(self, tmp_path):
         rc = main(["asymptotic", "--n", "5", "--k", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -266,6 +285,19 @@ class TestCommands:
         # the label names the verdict kind; `fail` is kept for a failed check
         assert "  inconclusive hk-adapted_n4_g0.25_k1.0\n" in captured.err
         assert "fail " not in captured.err.lower()
+
+    def test_sweep_q_miss_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # a Q off its oracle is a numerical shortfall, never `fail`
+        monkeypatch.setattr(hkcce.cli, "sphere_q_value",
+                            lambda n, gamma, k: sphere_q_value(n, gamma, k) + 1e-5)
+        rc = main(["sweep", "--n", "4", "--gamma", "0.5", "--k", "1", "--jobs", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        rows = json.loads((tmp_path / "o" / "reports" / "sweep.json").read_text())
+        assert [row["verdict"] for row in rows] == ["inconclusive"]
+        err = capsys.readouterr().err
+        assert "  inconclusive sweep n=4 gamma=0.5 k=1.0\n" in err
+        assert "fail " not in err.lower()
 
     def test_io_failure_exits_two(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -8,9 +8,9 @@ import pytest
 
 from hkcce import cli, hk_verifier, scattering
 from hkcce.compactification import build_lee
-from hkcce.hk_verifier import (RadialIntegrator, _adapted_identity,
-                               _lee_identity, asymptotic_ratio, defect_identity,
-                               verify_adapted, verify_cla, verify_lee)
+from hkcce.hk_verifier import (RadialIntegrator, _identity, asymptotic_ratio,
+                               defect_identity, verify_adapted, verify_cla,
+                               verify_lee)
 from hkcce.model_geometry import ModelSpace
 from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
 
@@ -191,12 +191,11 @@ class TestDefectIdentities:
 def _clear_memos():
     scattering.solve_case.cache_clear()
     scattering._interior.cache_clear()
-    _adapted_identity.cache_clear()
-    _lee_identity.cache_clear()
+    _identity.cache_clear()
 
 
 class TestMemo:
-    """_adapted_identity keeps the last (n, gamma, k); a hit equals a cold run."""
+    """_identity keeps the last case; a hit equals a cold run."""
 
     @pytest.fixture(autouse=True)
     def _cold(self):
@@ -216,12 +215,12 @@ class TestMemo:
         for n, gamma, k in cases:
             assert verify_adapted(n, gamma, k).to_dict() == cold[n, "hk"]
             assert defect_identity("adapted", n, k, gamma=gamma).to_dict() == cold[n, "defect"]
-        info = _adapted_identity.cache_info()
+        info = _identity.cache_info()
         assert (info.hits, info.misses) == (len(cases), len(cases))
 
     def test_lee_reports_after_hit_equal_cold_runs(self):
-        # _lee_identity keeps the last (n, k): defect-lee right after hk-lee
-        # of the same case reuses its geometry, lattice state and main integral
+        # defect-lee right after hk-lee of the same case reuses its
+        # geometry, lattice state and main integral
         cases = [(5, 2.0), (4, 1.0), (10, 0.5)]
         cold = {}
         for n, k in cases:
@@ -233,15 +232,52 @@ class TestMemo:
         for n, k in cases:
             assert verify_lee(n, k).to_dict() == cold[n, "hk"]
             assert defect_identity("lee", n, k).to_dict() == cold[n, "defect"]
-            assert _lee_identity.cache_info().currsize <= 1
-        info = _lee_identity.cache_info()
+            assert _identity.cache_info().currsize <= 1
+        info = _identity.cache_info()
         assert (info.hits, info.misses, info.currsize) == (len(cases), len(cases), 1)
+
+    @staticmethod
+    def _summed(monkeypatch):
+        """The integrands summed from now on, in order."""
+        summed = []
+        real = RadialIntegrator.integrate
+
+        def counting(itg, g_fn):
+            summed.append(g_fn)
+            return real(itg, g_fn)
+
+        monkeypatch.setattr(RadialIntegrator, "integrate", counting)
+        return summed
+
+    def test_cold_cla_sums_main_only(self, monkeypatch):
+        summed = self._summed(monkeypatch)
+        assert verify_cla(5, 1.0).verdict == "equality"
+        integrals = _identity(5, 0.5, 1.0)[2]
+        assert summed == [integrals._integrands["main"]]
+        assert list(integrals) == ["main"]
+
+    @pytest.mark.parametrize("gamma, reports", [
+        (0.3, (lambda: verify_adapted(5, 0.3, 2.0),
+               lambda: defect_identity("adapted", 5, 2.0, gamma=0.3))),
+        (None, (lambda: verify_lee(5, 2.0), lambda: defect_identity("lee", 5, 2.0))),
+    ], ids=["adapted", "lee"])
+    def test_inequality_then_defect_sums_each_integral_once(self, monkeypatch, gamma,
+                                                            reports):
+        cold = []
+        for report in reports:
+            _clear_memos()
+            cold.append(report().to_dict())
+        _clear_memos()
+        summed = self._summed(monkeypatch)
+        assert [report().to_dict() for report in reports] == cold
+        names = {fn: name for name, fn in _identity(5, gamma, 2.0)[2]._integrands.items()}
+        assert sorted(names[fn] for fn in summed) == ["main", "r1", "r2"]
 
     def test_sweep_keeps_one_entry_per_memo(self, tmp_path):
         rc = cli.main(["sweep", "--n", "4,5,6", "--gamma", "0.25,0.4,0.5,0.6,0.75",
                        "--k", "0.5,1,2", "--jobs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
-        memos = (scattering.solve_case, scattering._interior, _adapted_identity)
+        memos = (scattering.solve_case, scattering._interior, _identity)
         assert all(m.cache_info().currsize <= 1 for m in memos)
         # 15 interiors; each case solved for its Q row, then read back by hk-adapted
         assert scattering._interior.cache_info().misses == 15
@@ -310,9 +346,10 @@ class TestMpmathBoundaryLayer:
     def test_integrals_within_err_est(self, gamma):
         n, k = 4, 1.0
         main, r1, r2 = self._reference(n, gamma, k)
-        _, _, *integrals = _adapted_identity(n, gamma, k)
-        for (value, err), ref in zip(integrals, (main, r1, r2)):
-            assert abs(value - ref) <= err, (value, ref, err)
+        integrals = _identity(n, gamma, k)[2]
+        for name, ref in zip(("main", "r1", "r2"), (main, r1, r2)):
+            value, err = integrals[name]
+            assert abs(value - ref) <= err, (name, value, ref, err)
         # the same references through the reports
         rep = verify_adapted(n, gamma, k)
         assert rep.verdict == "strict"

@@ -16,8 +16,7 @@ from hkcce.hk_verifier import RadialIntegrator
 from hkcce.scattering import (TAU_BRANCH, TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, _s_ext, de_lattice, frobenius_branch,
-                              frobenius_coefficients, match_and_q, solve_case,
-                              solve_interior)
+                              match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
@@ -58,30 +57,30 @@ class TestFrobeniusCoefficients:
         b = frobenius_branch(p, p.n - p.s)
         assert b.coeffs[1] == pytest.approx(1.5, rel=1e-14)
 
-    def test_formal_k_zero(self):
-        a = frobenius_coefficients(4, 2.75, 0.0, 1.25, 6)
+    def test_formal_k_zero(self, branch_terms):
+        a = branch_terms(4, 2.75, 0.0, 1.25, 6)
         assert a[0] == 1.0
         assert all(c == 0.0 for c in a[1:])
 
-    def test_lee_branch_terminates(self):
+    def test_lee_branch_terminates(self, branch_terms):
         # s = n+1, mu = -1: r V = 1 + (k/4) r^2 exactly, all higher terms zero
-        a = frobenius_coefficients(5, Fr(6), Fr(1), Fr(-1), 4)
+        a = branch_terms(5, Fr(6), Fr(1), Fr(-1), 4)
         assert a == [Fr(1), Fr(1, 4), Fr(0), Fr(0), Fr(0)]
 
-    def test_lee_resonance_even_n(self):
+    def test_lee_resonance_even_n(self, branch_terms):
         with pytest.raises(ResonanceError):
-            frobenius_coefficients(4, 5.0, 1.0, -1.0, 4)
+            branch_terms(4, 5.0, 1.0, -1.0, 4)
         # below the resonant step it is fine
-        frobenius_coefficients(4, 5.0, 1.0, -1.0, 2)
+        branch_terms(4, 5.0, 1.0, -1.0, 2)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_u2_exact_rational(self, seed):
+    def test_u2_exact_rational(self, seed, branch_terms):
         rng = random.Random(seed)
         n = rng.randint(3, 9)
         gamma = Fr(rng.randint(1, 18), 20)
         k = Fr(rng.randint(1, 9), rng.randint(1, 9))
         s = Fr(n, 2) + gamma
-        a = frobenius_coefficients(n, s, k, n - s, 2)
+        a = branch_terms(n, s, k, n - s, 2)
         assert a[1] == n * k * (n - 2 * gamma) / (16 * (1 - gamma))
 
     def test_recursion_residual(self):
@@ -95,13 +94,13 @@ class TestFrobeniusCoefficients:
         with pytest.raises(ValueError):
             frobenius_branch(p, 1.0)
 
-    def test_branch_evaluation_against_closed_form(self):
+    def test_branch_evaluation_against_closed_form(self, branch_terms):
         # gamma = 1/2, n = 4, k = 1: u = r^{3/2} (1 + r/2)^{-3}, so the
         # mu = n-s branch series is the even part of (1+r/2)^{-3}
         p = QCurvParams(4, 0.5, 1.0)
         mu = p.n - p.s
         b = FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu,
-                            coeffs=frobenius_coefficients(p.n, p.s, p.k, mu, 14))
+                            coeffs=branch_terms(p.n, p.s, p.k, mu, 14))
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
             assert float(branch_series(b, r)) == pytest.approx(even_part, rel=1e-13)
@@ -421,14 +420,14 @@ class TestMatching:
         sr = solved(4, 0.5, 1.0)
         assert 1.0 < sr.condition_estimate < 1e12
 
-    def test_truncation_guard(self):
+    def test_truncation_guard(self, branch_terms):
         # `frobenius_branch` sums to machine epsilon at r(ln 8), beyond
         # r(TAU_MATCH); branches cut after a2 leave ~1.5e-2 there
         p = QCurvParams(4, 0.5, 4.0)
         prof = solve_interior(p)
         s = _s_ext(p.n, p.gamma)
         b1, b2 = (FrobeniusBranch(n=p.n, s=s, k=p.k, mu=mu,
-                                  coeffs=frobenius_coefficients(p.n, s, p.k, mu, 1))
+                                  coeffs=branch_terms(p.n, s, p.k, mu, 1))
                   for mu in (p.n - s, s))
         with pytest.raises(MatchingError, match="Frobenius truncation"):
             _connect(prof, p, b1, b2)

@@ -18,7 +18,10 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
   - the first-order fields of every geometry's quadrature lattice, its
     weights and its coarse mask;
-  - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid.
+  - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid;
+  - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
+    hk-cla, hk-lee, defect-lee) at n = 150, gamma 0.25 and 0.5, k 0.5 and 2,
+    also beyond the CLI's grid.
 
 One sha256 digest is printed per item, then their total.  Two checkouts
 give the same numbers on this set when every line agrees.  A RuntimeWarning
@@ -50,7 +53,8 @@ import numpy as np  # noqa: E402
 from hkcce import cli  # noqa: E402
 from hkcce.compactification import (GeometryState, build_adapted, build_lee,  # noqa: E402
                                     residual_suite)
-from hkcce.hk_verifier import asymptotic_ratio  # noqa: E402
+from hkcce.hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,  # noqa: E402
+                               verify_cla, verify_lee)
 from hkcce.model_geometry import ModelSpace  # noqa: E402
 from hkcce.scattering import solve_case, solve_interior  # noqa: E402
 from hkcce.special_fn import QCurvParams  # noqa: E402
@@ -177,6 +181,19 @@ def asymptotic_tables() -> dict:
             for n in (60, 120) for k in KS}
 
 
+def reports_n150() -> dict:
+    n, out = 150, {}
+    for k in (0.5, 2.0):
+        for gamma in (0.25, 0.5):
+            out[f"hk-adapted {gamma} {k}"] = verify_adapted(n, gamma, k).to_dict()
+            out[f"defect-adapted {gamma} {k}"] = defect_identity(
+                "adapted", n, k, gamma=gamma).to_dict()
+        out[f"hk-cla {k}"] = verify_cla(n, k).to_dict()
+        out[f"hk-lee {k}"] = verify_lee(n, k).to_dict()
+        out[f"defect-lee {k}"] = defect_identity("lee", n, k).to_dict()
+    return out
+
+
 def main() -> int:
     items = {name: (lambda argv=argv: cli_run(argv)) for name, argv in COMMANDS.items()}
     items.update({
@@ -186,6 +203,7 @@ def main() -> int:
         "boundary dicts": boundaries,
         "lattice first-order state": lattices,
         "asymptotic tables n 60, 120": asymptotic_tables,
+        "reports n 150": reports_n150,
     })
     total = hashlib.sha256()
     for name, make in items.items():
