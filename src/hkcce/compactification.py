@@ -24,8 +24,9 @@ adapted profile is the centre series that the scattering result carries
 geometry is built from that one result, which fixes its model (n, k), s,
 gamma, c1 and Q as well.  Beyond it, and on the whole line for the Lee case
 (whose eigenfunction r V = 1 + k r^2/4 is a terminating branch), the state
-is built from the branch coefficient lists: with D = r d/dr - m, each term of
-D^k u is (mu - m + 2j)^k a_j r^{mu+2j}, and U_k = r^{-m} D^k u gives
+is built from the branch coefficients, rounded to double: with
+D = r d/dr - m, each term of D^k u is (mu - m + 2j)^k a_j r^{mu+2j}, and
+U_k = r^{-m} D^k u gives
 
     1 + w = -U1/(m U0),     w' = (U2 U0 - U1^2)/(m U0^2),
     w'' = -(U3 U0^2 - U2 U1 U0 - 2 (U2 U0 - U1^2) U1)/(m U0^3).
@@ -39,17 +40,15 @@ Every assembled state is checked where it is made: T (adapted) and S = 1 - w^2,
 the sign of Jbar (Lee), must be positive at each point evaluated, which
 covers every quadrature node, the residual window and the boundary r = 0.
 
-Each geometry assembles its quadrature state once, on first use
-(`CompactifiedGeometry.lattice`): the `de_lattice` nodes for its boundary
-decay rate and the boundary point r = 0 (tau = inf) in one `_assemble`
-call.  The integrator reads the node rows, and `boundary` reads the r = 0
-row, so the boundary check runs when either is first used, not at build
-time; a geometry that only meets `residual_suite` assembles no lattice.
-That state is first order: every integrand and `boundary` read only w,
-w', S, S', T, T' and their companions, so the lattice leaves out w'',
-S'' and T'' (None in its state), and its branch sums skip the D^3 rows.
-`window` (the residual window, read by `residual_suite`), `state` and
-`state_of_r` give the full state.
+Each geometry assembles each state it reads once, on first use, never at
+build time.  `lattice`, read by the integrator, is the `de_lattice` nodes
+for the geometry's boundary decay rate; `boundary` assembles the one point
+r = 0 (tau = inf) on its own, so `hkcce residuals`, which reads `boundary`
+but no integral, assembles no lattice.  Both are first order: every
+integrand and `boundary` read only w, w', S, S', T, T' and their companions,
+so they leave out w'', S'' and T'' (None in the state), and their branch
+sums skip the D^3 rows.  `window` (the residual window, read by
+`residual_suite`), `state` and `state_of_r` give the full state.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import TAU_MATCH, ScatteringResult, _power_sums, de_lattice
+from .scattering import TAU_MATCH, ScatteringResult, de_lattice
 from .special_fn import d_gamma
 
 TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
@@ -96,7 +95,7 @@ class GeometryState:
     dw_hat: np.ndarray
     S_hat: np.ndarray
     dS_hat: np.ndarray
-    ddS_hat: np.ndarray | None      # None in the first-order (lattice) state
+    ddS_hat: np.ndarray | None      # None in a first-order (lattice, boundary) state
     tf_hat: np.ndarray
     rho_over_r: np.ndarray
     rho: np.ndarray
@@ -106,13 +105,6 @@ class GeometryState:
     T: np.ndarray | None
     dT: np.ndarray | None
     ddT: np.ndarray | None  # None for Lee and in the first-order state
-
-    def rows(self, sl) -> "GeometryState":
-        """The state at the points sl selects: every array it holds, sliced."""
-        out = object.__new__(GeometryState)
-        out.__dict__.update((k, v[sl] if isinstance(v, np.ndarray) else v)
-                            for k, v in vars(self).items())
-        return out
 
     @property
     def dw(self):
@@ -156,6 +148,15 @@ class GeometryState:
         return self.n / (self.n + 1.0) * tf_over_rho * tf_over_rho
 
 
+def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Each row of coeffs summed as a polynomial in r2; shape (rows, points)."""
+    acc = np.zeros((coeffs.shape[0], r2.size))
+    for col in coeffs.T[::-1, :, None]:
+        acc *= r2
+        acc += col
+    return acc
+
+
 def _d_rows(c: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Rows lam_j^k c_j, k = 0..3: the coefficients of r^{-m} D^k u."""
     return c * exponents ** np.arange(4.0)[:, None]
@@ -164,10 +165,9 @@ def _d_rows(c: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 class Lattice(NamedTuple):
     """The quadrature state of one geometry, from one assembly."""
 
-    state: GeometryState     # at the `de_lattice` nodes, in their order
+    state: GeometryState     # first order, at the `de_lattice` nodes, in their order
     weights: np.ndarray      # h/2 dtau/dt at step h/2
     coarse: np.ndarray       # mask of the nodes of step h
-    boundary: GeometryState  # the one row at r = 0 (tau = inf)
 
 
 class CompactifiedGeometry:
@@ -191,8 +191,8 @@ class CompactifiedGeometry:
             # at tau = ln 8 for n = 60), while the centre series is accurate
             # up to its horizon, the connection point
             self.tau_branch = TAU_MATCH
-            low = np.asarray(sr.branch_low.coeffs, dtype=float)
-            high = np.asarray(sr.branch_high.coeffs, dtype=float)
+            low = sr.branch_low.coeffs.astype(float)
+            high = sr.branch_high.coeffs.astype(float)
         else:
             self.kind = "lee"
             self.s, self.gamma = float(base.n + 1), None
@@ -220,27 +220,26 @@ class CompactifiedGeometry:
     # -- quadrature state and boundary values ---------------------------------
     @cached_property
     def lattice(self) -> Lattice:
-        """The `de_lattice` nodes and r = 0, assembled once, on first use.
+        """The `de_lattice` nodes, assembled once, on first use.
 
         The integrands decay towards the boundary at least like e^{-a tau},
         a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
         state reads u and u' off the interior's table, which holds exactly
-        these nodes.  The r = 0 row rides in the same assembly, so its
-        positivity check runs here too.  The state is first order: no
-        integrand reads w'', ddS_hat or ddT, so they are not assembled.
+        these nodes.  The state is first order: no integrand reads w'',
+        ddS_hat or ddT, so they are not assembled.
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
         tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
-        st = self._assemble(np.append(tau, np.inf),
-                            np.append(self.base.r_of_tau(tau), 0.0), second_order=False)
-        return Lattice(st.rows(slice(-1)), weights, coarse, st.rows(slice(-1, None)))
+        return Lattice(self._assemble(tau, self.base.r_of_tau(tau), second_order=False),
+                       weights, coarse)
 
     @cached_property
     def boundary(self) -> dict:
-        """T (adapted) or Jbar (Lee) at r = 0, from the lattice's boundary
-        row, against its target: -(4 gamma/d_gamma) Q, or (n+1)/n Jhat."""
-        st = self.lattice.boundary
+        """T (adapted) or Jbar (Lee) at r = 0 (tau = inf), from a first-order
+        state of that one point, against its target: -(4 gamma/d_gamma) Q,
+        or (n+1)/n Jhat."""
+        st = self._assemble(np.array([np.inf]), np.zeros(1), second_order=False)
         if self.kind == "adapted":
             t_b = float(st.T[0])
             target = -(4.0 * self.gamma / d_gamma(self.gamma)) * self.q_value
@@ -319,7 +318,8 @@ class CompactifiedGeometry:
 
     def _assemble(self, tau, r, second_order=True) -> GeometryState:
         """The state at (tau, r); with second_order=False (the lattice's
-        state) w'', ddS_hat and ddT are left out and set to None."""
+        and the boundary's state) w'', ddS_hat and ddT are left out and set
+        to None."""
         n = self.base.n
         e = self.e
         x = np.power(r, e)
@@ -377,8 +377,7 @@ def build_adapted(sr: ScatteringResult) -> CompactifiedGeometry:
     the c1 normalisation (so r^{s-n} u -> 1) and checks that c1 and the
     tabulated u are positive (the table is u at the quadrature's interior
     nodes, which every radial integral reads).  u > 0 and T > 0 are checked
-    again by every state evaluation, the lattice's r = 0 row (`boundary`)
-    included.
+    again by every state evaluation, the r = 0 point (`boundary`) included.
     """
     p = sr.params
     if np.any(sr.interior.u <= 0.0):
@@ -391,8 +390,8 @@ def build_adapted(sr: ScatteringResult) -> CompactifiedGeometry:
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
     """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'.
 
-    Nothing is evaluated here: `boundary` reads Jbar at r = 0, against
-    (n+1)/n Jhat, off the lattice state when it is first asked for.
+    Nothing is evaluated here: `boundary` assembles Jbar at r = 0, against
+    (n+1)/n Jhat, when it is first asked for.
     """
     return CompactifiedGeometry(m, None)
 

@@ -72,16 +72,13 @@ class RadialIntegrator:
 
     The state, weights and coarse mask are the geometry's `lattice`: its
     `de_lattice` nodes of step h/2, out to where the integrands' boundary
-    decay leaves e^{-40} of an integral, assembled once together with the
-    boundary row r = 0 that `CompactifiedGeometry.boundary` reads.  So the
-    positivity check of the boundary row runs when the first integrator of
-    a geometry (or its `boundary`) is made, and every integral reuses the
-    one state.
+    decay leaves e^{-40} of an integral, assembled once, when the first
+    integrator of a geometry is made.  Every integral reuses that one state.
     """
 
     def __init__(self, geom: CompactifiedGeometry):
         self.geom = geom
-        self.state, self.weights, self.coarse, _ = geom.lattice
+        self.state, self.weights, self.coarse = geom.lattice
 
     def levels(self, g_fn):
         """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""

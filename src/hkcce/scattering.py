@@ -29,12 +29,14 @@ Every term is positive, so neither sum cancels at any n, and both converge on
 the whole interior.  The two Frobenius branches, summed until their last term
 is below machine epsilon on r <= r(ln 8), are connected to u in value and
 tau derivative at the one point tau_m = 3, where the column-equilibrated
-2x2 system stays well conditioned (below 5e4 for n <= 40).  The series
-coefficients, u and u' there, both branch values and derivatives, the 2x2
-solve and d_gamma are carried in np.longdouble, so that Q is rounded to
-double only once.  Derivatives are always transported analytically
-(dr/dtau = -r); second derivatives come from the ODE closure, never from
-finite differences.
+2x2 system stays well conditioned (below 5e4 for n <= 40).  A branch is its
+root and one np.longdouble coefficient array, evaluated once, at tau_m: one
+term vector there gives its value, its derivative and the truncation the
+connection checks (`FrobeniusBranch.at`).  The series coefficients, u and
+u' there, both branch values and derivatives, the 2x2 solve and d_gamma are
+carried in np.longdouble, so that Q is rounded to double only once.
+Derivatives are always transported analytically (dr/dtau = -r); second
+derivatives come from the ODE closure, never from finite differences.
 
 The centre series does not depend on k: in tau all of k sits in the
 branches, through r = (2/sqrt(k)) e^{-tau}.  Nor do the quadrature nodes it
@@ -72,7 +74,12 @@ import numpy as np
 
 from .special_fn import QCurvParams, d_gamma_ext
 
-TAU_BRANCH = math.log(8.0)    # the branch series are summed for tau >= ln 8, r <= 0.25/sqrt(k)
+# The branch series are summed to convergence in double at r(ln 8) =
+# 0.25/sqrt(k) but evaluated only at tau >= TAU_MATCH, where each term is
+# smaller by a further (r(3)/r(ln 8))^2 = 0.16 per order.  That margin leaves
+# the tau = 3 sum at long-double accuracy: its last term is at most 2.3e-24
+# of the sum over n 3..200, gamma in [0.05, 0.95] and k 0.5, 1, 2.
+TAU_BRANCH = math.log(8.0)
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
 _EPS = float(np.finfo(float).eps)
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
@@ -189,63 +196,24 @@ def _frobenius_terms(n, s, k, mu):
         M += 1
 
 
-def _power_sums(coeffs: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Each row of coeffs summed as a polynomial in r2; shape (rows, points)."""
-    acc = np.zeros((coeffs.shape[0], r2.size))
-    for col in coeffs.T[::-1, :, None]:
-        acc *= r2
-        acc += col
-    return acc
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusBranch:
-    """One branch r^mu (1 + a2 r^2 + ...) with float evaluation helpers.
+    """One branch r^mu (1 + a2 r^2 + ...): its exact root mu and its
+    coefficients a_{2j}, one read-only np.longdouble array."""
 
-    The arrays the connection reads (the coefficients in np.longdouble, the
-    exponents j and the factors mu + 2j) are built once, with the branch.
-    """
-
-    n: int
-    s: float
-    k: float
     mu: float
-    coeffs: tuple
-    _c: np.ndarray = field(init=False, repr=False, compare=False)    # float a_{2j}
-    _c_ext: np.ndarray = field(init=False, repr=False, compare=False)
-    _j: np.ndarray = field(init=False, repr=False, compare=False)
-    _mu_2j: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        c_ext = np.array(coeffs, dtype=_LD)
-        j = np.arange(len(coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_c", _read_only(c_ext.astype(float)))
-        object.__setattr__(self, "_c_ext", _read_only(c_ext))
-        object.__setattr__(self, "_j", _read_only(j))
-        object.__setattr__(self, "_mu_2j", _read_only(_LD(self.mu) + 2 * j))
-
-    def extended_value_and_derivative(self, r):
-        """Value and tau derivative (-r d/dr) at one radius, in np.longdouble."""
-        r = _LD(r)
-        terms = self._c_ext * (r * r) ** self._j
-        r_mu = r ** _LD(self.mu)
-        return r_mu * terms.sum(), -r_mu * (self._mu_2j * terms).sum()
-
-    def truncation_estimate(self, r) -> float:
-        """Magnitude of the last kept term relative to the series value.
-
-        The series is summed by Horner on Python floats: the same double
-        operations as the row sums of `_power_sums`, without numpy's
-        per-operation cost.
-        """
-        r = float(r)
-        x, acc = r * r, 0.0
-        for c in reversed(self._c.tolist()):
-            acc = acc * x + c
-        last = abs(self._c[-1]) * r ** (2 * (len(self._c) - 1))
-        return last / max(abs(acc), 1e-300)
+    def at(self, r):
+        """Value, tau derivative (-r d/dr) and truncation at one radius, all
+        in np.longdouble and read from one term vector a_{2j} r^{2j}; the
+        truncation is its last term relative to its sum."""
+        r, mu = _LD(r), _LD(self.mu)
+        j = np.arange(len(self.coeffs))
+        terms = self.coeffs * (r * r) ** j
+        r_mu, series = r ** mu, terms.sum()
+        return (r_mu * series, -r_mu * ((mu + 2 * j) * terms).sum(),
+                abs(terms[-1]) / abs(series))
 
 
 def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
@@ -253,8 +221,8 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
 
     The series is summed until its last term is below machine epsilon
     relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k), beyond every radius
-    at which the branches are evaluated.  mu, s and the coefficients are
-    np.longdouble, with s = n/2 + gamma exact, for the connection.
+    at which the branches are evaluated.  mu and the coefficients are
+    np.longdouble, from s = n/2 + gamma exact, for the connection.
     """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
@@ -271,7 +239,7 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
         if M == _BRANCH_MAX_ORDER:
             raise MatchingError(
                 f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
-    return FrobeniusBranch(n=p.n, s=s, k=p.k, mu=mu, coeffs=coeffs)
+    return FrobeniusBranch(mu=mu, coeffs=_read_only(np.array(coeffs, dtype=_LD)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +464,8 @@ class ScatteringResult:
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
     condition_estimate: float        # of the column-equilibrated system
-    branch_low: FrobeniusBranch = field(repr=False)   # mu = n-s
-    branch_high: FrobeniusBranch = field(repr=False)  # mu = s
+    branch_low: FrobeniusBranch = field(repr=False, compare=False)   # mu = n-s
+    branch_high: FrobeniusBranch = field(repr=False, compare=False)  # mu = s
     interior: CentreSeries = field(repr=False, compare=False)   # the (n, gamma) series
 
 
@@ -512,7 +480,9 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     r^s scales of the branches.
     """
     r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
-    trunc = max(b1.truncation_estimate(r), b2.truncation_estimate(r))
+    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
+    (v1, d1, t1), (v2, d2, t2) = b1.at(r_ld), b2.at(r_ld)
+    trunc = max(t1, t2)
     if not trunc <= 1e-8:
         raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
     u, du = interior.connection
@@ -520,9 +490,7 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={TAU_MATCH}")
-    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
-    m = np.array([b1.extended_value_and_derivative(r_ld),
-                  b2.extended_value_and_derivative(r_ld)]).T
+    m = np.array([[v1, v2], [d1, d2]])
     scale = np.max(np.abs(m), axis=0)
     if not (np.all(np.isfinite(m)) and np.all(scale > 0.0)):
         raise MatchingError(f"branch values not representable at r={r:.2e}")

@@ -182,7 +182,8 @@ class TestCommands:
 
     def test_residual_window_assembled_once(self, tmp_path, monkeypatch):
         # residual_suite and the profile dump read one window state; the
-        # other assembly of each geometry is its lattice, read by `boundary`
+        # other assembly of each geometry is the one point r = 0, read by
+        # `boundary`: no quadrature lattice is assembled
         assembled = []
         real = CompactifiedGeometry._assemble
 
@@ -196,7 +197,7 @@ class TestCommands:
         assert rc == 0
         assert (tmp_path / "o" / "tables" / "profile_lee_n4_k1.0.csv").is_file()
         assert [kind for kind, _ in assembled] == ["adapted"] * 2 + ["lee"] * 2
-        assert [points == 200 for _, points in assembled] == [True, False] * 2
+        assert [points for _, points in assembled] == [200, 1] * 2
 
     def test_asymptotic_command(self, tmp_path):
         rc = main(["asymptotic", "--n", "5", "--k", "1", "--out", str(tmp_path / "o")])
@@ -297,6 +298,19 @@ class TestCommands:
         assert [row["verdict"] for row in rows] == ["inconclusive"]
         err = capsys.readouterr().err
         assert "  inconclusive sweep n=4 gamma=0.5 k=1.0\n" in err
+        assert "fail " not in err.lower()
+
+    def test_qcurv_q_miss_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        # the same shortfall in a qcurv row is named as in a sweep row
+        monkeypatch.setattr(hkcce.cli, "sphere_q_value",
+                            lambda n, gamma, k: sphere_q_value(n, gamma, k) + 1e-5)
+        rc = main(["qcurv", "--n", "4", "--gamma", "0.5", "--k", "1", "--jobs", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        rows = json.loads((tmp_path / "o" / "reports" / "qcurv.json").read_text())
+        assert [row["verdict"] for row in rows] == ["inconclusive"]
+        err = capsys.readouterr().err
+        assert "  inconclusive qcurv n=4 gamma=0.5 k=1.0\n" in err
         assert "fail " not in err.lower()
 
     def test_io_failure_exits_two(self, tmp_path):

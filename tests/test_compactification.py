@@ -241,10 +241,11 @@ def _same_bits(a: GeometryState, b: GeometryState):
 
 
 class TestLatticeState:
-    """One assembly per geometry: the quadrature nodes and r = 0 together.
+    """One assembly per state of a geometry: the quadrature nodes, and r = 0
+    on its own.
 
     The suite turns RuntimeWarning into an error (pyproject.toml), so these
-    cases also show that the r = 0 row assembles without a warning.
+    cases also show that the r = 0 point assembles without a warning.
     """
 
     CASES = [("adapted", n, gamma, k) for n in (3, 6) for gamma in (0.05, 0.5, 0.95)
@@ -265,9 +266,12 @@ class TestLatticeState:
         lat = g.lattice
         assert np.array_equal(lat.weights, weights) and np.array_equal(lat.coarse, coarse)
         _same_bits(lat.state, g.state(tau))
-        _same_bits(lat.boundary, g.state_of_r(0.0))
+        # the boundary values are the full state's at r = 0, bit for bit
+        full = g.state_of_r(0.0)
         if kind == "lee":
-            assert lat.boundary.Jbar.tobytes() == g.state_of_r(0.0).Jbar.tobytes()
+            assert g.boundary["J_boundary"] == float(full.Jbar[0])
+        else:
+            assert g.boundary["T_boundary"] == float(full.T[0])
 
     def test_one_assembly_per_geometry(self, solved, monkeypatch):
         calls = []
@@ -287,13 +291,14 @@ class TestLatticeState:
             itg = RadialIntegrator(g)
             g.boundary
             RadialIntegrator(g)
-            assert len(calls) == 2                 # the window, then the lattice
-            assert calls[1] == len(itg.state.tau) + 1
+            g.boundary
+            # the window, the lattice, then the one point r = 0
+            assert calls == [200, len(itg.state.tau), 1]
 
     def test_nonpositive_boundary_T_raises_on_first_use(self, solved):
         # a scattering value of the wrong sign turns T negative towards r = 0,
         # T(0) = -(4 gamma/d_gamma) Q included; the build itself evaluates no
-        # state, so the error comes where the lattice is first assembled
+        # state, so the error comes where a state is first assembled
         sr = solved(4, 0.3, 1.0)
         bad = replace(sr, scattering_value=-sr.scattering_value)
         for use in (lambda g: g.boundary, RadialIntegrator):

@@ -13,7 +13,7 @@ import pytest
 from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
 from hkcce.hk_verifier import RadialIntegrator
-from hkcce.scattering import (TAU_BRANCH, TAU_MATCH, CentreSeries,
+from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
                               _connect, _s_ext, de_lattice, frobenius_branch,
                               match_and_q, solve_case, solve_interior)
@@ -26,28 +26,28 @@ WIDE_NS = range(3, 201)
 WIDE_GAMMAS = [float(g) for g in np.linspace(0.05, 0.95, 37)]
 
 
-def branch_series(b: FrobeniusBranch, r) -> np.ndarray:
-    """The even factor sum a_{2j} r^{2j} of a branch (without the r^mu
-    prefactor), in double by the row Horner `_power_sums`."""
-    r = np.asarray(r, dtype=float)
-    return scattering._power_sums(b._c[None], (r * r).ravel())[0].reshape(r.shape)
-
-
-def recursion_residual(b: FrobeniusBranch) -> float:
+def recursion_residual(b: FrobeniusBranch, p: QCurvParams) -> float:
     """Max re-substitution defect of a branch's coefficients, relative."""
     worst = 0.0
+    n, s, k = p.n, _s_ext(p.n, p.gamma), p.k
     cs = b.coeffs
     for M in range(1, len(cs)):
         x = b.mu + 2 * M
-        P = (x - b.s) * (x - (b.n - b.s))
+        P = (x - s) * (x - (n - s))
         acc = cs[0] * b.mu
         for m in range(1, M):
-            acc = acc * (b.k / 4)
+            acc = acc * (k / 4)
             acc += cs[m] * (b.mu + 2 * m)
         lhs = float(P * cs[M])
-        rhs = float(b.n * b.k / 2 * acc)
+        rhs = float(n * k / 2 * acc)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
+
+
+def _mp(x) -> mpmath.mpf:
+    """A float or long double as an mpf, exactly (at 30 digits and above)."""
+    num, den = x.as_integer_ratio()
+    return mpmath.mpf(num) / den
 
 
 class TestFrobeniusCoefficients:
@@ -87,7 +87,7 @@ class TestFrobeniusCoefficients:
         for gamma in (0.25, 0.6, 0.95):
             p = QCurvParams(5, gamma, 2.0)
             for mu in (p.s, p.n - p.s):
-                assert recursion_residual(frobenius_branch(p, mu)) <= 1e-13
+                assert recursion_residual(frobenius_branch(p, mu), p) <= 1e-13
 
     def test_mu_must_be_indicial(self):
         p = QCurvParams(4, 0.5, 1.0)
@@ -99,42 +99,35 @@ class TestFrobeniusCoefficients:
         # mu = n-s branch series is the even part of (1+r/2)^{-3}
         p = QCurvParams(4, 0.5, 1.0)
         mu = p.n - p.s
-        b = FrobeniusBranch(n=p.n, s=p.s, k=p.k, mu=mu,
-                            coeffs=branch_terms(p.n, p.s, p.k, mu, 14))
+        b = FrobeniusBranch(mu=mu, coeffs=np.array(branch_terms(p.n, p.s, p.k, mu, 14),
+                                                   dtype=LD))
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
-            assert float(branch_series(b, r)) == pytest.approx(even_part, rel=1e-13)
+            assert float(b.at(r)[0]) == pytest.approx(r ** mu * even_part, rel=1e-13)
 
 
 class TestBranchArithmetic:
-    """The connection's branch helpers keep their numbers bit for bit."""
+    """`FrobeniusBranch.at` at the connection point against 30-digit sums."""
 
-    def test_truncation_estimate_equals_the_row_power_sums(self):
-        for n in WIDE_NS:
-            for gamma in WIDE_GAMMAS:
-                for k in (0.5, 1.0, 2.0):
-                    p = QCurvParams(n, gamma, k)
-                    radii = [(2.0 / math.sqrt(k)) * math.exp(-tau)
-                             for tau in (TAU_BRANCH, TAU_MATCH)]
-                    for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
-                        c = b._c
-                        sums = branch_series(b, np.array(radii)).tolist()
-                        for r, series in zip(radii, sums):
-                            last = abs(c[-1]) * r ** (2 * (len(c) - 1))
-                            expected = last / max(abs(series), 1e-300)
-                            assert b.truncation_estimate(r) == expected, (n, gamma, k, b.mu)
-
-    def test_extended_values_equal_a_fresh_evaluation(self):
-        # the arrays built once per branch give what forming them per call gave
-        p = QCurvParams(7, 0.3, 2.0)
-        for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
-            for tau in (TAU_BRANCH, TAU_MATCH):
-                r = 2 / np.sqrt(LD(p.k)) * np.exp(-LD(tau))
-                j = np.arange(len(b.coeffs))
-                terms = np.asarray(b.coeffs, dtype=LD) * (r * r) ** j
-                r_mu = r ** LD(b.mu)
-                expected = (r_mu * terms.sum(), -r_mu * ((LD(b.mu) + 2 * j) * terms).sum())
-                assert b.extended_value_and_derivative(r) == expected
+    @pytest.mark.parametrize("n,gamma,k", [(3, 0.05, 0.5), (4, 0.5, 1.0), (20, 0.95, 2.0),
+                                           (60, 0.3, 0.5), (150, 0.75, 2.0)])
+    def test_at_equals_a_30_digit_sum_of_the_same_coefficients(self, n, gamma, k):
+        p = QCurvParams(n, gamma, k)
+        r = 2 / np.sqrt(LD(k)) * np.exp(-LD(TAU_MATCH))
+        ulp = float(np.finfo(LD).eps)
+        with mpmath.workdps(30):
+            r_mp = _mp(r)
+            for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
+                mu = _mp(b.mu)
+                terms = [_mp(c) * r_mp ** (2 * j) for j, c in enumerate(b.coeffs)]
+                series = mpmath.fsum(terms)
+                value = r_mp ** mu * series
+                deriv = -r_mp ** mu * mpmath.fsum((mu + 2 * j) * t for j, t in enumerate(terms))
+                trunc = abs(terms[-1]) / abs(series)
+                got = b.at(r)
+                for x, ref, rel in ((got[0], value, 8 * ulp), (got[1], deriv, 8 * ulp),
+                                    (got[2], trunc, 1e-3)):
+                    assert abs(_mp(x) - ref) <= rel * abs(ref), (b.mu, x, ref)
 
 
 class TestDeLattice:
@@ -426,8 +419,8 @@ class TestMatching:
         p = QCurvParams(4, 0.5, 4.0)
         prof = solve_interior(p)
         s = _s_ext(p.n, p.gamma)
-        b1, b2 = (FrobeniusBranch(n=p.n, s=s, k=p.k, mu=mu,
-                                  coeffs=branch_terms(p.n, s, p.k, mu, 1))
+        b1, b2 = (FrobeniusBranch(mu=mu, coeffs=np.array(branch_terms(p.n, s, p.k, mu, 1),
+                                                         dtype=LD))
                   for mu in (p.n - s, s))
         with pytest.raises(MatchingError, match="Frobenius truncation"):
             _connect(prof, p, b1, b2)
@@ -574,6 +567,8 @@ class TestMemo:
         for table in (sr.interior.tau, sr.interior.u, sr.interior.du):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0.0
-        assert isinstance(sr.branch_high.coeffs, tuple)
+        assert sr.branch_high.coeffs.dtype == LD
+        with pytest.raises(ValueError, match="read-only"):
+            sr.branch_high.coeffs[0] = 0.0
         # results compare by their numbers, not by the series they carry
         assert sr == dataclasses.replace(sr, interior=None)

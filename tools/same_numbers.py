@@ -11,13 +11,14 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     of every file written, the manifest read without ``wall_clock_s``;
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
+  - both branches' roots and coefficients at n 3,4,10,150, long doubles;
   - the interiors at n 3,4,10,150: each centre series' table (u, du) and its
     connection pair (u, u') at tau = 3, a long-double pair;
   - every residual profile of ``residual_suite`` (raw values, sup included),
     which reads the full, second-order state;
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
   - the first-order fields of every geometry's quadrature lattice, its
-    weights and its coarse mask;
+    weights and its coarse mask, and those of its state at r = 0;
   - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid;
   - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
     hk-cla, hk-lee, defect-lee) at n = 150, gamma 0.25 and 0.5, k 0.5 and 2,
@@ -29,7 +30,9 @@ is an error.  Floats are hashed by their bits, so the digests depend on the
 platform (np.longdouble is 80-bit on x86 and plain double elsewhere):
 compare two checkouts on one machine.  Long doubles are hashed by value
 (their shortest round-trip decimal), because their bytes hold padding
-besides the 80 bits of the number.
+besides the 80 bits of the number.  The branch coefficients are hashed
+element by element as long doubles, so the same values give one digest
+whether a tuple or an array holds them.
 """
 
 from __future__ import annotations
@@ -144,6 +147,17 @@ def scattering_results() -> dict:
     return out
 
 
+def branches() -> dict:
+    out = {}
+    for n in (*NS, 150):
+        for gamma in GAMMAS:
+            for k in KS:
+                sr = solve_case(QCurvParams(n, gamma, k))
+                out[f"{n} {gamma} {k}"] = [[b.mu, [np.longdouble(c) for c in b.coeffs]]
+                                           for b in (sr.branch_low, sr.branch_high)]
+    return out
+
+
 def interiors() -> dict:
     out = {}
     for n in (*NS, 150):
@@ -171,7 +185,7 @@ def lattices() -> dict:
     out = {}
     for label, g in geometries():
         lat = g.lattice
-        out[label] = [first_order(lat.state), first_order(lat.boundary),
+        out[label] = [first_order(lat.state), first_order(g.state_of_r(0.0)),
                       lat.weights, lat.coarse]
     return out
 
@@ -198,6 +212,7 @@ def main() -> int:
     items = {name: (lambda argv=argv: cli_run(argv)) for name, argv in COMMANDS.items()}
     items.update({
         "scattering results": scattering_results,
+        "branches n 3,4,10,150": branches,
         "interior tables and connections": interiors,
         "residual suites": residuals,
         "boundary dicts": boundaries,
