@@ -251,7 +251,7 @@ def _q_row(n: int, gamma: float, k: float):
     rel = abs(sr.q_value - oracle) / max(1.0, abs(oracle))
     row = {"n": n, "gamma": gamma, "k": k,
            "Q_num": sr.q_value, "Q_oracle": oracle, "rel_err": rel}
-    return sr, row, rel <= 1e-6 * max(1.0, abs(oracle))
+    return sr, row, rel <= 1e-6
 
 
 def _qcurv_case(args) -> dict:

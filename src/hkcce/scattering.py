@@ -17,24 +17,27 @@ branches carry unit leading coefficient.  The Q-curvature follows from the
 d_gamma normalisation:  Q = (2/(n-2 gamma)) d_gamma c2/c1.
 
 Extraction scheme (validated against the closed-form sphere oracle): the
-regular solution is u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau), summed
-after the Pfaff transformation (DLMF 15.8.1) as the centre series
+regular solution is u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau).  Its
+parameters satisfy c = a + b + 1/2, so the quadratic transformation of
+Gauss's function (DLMF 15.8) sums it as the centre series
 
-    u  = cosh(tau)^{-s} sum_j t_j x^j,                      x = tanh^2 tau,
-    u' = -(n-s) tanh(tau) cosh(tau)^{-s} sum_j t_j (s+2j)/(n+1+2j) x^j,
+    u  = cosh(tau/2)^{-2s} sum_j f_j w^j,                   w = tanh^2(tau/2),
+    u' = -2(n-s) tanh(tau/2) cosh(tau/2)^{-2s} sum_j f_j (s+j)/(n+1+2j) w^j,
 
-    t_0 = 1,  t_{j+1}/t_j = (s/2+j)((s+1)/2+j) / (((n+1)/2+j)(1+j)).
+    f_0 = 1,  f_{j+1}/f_j = (s+j)(gamma+1/2+j) / (((n+1)/2+j)(1+j)).
 
 Every term is positive, so neither sum cancels at any n, and both converge on
-the whole interior.  The two Frobenius branches, summed until their last term
-is below machine epsilon on r <= r(ln 8), are connected to u in value and
-tau derivative at the one point tau_m = 3, where the column-equilibrated
-2x2 system stays well conditioned (below 5e4 for n <= 40).  A branch is its
-root and one np.longdouble coefficient array, evaluated once, at tau_m: one
-term vector there gives its value, its derivative and the truncation the
-connection checks (`FrobeniusBranch.at`).  The series coefficients, u and
-u' there, both branch values and derivatives, the 2x2 solve and d_gamma are
-carried in np.longdouble, so that Q is rounded to double only once.
+the whole interior; w <= tanh^2(1.5) = 0.8193 up to tau = 3, so about 180
+terms reach double precision there and about 220 long double, at every n.
+The two Frobenius branches, summed until their last term is below machine
+epsilon on r <= r(ln 8), are connected to u in value and tau derivative at
+the one point tau_m = 3, where the column-equilibrated 2x2 system stays
+well conditioned (below 5e4 for n <= 40).  A branch is its root and one
+np.longdouble coefficient array, evaluated once, at tau_m: one term vector
+there gives its value, its derivative and the truncation the connection
+checks (`FrobeniusBranch.at`).  The series coefficients, u and u' there,
+both branch values and derivatives, the 2x2 solve and d_gamma are carried
+in np.longdouble, so that Q is rounded to double only once.
 Derivatives are always transported analytically (dr/dtau = -r); second
 derivatives come from the ODE closure, never from finite differences.
 
@@ -51,8 +54,8 @@ tau <= TAU_MATCH, which become the series' table; every k and every
 integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
 each.  Those points are the same for every (n, gamma), and so are the
-powers of x the sums read there: they are tabulated once per process
-(`_node_powers`), one read-only table per node group and block size.
+powers of w the sums read there: they are tabulated once per process
+(`_node_powers`), one read-only table per node set and block size.
 
 A `ScatteringResult` carries the series it was matched to (`interior`),
 so a geometry is built from the result alone and cannot pair one case's
@@ -86,7 +89,6 @@ _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
 _COND_MAX = 1e12
 _BRANCH_MAX_ORDER = 400
-_X_GROUPS = (0.5, 0.9, 0.97)  # x = tanh^2 tau bounds of the centre-series batches
 
 
 def _s_ext(n: int, gamma: float):
@@ -246,159 +248,145 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
 # Interior solution
 # ---------------------------------------------------------------------------
 
-def _powers(x_ext: np.ndarray, j: np.ndarray, dtype) -> np.ndarray:
-    """x^j in dtype, one row per point, from an extended-precision x.
+def _powers(w_ext: np.ndarray, j: np.ndarray, dtype) -> np.ndarray:
+    """w^j in dtype, one row per point, from an extended-precision w.
 
-    A rounded x = x_ext (1 - d) would carry its rounding j-fold into x^j
-    (1e-14 in u near tau = 3), so the powers of the rounded x are scaled
-    by 1 + j d.
+    A rounded w = w_ext (1 - d) would carry its rounding j-fold into w^j,
+    so the powers of the rounded w are scaled by 1 + j d.
     """
-    x = x_ext.astype(dtype)
-    d = np.divide(x_ext - x, x_ext, out=np.zeros_like(x_ext), where=x_ext > 0)
-    return np.power.outer(x, j) * (1 + np.multiply.outer(d.astype(dtype), j))
+    w = w_ext.astype(dtype)
+    d = np.divide(w_ext - w, w_ext, out=np.zeros_like(w_ext), where=w_ext > 0)
+    return np.power.outer(w, j) * (1 + np.multiply.outer(d.astype(dtype), j))
 
 
-def _block_powers(x_ext: np.ndarray, B: int, dtype):
-    """x^r and x^{Bq} for r, q < B, in dtype, one row per point.
+def _block_powers(w_ext: np.ndarray, B: int, dtype):
+    """w^r and w^{Bq} for r, q < B, in dtype, one row per point.
 
-    A group of J terms is summed as Q blocks of B terms, B = ceil(sqrt J)
-    and Q = ceil(J / B), which is B - 1 or B, so tables for Q = B serve both.
+    J terms are summed as Q blocks of B terms, B = ceil(sqrt J) and
+    Q = ceil(J / B), which is B - 1 or B, so tables for Q = B serve both.
     """
     j = np.arange(B)
-    return _powers(x_ext, j, dtype), _powers(x_ext ** B, j, dtype)
+    return _powers(w_ext, j, dtype), _powers(w_ext ** B, j, dtype)
 
 
 @functools.lru_cache(maxsize=128)
-def _node_powers(which: int, g: int, B: int) -> tuple:
-    """`_block_powers` at group g of the fixed node set `which`, once per
-    process and read-only: 0 is the table's nodes, in double, and 1 is the
-    connection point, in long double; every `CentreSeries` construction
-    reads both.
+def _node_powers(which: int, B: int) -> tuple:
+    """`_block_powers` at the fixed node set `which`, once per process and
+    read-only: 0 is the table's nodes, in double, and 1 is the connection
+    point, in long double; every `CentreSeries` construction reads both.
 
-    The node sets are fixed, so (which, g, B) is an exact key.  The
-    interiors over n 3..200 and 37 gammas in [0.05, 0.95] read 41 tables,
-    0.24 MB in all.
+    The node sets are fixed, so (which, B) is an exact key.  The interiors
+    over n 3..1000 and 37 gammas in [0.05, 0.95] read 5 tables: B = 13, 14
+    and 15 at the table's nodes and 15 and 16 at the connection point.
     """
     nodes = _FIXED_NODES[which]
-    x_ext = np.tanh(nodes.astype(_LD)) ** 2
-    x = x_ext[np.searchsorted(_X_GROUPS, x_ext.astype(float)) == g]
-    return tuple(_read_only(a) for a in _block_powers(x, B, nodes.dtype))
+    w_ext = np.tanh(nodes.astype(_LD) / 2) ** 2
+    return tuple(_read_only(a) for a in _block_powers(w_ext, B, nodes.dtype))
 
 
-def _blocked_sums(t: np.ndarray, dt: np.ndarray, powers: tuple) -> np.ndarray:
-    """sum_j t_j x^j and sum_j dt_j x^j, shape (2, points), in the dtype of
-    `powers`, the tables (x^r, x^{Bq}) of `_block_powers` at the points,
-    B = ceil(sqrt J) for J terms.  With j = B q + r, sum_j c_j x^j = sum_q x^{Bq} (sum_r c_{Bq+r} x^r), so
+def _blocked_sums(f: np.ndarray, df: np.ndarray, powers: tuple) -> np.ndarray:
+    """sum_j f_j w^j and sum_j df_j w^j, shape (2, points), in the dtype of
+    `powers`, the tables (w^r, w^{Bq}) of `_block_powers` at the points,
+    B = ceil(sqrt J) for J terms.  With j = B q + r, sum_j c_j w^j = sum_q w^{Bq} (sum_r c_{Bq+r} w^r), so
     the temporaries are (points x sqrt(terms)) rather than (points x terms).
     """
     low, high = powers
-    J, B = len(t), low.shape[1]
+    J, B = len(f), low.shape[1]
     Q = -(-J // B)
     coef = np.zeros((2, Q * B), dtype=low.dtype)
-    coef[0, :J], coef[1, :J] = t, dt
+    coef[0, :J], coef[1, :J] = f, df
     blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
     return np.einsum("pkq,pq->kp", blocks, high[:, :Q])
 
 
-def _terms_estimate(eps: float, x: float) -> int:
-    """About log(eps)/log(x) terms of the centre series, with a margin: t_j
-    decays like j^{gamma - 1}."""
-    return int(1.25 * math.log(eps) / math.log(x)) + 64
-
-
 class CentreSeries:
-    """u and u' of the regular interior solution from its series in x = tanh^2 tau.
+    """u and u' of the regular interior solution from its series in w = tanh^2(tau/2).
 
-    The term counts come from the coefficient ratios in double, one per
-    group of x, each the count that sums the series to double precision at
-    the group's upper bound of x (near tau = 3 that is ~3500, below
-    x = 0.5 about 50), and one more that sums it to long-double precision
-    at TAU_MATCH.  Construction computes the coefficients t_j and
-    t_j (s+2j)/(n+1+2j) in np.longdouble up to that long-double count, sums
+    The term counts come from the coefficient ratios in double: the count
+    that sums the series to double precision at w(TAU_MATCH) = 0.8193, and
+    the one that sums it to long-double precision there (about 180 and 220
+    at every n).  Construction computes the coefficients f_j and
+    f_j (s+j)/(n+1+2j) in np.longdouble up to the long-double count, sums
     them once at TAU_MATCH into `connection`, the pair (u, u') there in
-    np.longdouble, and keeps them in double only, up to the largest double
-    count.  This is the interior's one extended-precision sum.  It then sums
-    them in double at the 155 lattice nodes with tau <= TAU_MATCH into the
+    np.longdouble, and keeps them in double only, up to the double count.
+    This is the interior's one extended-precision sum.  It then sums them
+    in double at the 155 lattice nodes with tau <= TAU_MATCH into the
     table tau, u, du: ascending, read-only views of arrays summed in the
     lattice's own descending order, so that a call at those nodes hands the
     integrator exactly what it would have summed; `build_adapted` checks
     the table for positivity.  No method changes a built series.
 
     A call takes tau in [0, TAU_MATCH] in double and returns u and u' in
-    double.  It sums its points in groups of similar x, each with its
-    group's terms, as a blocked product (`_blocked_sums`).  The tables of
-    x^r and x^{Bq} are built from x in long double per call, and read from
-    `_node_powers` for the table and the connection.  The second derivative
-    is never summed; the geometry takes it from the ODE closure
-    u'' = -n coth(tau) u' - s(n-s) u.
+    double.  Its sums are one blocked product (`_blocked_sums`) over tables
+    of w^r and w^{Bq} that are built from w in long double per call, and
+    read from `_node_powers` for the table and the connection.  The
+    prefactors cosh(tau/2)^{-2s} and tanh(tau/2) are formed in long double
+    and rounded once: in double their error would grow like s eps.  The
+    second derivative is never summed; the geometry takes it from the ODE
+    closure u'' = -n coth(tau) u' - s(n-s) u.
     """
 
     def __init__(self, n: int, s):
-        s = _LD(s)
-        bounds = _X_GROUPS + (float(np.tanh(_LD(TAU_MATCH)) ** 2),)
+        self.n, self.s = n, _LD(s)
+        w = float(np.tanh(_CONNECTION_TAU[0] / 2) ** 2)
         eps_ext = float(np.finfo(_LD).eps)
-        eps = ((_EPS,),) * (len(bounds) - 1) + ((eps_ext, _EPS),)
-        size = _terms_estimate(eps_ext, bounds[-1])
-        while True:
-            ratio = self._ratio(n, s, size, float)
-            counts = [self._terms_needed(ratio, x, e) for x, e in zip(bounds, eps)]
-            if None not in counts:
-                break
+        # f_j grows or decays like j^{2 gamma - 1}: log(eps)/log(w) with a margin
+        size = int(1.25 * math.log(eps_ext) / math.log(w)) + 64
+        while (counts := self._terms_needed(self._ratio(n, self.s, size, float), w,
+                                            (_EPS, eps_ext))) is None:
             size *= 2
-        terms_ext = counts[-1][0]
-        two_j = 2.0 * np.arange(terms_ext)          # exact in double, cast once
-        t = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, s, len(two_j) - 1, _LD))))
-        dt = t * (s + two_j.astype(_LD)) / (n + 1 + two_j).astype(_LD)
-        B = math.isqrt(terms_ext - 1) + 1        # the connection lies in the last group
-        u, du = _blocked_sums(t, dt, _node_powers(1, len(_X_GROUPS), B))
-        tau = _CONNECTION_TAU
-        sech_s = np.cosh(tau) ** -s
-        self.connection = ((sech_s * u)[0], (-(n - s) * np.tanh(tau) * sech_s * du)[0])
-        self.n, self.s = n, float(s)
-        self._terms = [c[-1] for c in counts]     # double terms of each group of x
-        self._terms_ext = terms_ext               # long-double terms of the connection
-        used = max(self._terms)
-        self._t, self._dt = (_read_only(c[:used].astype(float)) for c in (t, dt))
+        self._terms, self._terms_ext = counts
+        j = np.arange(self._terms_ext)          # integer factors, cast once
+        f = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, self.s, len(j) - 1, _LD))))
+        df = f * (self.s + j.astype(_LD)) / (n + 1 + 2 * j).astype(_LD)
+        B = math.isqrt(len(j) - 1) + 1
+        u, du = self._prefactors(_CONNECTION_TAU) * _blocked_sums(f, df, _node_powers(1, B))
+        self.connection = (u[0], du[0])
+        self._f, self._df = (_read_only(c[:self._terms].astype(float)) for c in (f, df))
         u, du = self._sums(_TABLE_TAU, fixed=True)
         self.tau, self.u, self.du = _TABLE_TAU[::-1], _read_only(u)[::-1], _read_only(du)[::-1]
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
-        """t_{j+1}/t_j for j < size, in dtype.
+        """f_{j+1}/f_j = (s+j)(gamma+1/2+j) / (((n+1)/2+j)(1+j)) for j < size, in dtype.
 
-        The denominator ((n+1)/2 + j)(1 + j) is a half-integer far below
-        2^53, so it is formed exactly in double and cast once.
+        gamma + 1/2 = s - (n-1)/2 is taken in np.longdouble.  The
+        denominator is a half-integer far below 2^53, so it is formed
+        exactly in double and cast once.
         """
-        s = dtype(s)
+        a, b = dtype(s), dtype(_LD(s) - _LD(n - 1) / 2)
         j = np.arange(size, dtype=float)
         den = ((n + 1) / 2 + j) * (1 + j)
         j = j.astype(dtype, copy=False)
-        return (s / 2 + j) * ((s + 1) / 2 + j) / den.astype(dtype, copy=False)
+        return (a + j) * (b + j) / den.astype(dtype, copy=False)
 
     @staticmethod
-    def _terms_needed(ratio: np.ndarray, x: float, eps: tuple) -> tuple | None:
+    def _terms_needed(ratio: np.ndarray, w: float, eps: tuple) -> tuple | None:
         """For each eps, the fewest terms whose tail is below eps times the
-        partial sum at x; None if ratio is too short for one of them.
+        partial sum at w; None if ratio is too short for one of them.
 
-        With T_j = t_j x^j, the tail after term j is at most
-        T_j rho/(1-rho), rho = max(r_j, 1) x: the ratios r_j = t_{j+1}/t_j
-        decrease while above 1 and stay below 1 once they drop under it.
-        One cumulative product and sum serve every eps; they run first over
-        the terms the smallest eps is estimated to need.
+        With T_j = f_j w^j, the tail after term j is at most
+        T_j rho/(1-rho), rho = max(r_j, 1) w: the ratios r_j = f_{j+1}/f_j
+        are all above 1 and decrease (gamma > 1/2), or are all at most 1.
+        One cumulative product and sum serve every eps.
         """
-        for part in (ratio[:_terms_estimate(min(eps), x)], ratio):
-            T = np.concatenate(([1.0], np.cumprod(part[:-1] * x)))      # t_j x^j
-            rho = np.maximum(part, 1.0) * x
-            tail, partial, below = T * rho, np.cumsum(T), rho < 1.0
-            counts = []
-            for e in eps:
-                hits = np.flatnonzero(below & (tail <= e * partial * (1.0 - rho)))
-                if not hits.size:
-                    break
-                counts.append(int(hits[0]) + 1)
-            else:
-                return tuple(counts)
-        return None
+        T = np.concatenate(([1.0], np.cumprod(ratio[:-1] * w)))      # f_j w^j
+        rho = np.maximum(ratio, 1.0) * w
+        tail, partial, below = T * rho, np.cumsum(T), rho < 1.0
+        counts = []
+        for e in eps:
+            hits = np.flatnonzero(below & (tail <= e * partial * (1.0 - rho)))
+            if not hits.size:
+                return None
+            counts.append(int(hits[0]) + 1)
+        return tuple(counts)
+
+    def _prefactors(self, tau: np.ndarray) -> np.ndarray:
+        """cosh(tau/2)^{-2s} and -2(n-s) tanh(tau/2) cosh(tau/2)^{-2s}, the
+        factors of the two sums, shape (2, points), in np.longdouble."""
+        half = tau.astype(_LD) / 2          # exact
+        pre = np.cosh(half) ** (-2 * self.s)
+        return np.stack((pre, -2 * (self.n - self.s) * np.tanh(half) * pre))
 
     def __call__(self, tau):
         """u and u' at tau in [0, TAU_MATCH], in double.
@@ -419,17 +407,11 @@ class CentreSeries:
     def _sums(self, tau: np.ndarray, fixed: bool):
         """u and u' at tau, in double; with fixed, tau is the table's nodes
         and the power tables are read from `_node_powers`."""
-        x_ext = np.tanh(tau.astype(_LD)) ** 2
-        group = np.searchsorted(_X_GROUPS, x_ext.astype(float))
-        sums = np.empty((2, len(tau)))
-        for g in np.unique(group):
-            at = group == g
-            J = self._terms[g]
-            B = math.isqrt(J - 1) + 1
-            powers = _node_powers(0, int(g), B) if fixed else _block_powers(x_ext[at], B, float)
-            sums[:, at] = _blocked_sums(self._t[:J], self._dt[:J], powers)
-        sech_s = np.cosh(tau) ** -self.s
-        return sech_s * sums[0], -(self.n - self.s) * np.tanh(tau) * sech_s * sums[1]
+        B = math.isqrt(self._terms - 1) + 1
+        powers = (_node_powers(0, B) if fixed
+                  else _block_powers(np.tanh(tau.astype(_LD) / 2) ** 2, B, float))
+        u, du = self._prefactors(tau).astype(float) * _blocked_sums(self._f, self._df, powers)
+        return u, du
 
 
 @functools.lru_cache(maxsize=1)

@@ -313,6 +313,22 @@ class TestCommands:
         assert "  inconclusive qcurv n=4 gamma=0.5 k=1.0\n" in err
         assert "fail " not in err.lower()
 
+    @pytest.mark.parametrize("command", ["sweep", "qcurv"])
+    def test_relative_q_miss_is_inconclusive_at_a_large_oracle(self, command, tmp_path, capsys,
+                                                                 monkeypatch):
+        # Q = 15.3 here: a 5e-6 relative miss is above the 1e-6 gate, which
+        # is relative already and is not scaled by |Q| a second time
+        monkeypatch.setattr(hkcce.cli, "sphere_q_value",
+                            lambda n, gamma, k: sphere_q_value(n, gamma, k) * (1 + 5e-6))
+        rc = main([command, "--n", "20", "--gamma", "0.95", "--k", "2", "--jobs", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        rows = json.loads((tmp_path / "o" / "reports" / f"{command}.json").read_text())
+        assert [row["verdict"] for row in rows] == ["inconclusive"]
+        assert rows[0]["Q_oracle"] > 15
+        err = capsys.readouterr().err
+        assert f"  inconclusive {command} n=20 gamma=0.95 k=2.0\n" in err
+
     def test_io_failure_exits_two(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

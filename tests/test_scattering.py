@@ -21,9 +21,6 @@ from hkcce.special_fn import QCurvParams, sphere_q_value
 
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 LD = np.longdouble
-# the grid the trimmed arithmetic is checked on, bit for bit
-WIDE_NS = range(3, 201)
-WIDE_GAMMAS = [float(g) for g in np.linspace(0.05, 0.95, 37)]
 
 
 def recursion_residual(b: FrobeniusBranch, p: QCurvParams) -> float:
@@ -156,17 +153,13 @@ class TestInteriorSolve:
         assert np.all(np.diff(prof.tau) > 0)
 
 
-def per_eps_terms(ratio: np.ndarray, x: float, eps: float):
-    """The centre series' term count at x for one eps, searched on its own:
+def per_eps_terms(ratio: np.ndarray, w: float, eps: float):
+    """The centre series' term count at w for one eps, searched on its own:
     the rule `CentreSeries` applies to both precisions in one pass."""
-    for part in (ratio[:scattering._terms_estimate(eps, x)], ratio):
-        T = np.concatenate(([1.0], np.cumprod(part[:-1] * x)))
-        rho = np.maximum(part, 1.0) * x
-        ok = (rho < 1.0) & (T * rho <= eps * np.cumsum(T) * (1.0 - rho))
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            return int(hits[0]) + 1
-    return None
+    T = np.concatenate(([1.0], np.cumprod(ratio[:-1] * w)))
+    rho = np.maximum(ratio, 1.0) * w
+    hits = np.flatnonzero((rho < 1.0) & (T * rho <= eps * np.cumsum(T) * (1.0 - rho)))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 class TestCentreSeries:
@@ -174,21 +167,24 @@ class TestCentreSeries:
     def test_term_counts_match_the_per_eps_rule(self):
         eps_ext = float(np.finfo(np.longdouble).eps)
         eps = float(np.finfo(float).eps)
-        bounds = scattering._X_GROUPS + (float(np.tanh(np.longdouble(TAU_MATCH)) ** 2),)
-        cases = [(n, g) for n in [*range(3, 21), 60] for g in (0.05, 0.5, 0.95)]
-        for n, gamma in cases:
+        w = float(np.tanh(np.longdouble(TAU_MATCH) / 2) ** 2)
+        ns = [*range(3, 21), 60, 150, 190, 200, 250, 500, 1000]
+        for n, gamma in [(n, g) for n in ns for g in (0.05, 0.5, 0.95)]:
             s = _s_ext(n, gamma)
             series = CentreSeries(n, s)
-            terms_ext, terms = series._terms_ext, series._terms
-            j = np.arange(2 * terms_ext, dtype=np.longdouble)
-            ratio = ((s / 2 + j) * ((s + 1) / 2 + j)
+            j = np.arange(400, dtype=np.longdouble)
+            ratio = ((s + j) * (s - np.longdouble(n - 1) / 2 + j)
                      / ((np.longdouble(n + 1) / 2 + j) * (1 + j))).astype(float)
-            assert terms == [per_eps_terms(ratio, x, eps) for x in bounds], (n, gamma)
-            # long double is summed only at the connection point, which
-            # lies in the last group
-            assert terms_ext == per_eps_terms(ratio, bounds[-1], eps_ext), (n, gamma)
+            assert series._terms == per_eps_terms(ratio, w, eps), (n, gamma)
+            # long double is summed only at the connection point
+            assert series._terms_ext == per_eps_terms(ratio, w, eps_ext), (n, gamma)
             # the double coefficients stop at the double term count
-            assert len(series._t) == len(series._dt) == max(terms) < terms_ext
+            assert len(series._f) == len(series._df) == series._terms < series._terms_ext
+        # one bound w(3): the counts do not grow with n
+        for n in range(3, 1001):
+            for gamma in (0.05, 0.95):
+                series = CentreSeries(n, _s_ext(n, gamma))
+                assert 150 < series._terms < series._terms_ext < 250, (n, gamma)
 
     def test_a_built_series_holds_double_only_and_stays_as_built(self, monkeypatch):
         built = []
@@ -221,52 +217,31 @@ class TestCentreSeries:
         finally:
             scattering._interior.cache_clear()
 
-    @staticmethod
-    def _all_long_double(n, s, count):
-        """Reference t_j and t_j (s+2j)/(n+1+2j), j < count, with every
-        factor formed in np.longdouble, the integer ones included."""
-        j = np.arange(count, dtype=LD)
-        r = j[:-1]
-        ratio = (s / 2 + r) * ((s + 1) / 2 + r) / ((LD(n + 1) / 2 + r) * (1 + r))
-        t = np.concatenate(([LD(1)], np.cumprod(ratio)))
-        return t, t * (LD(s) + 2 * j) / (n + 1 + 2 * j)
+    @pytest.mark.parametrize("n", (3, 4, 10, 20, 60, 150, 190))
+    def test_table_and_connection_equal_the_untransformed_2f1(self, n):
+        """The table (u, u') within 4 double eps and the connection within
+        16 long-double eps of 40-digit 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau)
+        and its derivative (DLMF 15.5.1): the series in w = tanh^2(tau/2) is
+        its quadratic transformation, which this puts under test."""
+        eps, eps_ext = float(np.finfo(float).eps), float(np.finfo(LD).eps)
+        with mpmath.workdps(40):
+            for gamma in (0.05, 0.3, 0.5, 0.77, 0.95):
+                series = CentreSeries(n, _s_ext(n, gamma))
+                s = _mp(_s_ext(n, gamma))
+                a, b, c = s / 2, (n - s) / 2, mpmath.mpf(n + 1) / 2
 
-    @staticmethod
-    def _blocked_connection(n, s, t, dt):
-        """(u, u') at TAU_MATCH from the coefficients t and dt: the blocked
-        long-double sum, j = B q + r, over freshly built power tables."""
-        J = len(t)
-        B = math.isqrt(J - 1) + 1
-        Q = -(-J // B)
-        tau = np.array([TAU_MATCH], dtype=LD)
-        low, high = scattering._block_powers(np.tanh(tau) ** 2, B, LD)   # x^r, x^{Bq}
-        coef = np.zeros((2, Q * B), dtype=LD)
-        coef[0, :J], coef[1, :J] = t, dt
-        blocks = (low @ coef.reshape(2 * Q, B).T).reshape(1, 2, Q)
-        u, du = np.einsum("pkq,pq->kp", blocks, high[:, :Q])
-        sech_s = np.cosh(tau) ** -s
-        return (sech_s * u)[0], (-(n - s) * np.tanh(tau) * sech_s * du)[0]
+                def worst(tau, pair):
+                    sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
+                    u = mpmath.hyp2f1(a, b, c, -sh * sh)
+                    du = -2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
+                    return max(abs(_mp(v) / ref - 1) for v, ref in zip(pair, (u, du)))
 
-    def test_coefficients_and_counts_equal_the_all_long_double_formula(self):
-        for n in WIDE_NS:
-            for gamma in WIDE_GAMMAS:
-                s = _s_ext(n, gamma)
-                series = CentreSeries(n, s)
-                t, dt, terms_ext = series._t, series._dt, series._terms_ext
-                t_ref, dt_ref = self._all_long_double(n, s, terms_ext)
-                # compared by value: the bytes of a long double hold padding
-                # besides its 80 bits
-                u, du = series.connection
-                assert (u, du) == self._blocked_connection(n, s, t_ref, dt_ref), (n, gamma)
-                assert type(u) is type(du) is LD
-                assert t.tobytes() == t_ref[:len(t)].astype(float).tobytes(), (n, gamma)
-                assert dt.tobytes() == dt_ref[:len(dt)].astype(float).tobytes(), (n, gamma)
-                # the term counts are read off the double ratios alone
-                # (`_terms_needed`), so equal ratios give equal counts
-                j = np.arange(2 * terms_ext, dtype=float)
-                ratio = (float(s) / 2 + j) * ((float(s) + 1) / 2 + j) \
-                    / ((float(n + 1) / 2 + j) * (1 + j))
-                assert CentreSeries._ratio(n, s, len(j), float).tobytes() == ratio.tobytes()
+                for tau, u, du in zip(series.tau, series.u, series.du):
+                    assert worst(_mp(tau), (u, du)) <= 4 * eps, (gamma, tau)
+                if EXTENDED:
+                    assert type(series.connection[0]) is type(series.connection[1]) is LD
+                error = worst(mpmath.mpf(TAU_MATCH), series.connection)
+                assert error <= 16 * eps_ext, (gamma, error / eps_ext)
 
 
 class TestNodePowers:
@@ -288,16 +263,13 @@ class TestNodePowers:
 
     @staticmethod
     def _table_keys(n, gamma):
-        """(dtype, group, B) of every table the interior's sums read."""
+        """(node set, B) of every table the interior's sums read: the table's
+        nodes with the double count, the connection with the long-double one."""
         series = CentreSeries(n, _s_ext(n, gamma))
-        x = (np.tanh(scattering._TABLE_TAU.astype(np.longdouble)) ** 2).astype(float)
-        keys = {(np.float64, g, math.isqrt(series._terms[g] - 1) + 1)
-                for g in np.unique(np.searchsorted(scattering._X_GROUPS, x))}
-        # the connection point lies in the last group
-        last = len(scattering._X_GROUPS)
-        return keys | {(np.longdouble, last, math.isqrt(series._terms_ext - 1) + 1)}
+        return {(0, math.isqrt(series._terms - 1) + 1),
+                (1, math.isqrt(series._terms_ext - 1) + 1)}
 
-    def test_one_read_only_table_per_node_group_and_block(self, monkeypatch):
+    def test_one_read_only_table_per_node_set_and_block(self, monkeypatch):
         tables = {}
         cached = scattering._node_powers
 
@@ -310,7 +282,8 @@ class TestNodePowers:
         for n, gamma in self.CASES:
             self._interior(n, gamma)
         expected = set().union(*(self._table_keys(n, g) for n, g in self.CASES))
-        assert cached.cache_info().currsize == len(tables) == len(expected)
+        assert tables.keys() == expected
+        assert cached.cache_info().currsize == len(expected)
         for table in tables.values():
             assert all(not a.flags.writeable for a in table)
         # interiors already seen add no entry, whatever came in between
@@ -371,7 +344,7 @@ class TestProfileTable:
             u_direct, du_direct = series(tau)
             assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
         # beyond the horizon the term counts no longer reach double precision
-        # (7e-7 relative at tau = 3.5 for n = 10, gamma = 0.5): refused
+        # (3e-10 relative at tau = 3.5 for n = 10, gamma = 0.5): refused
         for call in (interior, CentreSeries(10, _s_ext(10, 0.5))):
             with pytest.raises(ValueError, match="horizon"):
                 call(np.array([1.0, 3.5]))
