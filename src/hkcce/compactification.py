@@ -20,7 +20,7 @@ never by finite differences.
 
 Profiles are evaluated piecewise.  Up to the connection point tau_m = 3 the
 adapted profile is the centre series that the scattering result carries
-(`ScatteringResult.interior`), with v' and v'' from the ODE closure; a
+(`ScatteringResult.interior`), with (1 + w)' and (1 + w)'' from the closure; a
 geometry is built from that one result, which fixes its model (n, k), s,
 gamma, c1 and Q as well.  Beyond it, and on the whole line for the Lee case
 (whose eigenfunction r V = 1 + k r^2/4 is a terminating branch), the state
@@ -225,9 +225,9 @@ class CompactifiedGeometry:
         The integrands decay towards the boundary at least like e^{-a tau},
         a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
-        state reads u and u' off the interior's table, which holds exactly
-        these nodes.  The state is first order: no integrand reads w'',
-        ddS_hat or ddT, so they are not assembled.
+        state reads u, u' and 1 + w off the interior's table, which holds
+        exactly these nodes.  The state is first order: no integrand reads
+        w'', ddS_hat or ddT, so they are not assembled.
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
         tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
@@ -281,20 +281,23 @@ class CompactifiedGeometry:
 
     def _centre(self, tau, r, x, coth, second_order):
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
-        centre series and the closure."""
-        n, m = self.base.n, self.m_exp
-        u, du = self.interior(tau)
-        u, du = u / self.c1, du / self.c1
+        centre series (u, u', y = 1 + w) and the closure written for y,
+        y' = -n (coth - 1) w - 2 gamma y - m y^2, whose terms are of the
+        size of y' where y is small.  The closure for v cancels terms of
+        size n m there: 1e-14 in w' at tau = 2.7, n = 10, gamma = 0.84."""
+        n, m, e = self.base.n, self.m_exp, self.e
+        u, du, y = self.interior(tau)
+        w = du / (m * u)
+        u = u / self.c1
         if np.any(u <= 0.0):
             raise GeometryError("scattering solution is not positive")
-        v = du / u
-        dv = -n * coth * v - self.s * m - v * v
-        mx = m * x
-        out = ((1.0 + v / m) / x, dv / mx, np.power(u / np.power(r, m), 1.0 / m))
+        coth_m1 = 2.0 / np.expm1(2.0 * tau)
+        dy = -n * coth_m1 * w - e * y - m * y * y
+        out = (y / x, dy / x, np.power(u / np.power(r, m), 1.0 / m))
         if not second_order:
             return out
-        ddv = -n * (1.0 - coth * coth) * v - n * coth * dv - 2.0 * v * dv
-        return out + (ddv / mx,)
+        ddy = n * coth_m1 * (coth + 1.0) * w - (n * coth_m1 + e + 2.0 * m * y) * dy
+        return out + (ddy / x,)
 
     def _branch(self, r, x, second_order):
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the

@@ -29,6 +29,10 @@ Gauss's function (DLMF 15.8) sums it as the centre series
 Every term is positive, so neither sum cancels at any n, and both converge on
 the whole interior; w <= tanh^2(1.5) = 0.8193 up to tau = 3, so about 180
 terms reach double precision there and about 220 long double, at every n.
+The geometry reads y = 1 + u'/((n-s) u), 0.04-0.1 at tau = 3, which a third
+positive sum H = sum_j f_j/(n+1+2j) w^j gives without subtracting u' from u:
+y = ((1 - 2 gamma) H + 2 (1 - tanh(tau/2)) G)/F, F and G the sums of u and
+u', whose terms cancel only for gamma > 1/2, by at most a factor 4.6.
 The two Frobenius branches, summed until their last term is below machine
 epsilon on r <= r(ln 8), are connected to u in value and tau derivative at
 the one point tau_m = 3, where the column-equilibrated 2x2 system stays
@@ -50,8 +54,8 @@ built once per (n, gamma) and summed twice: in np.longdouble at the
 connection point when it is built (`CentreSeries.connection`, the one
 extended-precision sum of the interior, after which only double
 coefficients are kept), and in double at the lattice's 155 nodes with
-tau <= TAU_MATCH, which become the series' table; every k and every
-integral shares them.  `solve_interior` keeps the last interior,
+tau <= TAU_MATCH, which become the series' table of u, u' and y; every k
+and every integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
 each.  Those points are the same for every (n, gamma), and so are the
 powers of w the sums read there: they are tabulated once per process
@@ -284,23 +288,24 @@ def _node_powers(which: int, B: int) -> tuple:
     return tuple(_read_only(a) for a in _block_powers(w_ext, B, nodes.dtype))
 
 
-def _blocked_sums(f: np.ndarray, df: np.ndarray, powers: tuple) -> np.ndarray:
-    """sum_j f_j w^j and sum_j df_j w^j, shape (2, points), in the dtype of
-    `powers`, the tables (w^r, w^{Bq}) of `_block_powers` at the points,
-    B = ceil(sqrt J) for J terms.  With j = B q + r, sum_j c_j w^j = sum_q w^{Bq} (sum_r c_{Bq+r} w^r), so
-    the temporaries are (points x sqrt(terms)) rather than (points x terms).
+def _blocked_sums(coef: np.ndarray, powers: tuple) -> np.ndarray:
+    """sum_j c_j w^j for each row c of coef, shape (rows, points), in the
+    dtype of `powers`, the tables (w^r, w^{Bq}) of `_block_powers` at the
+    points, B = ceil(sqrt J) for J terms.  With j = B q + r,
+    sum_j c_j w^j = sum_q w^{Bq} (sum_r c_{Bq+r} w^r), so the temporaries
+    are (points x sqrt(terms)) rather than (points x terms).
     """
     low, high = powers
-    J, B = len(f), low.shape[1]
+    (rows, J), B = coef.shape, low.shape[1]
     Q = -(-J // B)
-    coef = np.zeros((2, Q * B), dtype=low.dtype)
-    coef[0, :J], coef[1, :J] = f, df
-    blocks = (low @ coef.reshape(2 * Q, B).T).reshape(len(low), 2, Q)
+    padded = np.zeros((rows, Q * B), dtype=low.dtype)
+    padded[:, :J] = coef
+    blocks = (low @ padded.reshape(rows * Q, B).T).reshape(len(low), rows, Q)
     return np.einsum("pkq,pq->kp", blocks, high[:, :Q])
 
 
 class CentreSeries:
-    """u and u' of the regular interior solution from its series in w = tanh^2(tau/2).
+    """u, u' and y of the regular interior solution from its series in w = tanh^2(tau/2).
 
     The term counts come from the coefficient ratios in double: the count
     that sums the series to double precision at w(TAU_MATCH) = 0.8193, and
@@ -308,22 +313,23 @@ class CentreSeries:
     at every n).  Construction computes the coefficients f_j and
     f_j (s+j)/(n+1+2j) in np.longdouble up to the long-double count, sums
     them once at TAU_MATCH into `connection`, the pair (u, u') there in
-    np.longdouble, and keeps them in double only, up to the double count.
-    This is the interior's one extended-precision sum.  It then sums them
-    in double at the 155 lattice nodes with tau <= TAU_MATCH into the
-    table tau, u, du: ascending, read-only views of arrays summed in the
-    lattice's own descending order, so that a call at those nodes hands the
-    integrator exactly what it would have summed; `build_adapted` checks
-    the table for positivity.  No method changes a built series.
+    np.longdouble, and keeps them in double only, up to the double count,
+    with a third row f_j/(n+1+2j) for y (`_rows`).  This is the interior's
+    one extended-precision sum.  It then sums the rows in double at the 155
+    lattice nodes with tau <= TAU_MATCH into the table tau, u, du, y:
+    ascending, read-only views of arrays summed in the lattice's own
+    descending order, so that a call at those nodes hands the integrator
+    exactly what it would have summed; `build_adapted` checks the table for
+    positivity.  No method changes a built series.
 
-    A call takes tau in [0, TAU_MATCH] in double and returns u and u' in
-    double.  Its sums are one blocked product (`_blocked_sums`) over tables
-    of w^r and w^{Bq} that are built from w in long double per call, and
-    read from `_node_powers` for the table and the connection.  The
-    prefactors cosh(tau/2)^{-2s} and tanh(tau/2) are formed in long double
-    and rounded once: in double their error would grow like s eps.  The
-    second derivative is never summed; the geometry takes it from the ODE
-    closure u'' = -n coth(tau) u' - s(n-s) u.
+    A call takes tau in [0, TAU_MATCH] in double and returns u, u' and
+    y = 1 + u'/((n-s) u) in double.  Its sums are one blocked product
+    (`_blocked_sums`) over tables of w^r and w^{Bq} that are built from w
+    in long double per call, and read from `_node_powers` for the table and
+    the connection.  The prefactors cosh(tau/2)^{-2s} and tanh(tau/2) are
+    formed in long double and rounded once: in double their error would
+    grow like s eps.  No derivative of y is summed; the geometry takes y'
+    and y'' from the ODE closure, written for y.
     """
 
     def __init__(self, n: int, s):
@@ -338,13 +344,15 @@ class CentreSeries:
         self._terms, self._terms_ext = counts
         j = np.arange(self._terms_ext)          # integer factors, cast once
         f = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, self.s, len(j) - 1, _LD))))
-        df = f * (self.s + j.astype(_LD)) / (n + 1 + 2 * j).astype(_LD)
+        den = (n + 1 + 2 * j).astype(_LD)
+        rows = np.stack((f, f * (self.s + j.astype(_LD)) / den, f / den))
         B = math.isqrt(len(j) - 1) + 1
-        u, du = self._prefactors(_CONNECTION_TAU) * _blocked_sums(f, df, _node_powers(1, B))
+        u, du = self._prefactors(_CONNECTION_TAU) * _blocked_sums(rows[:2], _node_powers(1, B))
         self.connection = (u[0], du[0])
-        self._f, self._df = (_read_only(c[:self._terms].astype(float)) for c in (f, df))
-        u, du = self._sums(_TABLE_TAU, fixed=True)
-        self.tau, self.u, self.du = _TABLE_TAU[::-1], _read_only(u)[::-1], _read_only(du)[::-1]
+        self._rows = _read_only(rows[:, :self._terms].astype(float))
+        u, du, y = self._sums(_TABLE_TAU, fixed=True)
+        self.tau = _TABLE_TAU[::-1]
+        self.u, self.du, self.y = (_read_only(a)[::-1] for a in (u, du, y))
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
@@ -389,7 +397,7 @@ class CentreSeries:
         return np.stack((pre, -2 * (self.n - self.s) * np.tanh(half) * pre))
 
     def __call__(self, tau):
-        """u and u' at tau in [0, TAU_MATCH], in double.
+        """u, u' and y = 1 + u'/((n-s) u) at tau in [0, TAU_MATCH], in double.
 
         At exactly the table's nodes in the lattice's descending order
         (compared element by element) the table is returned, as read-only
@@ -399,19 +407,22 @@ class CentreSeries:
         """
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
         if np.array_equal(tau, _TABLE_TAU):
-            return self.u[::-1], self.du[::-1]
+            return self.u[::-1], self.du[::-1], self.y[::-1]
         if np.any(tau > TAU_MATCH * (1 + 1e-12)):
             raise ValueError(f"tau beyond the centre series' horizon {TAU_MATCH}")
         return self._sums(tau, fixed=False)
 
     def _sums(self, tau: np.ndarray, fixed: bool):
-        """u and u' at tau, in double; with fixed, tau is the table's nodes
-        and the power tables are read from `_node_powers`."""
+        """u, u' and y at tau, in double; with fixed, tau is the table's
+        nodes and the power tables are read from `_node_powers`."""
         B = math.isqrt(self._terms - 1) + 1
         powers = (_node_powers(0, B) if fixed
                   else _block_powers(np.tanh(tau.astype(_LD) / 2) ** 2, B, float))
-        u, du = self._prefactors(tau).astype(float) * _blocked_sums(self._f, self._df, powers)
-        return u, du
+        F, G, H = _blocked_sums(self._rows, powers)
+        u, du = self._prefactors(tau).astype(float) * np.stack((F, G))
+        # 2 (1 - tanh(tau/2)) = 4/(1 + e^tau)
+        y = (float(self.n + 1 - 2 * self.s) * H + 4.0 / (1.0 + np.exp(tau)) * G) / F
+        return u, du, y
 
 
 @functools.lru_cache(maxsize=1)

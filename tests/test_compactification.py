@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,7 @@ from hkcce.compactification import (TAIL_E_FOLDS, CompactifiedGeometry, Geometry
                                     residual_suite)
 from hkcce.hk_verifier import RadialIntegrator, verify_cla
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import de_lattice
+from hkcce.scattering import TAU_MATCH, de_lattice
 from hkcce.special_fn import QCurvParams, d_gamma
 
 
@@ -139,6 +140,32 @@ class TestChainRules:
         assert np.max(np.abs(fd - st.dJbar)) <= 1e-7
 
 
+class TestCentreClosure:
+    """w' on the centre series' nodes against a 40-digit reference."""
+
+    @pytest.mark.parametrize("n, gamma", [(3, 0.95), (10, 0.84), (20, 0.6), (60, 0.95)])
+    def test_lattice_dw_near_the_connection_point(self, solved, n, gamma):
+        """On the lattice's nodes in tau [2, 3], where 1 + w falls to about
+        0.1, w'/x is within 32 double eps of v'/((n-s) x): v = u'/u from
+        mpmath's 2F1 and v' from the ODE closure, both at 40 digits, and x the
+        state's own.  The closure for v, in double, is off by 63 (n = 3),
+        89, 158 and 420 eps (n = 60) here."""
+        st = RadialIntegrator(build_adapted(solved(n, gamma, 1.0))).state
+        eps = float(np.finfo(float).eps)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(n) / 2 + mpmath.mpf(gamma)
+            m = n - s
+            a, b, c = s / 2, m / 2, mpmath.mpf(n + 1) / 2
+            for i in np.flatnonzero((st.tau >= 2.0) & (st.tau <= TAU_MATCH)):
+                tau = mpmath.mpf(st.tau[i])
+                sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
+                v = (-2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
+                     / mpmath.hyp2f1(a, b, c, -sh * sh))
+                dv = -n * mpmath.coth(tau) * v - s * m - v * v
+                ref = dv / (m * mpmath.mpf(st.x[i]))
+                assert abs(st.dw_hat[i] / ref - 1) <= 32 * eps, (n, gamma, st.tau[i])
+
+
 class TestResiduals:
     def test_lee_closed_form_residuals(self, lee):
         for n, k in ((4, 1.0), (5, 2.0), (6, 0.5)):
@@ -200,8 +227,9 @@ class TestStructure:
         sr = solved(4, 0.5, 1.0)
 
         def values(tau):
-            u, du = sr.interior(tau)
-            return u, np.where(tau == 1.0, 50.0 * du, du)
+            u, du, y = sr.interior(tau)
+            at = tau == 1.0
+            return u, np.where(at, 50.0 * du, du), np.where(at, 1.0 + 50.0 * (y - 1.0), y)
 
         g = build_adapted(replace(sr, interior=StubInterior(sr.interior.u, values)))
         assert np.all(g.state([0.5, 1.5]).T > 0.0)

@@ -142,7 +142,7 @@ class TestInteriorSolve:
         p = QCurvParams(4, 0.5, 1.0)
         prof = solve_interior(p)
         tau0 = 1e-3
-        u0, du0 = prof(tau0)
+        u0, du0, _ = prof(tau0)
         # u ~ 1 - lam tau^2 / (2(n+1)) with lam = s(n - s)
         lam = p.s * (p.n - p.s)
         assert u0[0] - 1.0 == pytest.approx(-lam * tau0 ** 2 / 10.0, rel=1e-5)
@@ -179,7 +179,7 @@ class TestCentreSeries:
             # long double is summed only at the connection point
             assert series._terms_ext == per_eps_terms(ratio, w, eps_ext), (n, gamma)
             # the double coefficients stop at the double term count
-            assert len(series._f) == len(series._df) == series._terms < series._terms_ext
+            assert series._rows.shape == (3, series._terms) and series._terms < series._terms_ext
         # one bound w(3): the counts do not grow with n
         for n in range(3, 1001):
             for gamma in (0.05, 0.95):
@@ -201,8 +201,8 @@ class TestCentreSeries:
                 interior = scattering._interior(n, gamma)
                 interior(np.linspace(0.1, TAU_MATCH, 7))
                 interior(scattering._TABLE_TAU)
-                u, du = interior(np.array([1.0], dtype=LD))
-                assert u.dtype == du.dtype == np.float64
+                u, du, y = interior(np.array([1.0], dtype=LD))
+                assert u.dtype == du.dtype == y.dtype == np.float64
                 sr = match_and_q(interior, QCurvParams(n, gamma, 1.0))
                 series, objects, values = built[-1]
                 assert interior is series and sr.interior is series
@@ -222,7 +222,10 @@ class TestCentreSeries:
         """The table (u, u') within 4 double eps and the connection within
         16 long-double eps of 40-digit 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau)
         and its derivative (DLMF 15.5.1): the series in w = tanh^2(tau/2) is
-        its quadratic transformation, which this puts under test."""
+        its quadratic transformation, which this puts under test.  The
+        table's y within 8 double eps of 1 + u'/((n-s) u) from the same
+        reference (formed from the table's u and u' instead, it is off by up
+        to 43 eps here)."""
         eps, eps_ext = float(np.finfo(float).eps), float(np.finfo(LD).eps)
         with mpmath.workdps(40):
             for gamma in (0.05, 0.3, 0.5, 0.77, 0.95):
@@ -230,14 +233,21 @@ class TestCentreSeries:
                 s = _mp(_s_ext(n, gamma))
                 a, b, c = s / 2, (n - s) / 2, mpmath.mpf(n + 1) / 2
 
-                def worst(tau, pair):
+                def reference(tau):
                     sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
                     u = mpmath.hyp2f1(a, b, c, -sh * sh)
                     du = -2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
-                    return max(abs(_mp(v) / ref - 1) for v, ref in zip(pair, (u, du)))
+                    return u, du
 
-                for tau, u, du in zip(series.tau, series.u, series.du):
-                    assert worst(_mp(tau), (u, du)) <= 4 * eps, (gamma, tau)
+                def worst(tau, pair):
+                    return max(abs(_mp(v) / ref - 1) for v, ref in zip(pair, reference(tau)))
+
+                for tau, u, du, y in zip(series.tau, series.u, series.du, series.y):
+                    u_ref, du_ref = reference(_mp(tau))
+                    error = max(abs(_mp(u) / u_ref - 1), abs(_mp(du) / du_ref - 1))
+                    assert error <= 4 * eps, (gamma, tau)
+                    y_ref = 1 + du_ref / ((n - s) * u_ref)
+                    assert abs(_mp(y) / y_ref - 1) <= 8 * eps, (gamma, tau)
                 if EXTENDED:
                     assert type(series.connection[0]) is type(series.connection[1]) is LD
                 error = worst(mpmath.mpf(TAU_MATCH), series.connection)
@@ -296,20 +306,21 @@ class TestNodePowers:
         for n, gamma in self.CASES:
             scattering._node_powers.cache_clear()
             p = self._interior(n, gamma)
-            fresh[n, gamma] = (p.u.copy(), p.du.copy(), p.connection)
+            fresh[n, gamma] = (p.u.copy(), p.du.copy(), p.y.copy(), p.connection)
         for n, gamma in self.CASES:
             p = self._interior(n, gamma)
-            u, du, connection = fresh[n, gamma]
+            u, du, y, connection = fresh[n, gamma]
             assert np.array_equal(p.u, u) and np.array_equal(p.du, du)
-            assert p.connection == connection
+            assert np.array_equal(p.y, y) and p.connection == connection
         assert scattering._node_powers.cache_info().hits > 0
         # and equal to sums that take no table from the cache
         series = CentreSeries(5, _s_ext(5, 0.3))
         nodes = scattering._TABLE_TAU.copy()
         nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not the table's nodes any more
-        u, du = series(nodes)
+        u, du, y = series(nodes)
         assert np.array_equal(u[:-1], series.u[:0:-1])
         assert np.array_equal(du[:-1], series.du[:0:-1])
+        assert np.array_equal(y[:-1], series.y[:0:-1])
 
 
 class TestProfileTable:
@@ -326,12 +337,12 @@ class TestProfileTable:
     def test_evaluate_at_the_nodes_returns_the_table(self, solved):
         interior = solved(6, 0.3, 1.0).interior
         nodes = interior.tau[::-1].copy()
-        u, du = interior(nodes)
-        assert np.shares_memory(u, interior.u) and np.shares_memory(du, interior.du)
-        assert np.array_equal(u[::-1], interior.u) and np.array_equal(du[::-1], interior.du)
+        values = interior(nodes)
+        for value, table in zip(values, (interior.u, interior.du, interior.y), strict=True):
+            assert np.shares_memory(value, table) and np.array_equal(value[::-1], table)
         # a series built afresh sums the same table, bit for bit
-        u_direct, du_direct = CentreSeries(6, _s_ext(6, 0.3))(nodes)
-        assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
+        for value, direct in zip(values, CentreSeries(6, _s_ext(6, 0.3))(nodes), strict=True):
+            assert np.array_equal(value, direct)
 
     def test_evaluate_elsewhere_sums_the_series(self, solved):
         interior = solved(6, 0.3, 1.0).interior
@@ -339,10 +350,10 @@ class TestProfileTable:
         nodes = interior.tau[::-1]
         for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], interior.tau,
                     np.append(nodes, 1.0)):
-            u, du = interior(tau)
-            assert not np.shares_memory(u, interior.u)
-            u_direct, du_direct = series(tau)
-            assert np.array_equal(u, u_direct) and np.array_equal(du, du_direct)
+            values = interior(tau)
+            assert not np.shares_memory(values[0], interior.u)
+            for value, direct in zip(values, series(tau), strict=True):
+                assert np.array_equal(value, direct)
         # beyond the horizon the term counts no longer reach double precision
         # (3e-10 relative at tau = 3.5 for n = 10, gamma = 0.5): refused
         for call in (interior, CentreSeries(10, _s_ext(10, 0.5))):
@@ -435,7 +446,7 @@ class TestMpmathReference:
         p = QCurvParams(n, gamma, 1.0)
         prof = solve_interior(p)
         taus = np.concatenate([[1e-3, 1e-2], np.linspace(0.1, math.log(8.0), 10)])
-        u, du = prof(taus)
+        u, du, _ = prof(taus)
         a, b, c = mpmath.mpf(p.s) / 2, mpmath.mpf(n - p.s) / 2, mpmath.mpf(n + 1) / 2
         for tau, u_num, du_num in zip(taus, u, du):
             sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)

@@ -12,8 +12,8 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
   - both branches' roots and coefficients at n 3,4,10,150, long doubles;
-  - the interiors at n 3,4,10,150: each centre series' table (u, du) and its
-    connection pair (u, u') at tau = 3, a long-double pair;
+  - the interiors at n 3,4,10,150: each centre series' table (u, du, y)
+    and its connection pair (u, u') at tau = 3, a long-double pair;
   - every residual profile of ``residual_suite`` (raw values, sup included),
     which reads the full, second-order state;
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
@@ -163,7 +163,7 @@ def interiors() -> dict:
     for n in (*NS, 150):
         for gamma in GAMMAS:
             series = solve_interior(QCurvParams(n, gamma, 1.0))
-            out[f"{n} {gamma}"] = [series.u, series.du, series.connection]
+            out[f"{n} {gamma}"] = [series.u, series.du, series.y, series.connection]
     return out
 
 
