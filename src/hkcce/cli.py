@@ -11,6 +11,14 @@ Commands
     asymptotic           surface/volume ratio table on a log grid
     sweep                qcurv + hk-adapted over the full parameter grid
 
+Every command is one worker over one sorted list of cases (k fastest), run
+by `_run_cases`: serially at --jobs 1 or when this process may use one CPU
+only, otherwise on a process pool of --jobs workers (0, the default: one per
+CPU this process may use).  The rows, reports and failing verdicts do not
+depend on --jobs.  Every (n, gamma, k) of the grid goes through the
+library's own gate, `QCurvParams`, before any case runs, so the CLI refuses
+what the library refuses, in its words (prop21 also needs n >= 5).
+
 Output files (under --out, or $HKCCE_OUT): manifest.json, reports/*.json,
 tables/*.csv, all UTF-8, written atomically (temp file + rename), rows sorted
 by (n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
@@ -46,8 +54,7 @@ from .compactification import (GeometryError, build_adapted, build_lee,
 from .hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,
                           verify_cla, verify_lee)
 from .scattering import MatchingError, solve_case
-from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, check_k,
-                         sphere_q_value)
+from .special_fn import QCurvParams, sphere_q_value
 
 _COMMANDS = ("qcurv", "verify", "residuals", "asymptotic", "sweep")
 _VERIFY_TARGETS = ("hk-adapted", "hk-cla", "hk-lee", "defect", "prop21")
@@ -71,7 +78,7 @@ class RunConfig:
     out: str = "out"
     emit_csv: bool = True
     emit_json: bool = True
-    jobs: int = 0  # 0 = available parallelism
+    jobs: int = 0  # 0 = one worker per CPU this process may use
 
     def validate(self):
         if self.command not in _COMMANDS:
@@ -80,18 +87,13 @@ class RunConfig:
             raise ValueError(f"verify target must be one of {_VERIFY_TARGETS}")
         if not self.n or not self.gamma or not self.k:
             raise ValueError("parameter lists must be non-empty")
+        for n in self.n:        # the library's own gate refuses a case it cannot take
+            for g in self.gamma:
+                for k in self.k:
+                    QCurvParams(n, g, k)
         for n in self.n:
-            if int(n) != n or n < 3:
-                raise ValueError(f"n must be an integer >= 3, got {n}")
             if self.verify_target == "prop21" and n < 5:
                 raise ValueError(f"prop21 requires n >= 5, got {n}")
-        for g in self.gamma:
-            if not (GAMMA_MIN <= g <= GAMMA_MAX):
-                raise ValueError(
-                    f"gamma={g} outside [{GAMMA_MIN}, {GAMMA_MAX}] (resonance guard)")
-        for n in self.n:
-            for k in self.k:
-                check_k(n, k)
         if not (1e-10 <= self.quad_tol <= 1e-2):
             raise ValueError(f"quad_tol {self.quad_tol} outside [1e-10, 1e-2]")
         if int(self.jobs) != self.jobs or self.jobs < 0:
@@ -241,8 +243,15 @@ def parse_config(argv) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Case workers (module level: picklable for the process pool)
+# Case workers (module level: picklable for the process pool).  Each returns
+# (rows, reports, failing): its table rows, its JSON reports by name, and one
+# "<kind> <label>" per failing verdict, kind `fail` for a failed check or the
+# verdict that failed.
 # ---------------------------------------------------------------------------
+
+def _label(row: dict) -> str:
+    return f"n={row['n']} gamma={row['gamma']} k={row['k']}"
+
 
 def _q_row(n: int, gamma: float, k: float):
     """(ScatteringResult, the Q columns of a row, whether Q meets its oracle)."""
@@ -254,25 +263,61 @@ def _q_row(n: int, gamma: float, k: float):
     return sr, row, rel <= 1e-6
 
 
-def _qcurv_case(args) -> dict:
+def _qcurv_case(args):
     sr, row, ok = _q_row(*args)
     # a Q off its oracle is a numerical shortfall, not a failed check
     row.update(c1=sr.c1, c2=sr.c2, condition=sr.condition_estimate,
                verdict="pass" if ok else "inconclusive")
-    return row
+    return [row], {}, [] if ok else [f"inconclusive qcurv {_label(row)}"]
 
 
-def _sweep_case(args) -> dict:
+def _sweep_case(args):
     n, gamma, k, quad_tol = args
     _, row, ok = _q_row(n, gamma, k)
     rep = verify_adapted(n, gamma, k, tol=quad_tol)
     # a Q off its oracle is a numerical shortfall, not a refuted inequality
-    row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap,
-               verdict=rep.verdict if ok else "inconclusive")
-    return row
+    verdict = rep.verdict if ok else "inconclusive"
+    row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap, verdict=verdict)
+    return [row], {}, [] if ok and rep.passing else [f"{verdict} sweep {_label(row)}"]
 
 
-def _residual_case(args) -> dict:
+def _report_case(args):
+    """One report of a verify target: hk-adapted, hk-cla, hk-lee,
+    defect-adapted or defect-lee (gamma None for the gamma-free ones)."""
+    name, n, gamma, k, tol = args
+    if name == "hk-adapted":
+        rep = verify_adapted(n, gamma, k, tol)
+    elif name == "hk-cla":
+        rep = verify_cla(n, k, tol)
+    elif name == "hk-lee":
+        rep = verify_lee(n, k, tol)
+    else:
+        rep = defect_identity(name.removeprefix("defect-"), n, k, tol, gamma=gamma)
+    n, k, gamma = rep.params["n"], rep.params["k"], rep.params.get("gamma")
+    tag = f"{rep.name}_n{n}_k{k}" if gamma is None else f"{rep.name}_n{n}_g{gamma}_k{k}"
+    row = {"name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
+           "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
+           "err_est": rep.err_est, "verdict": rep.verdict}
+    return [row], {tag: rep.to_dict()}, [] if rep.passing else [f"{rep.verdict} {tag}"]
+
+
+def _prop21_case(n: int):
+    cert = verify_prop21(n)
+    row = {"n": n, "gamma": "", "k": "", "beta_e2": str(cert.beta.e2),
+           "verdict": "pass" if cert.ok else "fail"}
+    return ([row], {f"prop21_n{n}": json.loads(cert.to_json())},
+            [] if cert.ok else [f"fail prop21 n={n}"])
+
+
+def _asymptotic_case(args):
+    # fixed CSV schema n,k,r,ratio,abs_err; pass/fail tracked separately
+    n, k = args
+    rows = asymptotic_ratio(n, k, 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20))
+    return rows, {}, [f"fail asymptotic n={n} k={k} r={row['r']:.4g}" for row in rows
+                      if not abs(row["ratio"] - 1.0) <= 1e-8]
+
+
+def _residual_case(args):
     kind, n, gamma, k, dump_dir = args
     g = (build_adapted(solve_case(QCurvParams(n, gamma, k))) if kind == "adapted"
          else build_lee(ModelSpace(n, k)))
@@ -289,7 +334,7 @@ def _residual_case(args) -> dict:
                    "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
         rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(st.tau))]
         _atomic_write(Path(dump_dir) / f"{tag}.csv", _csv_text(rows))
-    return {
+    row = {
         "kind": kind, "n": n, "gamma": gamma if kind == "adapted" else "",
         "k": k,
         "sup_res_rho": res["res_rho"].sup_weighted,
@@ -299,10 +344,12 @@ def _residual_case(args) -> dict:
                          if kind == "adapted" else g.boundary.get("J_boundary_rel_gap")),
         "verdict": "pass" if ok else "fail",
     }
+    return [row], {}, [] if ok else [f"fail residuals {kind} {_label(row)}"]
 
 
 def _run_cases(worker, case_args, jobs: int, group: int):
-    """worker over case_args, in order, on `jobs` processes (0: one per CPU).
+    """worker over case_args, in order, on `jobs` processes (0: one per CPU
+    this process may run on); with one process they run here, serially.
 
     The grids run k fastest, so runs of `group` = len(k) cases share one
     (n, gamma), and with it the interior a worker's memo keeps.  The cases
@@ -311,9 +358,10 @@ def _run_cases(worker, case_args, jobs: int, group: int):
     cases otherwise.  No more workers start than there are chunks.
     """
     case_args = list(case_args)
-    if jobs == 1 or len(case_args) <= 1:
+    workers = jobs or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+    if workers == 1 or len(case_args) <= 1:
         return [worker(a) for a in case_args]
-    workers = jobs if jobs > 0 else (os.cpu_count() or 1)
     chunk = min(group, -(-len(case_args) // workers))
     workers = min(workers, -(-len(case_args) // chunk))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
@@ -405,109 +453,51 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
 # Command dispatch
 # ---------------------------------------------------------------------------
 
-def _grid(cfg: RunConfig):
-    for n in sorted(cfg.n):
-        for gamma in sorted(cfg.gamma):
-            for k in sorted(cfg.k):
-                yield n, gamma, k
+# The reports of each verify target.  In these and in `residuals`, a kind
+# ending in "adapted" runs over the (n, gamma, k) grid, the rest (gamma-free)
+# once per (n, k).
+_TARGET_REPORTS = {"hk-adapted": ("hk-adapted",), "hk-cla": ("hk-cla",),
+                   "hk-lee": ("hk-lee",), "defect": ("defect-adapted", "defect-lee")}
 
 
-def _grid_nk(cfg: RunConfig):
-    """(n, k) pairs for the gamma-free targets."""
-    for n in sorted(cfg.n):
-        for k in sorted(cfg.k):
-            yield n, k
+def _plan(cfg: RunConfig):
+    """(table, worker, cases) of the configured command.  The cases run k
+    fastest, so the k of one (n, gamma), which share its interior, come
+    together; gamma-free cases follow the grid."""
+    ns, ks = sorted(cfg.n), sorted(cfg.k)
+    grid = [(n, g, k) for n in ns for g in sorted(cfg.gamma) for k in ks]
+    free = [(n, None, k) for n in ns for k in ks]
+
+    def kinds(names, extra):
+        return [(name, *case, extra) for name in names
+                for case in (grid if name.endswith("adapted") else free)]
+
+    table = cfg.verify_target if cfg.command == "verify" else cfg.command
+    if table == "qcurv":
+        return table, _qcurv_case, grid
+    if table == "sweep":
+        return table, _sweep_case, [(*case, cfg.quad_tol) for case in grid]
+    if table == "residuals":
+        dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
+        return table, _residual_case, kinds(("adapted", "lee"), dump_dir)
+    if table == "asymptotic":
+        return table, _asymptotic_case, [(n, k) for n, _, k in free]
+    if table == "prop21":
+        return table, _prop21_case, ns
+    return table, _report_case, kinds(_TARGET_REPORTS[table], cfg.quad_tol)
 
 
 def run_command(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     started = time.time()
-    rows_by_table: dict[str, list[dict]] = {}
-    json_reports: dict[str, dict] = {}
-    failing: list[str] = []
-
-    def note(ok: bool, label: str, kind: str = "fail"):
-        # a failing label names its kind: a failed check or the verdict
-        if not ok:
-            failing.append(f"{kind} {label}")
-
-    if cfg.command == "qcurv":
-        rows = _run_cases(_qcurv_case, list(_grid(cfg)), cfg.jobs, len(cfg.k))
-        rows_by_table["qcurv"] = rows
-        for row in rows:
-            note(row["verdict"] == "pass",
-                 f"qcurv n={row['n']} gamma={row['gamma']} k={row['k']}", row["verdict"])
-
-    elif cfg.command == "sweep":
-        rows = _run_cases(_sweep_case,
-                          [(n, g, k, cfg.quad_tol) for n, g, k in _grid(cfg)],
-                          cfg.jobs, len(cfg.k))
-        rows_by_table["sweep"] = rows
-        for row in rows:
-            note(row["verdict"] in ("equality", "strict"),
-                 f"sweep n={row['n']} gamma={row['gamma']} k={row['k']}", row["verdict"])
-
-    elif cfg.command == "verify":
-        reports = []
-        if cfg.verify_target == "prop21":
-            for n in sorted(cfg.n):
-                cert = verify_prop21(n)
-                json_reports[f"prop21_n{n}"] = json.loads(cert.to_json())
-                note(cert.ok, f"prop21 n={n}")
-                reports.append({"n": n, "gamma": "", "k": "",
-                                "beta_e2": str(cert.beta.e2),
-                                "verdict": "pass" if cert.ok else "fail"})
-            rows_by_table["prop21"] = reports
-        else:
-            tol = cfg.quad_tol
-            if cfg.verify_target == "hk-adapted":
-                items = [verify_adapted(n, g, k, tol) for n, g, k in _grid(cfg)]
-            elif cfg.verify_target == "hk-cla":
-                items = [verify_cla(n, k, tol) for n, k in _grid_nk(cfg)]
-            elif cfg.verify_target == "hk-lee":
-                items = [verify_lee(n, k, tol) for n, k in _grid_nk(cfg)]
-            else:  # defect
-                items = [defect_identity("adapted", n, k, tol, gamma=g)
-                         for n, g, k in _grid(cfg)]
-                items += [defect_identity("lee", n, k, tol) for n, k in _grid_nk(cfg)]
-            for rep in items:
-                n, k, gamma = rep.params["n"], rep.params["k"], rep.params.get("gamma")
-                tag = f"{rep.name}_n{n}_k{k}" if gamma is None \
-                    else f"{rep.name}_n{n}_g{gamma}_k{k}"
-                json_reports[tag] = rep.to_dict()
-                note(rep.passing, tag, rep.verdict)
-                reports.append({
-                    "name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
-                    "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
-                    "err_est": rep.err_est, "verdict": rep.verdict,
-                })
-            rows_by_table[cfg.verify_target] = reports
-
-    elif cfg.command == "residuals":
-        dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
-        args = [("adapted", n, g, k, dump_dir) for n, g, k in _grid(cfg)]
-        args += [("lee", n, None, k, dump_dir) for n, k in _grid_nk(cfg)]
-        rows = _run_cases(_residual_case, args, cfg.jobs, len(cfg.k))
-        rows_by_table["residuals"] = rows
-        for row in rows:
-            note(row["verdict"] == "pass",
-                 f"residuals {row['kind']} n={row['n']} gamma={row['gamma']} k={row['k']}")
-
-    elif cfg.command == "asymptotic":
-        # fixed CSV schema n,k,r,ratio,abs_err; pass/fail tracked separately
-        rows = []
-        for n in sorted(cfg.n):
-            for k in sorted(cfg.k):
-                r_hi = 0.5 / math.sqrt(k)
-                r_values = r_hi * np.logspace(-3, 0, 20)
-                for row in asymptotic_ratio(n, k, r_values):
-                    note(abs(row["ratio"] - 1.0) <= 1e-8,
-                         f"asymptotic n={n} k={k} r={row['r']:.4g}")
-                    rows.append(row)
-        rows_by_table["asymptotic"] = rows
-
-    reports = {"rows": rows_by_table, "json": json_reports,
-               "all_pass": not failing}
+    table, worker, cases = _plan(cfg)
+    rows, json_reports, failing = [], {}, []
+    for case_rows, case_reports, case_failing in _run_cases(worker, cases, cfg.jobs,
+                                                            len(cfg.k)):
+        rows += case_rows
+        json_reports.update(case_reports)
+        failing += case_failing
+    reports = {"rows": {table: rows}, "json": json_reports, "all_pass": not failing}
     try:
         written = emit_report(reports, cfg, started)
     except OSError:

@@ -15,7 +15,7 @@ import hkcce
 from hkcce import cli
 from hkcce.cli import RunConfig, fmt15, main, parse_config
 from hkcce.compactification import CompactifiedGeometry
-from hkcce.special_fn import K_DECADES, sphere_q_value
+from hkcce.special_fn import K_DECADES, QCurvParams, sphere_q_value
 
 
 class TestParseConfig:
@@ -213,13 +213,36 @@ class TestCommands:
         lines = (tmp_path / "o" / "tables" / "qcurv.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2
 
-    @pytest.mark.parametrize("command", ["sweep", "qcurv"])
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["qcurv"], ["residuals"], ["asymptotic"], ["verify", "hk-adapted"],
+        ["verify", "hk-cla"], ["verify", "hk-lee"], ["verify", "defect"], ["verify", "prop21"],
+    ], ids=" ".join)
     def test_two_jobs_write_what_one_job_writes(self, tmp_path, command):
-        args = [command, "--n", "4,5", "--gamma", "0.25,0.5", "--k", "0.5,1,2"]
+        grid = ["--n", "5,6"] if command[-1] == "prop21" else [
+            "--n", "4,5", "--gamma", "0.25,0.5", "--k", "0.5,1,2"]
+        written = {}
         for jobs in ("1", "2"):
-            assert main(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
-        for name in (f"tables/{command}.csv", f"reports/{command}.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+            out = tmp_path / jobs
+            assert main(command + grid + ["--jobs", jobs, "--out", str(out)]) == 0
+            written[jobs] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in out.rglob("*") if p.is_file()}
+            del written[jobs]["manifest.json"]         # wall clock and jobs
+        assert written["1"] == written["2"]
+        assert len(written["1"]) >= 2
+
+    @pytest.mark.parametrize("argv", [
+        ["asymptotic", "--n", "4,5"],
+        ["verify", "prop21", "--n", "5,6"],
+        ["verify", "hk-adapted", "--gamma", "0.25,0.5"],
+        ["verify", "hk-cla", "--k", "1,2"],
+        ["verify", "hk-lee", "--n", "4,5"],
+        ["verify", "defect", "--gamma", "0.25"],      # one adapted, one Lee
+    ], ids=" ".join)
+    def test_jobs_reach_every_command(self, tmp_path, pool, argv):
+        # two cases at --jobs 2: both go to a pool of two workers
+        assert main(argv + ["--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+        assert pool["workers"] == [2]
+        assert sum(len(c) for c in pool["chunks"]) == 2
 
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -258,17 +281,19 @@ class TestCommands:
         assert pool["workers"] == [2]
 
     @pytest.mark.parametrize("cpus, k, chunks, workers", [
-        (4, "0.5,1,1.5,2,2.5,3", [2, 2, 2], 3),      # one group split evenly
-        (2, "0.5,1,1.5,2,2.5,3", [3, 3], 2),
-        (8, "0.5,1,2", [1, 1, 1], 3),                # never more workers than cases
+        (4, "0.5,1,1.5,2,2.5,3", [2, 2, 2], [3]),      # one group split evenly
+        (2, "0.5,1,1.5,2,2.5,3", [3, 3], [2]),
+        (8, "0.5,1,2", [1, 1, 1], [3]),                # never more workers than cases
+        (1, "0.5,1,2", [], []),                        # one CPU: no pool
     ])
     def test_one_n_gamma_is_shared_out_over_the_workers(self, tmp_path, monkeypatch, pool,
                                                         cpus, k, chunks, workers):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        # --jobs 0 counts the CPUs this process may run on, not the machine's
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         assert main(["qcurv", "--n", "4", "--gamma", "0.5", "--k", k,
                      "--jobs", "0", "--out", str(tmp_path / "o")]) == 0
         assert [len(c) for c in pool["chunks"]] == chunks
-        assert pool["workers"] == [workers]
+        assert pool["workers"] == workers
 
     def test_failing_verdict_exits_one(self, tmp_path, capsys, monkeypatch):
         # an inconclusive report is a failing verdict
@@ -367,6 +392,18 @@ class TestCommands:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("hkcce: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, gamma, k", [
+        (2, 0.5, 1.0), (4, 0.99, 1.0), (4, 0.01, 1.0), (4, 0.5, math.inf), (4, 0.5, 1e20)])
+    def test_cli_refuses_what_the_library_refuses(self, tmp_path, capsys, n, gamma, k):
+        # the CLI's gate is the library's: one line, in the library's words
+        with pytest.raises(ValueError) as refused:
+            QCurvParams(n, gamma, k)
+        out = tmp_path / "o"
+        assert main(["qcurv", "--n", str(n), "--gamma", repr(gamma), "--k", repr(k),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["hkcce: " + str(refused.value)]
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

@@ -8,7 +8,10 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - every CLI command on that grid (qcurv, sweep, residuals with their
     profile dumps, asymptotic, and verify hk-adapted, hk-cla, hk-lee,
     defect), plus ``verify prop21 --n 5..20``: the exit status and the bytes
-    of every file written, the manifest read without ``wall_clock_s``;
+    of every file written at ``--jobs 1``, the manifest read without
+    ``wall_clock_s``.  Each command also runs at ``--jobs 2``, on a process
+    pool, and the script stops with an error if that run writes other files
+    (its manifest's ``jobs`` aside);
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
   - both branches' roots and coefficients at n 3,4,10,150, long doubles;
@@ -107,11 +110,11 @@ def digest(obj) -> str:
     return h.hexdigest()
 
 
-def cli_run(argv) -> dict:
+def _cli_files(argv, jobs: str) -> dict:
     """Exit status and every file a CLI run writes, by path under its out dir."""
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            status = cli.main([*argv, "--jobs", "1", "--out", tmp])
+            status = cli.main([*argv, "--jobs", jobs, "--out", tmp])
         files = {}
         for path in sorted(Path(tmp).rglob("*")):
             if not path.is_file():
@@ -124,6 +127,18 @@ def cli_run(argv) -> dict:
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(tmp))] = data
     return {"status": status, "files": files}
+
+
+def cli_run(argv) -> dict:
+    """`_cli_files` at --jobs 1, after checking that the process pool of
+    --jobs 2 writes the same files (the manifest's `jobs` aside)."""
+    serial, pooled = _cli_files(argv, "1"), _cli_files(argv, "2")
+    manifest = json.loads(pooled["files"]["manifest.json"])
+    manifest["jobs"] = 1
+    pooled["files"]["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+    if pooled != serial:
+        raise RuntimeError(f"hkcce {' '.join(argv)}: --jobs 2 writes other files than --jobs 1")
+    return serial
 
 
 def geometries():
