@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -178,7 +179,9 @@ def _check_config_types(file_cfg: dict, path: str):
                              f"got {json.dumps(value)}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as built."""
     ap = argparse.ArgumentParser(
         prog="hkcce",
         description="Fractional Q-curvature and Heintze-Karcher verification lab",
@@ -348,8 +351,9 @@ def _residual_case(args):
 
 
 def _run_cases(worker, case_args, jobs: int, group: int):
-    """worker over case_args, in order, on `jobs` processes (0: one per CPU
-    this process may run on); with one process they run here, serially.
+    """(results, workers): worker over case_args, in order, on `jobs`
+    processes (0: one per CPU this process may run on), and the number of
+    processes used; with one they run here, serially.
 
     The grids run k fastest, so runs of `group` = len(k) cases share one
     (n, gamma), and with it the interior a worker's memo keeps.  The cases
@@ -361,11 +365,11 @@ def _run_cases(worker, case_args, jobs: int, group: int):
     workers = jobs or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                        else os.cpu_count() or 1)
     if workers == 1 or len(case_args) <= 1:
-        return [worker(a) for a in case_args]
+        return [worker(a) for a in case_args], 1
     chunk = min(group, -(-len(case_args) // workers))
     workers = min(workers, -(-len(case_args) // chunk))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, case_args, chunksize=chunk))
+        return list(ex.map(worker, case_args, chunksize=chunk)), workers
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +410,7 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
     """Write tables (CSV), reports (JSON) and the manifest; returns paths.
 
     reports = {"rows": {table_name: [row dicts]}, "json": {name: payload},
-               "all_pass": bool}
+               "all_pass": bool, "jobs": processes the cases ran on}
     """
     out = Path(cfg.out)
     written: list[Path] = []
@@ -434,7 +438,7 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
             "verify_target": cfg.verify_target,
             "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
             "tolerances": {"quad_tol": cfg.quad_tol},
-            "jobs": cfg.jobs,
+            "jobs": reports["jobs"],
             "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
             "wall_clock_s": time.time() - started,
             "all_pass": reports.get("all_pass", False),
@@ -492,12 +496,13 @@ def run_command(cfg: RunConfig) -> int:
     started = time.time()
     table, worker, cases = _plan(cfg)
     rows, json_reports, failing = [], {}, []
-    for case_rows, case_reports, case_failing in _run_cases(worker, cases, cfg.jobs,
-                                                            len(cfg.k)):
+    results, jobs = _run_cases(worker, cases, cfg.jobs, len(cfg.k))
+    for case_rows, case_reports, case_failing in results:
         rows += case_rows
         json_reports.update(case_reports)
         failing += case_failing
-    reports = {"rows": {table: rows}, "json": json_reports, "all_pass": not failing}
+    reports = {"rows": {table: rows}, "json": json_reports, "all_pass": not failing,
+               "jobs": jobs}
     try:
         written = emit_report(reports, cfg, started)
     except OSError:

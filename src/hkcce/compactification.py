@@ -329,10 +329,16 @@ class CompactifiedGeometry:
         coth = 1.0 / np.tanh(tau)
         cols = np.empty((4 if second_order else 3, len(tau)))
         outer = tau > self.tau_branch
-        inner = ~outer
-        if np.any(outer):
+        split = int(np.count_nonzero(outer))
+        if outer[:split].all():
+            # the branch points are a prefix (the lattice runs in descending
+            # tau): slices take views where masks would copy
+            outer, inner = slice(None, split), slice(split, None)
+        else:
+            inner = ~outer
+        if tau[outer].size:
             cols[:, outer] = self._branch(r[outer], x[outer], second_order)
-        if np.any(inner):
+        if tau[inner].size:
             cols[:, inner] = self._centre(tau[inner], r[inner], x[inner], coth[inner],
                                           second_order)
         p, dp, ror = cols[:3]

@@ -41,7 +41,8 @@ np.longdouble coefficient array, evaluated once, at tau_m: one term vector
 there gives its value, its derivative and the truncation the connection
 checks (`FrobeniusBranch.at`).  The series coefficients, u and u' there,
 both branch values and derivatives, the 2x2 solve and d_gamma are carried
-in np.longdouble, so that Q is rounded to double only once.
+in np.longdouble, so that Q is rounded to double only once; the solve's
+2-norm condition is a closed form from the same long-double entries.
 Derivatives are always transported analytically (dr/dtau = -r); second
 derivatives come from the ODE closure, never from finite differences.
 
@@ -57,9 +58,13 @@ coefficients are kept), and in double at the lattice's 155 nodes with
 tau <= TAU_MATCH, which become the series' table of u, u' and y; every k
 and every integral shares them.  `solve_interior` keeps the last interior,
 `solve_case` the last case and `de_lattice` the last lattice, one entry
-each.  Those points are the same for every (n, gamma), and so are the
-powers of w the sums read there: they are tabulated once per process
-(`_node_powers`), one read-only table per node set and block size.
+each.  Those points are the same for every (n, gamma), and so is what the
+sums read of them alone: the powers of w (`_node_powers`, one read-only
+table per node set and block size), cosh and tanh of tau/2 at the
+connection point, log cosh and tanh of tau/2 and 4/(1 + e^tau) at the
+table's nodes, all tabulated once per process.  The table's prefactor
+cosh(tau/2)^{-2s} is exp(-2s log cosh), the connection's a long-double
+power.  `de_lattice` slices one lattice, evaluated once per process.
 
 A `ScatteringResult` carries the series it was matched to (`interior`),
 so a geometry is built from the result alone and cannot pair one case's
@@ -125,6 +130,27 @@ class MatchingError(RuntimeError):
 
 DE_STEP = 1.0 / 16.0        # coarse step h; the nodes of h/2 nest those of h
 DE_T_MAX = 4.0              # tau(4) = 6e-38: the integrands vanish like tau^n below it
+# the widest tau_max the package asks for: 40 e-folds of the slowest boundary
+# decay, e^{-0.1 tau} at gamma = 0.05 and 0.95
+DE_TAU_WIDEST = 400.0
+
+
+def _de_first(tau_max: float) -> int:
+    """The index i of the lattice's first node, the first one whose tau exceeds tau_max."""
+    return math.floor(-math.asinh(tau_max / math.pi) / (0.5 * DE_STEP))
+
+
+def _de_rule(tau_max: float):
+    """`de_lattice` evaluated afresh."""
+    half = 0.5 * DE_STEP
+    i = np.arange(_de_first(tau_max), round(DE_T_MAX / half) + 1)
+    t = i * half
+    z = -math.pi * np.sinh(t)
+    weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))
+    return tuple(_read_only(a) for a in (np.logaddexp(0.0, z), weights, i % 2 == 0))
+
+
+_DE_WIDEST = _de_rule(DE_TAU_WIDEST)
 
 
 @functools.lru_cache(maxsize=1)
@@ -141,17 +167,22 @@ def de_lattice(tau_max: float):
     Summing G w over all nodes gives the rule at step h/2, and twice the
     sum over the coarse nodes gives it at step h.
 
-    Memoised on tau_max, for the last lattice only, with read-only arrays:
-    the geometries of a k-run share one tau_max, and so do every Lee
-    geometry and `asymptotic_ratio` (tau_max = 40).
+    The rule is evaluated once per process, at DE_TAU_WIDEST, and a lattice
+    is its suffix of read-only views (built afresh only beyond it).
+    Memoised on tau_max, for the last lattice only: the geometries of a
+    k-run share one tau_max, and so do every Lee geometry and
+    `asymptotic_ratio` (tau_max = 40).
     """
-    half = 0.5 * DE_STEP
-    t_min = -math.asinh(tau_max / math.pi)
-    i = np.arange(math.floor(t_min / half), round(DE_T_MAX / half) + 1)
-    t = i * half
-    z = -math.pi * np.sinh(t)
-    weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))
-    return tuple(_read_only(a) for a in (np.logaddexp(0.0, z), weights, i % 2 == 0))
+    start = _de_first(tau_max) - _de_first(DE_TAU_WIDEST)
+    if start < 0:
+        return _de_rule(tau_max)
+    return tuple(a[start:] for a in _DE_WIDEST)
+
+
+def _half_angle(tau: np.ndarray):
+    """cosh(tau/2) and tanh(tau/2) in np.longdouble."""
+    half = tau.astype(_LD) / 2          # exact
+    return np.cosh(half), np.tanh(half)
 
 
 def _fixed_nodes():
@@ -164,6 +195,21 @@ def _fixed_nodes():
 
 
 _FIXED_NODES = _TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
+# What the sums read of the fixed nodes alone, once per process: in
+# np.longdouble, cosh and tanh of tau/2 at the connection point, and log
+# cosh and tanh at the table's nodes, whose prefactor cosh^{-2s} is formed as
+# exp(-2 s log cosh); in double, 4/(1 + e^tau) = 2 (1 - tanh(tau/2)) there.
+_CONNECTION_COSH, _CONNECTION_TANH = map(_read_only, _half_angle(_CONNECTION_TAU))
+_TABLE_LOGCOSH = _read_only(np.log(np.cosh(_TABLE_TAU.astype(_LD) / 2)))
+_TABLE_TANH = _read_only(np.tanh(_TABLE_TAU.astype(_LD) / 2))
+_TABLE_EDGE = _read_only(4.0 / (1.0 + np.exp(_TABLE_TAU)))
+# and the constants of `CentreSeries`: w(TAU_MATCH) = tanh^2(TAU_MATCH/2),
+# the long-double epsilon, and a first guess of the term counts' search
+# length, 1.25 log(eps_ext)/log(w) with a margin (f_j grows or decays like
+# j^{2 gamma - 1})
+_W_CONNECTION = float(_CONNECTION_TANH[0] ** 2)
+_EPS_EXT = float(np.finfo(_LD).eps)
+_TERMS_GUESS = int(1.25 * math.log(_EPS_EXT) / math.log(_W_CONNECTION)) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +232,19 @@ def _frobenius_terms(n, s, k, mu):
     exact = any(isinstance(x, Fraction) for x in (k, mu, s))
     a = Fraction(1) if exact else 1.0
     yield a
+    nk_2, k_4, n_s = n * k / 2, k / 4, n - s
     acc = a * mu
     M = 1
     while True:
         x = mu + 2 * M
-        P = (x - s) * (x - (n - s))
+        P = (x - s) * (x - n_s)
         if P == 0:
             raise ResonanceError(
                 f"indicial factor vanishes at step 2M={2 * M} (mu={mu}, s={s}, n={n})"
             )
-        a = (n * k / 2) * acc / P
+        a = nk_2 * acc / P
         yield a
-        acc = acc * (k / 4)
+        acc = acc * k_4
         acc += a * (mu + 2 * M)
         M += 1
 
@@ -283,9 +330,8 @@ def _node_powers(which: int, B: int) -> tuple:
     over n 3..1000 and 37 gammas in [0.05, 0.95] read 5 tables: B = 13, 14
     and 15 at the table's nodes and 15 and 16 at the connection point.
     """
-    nodes = _FIXED_NODES[which]
-    w_ext = np.tanh(nodes.astype(_LD) / 2) ** 2
-    return tuple(_read_only(a) for a in _block_powers(w_ext, B, nodes.dtype))
+    w_ext = (_TABLE_TANH, _CONNECTION_TANH)[which] ** 2
+    return tuple(_read_only(a) for a in _block_powers(w_ext, B, _FIXED_NODES[which].dtype))
 
 
 def _blocked_sums(coef: np.ndarray, powers: tuple) -> np.ndarray:
@@ -328,18 +374,17 @@ class CentreSeries:
     in long double per call, and read from `_node_powers` for the table and
     the connection.  The prefactors cosh(tau/2)^{-2s} and tanh(tau/2) are
     formed in long double and rounded once: in double their error would
-    grow like s eps.  No derivative of y is summed; the geometry takes y'
+    grow like s eps.  At the table's nodes the power is exp(-2s log cosh)
+    from tabulated log cosh, elsewhere a long-double power; the two agree
+    within 0.06 double eps (n 3..200).  No derivative of y is summed; the geometry takes y'
     and y'' from the ODE closure, written for y.
     """
 
     def __init__(self, n: int, s):
         self.n, self.s = n, _LD(s)
-        w = float(np.tanh(_CONNECTION_TAU[0] / 2) ** 2)
-        eps_ext = float(np.finfo(_LD).eps)
-        # f_j grows or decays like j^{2 gamma - 1}: log(eps)/log(w) with a margin
-        size = int(1.25 * math.log(eps_ext) / math.log(w)) + 64
-        while (counts := self._terms_needed(self._ratio(n, self.s, size, float), w,
-                                            (_EPS, eps_ext))) is None:
+        size = _TERMS_GUESS
+        while (counts := self._terms_needed(self._ratio(n, self.s, size, float),
+                                            _W_CONNECTION, (_EPS, _EPS_EXT))) is None:
             size *= 2
         self._terms, self._terms_ext = counts
         j = np.arange(self._terms_ext)          # integer factors, cast once
@@ -347,7 +392,8 @@ class CentreSeries:
         den = (n + 1 + 2 * j).astype(_LD)
         rows = np.stack((f, f * (self.s + j.astype(_LD)) / den, f / den))
         B = math.isqrt(len(j) - 1) + 1
-        u, du = self._prefactors(_CONNECTION_TAU) * _blocked_sums(rows[:2], _node_powers(1, B))
+        u, du = (self._prefactors(_CONNECTION_COSH ** (-2 * self.s), _CONNECTION_TANH)
+                 * _blocked_sums(rows[:2], _node_powers(1, B)))
         self.connection = (u[0], du[0])
         self._rows = _read_only(rows[:, :self._terms].astype(float))
         u, du, y = self._sums(_TABLE_TAU, fixed=True)
@@ -389,12 +435,10 @@ class CentreSeries:
             counts.append(int(hits[0]) + 1)
         return tuple(counts)
 
-    def _prefactors(self, tau: np.ndarray) -> np.ndarray:
-        """cosh(tau/2)^{-2s} and -2(n-s) tanh(tau/2) cosh(tau/2)^{-2s}, the
-        factors of the two sums, shape (2, points), in np.longdouble."""
-        half = tau.astype(_LD) / 2          # exact
-        pre = np.cosh(half) ** (-2 * self.s)
-        return np.stack((pre, -2 * (self.n - self.s) * np.tanh(half) * pre))
+    def _prefactors(self, pre: np.ndarray, tanh: np.ndarray) -> np.ndarray:
+        """pre = cosh(tau/2)^{-2s} and -2(n-s) tanh(tau/2) pre, the factors
+        of the two sums, shape (2, points), in np.longdouble."""
+        return np.stack((pre, -2 * (self.n - self.s) * tanh * pre))
 
     def __call__(self, tau):
         """u, u' and y = 1 + u'/((n-s) u) at tau in [0, TAU_MATCH], in double.
@@ -416,12 +460,17 @@ class CentreSeries:
         """u, u' and y at tau, in double; with fixed, tau is the table's
         nodes and the power tables are read from `_node_powers`."""
         B = math.isqrt(self._terms - 1) + 1
-        powers = (_node_powers(0, B) if fixed
-                  else _block_powers(np.tanh(tau.astype(_LD) / 2) ** 2, B, float))
+        if fixed:
+            powers, tanh, edge = _node_powers(0, B), _TABLE_TANH, _TABLE_EDGE
+            pre = np.exp(-2 * self.s * _TABLE_LOGCOSH)
+        else:
+            cosh, tanh = _half_angle(tau)
+            powers, edge = _block_powers(tanh ** 2, B, float), 4.0 / (1.0 + np.exp(tau))
+            pre = cosh ** (-2 * self.s)
         F, G, H = _blocked_sums(self._rows, powers)
-        u, du = self._prefactors(tau).astype(float) * np.stack((F, G))
-        # 2 (1 - tanh(tau/2)) = 4/(1 + e^tau)
-        y = (float(self.n + 1 - 2 * self.s) * H + 4.0 / (1.0 + np.exp(tau)) * G) / F
+        u, du = self._prefactors(pre, tanh).astype(float) * np.stack((F, G))
+        # edge = 2 (1 - tanh(tau/2)) = 4/(1 + e^tau)
+        y = (float(self.n + 1 - 2 * self.s) * H + edge * G) / F
         return u, du, y
 
 
@@ -470,7 +519,9 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     2x2 solve (Cramer's rule) are evaluated in extended precision.  The
     columns are equilibrated before the condition number is taken, so the
     guard measures the conditioning of the connection, not the r^{n-s} and
-    r^s scales of the branches.
+    r^s scales of the branches.  That 2-norm condition, sigma_max/sigma_min,
+    is (|m|_F^2 + sqrt(|m|_F^4 - 4 det^2))/(2 |det|), from the long-double
+    entries and the det of Cramer's rule.
     """
     r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
     r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
@@ -487,13 +538,15 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     scale = np.max(np.abs(m), axis=0)
     if not (np.all(np.isfinite(m)) and np.all(scale > 0.0)):
         raise MatchingError(f"branch values not representable at r={r:.2e}")
-    m = m / scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(np.linalg.cond(m.astype(float)))
+    (a, b), (c, d) = m / scale
+    det = a * d - b * c
+    frob = a * a + b * b + c * c + d * d
+    # the radicand is ((a-d)^2 + (b+c)^2)((a+d)^2 + (b-c)^2) >= 0, clamped
+    # only against its rounding at condition ~ 1
+    cond = (float((frob + np.sqrt(max(frob * frob - 4 * det * det, 0)))
+                  / (2 * abs(det))) if det else math.inf)
     if not cond <= _COND_MAX:
         raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
-    (a, b), (c, d) = m
-    det = a * d - b * c
     c1 = (u * d - b * du) / det / scale[0]
     c2 = (a * du - c * u) / det / scale[1]
     if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):

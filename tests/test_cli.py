@@ -213,6 +213,18 @@ class TestCommands:
         lines = (tmp_path / "o" / "tables" / "qcurv.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 2
 
+    @pytest.mark.parametrize("n, jobs, cpus, used", [
+        ("4,5", "1", 2, 1), ("4,5", "2", 2, 2),
+        ("4", "2", 2, 1),                  # one case runs serially
+        ("4,5", "0", 1, 1),                # one CPU: no pool
+    ])
+    def test_manifest_records_the_processes_used(self, tmp_path, monkeypatch,
+                                                 n, jobs, cpus, used):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["qcurv", "--n", n, "--gamma", "0.5", "--k", "1",
+                     "--jobs", jobs, "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["jobs"] == used
+
     @pytest.mark.parametrize("command", [
         ["sweep"], ["qcurv"], ["residuals"], ["asymptotic"], ["verify", "hk-adapted"],
         ["verify", "hk-cla"], ["verify", "hk-lee"], ["verify", "defect"], ["verify", "prop21"],

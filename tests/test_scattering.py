@@ -136,6 +136,35 @@ class TestDeLattice:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
+    TAU_MAXES = (3.0, 40.0, 50.0, 80.0, 400.0)
+
+    @staticmethod
+    def direct(tau_max):
+        """The rule from the DE formulas: t = i h/2 from the first node with
+        tau > tau_max to DE_T_MAX, z = -pi sinh t, tau = log(1 + e^z),
+        weight h/2 pi cosh t/(1 + e^{-z}), coarse at even i."""
+        half = scattering.DE_STEP / 2
+        first = math.floor(-math.asinh(tau_max / math.pi) / half)
+        i = np.arange(first, round(scattering.DE_T_MAX / half) + 1)
+        z = -math.pi * np.sinh(i * half)
+        return (np.logaddexp(0.0, z), half * math.pi * np.cosh(i * half) / (1.0 + np.exp(-z)),
+                i % 2 == 0)
+
+    @pytest.mark.parametrize("tau_max", TAU_MAXES)
+    def test_equals_the_de_formulas_bit_for_bit(self, tau_max):
+        de_lattice.cache_clear()
+        got = de_lattice(tau_max)
+        for a, b in zip(got, self.direct(tau_max), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[0][0] > tau_max and np.all(np.diff(got[0]) < 0)
+
+    def test_a_smaller_tau_max_is_a_suffix(self):
+        lattices = [tuple(a.copy() for a in de_lattice(t)) for t in self.TAU_MAXES]
+        for small, large in zip(lattices, lattices[1:]):
+            assert len(small[0]) < len(large[0])
+            for a, b in zip(small, large):
+                assert np.array_equal(a, b[len(b) - len(a):])
+
 
 class TestInteriorSolve:
     def test_taylor_start_values(self):
@@ -396,6 +425,31 @@ class TestMatching:
     def test_condition_estimate_reported(self, solved):
         sr = solved(4, 0.5, 1.0)
         assert 1.0 < sr.condition_estimate < 1e12
+
+    def test_condition_is_the_2_norm_one_of_the_equilibrated_system(self):
+        """The closed form (|m|_F^2 + sqrt(|m|_F^4 - 4 det^2))/(2 |det|) from
+        the long-double entries, against LAPACK's SVD of the same matrix
+        rounded to double: within 64 cond eps, and over the 1e12 guard at
+        the same cells (n ~ 196-214)."""
+        eps = float(np.finfo(float).eps)
+        raised = 0
+        for n in [*range(3, 61), *range(190, 215)]:
+            for gamma in (0.05, 0.5, 0.95):
+                for k in (0.5, 1.0, 2.0):
+                    p = QCurvParams(n, gamma, k)
+                    b1, b2 = frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)
+                    r = 2 / np.sqrt(LD(k)) * np.exp(-LD(TAU_MATCH))
+                    (v1, d1, _), (v2, d2, _) = b1.at(r), b2.at(r)
+                    m = np.array([[v1, v2], [d1, d2]])
+                    reference = np.linalg.cond((m / np.max(np.abs(m), axis=0)).astype(float))
+                    if reference > 1e12:
+                        raised += 1
+                        with pytest.raises(MatchingError, match="condition"):
+                            _connect(solve_interior(p), p, b1, b2)
+                        continue
+                    cond = _connect(solve_interior(p), p, b1, b2)[2]
+                    assert abs(cond / reference - 1) <= 64 * reference * eps, (n, gamma, k)
+        assert raised > 0
 
     def test_truncation_guard(self, branch_terms):
         # `frobenius_branch` sums to machine epsilon at r(ln 8), beyond
