@@ -269,12 +269,22 @@ class CompactifiedGeometry:
 
     # -- state assembly -------------------------------------------------------
     def state(self, tau) -> GeometryState:
+        """State at tau in (0, inf]; tau = inf is the boundary r = 0.  The
+        centre tau = 0, where the radial frame is singular, a negative tau
+        and NaN raise ValueError."""
         tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        off = ~(tau > 0.0)
+        if off.any():
+            raise ValueError(f"tau={tau[off][0]} outside (0, inf]")
         return self._assemble(tau, np.asarray(self.base.r_of_tau(tau)))
 
     def state_of_r(self, r) -> GeometryState:
-        """State at radii r; r = 0 is the boundary (tau = inf)."""
+        """State at radii r in [0, r_center); r = 0 is the boundary
+        (tau = inf).  Any other r, NaN included, raises ValueError."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
+        off = ~((0.0 <= r) & (r < self.base.r_center))
+        if off.any():
+            raise ValueError(f"r={r[off][0]} outside [0, {self.base.r_center})")
         with np.errstate(divide="ignore"):
             tau = np.asarray(self.base.tau_of_r(r))
         return self._assemble(tau, r)

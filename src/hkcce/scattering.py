@@ -27,8 +27,8 @@ Gauss's function (DLMF 15.8) sums it as the centre series
     f_0 = 1,  f_{j+1}/f_j = (s+j)(gamma+1/2+j) / (((n+1)/2+j)(1+j)).
 
 Every term is positive, so neither sum cancels at any n, and both converge on
-the whole interior; w <= tanh^2(1.5) = 0.8193 up to tau = 3, so about 180
-terms reach double precision there and about 220 long double, at every n.
+the whole interior; w <= tanh^2(1.5) = 0.8193 up to tau = 3, so at most 198
+terms reach double precision there and at most 237 long double, at every n.
 The geometry reads y = 1 + u'/((n-s) u), 0.04-0.1 at tau = 3, which a third
 positive sum H = sum_j f_j/(n+1+2j) w^j gives without subtracting u' from u:
 y = ((1 - 2 gamma) H + 2 (1 - tanh(tau/2)) G)/F, F and G the sums of u and
@@ -56,15 +56,14 @@ connection point when it is built (`CentreSeries.connection`, the one
 extended-precision sum of the interior, after which only double
 coefficients are kept), and in double at the lattice's 155 nodes with
 tau <= TAU_MATCH, which become the series' table of u, u' and y; every k
-and every integral shares them.  `solve_interior` keeps the last interior,
-`solve_case` the last case and `de_lattice` the last lattice, one entry
-each.  Those points are the same for every (n, gamma), and so is what the
-sums read of them alone: the powers of w (`_node_powers`, one read-only
-table per node set and block size), cosh and tanh of tau/2 at the
-connection point, log cosh and tanh of tau/2 and 4/(1 + e^tau) at the
-table's nodes, all tabulated once per process.  The table's prefactor
-cosh(tau/2)^{-2s} is exp(-2s log cosh), the connection's a long-double
-power.  `de_lattice` slices one lattice, evaluated once per process.
+and every integral shares them.  `solve_interior` keeps the last interior
+and `solve_case` the last case, one entry each.  Those points are the same
+for every (n, gamma), and so is what the sums read of them alone: the
+first 256 powers of w, cosh and tanh of tau/2 at the connection point, and
+log cosh and tanh of tau/2 and 4/(1 + e^tau) at the table's nodes, all
+tabulated once, on import.  A sum is then one product of the coefficients
+with a power table, which a call off the table builds for its own points
+the same way.  `de_lattice` slices one lattice, also evaluated on import.
 
 A `ScatteringResult` carries the series it was matched to (`interior`),
 so a geometry is built from the result alone and cannot pair one case's
@@ -111,7 +110,7 @@ def _s_ext(n: int, gamma: float):
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    """a, no longer writable: the memoised results are shared between callers."""
+    """a, no longer writable: the tables and memoised results are shared between callers."""
     a.setflags(write=False)
     return a
 
@@ -153,7 +152,6 @@ def _de_rule(tau_max: float):
 _DE_WIDEST = _de_rule(DE_TAU_WIDEST)
 
 
-@functools.lru_cache(maxsize=1)
 def de_lattice(tau_max: float):
     """The package's one quadrature rule: nested double-exponential on (0, inf).
 
@@ -167,49 +165,14 @@ def de_lattice(tau_max: float):
     Summing G w over all nodes gives the rule at step h/2, and twice the
     sum over the coarse nodes gives it at step h.
 
-    The rule is evaluated once per process, at DE_TAU_WIDEST, and a lattice
-    is its suffix of read-only views (built afresh only beyond it).
-    Memoised on tau_max, for the last lattice only: the geometries of a
-    k-run share one tau_max, and so do every Lee geometry and
-    `asymptotic_ratio` (tau_max = 40).
+    The rule is evaluated once on import, at DE_TAU_WIDEST, and a lattice
+    is three read-only slices of it; a tau_max beyond DE_TAU_WIDEST, which
+    the package never asks for, raises ValueError.
     """
     start = _de_first(tau_max) - _de_first(DE_TAU_WIDEST)
     if start < 0:
-        return _de_rule(tau_max)
+        raise ValueError(f"tau_max={tau_max} beyond the widest lattice, {DE_TAU_WIDEST}")
     return tuple(a[start:] for a in _DE_WIDEST)
-
-
-def _half_angle(tau: np.ndarray):
-    """cosh(tau/2) and tanh(tau/2) in np.longdouble."""
-    half = tau.astype(_LD) / 2          # exact
-    return np.cosh(half), np.tanh(half)
-
-
-def _fixed_nodes():
-    """The points the centre series is summed at for every interior: the
-    lattice nodes with tau <= TAU_MATCH in the lattice's descending order,
-    in double, and the connection point TAU_MATCH in np.longdouble."""
-    tau = de_lattice(TAU_MATCH)[0]
-    return (_read_only(tau[tau <= TAU_MATCH]),
-            _read_only(np.array([TAU_MATCH], dtype=_LD)))
-
-
-_FIXED_NODES = _TABLE_TAU, _CONNECTION_TAU = _fixed_nodes()
-# What the sums read of the fixed nodes alone, once per process: in
-# np.longdouble, cosh and tanh of tau/2 at the connection point, and log
-# cosh and tanh at the table's nodes, whose prefactor cosh^{-2s} is formed as
-# exp(-2 s log cosh); in double, 4/(1 + e^tau) = 2 (1 - tanh(tau/2)) there.
-_CONNECTION_COSH, _CONNECTION_TANH = map(_read_only, _half_angle(_CONNECTION_TAU))
-_TABLE_LOGCOSH = _read_only(np.log(np.cosh(_TABLE_TAU.astype(_LD) / 2)))
-_TABLE_TANH = _read_only(np.tanh(_TABLE_TAU.astype(_LD) / 2))
-_TABLE_EDGE = _read_only(4.0 / (1.0 + np.exp(_TABLE_TAU)))
-# and the constants of `CentreSeries`: w(TAU_MATCH) = tanh^2(TAU_MATCH/2),
-# the long-double epsilon, and a first guess of the term counts' search
-# length, 1.25 log(eps_ext)/log(w) with a margin (f_j grows or decays like
-# j^{2 gamma - 1})
-_W_CONNECTION = float(_CONNECTION_TANH[0] ** 2)
-_EPS_EXT = float(np.finfo(_LD).eps)
-_TERMS_GUESS = int(1.25 * math.log(_EPS_EXT) / math.log(_W_CONNECTION)) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -299,55 +262,51 @@ def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
 # Interior solution
 # ---------------------------------------------------------------------------
 
-def _powers(w_ext: np.ndarray, j: np.ndarray, dtype) -> np.ndarray:
-    """w^j in dtype, one row per point, from an extended-precision w.
+_ROOT = 16
+# the terms a centre series can sum, the width of its power tables; the
+# counts are at most 198 in double and 237 in long double at every n
+_WIDTH = _ROOT * _ROOT
 
-    A rounded w = w_ext (1 - d) would carry its rounding j-fold into w^j,
-    so the powers of the rounded w are scaled by 1 + j d.
+
+def _powers(w_ext: np.ndarray, dtype) -> np.ndarray:
+    """w^j for j < _WIDTH in dtype, one row per point, from an extended-precision w.
+
+    w^j = w^r w^{16q} for j = 16q + r, r and q < 16.  A rounded factor
+    x = x_ext (1 - d) would carry its rounding j-fold into x^j, so the
+    powers of each rounded factor are scaled by 1 + j d.
     """
-    w = w_ext.astype(dtype)
-    d = np.divide(w_ext - w, w_ext, out=np.zeros_like(w_ext), where=w_ext > 0)
-    return np.power.outer(w, j) * (1 + np.multiply.outer(d.astype(dtype), j))
+    j = np.arange(_ROOT)
+
+    def factor(x_ext):
+        x = x_ext.astype(dtype)
+        d = np.divide(x_ext - x, x_ext, out=np.zeros_like(x_ext), where=x_ext > 0)
+        return np.power.outer(x, j) * (1 + np.multiply.outer(d.astype(dtype), j))
+
+    low, high = factor(w_ext), factor(w_ext ** _ROOT)
+    return (high[:, :, None] * low[:, None, :]).reshape(len(w_ext), _WIDTH)
 
 
-def _block_powers(w_ext: np.ndarray, B: int, dtype):
-    """w^r and w^{Bq} for r, q < B, in dtype, one row per point.
-
-    J terms are summed as Q blocks of B terms, B = ceil(sqrt J) and
-    Q = ceil(J / B), which is B - 1 or B, so tables for Q = B serve both.
-    """
-    j = np.arange(B)
-    return _powers(w_ext, j, dtype), _powers(w_ext ** B, j, dtype)
-
-
-@functools.lru_cache(maxsize=128)
-def _node_powers(which: int, B: int) -> tuple:
-    """`_block_powers` at the fixed node set `which`, once per process and
-    read-only: 0 is the table's nodes, in double, and 1 is the connection
-    point, in long double; every `CentreSeries` construction reads both.
-
-    The node sets are fixed, so (which, B) is an exact key.  The interiors
-    over n 3..1000 and 37 gammas in [0.05, 0.95] read 5 tables: B = 13, 14
-    and 15 at the table's nodes and 15 and 16 at the connection point.
-    """
-    w_ext = (_TABLE_TANH, _CONNECTION_TANH)[which] ** 2
-    return tuple(_read_only(a) for a in _block_powers(w_ext, B, _FIXED_NODES[which].dtype))
+def _summed_at(tau: np.ndarray) -> tuple:
+    """What a double sum of the centre series reads of its points alone:
+    the powers of w = tanh^2(tau/2) in double, log cosh(tau/2) and
+    tanh(tau/2) in np.longdouble, and 4/(1 + e^tau) = 2 (1 - tanh(tau/2))
+    in double."""
+    half = tau.astype(_LD) / 2          # exact
+    tanh = np.tanh(half)
+    return _powers(tanh ** 2, float), np.log(np.cosh(half)), tanh, 4.0 / (1.0 + np.exp(tau))
 
 
-def _blocked_sums(coef: np.ndarray, powers: tuple) -> np.ndarray:
-    """sum_j c_j w^j for each row c of coef, shape (rows, points), in the
-    dtype of `powers`, the tables (w^r, w^{Bq}) of `_block_powers` at the
-    points, B = ceil(sqrt J) for J terms.  With j = B q + r,
-    sum_j c_j w^j = sum_q w^{Bq} (sum_r c_{Bq+r} w^r), so the temporaries
-    are (points x sqrt(terms)) rather than (points x terms).
-    """
-    low, high = powers
-    (rows, J), B = coef.shape, low.shape[1]
-    Q = -(-J // B)
-    padded = np.zeros((rows, Q * B), dtype=low.dtype)
-    padded[:, :J] = coef
-    blocks = (low @ padded.reshape(rows * Q, B).T).reshape(len(low), rows, Q)
-    return np.einsum("pkq,pq->kp", blocks, high[:, :Q])
+# The points every interior is summed at, and what its sums read of them
+# alone, tabulated once on import, read-only: the table's nodes, the
+# lattice's nodes with tau <= TAU_MATCH in its descending order, in double,
+# and at the connection point TAU_MATCH cosh(tau/2), tanh(tau/2) and the
+# powers of w in np.longdouble; then w(TAU_MATCH) and the long-double epsilon
+_TABLE_TAU = _read_only(_DE_WIDEST[0][_DE_WIDEST[0] <= TAU_MATCH])
+_TABLE_AT = tuple(map(_read_only, _summed_at(_TABLE_TAU)))
+_CONNECTION_COSH, _CONNECTION_TANH = np.cosh(_LD(TAU_MATCH) / 2), np.tanh(_LD(TAU_MATCH) / 2)
+_CONNECTION_POWERS = _read_only(_powers(np.array([_CONNECTION_TANH ** 2]), _LD))
+_W_CONNECTION = float(_CONNECTION_TANH ** 2)
+_EPS_EXT = float(np.finfo(_LD).eps)
 
 
 class CentreSeries:
@@ -355,48 +314,50 @@ class CentreSeries:
 
     The term counts come from the coefficient ratios in double: the count
     that sums the series to double precision at w(TAU_MATCH) = 0.8193, and
-    the one that sums it to long-double precision there (about 180 and 220
-    at every n).  Construction computes the coefficients f_j and
-    f_j (s+j)/(n+1+2j) in np.longdouble up to the long-double count, sums
-    them once at TAU_MATCH into `connection`, the pair (u, u') there in
-    np.longdouble, and keeps them in double only, up to the double count,
-    with a third row f_j/(n+1+2j) for y (`_rows`).  This is the interior's
-    one extended-precision sum.  It then sums the rows in double at the 155
-    lattice nodes with tau <= TAU_MATCH into the table tau, u, du, y:
-    ascending, read-only views of arrays summed in the lattice's own
-    descending order, so that a call at those nodes hands the integrator
-    exactly what it would have summed; `build_adapted` checks the table for
-    positivity.  No method changes a built series.
+    the one that sums it to long-double precision there (at most 198 and
+    237 at every n), searched among the first _WIDTH terms; a series that
+    needs more raises MatchingError.  Construction computes the
+    coefficients f_j and f_j (s+j)/(n+1+2j) in np.longdouble up to the
+    long-double count and sums them once at TAU_MATCH into `connection`,
+    the pair (u, u') there in np.longdouble: a pairwise sum of their
+    products with the tabulated powers of w, and the prefactor
+    cosh(tau/2)^{-2s} a long-double power (exp(-2s log cosh) is up to 64
+    long-double eps off there at n <= 190).  This is the interior's one
+    extended-precision sum.  It keeps the coefficients in double only, up
+    to the double count, with a third row f_j/(n+1+2j) for y (`_rows`), and
+    sums them at the 155 lattice nodes with tau <= TAU_MATCH into the table
+    tau, u, du, y: ascending, read-only views of arrays summed in the
+    lattice's own descending order, so that a call at those nodes hands the
+    integrator exactly what it would have summed; `build_adapted` checks
+    the table for positivity.  No method changes a built series.
 
     A call takes tau in [0, TAU_MATCH] in double and returns u, u' and
-    y = 1 + u'/((n-s) u) in double.  Its sums are one blocked product
-    (`_blocked_sums`) over tables of w^r and w^{Bq} that are built from w
-    in long double per call, and read from `_node_powers` for the table and
-    the connection.  The prefactors cosh(tau/2)^{-2s} and tanh(tau/2) are
-    formed in long double and rounded once: in double their error would
-    grow like s eps.  At the table's nodes the power is exp(-2s log cosh)
-    from tabulated log cosh, elsewhere a long-double power; the two agree
-    within 0.06 double eps (n 3..200).  No derivative of y is summed; the geometry takes y'
-    and y'' from the ODE closure, written for y.
+    y = 1 + u'/((n-s) u) in double.  Every double sum, the table's and a
+    call's, is one product of the rows with the powers of w at the points
+    (`_summed_at`, tabulated in `_TABLE_AT` for the table), and its
+    prefactors cosh(tau/2)^{-2s} = exp(-2s log cosh(tau/2)) and
+    tanh(tau/2) are formed in long double and rounded once: in double their
+    error would grow like s eps.  So a call at some of the table's nodes
+    gives the table's values there.  No derivative of y is summed; the
+    geometry takes y' and y'' from the ODE closure, written for y.
     """
 
     def __init__(self, n: int, s):
         self.n, self.s = n, _LD(s)
-        size = _TERMS_GUESS
-        while (counts := self._terms_needed(self._ratio(n, self.s, size, float),
-                                            _W_CONNECTION, (_EPS, _EPS_EXT))) is None:
-            size *= 2
+        counts = self._terms_needed(self._ratio(n, self.s, _WIDTH, float), _W_CONNECTION,
+                                    (_EPS, _EPS_EXT))
+        if counts is None:
+            raise MatchingError(f"centre series (n={n}, s={s}) needs more than {_WIDTH} terms")
         self._terms, self._terms_ext = counts
         j = np.arange(self._terms_ext)          # integer factors, cast once
         f = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, self.s, len(j) - 1, _LD))))
         den = (n + 1 + 2 * j).astype(_LD)
         rows = np.stack((f, f * (self.s + j.astype(_LD)) / den, f / den))
-        B = math.isqrt(len(j) - 1) + 1
-        u, du = (self._prefactors(_CONNECTION_COSH ** (-2 * self.s), _CONNECTION_TANH)
-                 * _blocked_sums(rows[:2], _node_powers(1, B)))
-        self.connection = (u[0], du[0])
+        self.connection = tuple(
+            self._prefactors(_CONNECTION_COSH ** (-2 * self.s), _CONNECTION_TANH)
+            * (rows[:2] * _CONNECTION_POWERS[:, :len(j)]).sum(axis=-1))
         self._rows = _read_only(rows[:, :self._terms].astype(float))
-        u, du, y = self._sums(_TABLE_TAU, fixed=True)
+        u, du, y = self._sums(_TABLE_AT)
         self.tau = _TABLE_TAU[::-1]
         self.u, self.du, self.y = (_read_only(a)[::-1] for a in (u, du, y))
 
@@ -454,21 +415,14 @@ class CentreSeries:
             return self.u[::-1], self.du[::-1], self.y[::-1]
         if np.any(tau > TAU_MATCH * (1 + 1e-12)):
             raise ValueError(f"tau beyond the centre series' horizon {TAU_MATCH}")
-        return self._sums(tau, fixed=False)
+        return self._sums(_summed_at(tau))
 
-    def _sums(self, tau: np.ndarray, fixed: bool):
-        """u, u' and y at tau, in double; with fixed, tau is the table's
-        nodes and the power tables are read from `_node_powers`."""
-        B = math.isqrt(self._terms - 1) + 1
-        if fixed:
-            powers, tanh, edge = _node_powers(0, B), _TABLE_TANH, _TABLE_EDGE
-            pre = np.exp(-2 * self.s * _TABLE_LOGCOSH)
-        else:
-            cosh, tanh = _half_angle(tau)
-            powers, edge = _block_powers(tanh ** 2, B, float), 4.0 / (1.0 + np.exp(tau))
-            pre = cosh ** (-2 * self.s)
-        F, G, H = _blocked_sums(self._rows, powers)
-        u, du = self._prefactors(pre, tanh).astype(float) * np.stack((F, G))
+    def _sums(self, at: tuple):
+        """u, u' and y in double at the points `at` describes (`_summed_at`)."""
+        powers, log_cosh, tanh, edge = at
+        F, G, H = self._rows @ powers[:, :self._terms].T
+        u, du = (self._prefactors(np.exp(-2 * self.s * log_cosh), tanh).astype(float)
+                 * np.stack((F, G)))
         # edge = 2 (1 - tanh(tau/2)) = 4/(1 + e^tau)
         y = (float(self.n + 1 - 2 * self.s) * H + edge * G) / F
         return u, du, y

@@ -202,6 +202,26 @@ class TestStructure:
         assert abs(st.rho_over_r[-1] - 1.0) <= 1e-7
         assert np.all(st.rho > 0)
 
+    @pytest.mark.parametrize("kind", ("adapted", "lee"))
+    def test_points_off_the_radial_chart_are_refused(self, adapted, lee, kind, monkeypatch):
+        """tau <= 0 or NaN, and r outside [0, r_center) = [0, 2) at k = 1,
+        raise ValueError before any state is assembled; r = 0 and tau = inf
+        are the boundary."""
+        g = adapted(4, 0.5, 1.0) if kind == "adapted" else lee(4, 1.0)
+        boundary = g.state_of_r(0.0)
+        assert boundary.tau[0] == math.inf and g.state(math.inf).r[0] == 0.0
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("assembled a state off the radial chart")
+
+        monkeypatch.setattr(g, "_assemble", no_work)
+        for tau in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"outside \(0, inf\]"):
+                g.state([1.0, tau])
+        for r in (3.0, 2.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"outside \[0, 2.0\)"):
+                g.state_of_r([0.5, r])
+
     def test_boundary_extrapolation_consistency(self, adapted):
         for case in ((4, 0.25, 1.0), (4, 0.75, 1.0), (6, 0.6, 2.0)):
             g = adapted(*case)

@@ -129,12 +129,18 @@ class TestBranchArithmetic:
 
 class TestDeLattice:
     def test_memoised_and_read_only(self):
+        """Every call slices the one lattice evaluated on import."""
         lattice = de_lattice(40.0)
-        assert de_lattice(40.0) is lattice
-        for a in lattice:
+        for a, again in zip(lattice, de_lattice(40.0), strict=True):
+            assert np.array_equal(a, again)
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+    def test_beyond_the_widest_lattice_raises(self):
+        assert len(de_lattice(scattering.DE_TAU_WIDEST)[0]) == len(scattering._DE_WIDEST[0])
+        with pytest.raises(ValueError, match="widest"):
+            de_lattice(2 * scattering.DE_TAU_WIDEST)
 
     TAU_MAXES = (3.0, 40.0, 50.0, 80.0, 400.0)
 
@@ -152,7 +158,6 @@ class TestDeLattice:
 
     @pytest.mark.parametrize("tau_max", TAU_MAXES)
     def test_equals_the_de_formulas_bit_for_bit(self, tau_max):
-        de_lattice.cache_clear()
         got = de_lattice(tau_max)
         for a, b in zip(got, self.direct(tau_max), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -283,73 +288,43 @@ class TestCentreSeries:
                 assert error <= 16 * eps_ext, (gamma, error / eps_ext)
 
 
-class TestNodePowers:
-    """Power tables at the fixed nodes: built once per process, read-only."""
+class TestPowerTables:
+    """The powers of w, tabulated on import at the table's nodes and at the
+    connection point, and the sums read from them."""
 
-    CASES = [(n, g) for n in (3, 5, 10, 20) for g in (0.05, 0.3, 0.5, 0.95)]
+    def test_read_only_and_wide_enough(self, monkeypatch):
+        width = scattering._WIDTH
+        powers = scattering._TABLE_AT[0]
+        assert powers.dtype == np.float64 and powers.shape == (len(scattering._TABLE_TAU), width)
+        assert scattering._CONNECTION_POWERS.shape == (1, width)
+        for table in (*scattering._TABLE_AT, scattering._CONNECTION_POWERS):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+        for n in (*range(3, 1001), 10 ** 6):
+            for gamma in (0.05, 0.95):
+                series = CentreSeries(n, _s_ext(n, gamma))
+                assert series._terms < series._terms_ext <= width, (n, gamma)
+        # a series that needs more terms than the tables hold is refused
+        monkeypatch.setattr(scattering, "_WIDTH", 150)
+        with pytest.raises(MatchingError, match="more than 150 terms"):
+            CentreSeries(5, _s_ext(5, 0.3))
 
-    @pytest.fixture(autouse=True)
-    def _cold(self):
-        scattering._interior.cache_clear()
-        scattering._node_powers.cache_clear()
-        yield
-        scattering._interior.cache_clear()
-
-    @staticmethod
-    def _interior(n, gamma):
-        scattering._interior.cache_clear()
-        return scattering._interior(n, gamma)
-
-    @staticmethod
-    def _table_keys(n, gamma):
-        """(node set, B) of every table the interior's sums read: the table's
-        nodes with the double count, the connection with the long-double one."""
-        series = CentreSeries(n, _s_ext(n, gamma))
-        return {(0, math.isqrt(series._terms - 1) + 1),
-                (1, math.isqrt(series._terms_ext - 1) + 1)}
-
-    def test_one_read_only_table_per_node_set_and_block(self, monkeypatch):
-        tables = {}
-        cached = scattering._node_powers
-
-        def spy(*key):
-            out = cached(*key)
-            assert tables.setdefault(key, out) is out
-            return out
-
-        monkeypatch.setattr(scattering, "_node_powers", spy)
-        for n, gamma in self.CASES:
-            self._interior(n, gamma)
-        expected = set().union(*(self._table_keys(n, g) for n, g in self.CASES))
-        assert tables.keys() == expected
-        assert cached.cache_info().currsize == len(expected)
-        for table in tables.values():
-            assert all(not a.flags.writeable for a in table)
-        # interiors already seen add no entry, whatever came in between
-        for n, gamma in reversed(self.CASES):
-            self._interior(n, gamma)
-        assert cached.cache_info().currsize == len(expected)
-
-    def test_sums_from_cached_tables_equal_fresh_ones(self):
-        fresh = {}
-        for n, gamma in self.CASES:
-            scattering._node_powers.cache_clear()
-            p = self._interior(n, gamma)
-            fresh[n, gamma] = (p.u.copy(), p.du.copy(), p.y.copy(), p.connection)
-        for n, gamma in self.CASES:
-            p = self._interior(n, gamma)
-            u, du, y, connection = fresh[n, gamma]
-            assert np.array_equal(p.u, u) and np.array_equal(p.du, du)
-            assert np.array_equal(p.y, y) and p.connection == connection
-        assert scattering._node_powers.cache_info().hits > 0
-        # and equal to sums that take no table from the cache
-        series = CentreSeries(5, _s_ext(5, 0.3))
-        nodes = scattering._TABLE_TAU.copy()
-        nodes[-1] = np.nextafter(nodes[-1], 1.0)     # not the table's nodes any more
-        u, du, y = series(nodes)
-        assert np.array_equal(u[:-1], series.u[:0:-1])
-        assert np.array_equal(du[:-1], series.du[:0:-1])
-        assert np.array_equal(y[:-1], series.y[:0:-1])
+    @pytest.mark.parametrize("gamma", [round(0.05 * i, 2) for i in range(1, 20)])
+    def test_a_call_at_some_table_nodes_gives_the_table_bits(self, gamma):
+        """Off the table's exact node array the series is summed afresh,
+        and at the nodes it contains gives the table's values bit for bit:
+        every other node, and every node but a nudged last one."""
+        nodes = scattering._TABLE_TAU
+        nudged = nodes.copy()
+        nudged[-1] = np.nextafter(nudged[-1], 1.0)
+        for n in range(3, 61):
+            series = CentreSeries(n, _s_ext(n, gamma))
+            for table, sparse, most in zip((series.u, series.du, series.y), series(nodes[::2]),
+                                           series(nudged), strict=True):
+                table = table[::-1]                 # the nodes' descending order
+                assert np.array_equal(sparse, table[::2]), n
+                assert np.array_equal(most[:-1], table[:-1]), n
 
 
 class TestProfileTable:
@@ -584,9 +559,9 @@ class TestMemo:
         sums = []
         summed = scattering.CentreSeries._sums
 
-        def counting(series, tau, fixed):
-            sums.append((np.array(tau), fixed))
-            return summed(series, tau, fixed)
+        def counting(series, at):
+            sums.append(at)
+            return summed(series, at)
 
         monkeypatch.setattr(scattering.CentreSeries, "_sums", counting)
         rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
@@ -594,8 +569,7 @@ class TestMemo:
         assert rc == 0
         # the connection and the table are summed when the series is built;
         # the three geometries' calls at the table's nodes read the table
-        assert len(sums) == 1 and sums[0][1] and sums[0][0].dtype == np.float64
-        assert np.array_equal(sums[0][0], solve_interior(QCurvParams(5, 0.3, 1.0)).tau[::-1])
+        assert len(sums) == 1 and sums[0] is scattering._TABLE_AT
 
     def test_results_are_frozen(self):
         sr = solve_case(QCurvParams(4, 0.25, 1.0))

@@ -15,8 +15,10 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
   - both branches' roots and coefficients at n 3,4,10,150, long doubles;
-  - the interiors at n 3,4,10,150: each centre series' table (u, du, y)
-    and its connection pair (u, u') at tau = 3, a long-double pair;
+  - the interiors at n 3,4,10,150 and gamma 0.25, 0.5, 0.05, 0.95 (where
+    the series' term counts peak): each centre series' table (u, du, y), its
+    connection pair (u, u') at tau = 3, a long-double pair, and its
+    (u, du, y) summed afresh at 40 points of [0.05, 3] off the table;
   - every residual profile of ``residual_suite`` (raw values, sup included),
     which reads the full, second-order state;
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
@@ -79,6 +81,7 @@ COMMANDS = {
     "cli verify prop21": ["verify", "prop21", "--n", "5..20"],
 }
 SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
+OFF_TABLE_TAU = np.linspace(0.05, 3.0, 40)    # where an interior sums afresh
 
 
 def _feed(h, obj):
@@ -176,9 +179,10 @@ def branches() -> dict:
 def interiors() -> dict:
     out = {}
     for n in (*NS, 150):
-        for gamma in GAMMAS:
+        for gamma in (*GAMMAS, 0.05, 0.95):
             series = solve_interior(QCurvParams(n, gamma, 1.0))
-            out[f"{n} {gamma}"] = [series.u, series.du, series.y, series.connection]
+            out[f"{n} {gamma}"] = [series.u, series.du, series.y, series.connection,
+                                   series(OFF_TABLE_TAU)]
     return out
 
 
