@@ -247,9 +247,10 @@ def parse_config(argv) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Case workers (module level: picklable for the process pool).  Each returns
-# (rows, reports, failing): its table rows, its JSON reports by name, and one
-# "<kind> <label>" per failing verdict, kind `fail` for a failed check or the
-# verdict that failed.
+# (rows, reports, dumps, failing): its table rows, its JSON reports by name,
+# its profile dumps (CSV rows) by name, and one "<kind> <label>" per failing
+# verdict, kind `fail` for a failed check or the verdict that failed.  No
+# worker writes a file: `emit_report` writes them all.
 # ---------------------------------------------------------------------------
 
 def _label(row: dict) -> str:
@@ -271,7 +272,7 @@ def _qcurv_case(args):
     # a Q off its oracle is a numerical shortfall, not a failed check
     row.update(c1=sr.c1, c2=sr.c2, condition=sr.condition_estimate,
                verdict="pass" if ok else "inconclusive")
-    return [row], {}, [] if ok else [f"inconclusive qcurv {_label(row)}"]
+    return [row], {}, {}, [] if ok else [f"inconclusive qcurv {_label(row)}"]
 
 
 def _sweep_case(args):
@@ -281,7 +282,7 @@ def _sweep_case(args):
     # a Q off its oracle is a numerical shortfall, not a refuted inequality
     verdict = rep.verdict if ok else "inconclusive"
     row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap, verdict=verdict)
-    return [row], {}, [] if ok and rep.passing else [f"{verdict} sweep {_label(row)}"]
+    return [row], {}, {}, [] if ok and rep.passing else [f"{verdict} sweep {_label(row)}"]
 
 
 def _report_case(args):
@@ -301,14 +302,14 @@ def _report_case(args):
     row = {"name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
            "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
            "err_est": rep.err_est, "verdict": rep.verdict}
-    return [row], {tag: rep.to_dict()}, [] if rep.passing else [f"{rep.verdict} {tag}"]
+    return [row], {tag: rep.to_dict()}, {}, [] if rep.passing else [f"{rep.verdict} {tag}"]
 
 
 def _prop21_case(n: int):
     cert = verify_prop21(n)
     row = {"n": n, "gamma": "", "k": "", "beta_e2": str(cert.beta.e2),
            "verdict": "pass" if cert.ok else "fail"}
-    return ([row], {f"prop21_n{n}": json.loads(cert.to_json())},
+    return ([row], {f"prop21_n{n}": json.loads(cert.to_json())}, {},
             [] if cert.ok else [f"fail prop21 n={n}"])
 
 
@@ -316,27 +317,25 @@ def _asymptotic_case(args):
     # fixed CSV schema n,k,r,ratio,abs_err; pass/fail tracked separately
     n, k = args
     rows = asymptotic_ratio(n, k, 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20))
-    return rows, {}, [f"fail asymptotic n={n} k={k} r={row['r']:.4g}" for row in rows
-                      if not abs(row["ratio"] - 1.0) <= 1e-8]
+    return rows, {}, {}, [f"fail asymptotic n={n} k={k} r={row['r']:.4g}" for row in rows
+                          if not abs(row["ratio"] - 1.0) <= 1e-8]
 
 
 def _residual_case(args):
-    kind, n, gamma, k, dump_dir = args
+    kind, n, gamma, k = args
     g = (build_adapted(solve_case(QCurvParams(n, gamma, k))) if kind == "adapted"
          else build_lee(ModelSpace(n, k)))
     res = residual_suite(g)
     other = res["res_T" if kind == "adapted" else "res_J"]
     tol = 1e-8 if kind == "lee" else 1e-5
     ok = all(rp.sup_weighted <= tol for rp in res.values())
-    if dump_dir is not None:
-        tag = (f"profile_adapted_n{n}_g{gamma}_k{k}" if kind == "adapted"
-               else f"profile_lee_n{n}_k{k}")
-        st = g.window          # the state `residual_suite` read
-        columns = {"t": st.tau + g.base.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
-                   "grad_sq": st.grad_sq, "T_or_J": st.T if kind == "adapted" else st.Jbar,
-                   "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
-        rows = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(st.tau))]
-        _atomic_write(Path(dump_dir) / f"{tag}.csv", _csv_text(rows))
+    tag = (f"profile_adapted_n{n}_g{gamma}_k{k}" if kind == "adapted"
+           else f"profile_lee_n{n}_k{k}")
+    st = g.window          # the state `residual_suite` read
+    columns = {"t": st.tau + g.base.t0, "r": st.r, "rho": st.rho, "drho": st.w * st.rho,
+               "grad_sq": st.grad_sq, "T_or_J": st.T if kind == "adapted" else st.Jbar,
+               "res_rho": res["res_rho"].values, "res_T_or_J": other.values}
+    dump = [{c: float(v[i]) for c, v in columns.items()} for i in range(len(st.tau))]
     row = {
         "kind": kind, "n": n, "gamma": gamma if kind == "adapted" else "",
         "k": k,
@@ -347,7 +346,7 @@ def _residual_case(args):
                          if kind == "adapted" else g.boundary.get("J_boundary_rel_gap")),
         "verdict": "pass" if ok else "fail",
     }
-    return [row], {}, [] if ok else [f"fail residuals {kind} {_label(row)}"]
+    return [row], {}, {tag: dump}, [] if ok else [f"fail residuals {kind} {_label(row)}"]
 
 
 def _run_cases(worker, case_args, jobs: int, group: int):
@@ -407,10 +406,12 @@ def _sort_rows(rows: list[dict]) -> list[dict]:
 
 
 def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
-    """Write tables (CSV), reports (JSON) and the manifest; returns paths.
+    """Write tables (CSV), profile dumps (CSV, as given), reports (JSON)
+    and the manifest, which lists every other file written; returns paths.
 
     reports = {"rows": {table_name: [row dicts]}, "json": {name: payload},
-               "all_pass": bool, "jobs": processes the cases ran on}
+               "dumps": {name: [row dicts]}, "all_pass": bool,
+               "jobs": processes the cases ran on}
     """
     out = Path(cfg.out)
     written: list[Path] = []
@@ -426,6 +427,11 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
                 _atomic_write(path, json.dumps(rows, indent=2, sort_keys=True,
                                                default=float))
                 written.append(path)
+        dumps = reports.get("dumps", {}) if cfg.emit_csv else {}
+        for name, rows in sorted(dumps.items()):
+            path = out / "tables" / f"{name}.csv"
+            _atomic_write(path, _csv_text(rows))
+            written.append(path)
         for name, payload in sorted(reports.get("json", {}).items()):
             path = out / "reports" / f"{name}.json"
             _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
@@ -472,8 +478,8 @@ def _plan(cfg: RunConfig):
     grid = [(n, g, k) for n in ns for g in sorted(cfg.gamma) for k in ks]
     free = [(n, None, k) for n in ns for k in ks]
 
-    def kinds(names, extra):
-        return [(name, *case, extra) for name in names
+    def kinds(names, *extra):
+        return [(name, *case, *extra) for name in names
                 for case in (grid if name.endswith("adapted") else free)]
 
     table = cfg.verify_target if cfg.command == "verify" else cfg.command
@@ -482,8 +488,7 @@ def _plan(cfg: RunConfig):
     if table == "sweep":
         return table, _sweep_case, [(*case, cfg.quad_tol) for case in grid]
     if table == "residuals":
-        dump_dir = str(Path(cfg.out) / "tables") if cfg.emit_csv else None
-        return table, _residual_case, kinds(("adapted", "lee"), dump_dir)
+        return table, _residual_case, kinds(("adapted", "lee"))
     if table == "asymptotic":
         return table, _asymptotic_case, [(n, k) for n, _, k in free]
     if table == "prop21":
@@ -495,14 +500,15 @@ def run_command(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     started = time.time()
     table, worker, cases = _plan(cfg)
-    rows, json_reports, failing = [], {}, []
+    rows, json_reports, dumps, failing = [], {}, {}, []
     results, jobs = _run_cases(worker, cases, cfg.jobs, len(cfg.k))
-    for case_rows, case_reports, case_failing in results:
+    for case_rows, case_reports, case_dumps, case_failing in results:
         rows += case_rows
         json_reports.update(case_reports)
+        dumps.update(case_dumps)
         failing += case_failing
-    reports = {"rows": {table: rows}, "json": json_reports, "all_pass": not failing,
-               "jobs": jobs}
+    reports = {"rows": {table: rows}, "json": json_reports, "dumps": dumps,
+               "all_pass": not failing, "jobs": jobs}
     try:
         written = emit_report(reports, cfg, started)
     except OSError:

@@ -60,10 +60,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import TAU_MATCH, ScatteringResult, de_lattice
+from .scattering import TAIL_E_FOLDS, TAU_MATCH, ScatteringResult, de_lattice
 from .special_fn import d_gamma
 
-TAIL_E_FOLDS = 40.0        # the boundary-side rest is below e^{-40} of an integral
 _WINDOW_POINTS = 200       # log-spaced radii of the residual window
 
 
@@ -452,43 +451,35 @@ def residual_suite(g: CompactifiedGeometry) -> dict:
                                 curvature of alpha^2 dt^2 + b^2 ghat
     """
     st = g.window
-    taus = st.tau
     n = g.base.n
     out: dict[str, ResidualProfile] = {}
+
+    def record(name, *terms):
+        """out[name]: the terms summed in the order given, and weighted by
+        1 + the sum of their moduli."""
+        vals, weight = terms[0], 1.0 + np.abs(terms[0])
+        for term in terms[1:]:
+            vals = vals + term
+            weight = weight + np.abs(term)
+        out[name] = ResidualProfile(name, st.tau, st.r, vals, np.abs(vals) / weight)
 
     drho = st.rho * st.w
     ddrho = st.rho * (st.dw + st.w * st.w)
     lap_rho = _warped_laplacian(st, n, drho, ddrho)
     if g.kind == "adapted":
         tg = g.two_gamma
-        rhs = -g.s * np.power(st.rho, tg - 1.0) * st.T
-        vals = lap_rho - rhs
-        out["res_rho"] = ResidualProfile(
-            "res_rho", taus, st.r, vals,
-            np.abs(vals) / (1.0 + np.abs(lap_rho) + np.abs(rhs)))
-
+        record("res_rho", lap_rho, g.s * np.power(st.rho, tg - 1.0) * st.T)
         c_coef = n * (n + tg) * (tg - 1.0) / (2.0 * (n + 1.0))
-        lap_T = _warped_laplacian(st, n, st.dT, st.ddT)
         # rho^{-1} <grad rho, grad T> with <grad rho, grad T> = w T'/rho
-        t2 = (tg - 1.0) * st.w * st.dT / st.rho ** 2
-        t3 = 2.0 * np.power(st.rho, -tg) * st.tracefree_sq
-        t4 = c_coef * st.T ** 2 * np.power(st.rho, tg - 2.0)
-        vals = lap_T + t2 + t3 - t4
-        weight = 1.0 + np.abs(lap_T) + np.abs(t2) + np.abs(t3) + np.abs(t4)
-        out["res_T"] = ResidualProfile("res_T", taus, st.r, vals, np.abs(vals) / weight)
+        record("res_T", _warped_laplacian(st, n, st.dT, st.ddT),
+               (tg - 1.0) * st.w * st.dT / st.rho ** 2,
+               2.0 * np.power(st.rho, -tg) * st.tracefree_sq,
+               -c_coef * st.T ** 2 * np.power(st.rho, tg - 2.0))
     else:
-        rhs = -2.0 * st.rho * st.Jbar
-        vals = lap_rho - rhs
-        out["res_rho"] = ResidualProfile(
-            "res_rho", taus, st.r, vals,
-            np.abs(vals) / (1.0 + np.abs(lap_rho) + np.abs(rhs)))
-
-        lap_J = _warped_laplacian(st, n, st.dJbar, st.ddJbar)
-        t2 = -(n - 1.0) * st.w * st.dJbar / st.rho ** 2
-        t3 = (n + 1.0) * st.tracefree_sq / st.rho ** 2
-        vals = lap_J + t2 + t3
-        weight = 1.0 + np.abs(lap_J) + np.abs(t2) + np.abs(t3)
-        out["res_J"] = ResidualProfile("res_J", taus, st.r, vals, np.abs(vals) / weight)
+        record("res_rho", lap_rho, 2.0 * st.rho * st.Jbar)
+        record("res_J", _warped_laplacian(st, n, st.dJbar, st.ddJbar),
+               -(n - 1.0) * st.w * st.dJbar / st.rho ** 2,
+               (n + 1.0) * st.tracefree_sq / st.rho ** 2)
 
     # Jbar against the scalar curvature of the doubly warped product
     alpha = st.rho
@@ -498,9 +489,5 @@ def residual_suite(g: CompactifiedGeometry) -> dict:
     dalpha = st.rho * st.w
     term1 = -(ddb / alpha ** 2 - db * dalpha / alpha ** 3) / b
     term2 = (n - 1.0) / 2.0 * (g.base.k - (db / alpha) ** 2) / b ** 2
-    j_direct = term1 + term2
-    vals = st.Jbar - j_direct
-    out["jbar_crosscheck"] = ResidualProfile(
-        "jbar_crosscheck", taus, st.r, vals,
-        np.abs(vals) / (1.0 + np.abs(st.Jbar) + np.abs(j_direct)))
+    record("jbar_crosscheck", st.Jbar, -(term1 + term2))
     return out

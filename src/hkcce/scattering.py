@@ -83,7 +83,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .special_fn import QCurvParams, d_gamma_ext
+from .special_fn import GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma_ext
 
 # The branch series are summed to convergence in double at r(ln 8) =
 # 0.25/sqrt(k) but evaluated only at tau >= TAU_MATCH, where each term is
@@ -129,9 +129,11 @@ class MatchingError(RuntimeError):
 
 DE_STEP = 1.0 / 16.0        # coarse step h; the nodes of h/2 nest those of h
 DE_T_MAX = 4.0              # tau(4) = 6e-38: the integrands vanish like tau^n below it
-# the widest tau_max the package asks for: 40 e-folds of the slowest boundary
-# decay, e^{-0.1 tau} at gamma = 0.05 and 0.95
-DE_TAU_WIDEST = 400.0
+TAIL_E_FOLDS = 40.0         # the boundary-side rest is below e^{-40} of an integral
+# the widest tau_max the package asks for: TAIL_E_FOLDS over the slowest
+# boundary decay, e^{-min(2 gamma, 2 - 2 gamma) tau} at the ends of the gamma
+# box (400 for [0.05, 0.95])
+DE_TAU_WIDEST = TAIL_E_FOLDS / min(2 * GAMMA_MIN, 2 - 2 * GAMMA_MAX)
 
 
 def _de_first(tau_max: float) -> int:

@@ -180,6 +180,17 @@ class TestCommands:
             assert len(lines) == 1 + 200            # one row per window point
         assert not list((tmp_path / "o" / "tables").glob("*.tmp"))
 
+    @pytest.mark.parametrize("argv", [
+        ["qcurv"], ["sweep"], ["residuals"], ["residuals", "--emit", "json"],
+        ["asymptotic"], ["verify", "defect"], ["verify", "prop21", "--n", "5"],
+    ], ids=" ".join)
+    def test_manifest_lists_every_file_written(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = {p for p in out.rglob("*") if p.is_file()} - {out / "manifest.json"}
+        assert sorted(map(Path, manifest["files"])) == sorted(on_disk)
+
     def test_residual_window_assembled_once(self, tmp_path, monkeypatch):
         # residual_suite and the profile dump read one window state; the
         # other assembly of each geometry is the one point r = 0, read by

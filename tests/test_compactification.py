@@ -13,7 +13,9 @@ from hkcce.compactification import (TAIL_E_FOLDS, CompactifiedGeometry, Geometry
 from hkcce.hk_verifier import RadialIntegrator, verify_cla
 from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import TAU_MATCH, de_lattice
-from hkcce.special_fn import QCurvParams, d_gamma
+from hkcce.special_fn import GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma
+
+import reference
 
 
 def _hessian(st):
@@ -147,22 +149,17 @@ class TestCentreClosure:
     def test_lattice_dw_near_the_connection_point(self, solved, n, gamma):
         """On the lattice's nodes in tau [2, 3], where 1 + w falls to about
         0.1, w'/x is within 32 double eps of v'/((n-s) x): v = u'/u from
-        mpmath's 2F1 and v' from the ODE closure, both at 40 digits, and x the
-        state's own.  The closure for v, in double, is off by 63 (n = 3),
-        89, 158 and 420 eps (n = 60) here."""
+        `reference`'s 2F1 and v' from its ODE closure, both at 40 digits, and
+        x the state's own.  The closure for v, in double, is off by 63
+        (n = 3), 89, 158 and 420 eps (n = 60) here."""
         st = RadialIntegrator(build_adapted(solved(n, gamma, 1.0))).state
         eps = float(np.finfo(float).eps)
         with mpmath.workdps(40):
             s = mpmath.mpf(n) / 2 + mpmath.mpf(gamma)
-            m = n - s
-            a, b, c = s / 2, m / 2, mpmath.mpf(n + 1) / 2
             for i in np.flatnonzero((st.tau >= 2.0) & (st.tau <= TAU_MATCH)):
                 tau = mpmath.mpf(st.tau[i])
-                sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
-                v = (-2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
-                     / mpmath.hyp2f1(a, b, c, -sh * sh))
-                dv = -n * mpmath.coth(tau) * v - s * m - v * v
-                ref = dv / (m * mpmath.mpf(st.x[i]))
+                _, dw = reference.closure(n, s, tau, *reference.u_and_du(n, s, tau))
+                ref = dw / mpmath.mpf(st.x[i])
                 assert abs(st.dw_hat[i] / ref - 1) <= 32 * eps, (n, gamma, st.tau[i])
 
 
@@ -320,6 +317,13 @@ class TestLatticeState:
             assert g.boundary["J_boundary"] == float(full.Jbar[0])
         else:
             assert g.boundary["T_boundary"] == float(full.T[0])
+
+    @pytest.mark.parametrize("gamma", (GAMMA_MIN, GAMMA_MAX))
+    def test_an_adapted_lattice_builds_at_the_ends_of_the_gamma_box(self, solved, gamma):
+        """The widest lattice is derived from the gamma box, so the slowest
+        boundary decays it admits still reach TAIL_E_FOLDS."""
+        lat = self._geometry(solved, "adapted", 4, gamma, 1.0).lattice
+        assert lat.state.tau[0] > TAIL_E_FOLDS / min(2 * gamma, 2 - 2 * gamma)
 
     def test_one_assembly_per_geometry(self, solved, monkeypatch):
         calls = []

@@ -14,6 +14,8 @@ from hkcce.hk_verifier import (RadialIntegrator, _identity, asymptotic_ratio,
 from hkcce.model_geometry import ModelSpace
 from hkcce.special_fn import hk_constant, sphere_q_value, sphere_volume
 
+import reference
+
 # measured relative gaps (lhs - rhs)/lhs on the models, archived as loose
 # regression baselines; no sharper lower bound is available
 GAP_BASELINES = {
@@ -285,67 +287,16 @@ class TestMemo:
 
 
 class TestMpmathBoundaryLayer:
-    """main, R1 and R2 against mp.quad over a 2F1 profile, n = 4, k = 1.
-
-    u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau), u' from the contiguous
-    2F1(a+1, b+1; c+1), w' from the closure, c1 from its Gamma-function
-    form.  1 - w^2 and T' lose about (2g + min(2g, 2-2g)) tau / ln 10
-    digits to cancellation, so each node is evaluated with that many digits
-    on top of 30.  The integrals are cut where the rest is below e^{-46}.
-    """
+    """main, R1 and R2 against `reference.adapted_integrals`, mp.quad over a
+    2F1 profile at 30 digits (and more at each node, where 1 - w^2 and T'
+    cancel), n = 4, k = 1."""
 
     DPS = 30
-
-    @classmethod
-    def _reference(cls, n, gamma, k):
-        import mpmath as mp
-
-        loss = (2 * gamma + min(2 * gamma, 2 - 2 * gamma)) / math.log(10)
-        cache = {}
-
-        def point(tau):
-            key = mp.nstr(tau, cls.DPS)
-            if key not in cache:
-                with mp.workdps(cls.DPS + 10 + int(loss * float(tau))):
-                    g = mp.mpf(gamma)
-                    s = mp.mpf(n) / 2 + g
-                    m = n - s
-                    a, b, c = s / 2, m / 2, mp.mpf(n + 1) / 2
-                    kap = (1 - g) / g
-                    c1 = mp.gamma(c) * mp.gamma(g) / (mp.gamma(s / 2) * mp.gamma((s + 1) / 2)) \
-                        * mp.mpf(k) ** (m / 2)
-                    t = mp.mpf(tau)
-                    sh, ch = mp.sinh(t), mp.cosh(t)
-                    u = mp.hyp2f1(a, b, c, -sh * sh)
-                    du = -2 * sh * ch * a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
-                    coth = ch / sh
-                    v = du / u
-                    w, dw = v / m, (-n * coth * v - s * m - v * v) / m
-                    rho = (u / c1) ** (1 / m)
-                    S = 1 - w * w
-                    T = S * rho ** (-2 * g)
-                    dT = (-2 * w * dw - 2 * g * w * S) * rho ** (-2 * g)
-                    tf_sq = n / (n + 1) * (dw - w * (w + coth)) ** 2 / rho ** 2
-                    vol = rho ** (n + 1) * (mp.sqrt(k) * sh) ** n
-                    cache[key] = (
-                        rho ** (2 * g - 1) * T ** (1 - kap) * vol,
-                        2 * kap * rho ** (1 - 2 * g) * T ** (-kap - 1) * tf_sq * vol,
-                        kap * (kap + 1) * rho * T ** (-kap - 2) * (dT / rho) ** 2 * vol)
-            return cache[key]
-
-        out = []
-        with mp.workdps(cls.DPS):
-            rates = (2 * gamma, 2 * gamma, 2 * min(2 * gamma, 2 - 2 * gamma))
-            for i, rate in enumerate(rates):
-                tau_c = 46 / rate
-                cuts = [0] + [p for p in (0.5, 2, 6, 15, 40, 100, 250) if p < tau_c] + [tau_c]
-                out.append(float(mp.quad(lambda t: point(t)[i], cuts)))
-        return out
 
     @pytest.mark.parametrize("gamma", [0.05, 0.15, 0.95])
     def test_integrals_within_err_est(self, gamma):
         n, k = 4, 1.0
-        main, r1, r2 = self._reference(n, gamma, k)
+        main, r1, r2 = reference.adapted_integrals(n, gamma, k, self.DPS)
         integrals = _identity(n, gamma, k)[2]
         for name, ref in zip(("main", "r1", "r2"), (main, r1, r2)):
             value, err = integrals[name]

@@ -19,6 +19,8 @@ from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
+import reference
+
 EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 LD = np.longdouble
 
@@ -254,8 +256,8 @@ class TestCentreSeries:
     @pytest.mark.parametrize("n", (3, 4, 10, 20, 60, 150, 190))
     def test_table_and_connection_equal_the_untransformed_2f1(self, n):
         """The table (u, u') within 4 double eps and the connection within
-        16 long-double eps of 40-digit 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau)
-        and its derivative (DLMF 15.5.1): the series in w = tanh^2(tau/2) is
+        16 long-double eps of `reference`'s 40-digit 2F1(s/2, (n-s)/2; (n+1)/2;
+        -sinh^2 tau) and its derivative (DLMF 15.5.1): the series in w = tanh^2(tau/2) is
         its quadratic transformation, which this puts under test.  The
         table's y within 8 double eps of 1 + u'/((n-s) u) from the same
         reference (formed from the table's u and u' instead, it is off by up
@@ -265,19 +267,13 @@ class TestCentreSeries:
             for gamma in (0.05, 0.3, 0.5, 0.77, 0.95):
                 series = CentreSeries(n, _s_ext(n, gamma))
                 s = _mp(_s_ext(n, gamma))
-                a, b, c = s / 2, (n - s) / 2, mpmath.mpf(n + 1) / 2
-
-                def reference(tau):
-                    sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
-                    u = mpmath.hyp2f1(a, b, c, -sh * sh)
-                    du = -2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
-                    return u, du
 
                 def worst(tau, pair):
-                    return max(abs(_mp(v) / ref - 1) for v, ref in zip(pair, reference(tau)))
+                    return max(abs(_mp(v) / ref - 1)
+                               for v, ref in zip(pair, reference.u_and_du(n, s, tau)))
 
                 for tau, u, du, y in zip(series.tau, series.u, series.du, series.y):
-                    u_ref, du_ref = reference(_mp(tau))
+                    u_ref, du_ref = reference.u_and_du(n, s, _mp(tau))
                     error = max(abs(_mp(u) / u_ref - 1), abs(_mp(du) / du_ref - 1))
                     assert error <= 4 * eps, (gamma, tau)
                     y_ref = 1 + du_ref / ((n - s) * u_ref)
@@ -453,11 +449,11 @@ class TestMatching:
 
 
 class TestMpmathReference:
-    """The series pipeline against 30-digit references.
+    """The series pipeline against `reference` at 30 digits.
 
     u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau) (DLMF 15.2.1),
-    c1 = Gamma((n+1)/2) Gamma(gamma) / (Gamma(s/2) Gamma((s+1)/2)) k^{(n-s)/2},
-    the tau -> infinity limit of r^{s-n} u (DLMF 15.8.2).
+    c1 = Gamma((n+1)/2) Gamma(s - n/2) / (Gamma(s/2) Gamma((s+1)/2)) k^{(n-s)/2},
+    the tau -> infinity limit of r^{s-n} u (DLMF 15.8.2), and Q in closed form.
     """
 
     NS = (3, 4, 20, 40, 60, 150)      # at n = 150 the condition is ~1e9
@@ -476,11 +472,8 @@ class TestMpmathReference:
         prof = solve_interior(p)
         taus = np.concatenate([[1e-3, 1e-2], np.linspace(0.1, math.log(8.0), 10)])
         u, du, _ = prof(taus)
-        a, b, c = mpmath.mpf(p.s) / 2, mpmath.mpf(n - p.s) / 2, mpmath.mpf(n + 1) / 2
         for tau, u_num, du_num in zip(taus, u, du):
-            sh, ch = mpmath.sinh(tau), mpmath.cosh(tau)
-            u_ref = mpmath.hyp2f1(a, b, c, -sh * sh)
-            du_ref = -2 * sh * ch * a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, -sh * sh)
+            u_ref, du_ref = reference.u_and_du(n, mpmath.mpf(p.s), tau)
             assert abs(u_num / u_ref - 1) <= 1e-11, (tau, u_num, u_ref)
             assert abs(du_num / du_ref - 1) <= 1e-11, (tau, du_num, du_ref)
 
@@ -490,18 +483,13 @@ class TestMpmathReference:
         for k in self.KS:
             p = QCurvParams(n, gamma, k)
             sr = solve_case(p)
-            s = mpmath.mpf(p.s)
-            c1_ref = (mpmath.gamma(mpmath.mpf(n + 1) / 2) * mpmath.gamma(gamma)
-                      / (mpmath.gamma(s / 2) * mpmath.gamma((s + 1) / 2))
-                      * mpmath.mpf(k) ** ((n - s) / 2))
+            c1_ref = reference.c1(n, mpmath.mpf(p.s), k)
             assert abs(sr.c1 / c1_ref - 1) <= 1e-10, (k, sr.c1, c1_ref)
             oracle = sphere_q_value(n, gamma, k)
             assert abs(sr.q_value / oracle - 1) <= 1e-10, (k, sr.q_value, oracle)
             if EXTENDED:
                 # connection and d_gamma in extended precision: Q is rounded once
-                g = mpmath.mpf(gamma)
-                q_ref = (mpmath.mpf(k) ** g * 2 / (n - 2 * g) * mpmath.gamma(mpmath.mpf(n) / 2 + g)
-                         / mpmath.gamma(mpmath.mpf(n) / 2 - g))
+                q_ref = reference.q_value(n, gamma, k)
                 assert abs(sr.q_value - q_ref) <= math.ulp(float(q_ref)), (k, sr.q_value, q_ref)
 
 

@@ -11,7 +11,8 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     of every file written at ``--jobs 1``, the manifest read without
     ``wall_clock_s``.  Each command also runs at ``--jobs 2``, on a process
     pool, and the script stops with an error if that run writes other files
-    (its manifest's ``jobs`` aside);
+    (its manifest's ``jobs`` aside), or if a run writes a file that its
+    manifest does not list;
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
   - both branches' roots and coefficients at n 3,4,10,150, long doubles;
@@ -114,7 +115,8 @@ def digest(obj) -> str:
 
 
 def _cli_files(argv, jobs: str) -> dict:
-    """Exit status and every file a CLI run writes, by path under its out dir."""
+    """Exit status and every file a CLI run writes, by path under its out dir;
+    raises RuntimeError if the manifest does not list exactly the others."""
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             status = cli.main([*argv, "--jobs", jobs, "--out", tmp])
@@ -129,6 +131,10 @@ def _cli_files(argv, jobs: str) -> dict:
                 manifest["files"] = [os.path.relpath(f, tmp) for f in manifest["files"]]
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(tmp))] = data
+    listed = json.loads(files["manifest.json"])["files"]
+    if sorted(listed) != sorted(set(files) - {"manifest.json"}):
+        raise RuntimeError(f"hkcce {' '.join(argv)} --jobs {jobs}: the manifest lists "
+                           f"{sorted(listed)}, the run wrote {sorted(files)}")
     return {"status": status, "files": files}
 
 
