@@ -309,7 +309,7 @@ def _prop21_case(n: int):
     cert = verify_prop21(n)
     row = {"n": n, "gamma": "", "k": "", "beta_e2": str(cert.beta.e2),
            "verdict": "pass" if cert.ok else "fail"}
-    return ([row], {f"prop21_n{n}": json.loads(cert.to_json())}, {},
+    return ([row], {f"prop21_n{n}": cert.to_dict()}, {},
             [] if cert.ok else [f"fail prop21 n={n}"])
 
 

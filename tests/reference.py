@@ -7,7 +7,7 @@ compares it with a second derivation, not with itself.
     u(tau) = 2F1(a, b; c; -sinh^2 tau),  a = s/2, b = (n-s)/2, c = (n+1)/2
 
 is the regular radial solution (DLMF 15.2.1) and u' its tau derivative.  Up
-to SWITCH_TAU both come from mpmath's own 2F1, u' through the contiguous
+to `switch_tau(n)` both come from mpmath's own 2F1, u' through the contiguous
 2F1(a+1, b+1; c+1).  From there on, where mpmath would redo the 1/z
 transformation and its Gamma factors at every point, they are summed through
 that connection (DLMF 15.8.2; a - b = gamma is not an integer):
@@ -29,7 +29,6 @@ import math
 
 import mpmath as mp
 
-SWITCH_TAU = 1.5           # x = sinh^2 tau = 4.5: the 1/z series converge like 0.22^j
 _GUARDS = (10, 20, 40, 80)  # guard digits of successive passes of the connection
 
 
@@ -75,9 +74,21 @@ def _connected(n, s, tau):
     return +u, +du
 
 
+def switch_tau(n):
+    """Where `u_and_du` turns from mpmath's 2F1 to the 1/z connection.
+
+    That is where the connection's terms cancel by 0.43 n / sinh(tau) = 17
+    digits, which its first two passes cover: sinh tau = n/40.  It is kept in
+    [1, 1.5].  From tau = 1 (x = 1.38) on, mpmath's own 2F1 takes the 1/z
+    transformation and redoes its Gamma factors at every call; at tau = 1.5
+    (x = 4.5) the 1/z series converge like 0.22^j.
+    """
+    return min(1.5, max(1.0, math.asinh(n / 40)))
+
+
 def u_and_du(n, s, tau):
     """(u, u') at tau, to the working precision."""
-    return (_direct if tau < SWITCH_TAU else _connected)(n, s, tau)
+    return (_direct if tau < switch_tau(n) else _connected)(n, s, tau)
 
 
 def closure(n, s, tau, u, du):

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -137,9 +138,12 @@ class TestExpandNormalForm:
             for k in (Fr(1, 2), Fr(1), Fr(3)):
                 assert at(v4, J=n * k / 2, A2=n * k * k / 4, LapJ=0) == 0
 
-    def test_small_n_unsupported(self):
-        with pytest.raises(ValueError):
-            expand_normal_form(4)
+    @pytest.mark.parametrize("n", [4, True, 5.0, np.int64(6)])
+    def test_refuses_a_dimension_that_is_not_an_int_from_5(self, n):
+        with pytest.raises(ValueError, match="n >= 5"):
+            expand_normal_form(n)
+        with pytest.raises(ValueError, match="n >= 5"):
+            verify_prop21(n)
 
 
 class TestBoundaryIntegral:
@@ -208,9 +212,11 @@ class TestProp21:
             assert cert.beta == boundary_integral(p)
 
     def test_json_serialises_rationals(self):
-        payload = json.loads(verify_prop21(5).to_json())
+        cert = verify_prop21(5)
+        payload = json.loads(cert.to_json())
         assert payload["beta"]["intE2"] == "1/135"
         assert payload["ok"] is True
+        assert payload == cert.to_dict()
 
 
 class TestPublicGates:
@@ -245,6 +251,17 @@ class TestPublicGates:
     def test_jet_refuses_a_coefficient_of_another_ring(self):
         with pytest.raises(ValueError, match="ring"):
             Jet(5, [Poly.constant(6, 1), 0, 0])
+
+    @pytest.mark.parametrize("coeffs, name", [
+        ([1, Poly.symbol(5, "A2"), 0], "A2"),
+        ([Poly.symbol(5, "J"), 0, 0], "J"),
+        ([1, 0, Poly.symbol(5, "J", 3)], r"J\^3"),
+        ([1, Poly.symbol(5, "J") * Poly.symbol(5, "E2"), 0], r"J\*E2")])
+    def test_jet_refuses_a_monomial_of_the_wrong_weight(self, coeffs, name):
+        # J has weight 2, A2, E2 and LapJ weight 4; the r^{2i} coefficient
+        # holds only monomials of weight 2i
+        with pytest.raises(ValueError, match=f"monomial {name} "):
+            Jet(5, coeffs)
 
     @pytest.mark.parametrize("n", [5.0, True, 2])
     def test_jet_refuses_a_ring_dimension_that_is_not_an_int_from_3(self, n):
@@ -335,7 +352,7 @@ def sympy_prop21(n):
 
 
 class TestSympyReference:
-    @pytest.mark.parametrize("n", (5, 6, 7, 9, 12, 20))
+    @pytest.mark.parametrize("n", (5, 6, 7, 9, 12, 20, 30, 40))
     def test_certificate_matches_the_sympy_chain(self, n):
         ref = sympy_prop21(n)
         cert = verify_prop21(n)
@@ -443,3 +460,43 @@ class TestRingProperties:
                     boundary_integral(p)
             else:
                 assert boundary_integral(p) == IntegralClass(**expected)
+
+
+# weight-homogeneous jets: slots 1, J, J^2, A2, E2, LapJ at r^0, r^2, r^4
+SLOTS = st.tuples(*[COEFF] * 6)
+R4_MONOS = ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def graded_jet(n, slots):
+    return Jet(n, [slots[0], Poly(n, {(1, 0, 0, 0): slots[1]}),
+                   Poly(n, dict(zip(R4_MONOS, slots[2:])))])
+
+
+def jet_terms(jet):
+    """The jet as a term dict over (r power, J, A2, E2, LapJ)."""
+    return {(k, *mono): c for k in (0, 2, 4) for mono, c in jet.coefficient(k).terms.items()}
+
+
+def truncated(terms):
+    return nonzero({mono: c for mono, c in terms.items() if mono[0] <= 4})
+
+
+class TestGradedJet:
+    @PROPERTY
+    @given(n=RING_N, sa=SLOTS, sb=SLOTS, c=COEFF)
+    def test_jet_operations_match_dict_reference(self, n, sa, sb, c):
+        ja, jb = graded_jet(n, sa), graded_jet(n, sb)
+        a, b = jet_terms(ja), jet_terms(jb)
+        for jet, expected in ((ja + jb, ref_add(a, b)), (ja - jb, ref_add(a, b, -1)),
+                              (ja * jb, ref_mul(a, b)),
+                              (ja.scale(c), {mono: c * v for mono, v in a.items()})):
+            assert jet_terms(jet) == truncated(expected)
+            # the result is the jet its own coefficients build
+            assert jet == Jet(n, [jet.coefficient(k) for k in (0, 2, 4)])
+        assert (ja + jb) - jb == ja
+        # 1/(1 + x) = 1 - x + x^2 + O(r^6), x = O(r^2)
+        unit = graded_jet(n, (Fr(1), *sa[1:]))
+        one = {(0, 0, 0, 0, 0): Fr(1)}
+        x = ref_add(jet_terms(unit), one, -1)
+        assert jet_terms(unit.invert()) == truncated(ref_add(ref_add(one, x, -1),
+                                                             ref_mul(x, x)))

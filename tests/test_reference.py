@@ -18,13 +18,13 @@ def test_imports_nothing_from_hkcce():
     assert imported == {"functools", "math", "mpmath"}
 
 
-# (n, gamma, tau) on both sides of SWITCH_TAU, where x = sinh^2 tau > 1, and
-# out in the boundary layer; at n = 190 near the switch the connection's two
-# terms cancel by 37-70 digits
-POINTS = [(3, 0.05, 1.2), (4, 0.05, 1.49), (4, 0.05, 1.51), (4, 0.95, 3.0),
-          (4, 0.15, 40.0), (4, 0.05, 460.0), (20, 0.5, 1.0), (60, 0.95, 2.0),
-          (190, 0.05, 1.2), (190, 0.5, 1.5), (190, 0.95, 3.0), (190, 0.05, 20.0),
-          (190, 0.95, 400.0)]
+# (n, gamma, tau) on both sides of switch_tau(n) (1 at n = 4, 1.2 at n = 60,
+# 1.5 at n = 190), where x = sinh^2 tau > 1, and out in the boundary layer; at
+# n = 190 near the switch the connection's two terms cancel by 37-70 digits
+POINTS = [(3, 0.05, 1.2), (4, 0.05, 0.99), (4, 0.05, 1.01), (4, 0.95, 3.0),
+          (4, 0.15, 40.0), (4, 0.05, 460.0), (20, 0.5, 1.0), (60, 0.95, 1.19),
+          (60, 0.95, 1.2), (60, 0.95, 2.0), (190, 0.05, 1.2), (190, 0.5, 1.49),
+          (190, 0.5, 1.5), (190, 0.95, 3.0), (190, 0.05, 20.0), (190, 0.95, 400.0)]
 
 
 @pytest.mark.parametrize("dps", (30, 40))

@@ -26,6 +26,7 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - the first-order fields of every geometry's quadrature lattice, its
     weights and its coarse mask, and those of its state at r = 0;
   - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid;
+  - ``verify_prop21(n).to_json()`` at n 21..60, beyond the CLI's 5..20;
   - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
     hk-cla, hk-lee, defect-lee) at n = 150, gamma 0.25 and 0.5, k 0.5 and 2,
     also beyond the CLI's grid.
@@ -64,6 +65,7 @@ from hkcce.compactification import (GeometryState, build_adapted, build_lee,  # 
                                     residual_suite)
 from hkcce.hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,  # noqa: E402
                                verify_cla, verify_lee)
+from hkcce.jet_algebra import verify_prop21  # noqa: E402
 from hkcce.model_geometry import ModelSpace  # noqa: E402
 from hkcce.scattering import solve_case, solve_interior  # noqa: E402
 from hkcce.special_fn import QCurvParams  # noqa: E402
@@ -220,6 +222,10 @@ def asymptotic_tables() -> dict:
             for n in (60, 120) for k in KS}
 
 
+def prop21_certificates() -> dict:
+    return {n: verify_prop21(n).to_json() for n in range(21, 61)}
+
+
 def reports_n150() -> dict:
     n, out = 150, {}
     for k in (0.5, 2.0):
@@ -244,6 +250,7 @@ def main() -> int:
         "lattice first-order state": lattices,
         "asymptotic tables n 60, 120": asymptotic_tables,
         "reports n 150": reports_n150,
+        "prop21 certificates n 21..60": prop21_certificates,
     })
     total = hashlib.sha256()
     for name, make in items.items():
