@@ -9,8 +9,7 @@ from .model_geometry import ModelSpace, mean_curvature_exact
 from .scattering import (FrobeniusBranch, MatchingError, ResonanceError,
                          ScatteringResult, frobenius_branch, match_and_q,
                          solve_case, solve_interior)
-from .jet_algebra import (IntegralClass, Jet, Poly, Prop21Certificate,
-                          UnsupportedIntegralError, boundary_integral,
+from .jet_algebra import (IntegralClass, Jet, Prop21Certificate,
                           expand_normal_form, verify_prop21)
 from .compactification import (CompactifiedGeometry, GeometryError,
                                build_adapted, build_lee, residual_suite)
@@ -26,8 +25,7 @@ __all__ = [
     "FrobeniusBranch", "MatchingError", "ResonanceError",
     "ScatteringResult", "frobenius_branch", "match_and_q", "solve_case",
     "solve_interior",
-    "IntegralClass", "Jet", "Poly", "Prop21Certificate",
-    "UnsupportedIntegralError", "boundary_integral", "expand_normal_form",
+    "IntegralClass", "Jet", "Prop21Certificate", "expand_normal_form",
     "verify_prop21",
     "CompactifiedGeometry", "GeometryError", "build_adapted",
     "build_lee", "residual_suite",

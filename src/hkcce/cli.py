@@ -26,9 +26,9 @@ every verdict passes, 1 on a failing verdict (each listed on stderr as
 "<kind> <label>", kind `fail` for a failed check or the report's verdict,
 e.g. `inconclusive`), 2 on a usage error, an I/O failure, or a case the
 solver cannot decide (MatchingError, GeometryError), which is reported on one
-line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, an unreadable or
-non-object config file, a config value of the wrong JSON type) are refused
-before any case runs.
+line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, a reversed
+range, an unreadable or non-object config file, an unknown config key, a
+config value of the wrong JSON type) are refused before any case runs.
 """
 
 from __future__ import annotations
@@ -103,15 +103,17 @@ class RunConfig:
 
 
 def _parse_number_list(text: str, cast):
-    """Comma lists and integer ranges: '4,5,6' or '5..12'."""
+    """Comma lists and integer ranges: '4,5,6' or '5..12' (not '12..5')."""
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ".." in chunk:
-            lo, hi = chunk.split("..", 1)
-            out.extend(cast(v) for v in range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in chunk.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"reversed range {chunk!r}: {hi} < {lo}")
+            out.extend(cast(v) for v in range(lo, hi + 1))
         else:
             out.append(cast(chunk))
     return out
@@ -167,10 +169,12 @@ _CONFIG_KEYS = {
 
 
 def _check_config_types(file_cfg: dict, path: str):
-    """Refuse a config value of the wrong JSON type, naming its key."""
+    """Refuse an unknown config key, or a value of the wrong JSON type,
+    naming its key."""
     for key, value in file_cfg.items():
         if key not in _CONFIG_KEYS:
-            continue
+            raise ValueError(f"config file {path}: unknown key {key!r} "
+                             f"(known: {', '.join(_CONFIG_KEYS)})")
         what, tests, listable, _ = _CONFIG_KEYS[key]
         items = value if listable and isinstance(value, list) else [value]
         if not all(any(test(v) for test in tests) for v in items):

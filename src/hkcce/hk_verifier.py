@@ -27,7 +27,8 @@ Verdicts: `equality` when |lhs - rhs| <= 10 tol |lhs|, `strict` when the
 gap of an inequality additionally exceeds 1e-3 |lhs| (the observed gaps for
 gamma != 1/2 are order one), `fail` for a violated inequality or an identity
 that does not balance, `inconclusive` when the quadrature error estimate
-cannot support a call.  Every report documents the exact conformal weight of
+cannot support a call.  A tol that is not finite and positive is refused
+before any solve.  Every report documents the exact conformal weight of
 its integrals under the boundary rescaling k, so that two runs at different
 k can be compared against k^weight.
 """
@@ -150,6 +151,13 @@ def _verdict(lhs: float, gap: float, err_est: float, tol: float,
     return "strict" if gap > 1e-3 * abs(lhs) else "inconclusive"
 
 
+def _check_tol(tol: float):
+    """Refuse a verdict tolerance that is not finite and positive: at NaN no
+    comparison holds, so the ladder would read a false `fail` or `strict`."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _report(name: str, lhs: float, kap: float, main, remainders, tol: float,
             k_weight: float, params: dict, identity: bool = False) -> VerificationReport:
     """Report of lhs against coef * main, with the identity's remainders.
@@ -260,6 +268,7 @@ def verify_adapted(n: int, gamma: float, k: float, tol: float = 1e-6) -> Verific
     otherwise.  The gap is cross-checked against the nonnegative defect
     remainders of the integrated identity.
     """
+    _check_tol(tol)
     sr, vol_m, integrals = _identity(n, gamma, k)
     kap = (1.0 - gamma) / gamma
     # the identity expresses the gap through the remainders, rescaled by the
@@ -280,6 +289,7 @@ def verify_cla(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
     equality on the models (they are hyperbolic space).  Vol(X, gbar_s) is
     the main integral of the adapted identity at gamma = 1/2.
     """
+    _check_tol(tol)
     sr, vol_m, integrals = _identity(n, 0.5, k)
     hbar = n * sr.q_value
     return _report(
@@ -293,6 +303,7 @@ def verify_lee(n: int, k: float, tol: float = 1e-6) -> VerificationReport:
 
     lhs = int_M dS/Jhat, rhs = 2(n+1)/n int_X rho_L dV; equality on models.
     """
+    _check_tol(tol)
     _, vol_m, integrals = _identity(n, None, k)
     jhat = n * k / 2.0
     return _report(
@@ -314,6 +325,7 @@ def defect_identity(kind: str, n: int, k: float, tol: float = 1e-6,
     All remainders are nonnegative; on the models they vanish for gamma=1/2
     and for the Lee case, and the identity balances to quadrature accuracy.
     """
+    _check_tol(tol)
     if kind == "adapted":
         if gamma is None:
             raise ValueError("adapted defect identity needs gamma")

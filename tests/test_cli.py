@@ -484,13 +484,27 @@ class TestCommands:
         assert f"{key} must be" in err[0]
         assert not out.exists()
 
+    def test_unknown_config_key_refused(self, tmp_path, capsys):
+        # a misspelt key would otherwise leave its default in place silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"gama": [0.3], "quad-tol": 1e-3}')
+        out = tmp_path / "o"
+        rc = main(["qcurv", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"hkcce: config file {cfg}: unknown key 'gama'")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("config, flags, source", [
         ('{"jobs": "2.0"}', [], "config file {cfg}: 'jobs': "),
         ('{"gamma": "0.5,x"}', [], "config file {cfg}: 'gamma': "),
         (None, ["--n", "4.5"], "--n: "),
         (None, ["--k", "1,abc"], "--k: "),
         (None, ["--n", "5..x"], "--n: "),
-    ], ids=["config-jobs", "config-gamma", "flag-n", "flag-k", "flag-n-range"])
+        (None, ["--n", "4,12..5"], "--n: reversed range '12..5'"),
+    ], ids=["config-jobs", "config-gamma", "flag-n", "flag-k", "flag-n-range",
+            "flag-n-reversed-range"])
     def test_uncastable_value_names_its_source(self, tmp_path, capsys, config, flags, source):
         # a value of the right type that its cast refuses names its key or flag
         cfg = tmp_path / "cfg.json"

@@ -190,6 +190,29 @@ class TestDefectIdentities:
             defect_identity("bogus", 4, 1.0)
 
 
+# the five reports of one case, as functions of the verdict tolerance
+REPORTS = {
+    "hk-adapted": lambda tol: verify_adapted(4, 0.25, 1.0, tol),
+    "hk-cla": lambda tol: verify_cla(4, 1.0, tol),
+    "hk-lee": lambda tol: verify_lee(4, 1.0, tol),
+    "defect-adapted": lambda tol: defect_identity("adapted", 4, 1.0, tol, gamma=0.25),
+    "defect-lee": lambda tol: defect_identity("lee", 4, 1.0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", REPORTS)
+def test_tol_that_is_not_finite_and_positive_refused(monkeypatch, kind, tol):
+    # at tol = nan no comparison of the verdict ladder holds, so an identity
+    # read `fail` and an inequality `strict`; the tol is refused before any solve
+    def no_solve(*args):
+        raise AssertionError("the case was solved before tol was checked")
+
+    monkeypatch.setattr(hk_verifier, "_identity", no_solve)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        REPORTS[kind](tol)
+
+
 def _clear_memos():
     scattering.solve_case.cache_clear()
     scattering._interior.cache_clear()
