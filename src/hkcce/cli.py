@@ -75,7 +75,6 @@ class RunConfig:
     n: list = field(default_factory=lambda: [4])
     gamma: list = field(default_factory=lambda: [0.5])
     k: list = field(default_factory=lambda: [1.0])
-    quad_tol: float = 1e-6
     out: str = "out"
     emit_csv: bool = True
     emit_json: bool = True
@@ -95,8 +94,6 @@ class RunConfig:
         for n in self.n:
             if self.verify_target == "prop21" and n < 5:
                 raise ValueError(f"prop21 requires n >= 5, got {n}")
-        if not (1e-10 <= self.quad_tol <= 1e-2):
-            raise ValueError(f"quad_tol {self.quad_tol} outside [1e-10, 1e-2]")
         if int(self.jobs) != self.jobs or self.jobs < 0:
             raise ValueError("jobs must be a nonnegative integer")
         return self
@@ -163,7 +160,6 @@ _CONFIG_KEYS = {
     "n": ("an integer or string", (_integer, _string), True, _number_list(int)),
     "gamma": ("a number or string", (_number, _string), True, _number_list(float)),
     "k": ("a number or string", (_number, _string), True, _number_list(float)),
-    "quad_tol": ("a number or string", (_number, _string), False, float),
     "jobs": ("an integer or string", (_integer, _string), False, int),
 }
 
@@ -196,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=str, default=None, help="boundary dimensions, e.g. 4,5,6 or 5..12")
         p.add_argument("--gamma", type=str, default=None, help="fractional orders, e.g. 0.25,0.5")
         p.add_argument("--k", type=str, default=None, help="boundary Einstein constants, e.g. 0.5,1,2")
-        p.add_argument("--quad-tol", type=float, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--emit", type=str, default=None, help="comma list from {csv,json}")
         p.add_argument("--jobs", type=int, default=None)
@@ -280,9 +275,8 @@ def _qcurv_case(args):
 
 
 def _sweep_case(args):
-    n, gamma, k, quad_tol = args
-    _, row, ok = _q_row(n, gamma, k)
-    rep = verify_adapted(n, gamma, k, tol=quad_tol)
+    _, row, ok = _q_row(*args)
+    rep = verify_adapted(*args)
     # a Q off its oracle is a numerical shortfall, not a refuted inequality
     verdict = rep.verdict if ok else "inconclusive"
     row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap, verdict=verdict)
@@ -292,15 +286,15 @@ def _sweep_case(args):
 def _report_case(args):
     """One report of a verify target: hk-adapted, hk-cla, hk-lee,
     defect-adapted or defect-lee (gamma None for the gamma-free ones)."""
-    name, n, gamma, k, tol = args
+    name, n, gamma, k = args
     if name == "hk-adapted":
-        rep = verify_adapted(n, gamma, k, tol)
+        rep = verify_adapted(n, gamma, k)
     elif name == "hk-cla":
-        rep = verify_cla(n, k, tol)
+        rep = verify_cla(n, k)
     elif name == "hk-lee":
-        rep = verify_lee(n, k, tol)
+        rep = verify_lee(n, k)
     else:
-        rep = defect_identity(name.removeprefix("defect-"), n, k, tol, gamma=gamma)
+        rep = defect_identity(name.removeprefix("defect-"), n, k, gamma=gamma)
     n, k, gamma = rep.params["n"], rep.params["k"], rep.params.get("gamma")
     tag = f"{rep.name}_n{n}_k{k}" if gamma is None else f"{rep.name}_n{n}_g{gamma}_k{k}"
     row = {"name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
@@ -447,7 +441,6 @@ def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
             "command": cfg.command,
             "verify_target": cfg.verify_target,
             "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
-            "tolerances": {"quad_tol": cfg.quad_tol},
             "jobs": reports["jobs"],
             "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
             "wall_clock_s": time.time() - started,
@@ -482,22 +475,22 @@ def _plan(cfg: RunConfig):
     grid = [(n, g, k) for n in ns for g in sorted(cfg.gamma) for k in ks]
     free = [(n, None, k) for n in ns for k in ks]
 
-    def kinds(names, *extra):
-        return [(name, *case, *extra) for name in names
+    def kinds(names):
+        return [(name, *case) for name in names
                 for case in (grid if name.endswith("adapted") else free)]
 
     table = cfg.verify_target if cfg.command == "verify" else cfg.command
     if table == "qcurv":
         return table, _qcurv_case, grid
     if table == "sweep":
-        return table, _sweep_case, [(*case, cfg.quad_tol) for case in grid]
+        return table, _sweep_case, grid
     if table == "residuals":
         return table, _residual_case, kinds(("adapted", "lee"))
     if table == "asymptotic":
         return table, _asymptotic_case, [(n, k) for n, _, k in free]
     if table == "prop21":
         return table, _prop21_case, ns
-    return table, _report_case, kinds(_TARGET_REPORTS[table], cfg.quad_tol)
+    return table, _report_case, kinds(_TARGET_REPORTS[table])
 
 
 def run_command(cfg: RunConfig) -> int:

@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -184,8 +183,8 @@ def de_lattice(tau_max: float):
 def _frobenius_terms(n, s, k, mu):
     """Yield a_0 = 1, a_2, a_4, ... of the branch r^mu (sum a_{2j} r^{2j}).
 
-    Generic in the number type: Fraction inputs stay exact, floats stay
-    floats.  Recursion (P(x) = (x - s)(x - (n - s))):
+    The terms take the number type of n, s, k and mu (a_0 is the int 1).
+    Recursion (P(x) = (x - s)(x - (n - s))):
 
         P(mu + 2M) a_{2M} = (n k / 2) S_M,
         S_M = sum_{m<M} (k/4)^{M-1-m} (mu + 2m) a_{2m} = (k/4) S_{M-1} + (mu + 2M - 2) a_{2M-2}
@@ -194,11 +193,9 @@ def _frobenius_terms(n, s, k, mu):
     reached (for the eigenvalue instance s = n+1 this happens at 2M = n+2
     when n is even).
     """
-    exact = any(isinstance(x, Fraction) for x in (k, mu, s))
-    a = Fraction(1) if exact else 1.0
-    yield a
+    yield 1
     nk_2, k_4, n_s = n * k / 2, k / 4, n - s
-    acc = a * mu
+    acc = mu
     M = 1
     while True:
         x = mu + 2 * M

@@ -15,6 +15,7 @@ import hkcce
 from hkcce import cli
 from hkcce.cli import RunConfig, fmt15, main, parse_config
 from hkcce.compactification import CompactifiedGeometry
+from hkcce.hk_verifier import verify_adapted
 from hkcce.special_fn import K_DECADES, QCurvParams, sphere_q_value
 
 
@@ -23,7 +24,6 @@ class TestParseConfig:
         cfg = parse_config(["qcurv"])
         assert cfg.command == "qcurv"
         assert cfg.n == [4] and cfg.gamma == [0.5] and cfg.k == [1.0]
-        assert cfg.quad_tol == 1e-6
         assert cfg.emit_csv and cfg.emit_json
 
     def test_explicit_case(self):
@@ -70,8 +70,6 @@ class TestParseConfig:
         assert exc.value.code != 0
 
     def test_validate_ranges(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="qcurv", quad_tol=1e-12).validate()
         with pytest.raises(ValueError):
             RunConfig(command="qcurv", n=[]).validate()
 
@@ -156,10 +154,10 @@ class TestCommands:
         assert a == b
 
     def test_manifest_completeness(self, tmp_path):
-        rc = main(["qcurv", "--out", str(tmp_path / "o"), "--quad-tol", "1e-7"])
+        rc = main(["qcurv", "--out", str(tmp_path / "o")])
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["tolerances"] == {"quad_tol": 1e-7}
+        assert "tolerances" not in manifest
         assert "T" not in manifest
         assert manifest["all_pass"] is True
         assert "wall_clock_s" in manifest and "version" in manifest
@@ -326,8 +324,7 @@ class TestCommands:
             return dataclasses.replace(real(*args, **kwargs), verdict="inconclusive")
 
         monkeypatch.setattr(hkcce.cli, "verify_adapted", inconclusive)
-        rc = main(["verify", "hk-adapted", "--gamma", "0.25",
-                   "--quad-tol", "1e-10", "--out", str(tmp_path / "o")])
+        rc = main(["verify", "hk-adapted", "--gamma", "0.25", "--out", str(tmp_path / "o")])
         assert rc == 1
         captured = capsys.readouterr()
         assert "failing verdict" in captured.err
@@ -495,6 +492,27 @@ class TestCommands:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"hkcce: config file {cfg}: unknown key 'gama'")
         assert captured.out == "" and not out.exists()
+
+    def test_verdict_band_has_no_knob(self, tmp_path, capsys):
+        # gap/lhs = 0.0228 is strict; no flag or config key can widen the
+        # verdict band to call it `equality`
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "hk-adapted", "--n", "4", "--gamma", "0.4",
+                  "--quad-tol", "1e-2", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert [line for line in err if line.startswith("usage:")] == [err[0]]
+        assert "unrecognized arguments: --quad-tol" in err[-1]
+        assert not out.exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"quad_tol": 1e-3}')
+        assert main(["verify", "hk-adapted", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"hkcce: config file {cfg}: unknown key 'quad_tol' "
+                       "(known: emit, out, n, gamma, k, jobs)"]
+        assert not out.exists()
+        assert verify_adapted(4, 0.4, 1.0).verdict == "strict"
 
     @pytest.mark.parametrize("config, flags, source", [
         ('{"jobs": "2.0"}', [], "config file {cfg}: 'jobs': "),

@@ -72,11 +72,13 @@ class TestLeeForm:
 
     @pytest.mark.parametrize("n", [3, 5, 20])
     @pytest.mark.parametrize("k", [0.5, 2.0])
-    def test_conclusive_at_tight_tol(self, n, k):
+    def test_balances_within_err_est(self, n, k):
         # lhs is closed form, so err_est carries only the quadrature estimate
-        # and 4 eps |lhs|, not a flat 1e-10 |lhs|
-        assert verify_lee(n, k, tol=1e-11).verdict == "equality"
-        assert defect_identity("lee", n, k, tol=1e-11).verdict == "equality"
+        # and 4 eps |lhs|, not a flat 1e-10 |lhs|; both forms balance within it
+        for rep in (verify_lee(n, k), defect_identity("lee", n, k)):
+            assert rep.err_est <= 1e-10 * abs(rep.lhs)
+            assert abs(rep.gap) <= rep.err_est
+            assert rep.verdict == "equality"
 
 
 class TestAdaptedForm:
@@ -107,8 +109,8 @@ class TestAdaptedForm:
         assert rep.params["q_value"] == pytest.approx(sphere_q_value(60, gamma, 1.0), rel=1e-10)
 
     # At gamma = 0.95 lhs is about 5e-17 and hk-adapted has gap/lhs = 0.39:
-    # the verdict tolerance scales with |lhs|, not max(|lhs|, 1), so this is
-    # strict, and the defect identity balances to its tolerance.
+    # the verdict band scales with |lhs|, not max(|lhs|, 1), so this is
+    # strict, and the defect identity balances within the band.
     @pytest.mark.parametrize("kind,gamma,expected", [
         ("hk", 0.05, "strict"),
         ("hk", 0.95, "strict"),
@@ -132,12 +134,16 @@ class TestAdaptedForm:
         assert defect_identity("adapted", 100, k, gamma=gamma).verdict == "equality"
 
     @pytest.mark.parametrize("n,gamma", [(3, 0.05), (10, 0.25), (20, 0.95), (60, 0.1)])
-    def test_conclusive_at_tight_tol(self, n, gamma):
-        # err_est carries Q's checked one-ulp error, not a flat 1e-9 |lhs|
-        rep = verify_adapted(n, gamma, 2.0, tol=1e-10)
+    def test_err_est_is_tight(self, n, gamma):
+        # err_est carries Q's checked one-ulp error, not a flat 1e-9 |lhs|,
+        # and the defect identity balances within it
+        rep = verify_adapted(n, gamma, 2.0)
         assert rep.verdict == "strict"
         assert rep.err_est <= 1e-12 * abs(rep.lhs)
-        assert defect_identity("adapted", n, 2.0, tol=1e-10, gamma=gamma).verdict == "equality"
+        defect = defect_identity("adapted", n, 2.0, gamma=gamma)
+        assert defect.err_est <= 1e-12 * abs(defect.lhs)
+        assert abs(defect.gap) <= defect.err_est
+        assert defect.verdict == "equality"
 
     def test_gap_equals_remainder_sum(self):
         # the integrated identity expresses the inequality gap exactly as the
@@ -189,28 +195,10 @@ class TestDefectIdentities:
         with pytest.raises(ValueError):
             defect_identity("bogus", 4, 1.0)
 
-
-# the five reports of one case, as functions of the verdict tolerance
-REPORTS = {
-    "hk-adapted": lambda tol: verify_adapted(4, 0.25, 1.0, tol),
-    "hk-cla": lambda tol: verify_cla(4, 1.0, tol),
-    "hk-lee": lambda tol: verify_lee(4, 1.0, tol),
-    "defect-adapted": lambda tol: defect_identity("adapted", 4, 1.0, tol, gamma=0.25),
-    "defect-lee": lambda tol: defect_identity("lee", 4, 1.0, tol),
-}
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("kind", REPORTS)
-def test_tol_that_is_not_finite_and_positive_refused(monkeypatch, kind, tol):
-    # at tol = nan no comparison of the verdict ladder holds, so an identity
-    # read `fail` and an inequality `strict`; the tol is refused before any solve
-    def no_solve(*args):
-        raise AssertionError("the case was solved before tol was checked")
-
-    monkeypatch.setattr(hk_verifier, "_identity", no_solve)
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        REPORTS[kind](tol)
+    def test_gamma_is_keyword_only(self):
+        # a positional fourth argument is refused, never read as gamma
+        with pytest.raises(TypeError):
+            defect_identity("adapted", 4, 1.0, 0.25)
 
 
 def _clear_memos():
