@@ -72,7 +72,7 @@ class TestLeeForm:
 
     @pytest.mark.parametrize("n", [3, 5, 20])
     @pytest.mark.parametrize("k", [0.5, 2.0])
-    def test_balances_within_err_est(self, n, k):
+    def test_conclusive_at_tight_tol(self, n, k):
         # lhs is closed form, so err_est carries only the quadrature estimate
         # and 4 eps |lhs|, not a flat 1e-10 |lhs|; both forms balance within it
         for rep in (verify_lee(n, k), defect_identity("lee", n, k)):
@@ -134,7 +134,7 @@ class TestAdaptedForm:
         assert defect_identity("adapted", 100, k, gamma=gamma).verdict == "equality"
 
     @pytest.mark.parametrize("n,gamma", [(3, 0.05), (10, 0.25), (20, 0.95), (60, 0.1)])
-    def test_err_est_is_tight(self, n, gamma):
+    def test_conclusive_at_tight_tol(self, n, gamma):
         # err_est carries Q's checked one-ulp error, not a flat 1e-9 |lhs|,
         # and the defect identity balances within it
         rep = verify_adapted(n, gamma, 2.0)
@@ -199,6 +199,33 @@ class TestDefectIdentities:
         # a positional fourth argument is refused, never read as gamma
         with pytest.raises(TypeError):
             defect_identity("adapted", 4, 1.0, 0.25)
+
+
+# the five reports of one case, as (function, positional args, keyword args)
+REPORTS = {
+    "hk-adapted": (verify_adapted, (4, 0.25, 1.0), {}),
+    "hk-cla": (verify_cla, (4, 1.0), {}),
+    "hk-lee": (verify_lee, (4, 1.0), {}),
+    "defect-adapted": (defect_identity, ("adapted", 4, 1.0), {"gamma": 0.25}),
+    "defect-lee": (defect_identity, ("lee", 4, 1.0), {}),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("kind", REPORTS)
+def test_tol_that_is_not_finite_and_positive_refused(monkeypatch, kind, tol):
+    # the verdict band is fixed: no report takes a tol, by keyword or as a
+    # trailing positional argument, so none is refused late or read as
+    # another parameter; the call fails before any solve
+    def no_solve(*args):
+        raise AssertionError("the case was solved although a tol was passed")
+
+    monkeypatch.setattr(hk_verifier, "_identity", no_solve)
+    fn, args, kwargs = REPORTS[kind]
+    with pytest.raises(TypeError, match="tol"):
+        fn(*args, tol=tol, **kwargs)
+    with pytest.raises(TypeError, match="positional argument"):
+        fn(*args, tol, **kwargs)
 
 
 def _clear_memos():
