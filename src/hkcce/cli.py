@@ -19,16 +19,15 @@ depend on --jobs.  Every (n, gamma, k) of the grid goes through the
 library's own gate, `QCurvParams`, before any case runs, so the CLI refuses
 what the library refuses, in its words (prop21 also needs n >= 5).
 
-Output files (under --out, or $HKCCE_OUT): manifest.json, reports/*.json,
-tables/*.csv, all UTF-8, written atomically (temp file + rename), rows sorted
-by (n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
+Output files (under --out): manifest.json, reports/*.json, tables/*.csv,
+all UTF-8, written atomically (temp file + rename), rows sorted by
+(n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
 every verdict passes, 1 on a failing verdict (each listed on stderr as
 "<kind> <label>", kind `fail` for a failed check or the report's verdict,
 e.g. `inconclusive`), 2 on a usage error, an I/O failure, or a case the
 solver cannot decide (MatchingError, GeometryError), which is reported on one
-line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, a reversed
-range, an unreadable or non-object config file, an unknown config key, a
-config value of the wrong JSON type) are refused before any case runs.
+line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, a value a
+flag cannot read, a reversed range) are refused before any case runs.
 """
 
 from __future__ import annotations
@@ -116,32 +115,8 @@ def _parse_number_list(text: str, cast):
     return out
 
 
-def _integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) \
-        or isinstance(v, float) and v.is_integer()
-
-
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _string(v) -> bool:
-    return isinstance(v, str)
-
-
-def _number_list(cast):
-    """Read a number list from a flag or config string ('4,5,6', '5..12'),
-    a config list, or one config number."""
-    def read(value):
-        if isinstance(value, str):
-            return _parse_number_list(value, cast)
-        return [cast(x) for x in (value if isinstance(value, list) else [value])]
-    return read
-
-
-def _emit_formats(value) -> set:
-    """The formats named by a comma string or a list of such strings."""
-    text = ",".join(value) if isinstance(value, list) else value
+def _emit_formats(text: str) -> set:
+    """The formats named by a comma string."""
     formats = {e.strip() for e in text.split(",") if e.strip()}
     bad = formats - {"csv", "json"}
     if bad:
@@ -149,34 +124,16 @@ def _emit_formats(value) -> set:
     return formats
 
 
-# What a config file may give for each key: (description, the tests one value
-# may pass, whether a list of such values is allowed, how a flag or config
-# value is read).  Strings go through the same casts as the flags; any other
-# type would fail deep inside a cast.  Keys are read in this order, so a bad
-# emit list is named before a bad number.
-_CONFIG_KEYS = {
-    "emit": ("a string", (_string,), True, _emit_formats),
-    "out": ("a string", (_string,), False, str),
-    "n": ("an integer or string", (_integer, _string), True, _number_list(int)),
-    "gamma": ("a number or string", (_number, _string), True, _number_list(float)),
-    "k": ("a number or string", (_number, _string), True, _number_list(float)),
-    "jobs": ("an integer or string", (_integer, _string), False, int),
+# How each flag's text is read.  Flags are read in this order, so a bad emit
+# list is named before a bad number.
+_FLAG_READERS = {
+    "emit": _emit_formats,
+    "out": str,
+    "n": functools.partial(_parse_number_list, cast=int),
+    "gamma": functools.partial(_parse_number_list, cast=float),
+    "k": functools.partial(_parse_number_list, cast=float),
+    "jobs": int,
 }
-
-
-def _check_config_types(file_cfg: dict, path: str):
-    """Refuse an unknown config key, or a value of the wrong JSON type,
-    naming its key."""
-    for key, value in file_cfg.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config file {path}: unknown key {key!r} "
-                             f"(known: {', '.join(_CONFIG_KEYS)})")
-        what, tests, listable, _ = _CONFIG_KEYS[key]
-        items = value if listable and isinstance(value, list) else [value]
-        if not all(any(test(v) for test in tests) for v in items):
-            kind = f"{what}, or a list of those" if listable else what
-            raise ValueError(f"config file {path}: {key!r} must be {kind}, "
-                             f"got {json.dumps(value)}")
 
 
 @functools.cache
@@ -194,8 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=str, default=None, help="boundary Einstein constants, e.g. 0.5,1,2")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--emit", type=str, default=None, help="comma list from {csv,json}")
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--config", type=str, default=None, help="JSON config file (flags win)")
+        p.add_argument("--jobs", type=str, default=None)
 
     for name in ("qcurv", "residuals", "asymptotic", "sweep"):
         common(sub.add_parser(name))
@@ -206,37 +162,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags (plus optional JSON config file; flags override)."""
+    """Parse the flags; a flag not given leaves RunConfig's default."""
     ns = _build_parser().parse_args(argv)
-    file_cfg = {}
-    if ns.config:
-        try:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {ns.config} must hold a JSON object")
-        _check_config_types(file_cfg, ns.config)
-
-    def lookup(key):
-        """(source, value): the flag, then $HKCCE_OUT (for out only), then
-        the config file; a None value leaves RunConfig's default."""
-        flag = getattr(ns, key)
-        if flag is not None:
-            return f"--{key.replace('_', '-')}", flag
-        if key == "out" and "HKCCE_OUT" in os.environ:
-            return "$HKCCE_OUT", os.environ["HKCCE_OUT"]
-        return f"config file {ns.config}: {key!r}", file_cfg.get(key)
-
     given = {}
-    for key, (*_, read) in _CONFIG_KEYS.items():
-        source, value = lookup(key)
+    for key, read in _FLAG_READERS.items():
+        value = getattr(ns, key)
         if value is not None:
             try:
                 given[key] = read(value)
             except ValueError as exc:
-                raise ValueError(f"{source}: {exc}") from exc
+                raise ValueError(f"--{key}: {exc}") from exc
     if "emit" in given:
         emit = given.pop("emit")
         given.update(emit_csv="csv" in emit, emit_json="json" in emit)

@@ -24,13 +24,12 @@ case's identity and sums each integral when a report first reads it, so
 `hk-cla` sums main alone.
 
 Verdicts, on one fixed band: `equality` when |lhs - rhs| <= 1e-5 |lhs|,
-`strict` when the gap of an inequality exceeds 1e-3 |lhs| (the observed gaps
-for gamma != 1/2 are order one), `fail` for a violated inequality or an
-identity that does not balance, `inconclusive` when the quadrature error
-estimate exceeds the band or a gap falls between the two.  No argument
-widens the band.  Every report documents the exact conformal weight of
-its integrals under the boundary rescaling k, so that two runs at different
-k can be compared against k^weight.
+`strict` when the gap of an inequality exceeds the band, `fail` for a
+violated inequality or an identity that does not balance, `inconclusive`
+when the quadrature error estimate exceeds the band.  No argument widens
+the band.  Every report documents the exact conformal weight of its
+integrals under the boundary rescaling k, so that two runs at different k
+can be compared against k^weight.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ _TINY = float(np.finfo(float).tiny)      # smallest normal float
 # ulp against a 30-digit reference, the rest covers the rounding of lhs
 _Q_REL_ERR = 4.0 * _EPS
 # The verdict band, relative to |lhs|: a |gap| within it reads `equality`,
-# an err_est above it `inconclusive`.  It is 10 x 1e-6 to the bit (one ulp
-# below 1e-5), the band the documented verdicts are read on.  Inside the
-# accepted box err_est/|lhs| stays below 3e-14, so only the equality test
-# binds.  ROADMAP item 11 replaces the band by err_est once item 12 holds:
-# the defect-adapted |gap|/err_est reaches 2.1-4.9 at n 120-190 today, which
-# an err_est rule would read as `fail`.
+# a positive gap above it `strict`, an err_est above it `inconclusive`.  It
+# is 10 x 1e-6 to the bit (one ulp below 1e-5), the band the documented
+# verdicts are read on.  Inside the accepted box err_est/|lhs| stays below
+# 3e-14, so only the equality test binds.  ROADMAP item 11 replaces the band
+# by err_est once item 12 holds: the defect-adapted |gap|/err_est reaches
+# 2.1-4.9 at n 120-190 today, which an err_est rule would read as `fail`.
 _BAND = 10 * 1e-6
 
 
@@ -143,8 +142,11 @@ class VerificationReport:
 def _verdict(lhs: float, gap: float, err_est: float, identity: bool) -> str:
     """One ladder for inequalities (gap >= 0) and identities (gap = 0).
 
-    An lhs that is not a finite normal float (the sphere volume underflows
-    from n ~ 436) leaves no digits to compare, so the case is inconclusive.
+    With err_est within the band (`_BAND` |lhs|): `equality` when |gap| is
+    within it too, else `fail` for an identity or a negative gap, and
+    `strict` for a positive one.  An err_est above the band, or an lhs that
+    is not a finite normal float (the sphere volume underflows from
+    n ~ 436), leaves no digits to compare, so the case is inconclusive.
     """
     if not _TINY <= abs(lhs) < math.inf:
         return "inconclusive"
@@ -155,7 +157,7 @@ def _verdict(lhs: float, gap: float, err_est: float, identity: bool) -> str:
         return "equality"
     if identity or gap < 0.0:
         return "fail"
-    return "strict" if gap > 1e-3 * abs(lhs) else "inconclusive"
+    return "strict"
 
 
 def _report(name: str, lhs: float, kap: float, main, remainders,

@@ -23,10 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special_fn import check_k
+
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Hyperbolic model with round-sphere conformal infinity of parameter k."""
+    """Hyperbolic model with round-sphere conformal infinity of parameter k,
+    within `check_k`'s range."""
 
     n: int
     k: float
@@ -36,9 +39,7 @@ class ModelSpace:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
             raise ValueError(f"n must be an integer >= 3, got {self.n}")
-        if not 0.0 < self.k < math.inf:
-            raise ValueError(
-                f"k must be positive and finite (round-sphere boundary), got {self.k}")
+        check_k(self.n, self.k)
         object.__setattr__(self, "t0", 0.5 * math.log(self.k))
         object.__setattr__(self, "r_center", 2.0 / math.sqrt(self.k))
 

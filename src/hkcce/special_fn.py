@@ -67,7 +67,9 @@ def d_gamma_ext(gamma: float):
     """d_gamma in np.longdouble: -4^g Gamma(1+g)/Gamma(1-g).
 
     No reflection is needed, so no sin(pi g) loses digits near g = 1.  The
-    last gamma's value is kept: one adapted case asks for it six times.
+    last gamma's value is kept: one case asks for it 4 times for hk-adapted
+    plus defect-adapted, 3 times for a sweep row and 2 times for a residuals
+    row, and computes it once.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"d_gamma requires gamma in (0,1), got {gamma}")

@@ -15,7 +15,7 @@ import hkcce
 from hkcce import cli
 from hkcce.cli import RunConfig, fmt15, main, parse_config
 from hkcce.compactification import CompactifiedGeometry
-from hkcce.hk_verifier import verify_adapted
+from hkcce.hk_verifier import asymptotic_ratio, defect_identity, verify_adapted, verify_lee
 from hkcce.special_fn import K_DECADES, QCurvParams, sphere_q_value
 
 
@@ -44,17 +44,11 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(["qcurv", "--gamma", "0.99"])
 
-    def test_flag_overrides_config_file(self, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"gamma": [0.25, 0.5, 0.75], "k": [2.0]}))
-        cfg = parse_config(["qcurv", "--config", str(cfg_file), "--gamma", "0.5"])
-        assert cfg.gamma == [0.5]       # flag wins
-        assert cfg.k == [2.0]           # file fills the rest
-
-    def test_env_out_dir(self, tmp_path, monkeypatch):
+    def test_out_is_read_from_its_flag_alone(self, tmp_path, monkeypatch):
+        # no environment variable places the output
         monkeypatch.setenv("HKCCE_OUT", str(tmp_path / "envout"))
-        cfg = parse_config(["qcurv"])
-        assert cfg.out == str(tmp_path / "envout")
+        assert parse_config(["qcurv"]).out == "out"
+        assert parse_config(["qcurv", "--out", str(tmp_path / "o")]).out == str(tmp_path / "o")
 
     def test_emit_selection(self):
         cfg = parse_config(["qcurv", "--emit", "csv"])
@@ -426,6 +420,19 @@ class TestCommands:
         assert capsys.readouterr().err.splitlines() == ["hkcce: " + str(refused.value)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", [math.inf, 1e30, 1e-30])
+    def test_library_refuses_what_the_cli_refuses(self, tmp_path, capsys, k):
+        # the gamma-free reports gate k through `ModelSpace`, on the same line
+        out = tmp_path / "o"
+        assert main(["verify", "hk-lee", "--n", "4", "--k", repr(k), "--out", str(out)]) == 2
+        line = capsys.readouterr().err.splitlines()
+        assert not out.exists()
+        for call in (lambda: verify_lee(4, k), lambda: defect_identity("lee", 4, k),
+                     lambda: asymptotic_ratio(4, k, [1e-16])):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert line == ["hkcce: " + str(refused.value)]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", (4, 20))
     @pytest.mark.parametrize("k", [10.0 ** (sign * e) for e in (10, 20, 30, 50, 100, 300)
@@ -449,53 +456,9 @@ class TestCommands:
             assert len(err) == 1 and err[0].startswith(f"hkcce: k={k} out of range at n={n}")
             assert not out.exists()
 
-    def test_missing_config_file_refused(self, tmp_path, capsys):
-        rc = main(["qcurv", "--config", str(tmp_path / "absent.json"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("hkcce: cannot read config file")
-
-    def test_non_object_config_refused(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('[{"n": 5}]')
-        rc = main(["qcurv", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "must hold a JSON object" in err[0]
-
-    @pytest.mark.parametrize("text, key", [
-        ('{"n": [{}]}', "'n'"),
-        ('{"emit": 5}', "'emit'"),
-        ('{"n": 4.5}', "'n'"),
-        ('{"jobs": true}', "'jobs'"),
-    ])
-    def test_wrong_type_config_refused(self, tmp_path, capsys, text, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        out = tmp_path / "o"
-        rc = main(["qcurv", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("hkcce: config file ")
-        assert f"{key} must be" in err[0]
-        assert not out.exists()
-
-    def test_unknown_config_key_refused(self, tmp_path, capsys):
-        # a misspelt key would otherwise leave its default in place silently
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"gama": [0.3], "quad-tol": 1e-3}')
-        out = tmp_path / "o"
-        rc = main(["qcurv", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        captured = capsys.readouterr()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"hkcce: config file {cfg}: unknown key 'gama'")
-        assert captured.out == "" and not out.exists()
-
     def test_verdict_band_has_no_knob(self, tmp_path, capsys):
-        # gap/lhs = 0.0228 is strict; no flag or config key can widen the
-        # verdict band to call it `equality`
+        # gap/lhs = 0.0228 is strict; no flag can widen the verdict band to
+        # call it `equality`
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main(["verify", "hk-adapted", "--n", "4", "--gamma", "0.4",
@@ -505,42 +468,38 @@ class TestCommands:
         assert [line for line in err if line.startswith("usage:")] == [err[0]]
         assert "unrecognized arguments: --quad-tol" in err[-1]
         assert not out.exists()
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"quad_tol": 1e-3}')
-        assert main(["verify", "hk-adapted", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"hkcce: config file {cfg}: unknown key 'quad_tol' "
-                       "(known: emit, out, n, gamma, k, jobs)"]
-        assert not out.exists()
         assert verify_adapted(4, 0.4, 1.0).verdict == "strict"
 
-    @pytest.mark.parametrize("config, flags, source", [
-        ('{"jobs": "2.0"}', [], "config file {cfg}: 'jobs': "),
-        ('{"gamma": "0.5,x"}', [], "config file {cfg}: 'gamma': "),
-        (None, ["--n", "4.5"], "--n: "),
-        (None, ["--k", "1,abc"], "--k: "),
-        (None, ["--n", "5..x"], "--n: "),
-        (None, ["--n", "4,12..5"], "--n: reversed range '12..5'"),
-    ], ids=["config-jobs", "config-gamma", "flag-n", "flag-k", "flag-n-range",
-            "flag-n-reversed-range"])
-    def test_uncastable_value_names_its_source(self, tmp_path, capsys, config, flags, source):
-        # a value of the right type that its cast refuses names its key or flag
-        cfg = tmp_path / "cfg.json"
-        if config is not None:
-            cfg.write_text(config)
-            flags = ["--config", str(cfg)]
+    @pytest.mark.parametrize("flags, source", [
+        (["--n", "4.5"], "--n: "),
+        (["--k", "1,abc"], "--k: "),
+        (["--n", "5..x"], "--n: "),
+        (["--n", "4,12..5"], "--n: reversed range '12..5'"),
+        (["--jobs", "2.0"], "--jobs: "),
+    ], ids=["flag-n", "flag-k", "flag-n-range", "flag-n-reversed-range", "flag-jobs"])
+    def test_uncastable_value_names_its_source(self, tmp_path, capsys, flags, source):
+        # a value that its flag's reader refuses names the flag
         out = tmp_path / "o"
         assert main(["qcurv", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("hkcce: " + source.format(cfg=cfg)), err
+        assert len(err) == 1 and err[0].startswith("hkcce: " + source), err
         assert not out.exists()
 
-    def test_config_lists_and_strings_accepted(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["qcurv"], ["verify", "hk-adapted"], ["verify", "prop21"],
+                                      ["residuals"], ["asymptotic"], ["sweep"]], ids=" ".join)
+    def test_config_file_is_a_usage_error(self, tmp_path, capsys, argv):
+        # settings come from flags alone: --config is not a flag of any command
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"n": [4.0, "5"], "k": "0.5,1", "emit": ["csv"], "jobs": "1"}')
-        got = parse_config(["qcurv", "--config", str(cfg)])
-        assert (got.n, got.k, got.jobs) == ([4, 5], [0.5, 1.0], 1)
-        assert got.emit_csv and not got.emit_json
+        cfg.write_text('{"n": [5]}')
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert err[0].startswith("usage: hkcce")
+        assert "unrecognized arguments: --config" in err[-1]
+        assert captured.out == "" and not out.exists()
 
 
 class TestImport:

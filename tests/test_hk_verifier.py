@@ -133,6 +133,17 @@ class TestAdaptedForm:
         assert rep.verdict == ("equality" if gamma == 0.5 else "strict")
         assert defect_identity("adapted", 100, k, gamma=gamma).verdict == "equality"
 
+    @pytest.mark.parametrize("n", [3, 4, 10, 20])
+    def test_strict_next_to_half(self, n):
+        # gap/lhs is 4.7e-5 to 1.1e-3 here and err_est/lhs about 1e-14: a gap
+        # above the band is strict however small; at 0.499 and 0.501 (gap/lhs
+        # about 2e-6) the band still reads equality (ROADMAP item 11)
+        for gamma in (0.48, 0.49, 0.495, 0.505, 0.51, 0.52):
+            rep = verify_adapted(n, gamma, 1.0)
+            assert rep.verdict == "strict", (gamma, rep.gap / rep.lhs)
+        for gamma in (0.499, 0.501):
+            assert verify_adapted(n, gamma, 1.0).verdict == "equality"
+
     @pytest.mark.parametrize("n,gamma", [(3, 0.05), (10, 0.25), (20, 0.95), (60, 0.1)])
     def test_conclusive_at_tight_tol(self, n, gamma):
         # err_est carries Q's checked one-ulp error, not a flat 1e-9 |lhs|,

@@ -41,7 +41,8 @@ class TestDGamma:
             d_gamma(bad)
 
     def test_last_gamma_is_kept(self):
-        # an adapted case asks for d_gamma six times with the same gamma
+        # one case asks for d_gamma up to 4 times with the same gamma
+        # (hk-adapted plus defect-adapted; 3 for a sweep row, 2 for residuals)
         d_gamma_ext.cache_clear()
         values = {d_gamma(0.3) for _ in range(6)}
         info = d_gamma_ext.cache_info()
