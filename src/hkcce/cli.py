@@ -19,15 +19,22 @@ depend on --jobs.  Every (n, gamma, k) of the grid goes through the
 library's own gate, `QCurvParams`, before any case runs, so the CLI refuses
 what the library refuses, in its words (prop21 also needs n >= 5).
 
-Output files (under --out): manifest.json, reports/*.json, tables/*.csv,
-all UTF-8, written atomically (temp file + rename), rows sorted by
-(n, gamma, k), floats at 15 significant digits.  Exit status is 0 iff
-every verdict passes, 1 on a failing verdict (each listed on stderr as
-"<kind> <label>", kind `fail` for a failed check or the report's verdict,
-e.g. `inconclusive`), 2 on a usage error, an I/O failure, or a case the
-solver cannot decide (MatchingError, GeometryError), which is reported on one
-line as "hkcce: <kind>: <reason>".  Usage errors (bad flags, a value a
-flag cannot read, a reversed range) are refused before any case runs.
+Each case's worker returns its (rows, files, failing), and `emit_report`
+alone writes what they return.  Output files (under --out): manifest.json,
+reports/*.json, tables/*.csv, all UTF-8, written atomically (temp file +
+rename), rows sorted by (n, gamma, k), floats at 15 significant digits.
+--emit picks the formats of the command's table (tables/<name>.csv,
+reports/<name>.json, named by the command or the verify target) and of the
+`residuals` profile dumps, which are CSV only; the per-case JSON reports of
+`verify` are written whatever --emit says.
+
+Exit status is 0 iff every verdict passes, 1 on a failing verdict (each
+listed on stderr as "<kind> <label>", kind `fail` for a failed check or the
+report's verdict, e.g. `inconclusive`), 2 on a usage error, an I/O failure,
+or a case the solver cannot decide (MatchingError, GeometryError), which is
+reported on one line as "hkcce: <kind>: <reason>" by `main`.  Usage errors
+(bad flags, a value a flag cannot read, a reversed range) are refused before
+any case runs.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from .hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,
 from .scattering import MatchingError, solve_case
 from .special_fn import QCurvParams, sphere_q_value
 
-_COMMANDS = ("qcurv", "verify", "residuals", "asymptotic", "sweep")
 _VERIFY_TARGETS = ("hk-adapted", "hk-cla", "hk-lee", "defect", "prop21")
 
 
@@ -80,10 +86,6 @@ class RunConfig:
     jobs: int = 0  # 0 = one worker per CPU this process may use
 
     def validate(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.command == "verify" and self.verify_target not in _VERIFY_TARGETS:
-            raise ValueError(f"verify target must be one of {_VERIFY_TARGETS}")
         if not self.n or not self.gamma or not self.k:
             raise ValueError("parameter lists must be non-empty")
         for n in self.n:        # the library's own gate refuses a case it cannot take
@@ -181,10 +183,11 @@ def parse_config(argv) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Case workers (module level: picklable for the process pool).  Each returns
-# (rows, reports, dumps, failing): its table rows, its JSON reports by name,
-# its profile dumps (CSV rows) by name, and one "<kind> <label>" per failing
-# verdict, kind `fail` for a failed check or the verdict that failed.  No
-# worker writes a file: `emit_report` writes them all.
+# (rows, files, failing): its table rows, the files it adds by path under
+# --out ("reports/<tag>.json": a report's payload, "tables/<tag>.csv": a
+# profile dump's rows), and one "<kind> <label>" per failing verdict, kind
+# `fail` for a failed check or the verdict that failed.  No worker writes a
+# file: `emit_report` writes them all.
 # ---------------------------------------------------------------------------
 
 def _label(row: dict) -> str:
@@ -206,7 +209,7 @@ def _qcurv_case(args):
     # a Q off its oracle is a numerical shortfall, not a failed check
     row.update(c1=sr.c1, c2=sr.c2, condition=sr.condition_estimate,
                verdict="pass" if ok else "inconclusive")
-    return [row], {}, {}, [] if ok else [f"inconclusive qcurv {_label(row)}"]
+    return [row], {}, [] if ok else [f"inconclusive qcurv {_label(row)}"]
 
 
 def _sweep_case(args):
@@ -215,34 +218,39 @@ def _sweep_case(args):
     # a Q off its oracle is a numerical shortfall, not a refuted inequality
     verdict = rep.verdict if ok else "inconclusive"
     row.update(lhs=rep.lhs, rhs=rep.rhs, gap=rep.gap, verdict=verdict)
-    return [row], {}, {}, [] if ok and rep.passing else [f"{verdict} sweep {_label(row)}"]
+    return [row], {}, [] if ok and rep.passing else [f"{verdict} sweep {_label(row)}"]
+
+
+# The call of each report a verify target runs.  Each looks its function up
+# on this module when it runs, so a function replaced here is the one called.
+_REPORTS = {
+    "hk-adapted": lambda n, gamma, k: verify_adapted(n, gamma, k),
+    "hk-cla": lambda n, gamma, k: verify_cla(n, k),
+    "hk-lee": lambda n, gamma, k: verify_lee(n, k),
+    "defect-adapted": lambda n, gamma, k: defect_identity("adapted", n, k, gamma=gamma),
+    "defect-lee": lambda n, gamma, k: defect_identity("lee", n, k),
+}
 
 
 def _report_case(args):
-    """One report of a verify target: hk-adapted, hk-cla, hk-lee,
-    defect-adapted or defect-lee (gamma None for the gamma-free ones)."""
+    """One report of a verify target, by its name in `_REPORTS` (gamma
+    None for the gamma-free ones)."""
     name, n, gamma, k = args
-    if name == "hk-adapted":
-        rep = verify_adapted(n, gamma, k)
-    elif name == "hk-cla":
-        rep = verify_cla(n, k)
-    elif name == "hk-lee":
-        rep = verify_lee(n, k)
-    else:
-        rep = defect_identity(name.removeprefix("defect-"), n, k, gamma=gamma)
+    rep = _REPORTS[name](n, gamma, k)
     n, k, gamma = rep.params["n"], rep.params["k"], rep.params.get("gamma")
     tag = f"{rep.name}_n{n}_k{k}" if gamma is None else f"{rep.name}_n{n}_g{gamma}_k{k}"
     row = {"name": rep.name, "n": n, "gamma": "" if gamma is None else gamma,
            "k": k, "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
            "err_est": rep.err_est, "verdict": rep.verdict}
-    return [row], {tag: rep.to_dict()}, {}, [] if rep.passing else [f"{rep.verdict} {tag}"]
+    return ([row], {f"reports/{tag}.json": rep.to_dict()},
+            [] if rep.passing else [f"{rep.verdict} {tag}"])
 
 
 def _prop21_case(n: int):
     cert = verify_prop21(n)
     row = {"n": n, "gamma": "", "k": "", "beta_e2": str(cert.beta.e2),
            "verdict": "pass" if cert.ok else "fail"}
-    return ([row], {f"prop21_n{n}": cert.to_dict()}, {},
+    return ([row], {f"reports/prop21_n{n}.json": cert.to_dict()},
             [] if cert.ok else [f"fail prop21 n={n}"])
 
 
@@ -250,8 +258,8 @@ def _asymptotic_case(args):
     # fixed CSV schema n,k,r,ratio,abs_err; pass/fail tracked separately
     n, k = args
     rows = asymptotic_ratio(n, k, 0.5 / math.sqrt(k) * np.logspace(-3, 0, 20))
-    return rows, {}, {}, [f"fail asymptotic n={n} k={k} r={row['r']:.4g}" for row in rows
-                          if not abs(row["ratio"] - 1.0) <= 1e-8]
+    return rows, {}, [f"fail asymptotic n={n} k={k} r={row['r']:.4g}" for row in rows
+                      if not abs(row["ratio"] - 1.0) <= 1e-8]
 
 
 def _residual_case(args):
@@ -279,7 +287,8 @@ def _residual_case(args):
                          if kind == "adapted" else g.boundary.get("J_boundary_rel_gap")),
         "verdict": "pass" if ok else "fail",
     }
-    return [row], {}, {tag: dump}, [] if ok else [f"fail residuals {kind} {_label(row)}"]
+    return ([row], {f"tables/{tag}.csv": dump},
+            [] if ok else [f"fail residuals {kind} {_label(row)}"])
 
 
 def _run_cases(worker, case_args, jobs: int, group: int):
@@ -322,8 +331,6 @@ def _atomic_write(path: Path, text: str):
 
 
 def _csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
@@ -338,56 +345,45 @@ def _sort_rows(rows: list[dict]) -> list[dict]:
     return sorted(rows, key=key)
 
 
-def emit_report(reports: dict, cfg: RunConfig, started: float) -> list[Path]:
-    """Write tables (CSV), profile dumps (CSV, as given), reports (JSON)
-    and the manifest, which lists every other file written; returns paths.
-
-    reports = {"rows": {table_name: [row dicts]}, "json": {name: payload},
-               "dumps": {name: [row dicts]}, "all_pass": bool,
-               "jobs": processes the cases ran on}
+def emit_report(cfg: RunConfig, table: str, rows: list[dict], files: dict,
+                jobs: int, all_pass: bool, started: float) -> list[Path]:
+    """Write the command's table (tables/<table>.csv, then, with --emit
+    json, reports/<table>.json), then `files` (CSV dumps, then JSON reports,
+    each in the order of their names), then the manifest, which lists every
+    other file written; returns the paths written, manifest last.  Each file
+    is rendered by its suffix: a .json always, a .csv only with --emit csv.
     """
     out = Path(cfg.out)
+    rows = _sort_rows(rows)
+    table_files = [(f"tables/{table}.csv", rows)]
+    if cfg.emit_json:
+        table_files.append((f"reports/{table}.json", rows))
+    case_files = sorted(files.items(), key=lambda f: (f[0].endswith(".json"), Path(f[0]).stem))
     written: list[Path] = []
-    try:
-        for name, rows in sorted(reports.get("rows", {}).items()):
-            rows = _sort_rows(rows)
-            if cfg.emit_csv and rows:
-                path = out / "tables" / f"{name}.csv"
-                _atomic_write(path, _csv_text(rows))
-                written.append(path)
-            if cfg.emit_json:
-                path = out / "reports" / f"{name}.json"
-                _atomic_write(path, json.dumps(rows, indent=2, sort_keys=True,
-                                               default=float))
-                written.append(path)
-        dumps = reports.get("dumps", {}) if cfg.emit_csv else {}
-        for name, rows in sorted(dumps.items()):
-            path = out / "tables" / f"{name}.csv"
-            _atomic_write(path, _csv_text(rows))
-            written.append(path)
-        for name, payload in sorted(reports.get("json", {}).items()):
-            path = out / "reports" / f"{name}.json"
-            _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
-                                           default=float))
-            written.append(path)
-        manifest = {
-            "tool": "hkcce",
-            "version": __version__,
-            "command": cfg.command,
-            "verify_target": cfg.verify_target,
-            "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
-            "jobs": reports["jobs"],
-            "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
-            "wall_clock_s": time.time() - started,
-            "all_pass": reports.get("all_pass", False),
-            "files": [str(p) for p in written],
-        }
-        path = out / "manifest.json"
-        _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True))
+    for name, payload in table_files + case_files:
+        path = out / name
+        if path.suffix == ".json":
+            _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float))
+        elif cfg.emit_csv:
+            _atomic_write(path, _csv_text(payload))
+        else:
+            continue
         written.append(path)
-    except OSError as exc:
-        print(f"hkcce: I/O failure: {exc}", file=sys.stderr)
-        raise
+    manifest = {
+        "tool": "hkcce",
+        "version": __version__,
+        "command": cfg.command,
+        "verify_target": cfg.verify_target,
+        "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
+        "jobs": jobs,
+        "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
+        "wall_clock_s": time.time() - started,
+        "all_pass": all_pass,
+        "files": [str(p) for p in written],
+    }
+    path = out / "manifest.json"
+    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True))
+    written.append(path)
     return written
 
 
@@ -432,19 +428,13 @@ def run_command(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     started = time.time()
     table, worker, cases = _plan(cfg)
-    rows, json_reports, dumps, failing = [], {}, {}, []
     results, jobs = _run_cases(worker, cases, cfg.jobs, len(cfg.k))
-    for case_rows, case_reports, case_dumps, case_failing in results:
+    rows, files, failing = [], {}, []
+    for case_rows, case_files, case_failing in results:
         rows += case_rows
-        json_reports.update(case_reports)
-        dumps.update(case_dumps)
+        files.update(case_files)
         failing += case_failing
-    reports = {"rows": {table: rows}, "json": json_reports, "dumps": dumps,
-               "all_pass": not failing, "jobs": jobs}
-    try:
-        written = emit_report(reports, cfg, started)
-    except OSError:
-        return 2
+    written = emit_report(cfg, table, rows, files, jobs, not failing, started)
     if failing:
         report_dir = Path(cfg.out) / "reports"
         print(f"hkcce: {len(failing)} failing verdict(s); see {report_dir}",

@@ -11,10 +11,14 @@ with the regular (even) solution normalised by u(0) = 1, and to
 
 in the normal-form coordinate r, which has a regular singular point at r = 0
 with indicial roots n-s and s.  Both Frobenius branches are even power series
-in r converging on r < 2/sqrt(k); the interior solution is a combination
-u = c1 U1 + c2 U2 and the scattering value is S(s)1 = c2/c1 once both
-branches carry unit leading coefficient.  The Q-curvature follows from the
-d_gamma normalisation:  Q = (2/(n-2 gamma)) d_gamma c2/c1.
+in r converging on r < 2/sqrt(k): the branch of root mu is
+
+    r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4),
+
+summed from its coefficient recursion.  The interior solution is a
+combination u = c1 U1 + c2 U2 and the scattering value is S(s)1 = c2/c1
+once both branches carry unit leading coefficient.  The Q-curvature follows
+from the d_gamma normalisation:  Q = (2/(n-2 gamma)) d_gamma c2/c1.
 
 Extraction scheme (validated against the closed-form sphere oracle): the
 regular solution is u = 2F1(s/2, (n-s)/2; (n+1)/2; -sinh^2 tau).  Its
@@ -183,8 +187,10 @@ def de_lattice(tau_max: float):
 def _frobenius_terms(n, s, k, mu):
     """Yield a_0 = 1, a_2, a_4, ... of the branch r^mu (sum a_{2j} r^{2j}).
 
-    The terms take the number type of n, s, k and mu (a_0 is the int 1).
-    Recursion (P(x) = (x - s)(x - (n - s))):
+    The branch is r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), so a_{2j} =
+    (n/2)_j (mu)_j / ((1 + mu - n/2)_j j!) (k/4)^j; they are generated here
+    by the recursion below.  The terms take the number type of n, s, k and
+    mu (a_0 is the int 1).  Recursion (P(x) = (x - s)(x - (n - s))):
 
         P(mu + 2M) a_{2M} = (n k / 2) S_M,
         S_M = sum_{m<M} (k/4)^{M-1-m} (mu + 2m) a_{2m} = (k/4) S_{M-1} + (mu + 2M - 2) a_{2M-2}

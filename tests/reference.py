@@ -22,6 +22,10 @@ The two terms cancel by about 0.43 n / sinh(tau) digits (37 at n = 190,
 tau = 1.5), so each pass is summed with guard digits and repeated with more
 where the cancellation it measures leaves fewer than 3 of them.  The second
 prefactor is c1 at k = 1: r^{s-n} u tends to it as tau -> infinity.
+
+The boundary branches are 2F1 too (`branch`), and at gamma = 1/2 the main
+integrals of both identities are elementary (`adapted_main_half`,
+`lee_main`).
 """
 
 import functools
@@ -109,6 +113,46 @@ def q_value(n, gamma, k):
     g = mp.mpf(gamma)
     return (mp.mpf(k) ** g * 2 / (n - 2 * g) * mp.gamma(mp.mpf(n) / 2 + g)
             / mp.gamma(mp.mpf(n) / 2 - g))
+
+
+def branch(n, gamma, k, high, tau):
+    """(value, tau derivative) of the Frobenius branch r^mu (1 + a2 r^2 + ...),
+    mu = s (high) or n - s, at r = (2/sqrt(k)) e^{-tau}:
+
+        r^mu F,  F = 2F1(n/2, mu; 1 + mu - n/2; z),  z = k r^2/4,
+
+    and d/dtau = -r d/dr gives -r^mu (mu F + 2 z F'), with
+    F' = (ab/c) 2F1(a+1, b+1; c+1; z).  Both at the working precision.
+    """
+    k, tau = mp.mpf(k), mp.mpf(tau)
+    s = mp.mpf(n) / 2 + mp.mpf(gamma)
+    mu = s if high else n - s
+    a, b, c = mp.mpf(n) / 2, mu, 1 + mu - mp.mpf(n) / 2
+    r = 2 / mp.sqrt(k) * mp.exp(-tau)
+    z = k * r * r / 4
+    f = mp.hyp2f1(a, b, c, z)
+    df = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+    r_mu = r ** mu
+    return r_mu * f, -r_mu * (mu * f + 2 * z * df)
+
+
+def adapted_main_half(n, k):
+    """The adapted identity's main integral at gamma = 1/2, over Vol(M).
+
+    There the adapted compactification is the flat ball of radius
+    R = k^{-1/2} and main is Vol(ball)/Vol(M) = (R^{n+1}/(n+1))/R^n.
+    """
+    return 1 / (mp.sqrt(k) * (n + 1))
+
+
+def lee_main(n, k):
+    """The Lee identity's main integral, int rho dV over Vol(M).
+
+    The Lee compactification is the round hemisphere of radius R = k^{-1/2},
+    rho its height R cos(theta), so main is R^2 int_0^{pi/2} cos sin^n
+    dtheta = R^2/(n+1).
+    """
+    return 1 / (mp.mpf(k) * (n + 1))
 
 
 def adapted_integrals(n, gamma, k, dps):

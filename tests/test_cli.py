@@ -183,6 +183,28 @@ class TestCommands:
         on_disk = {p for p in out.rglob("*") if p.is_file()} - {out / "manifest.json"}
         assert sorted(map(Path, manifest["files"])) == sorted(on_disk)
 
+    @pytest.mark.parametrize("argv, files", [
+        (["verify", "hk-lee", "--n", "5", "--emit", "csv"],
+         ["tables/hk-lee.csv", "reports/hk-lee_n5_k1.0.json"]),
+        (["verify", "hk-lee", "--n", "5", "--emit", "json"],
+         ["reports/hk-lee.json", "reports/hk-lee_n5_k1.0.json"]),
+        (["residuals", "--n", "4", "--gamma", "0.5", "--emit", "json"],
+         ["reports/residuals.json"]),
+        (["residuals", "--n", "4", "--gamma", "0.5", "--emit", "csv"],
+         ["tables/residuals.csv", "tables/profile_adapted_n4_g0.5_k1.0.csv",
+          "tables/profile_lee_n4_k1.0.csv"]),
+    ], ids=["verify-csv", "verify-json", "residuals-json", "residuals-csv"])
+    def test_emit_picks_the_table_and_dump_formats(self, tmp_path, argv, files):
+        # --emit picks the formats of the command's table and of the profile
+        # dumps (CSV only); a verify target's per-case JSON reports are
+        # written whatever it says.  The manifest lists them in writing order.
+        out = tmp_path / "o"
+        assert main([*argv, "--jobs", "1", "--out", str(out)]) == 0
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert on_disk == {*files, "manifest.json"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == [str(out / f) for f in files]
+
     def test_residual_window_assembled_once(self, tmp_path, monkeypatch):
         # residual_suite and the profile dump read one window state; the
         # other assembly of each geometry is the one point r = 0, read by
@@ -368,11 +390,16 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"  inconclusive {command} n=20 gamma=0.95 k=2.0\n" in err
 
-    def test_io_failure_exits_two(self, tmp_path):
+    def test_io_failure_exits_two(self, tmp_path, capsys):
+        # one line on stderr, however many layers the failure passes through
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         rc = main(["qcurv", "--out", str(blocker / "sub")])
         assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hkcce: I/O failure:"), err
+        assert captured.out == ""
 
     def test_undecidable_case_is_named(self, tmp_path, capsys):
         # the tau = 3 connection fails its condition guard (4.5e13 > 1e12)

@@ -211,6 +211,23 @@ class TestDefectIdentities:
         with pytest.raises(TypeError):
             defect_identity("adapted", 4, 1.0, 0.25)
 
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 20, 60, 100, 150))
+    @pytest.mark.parametrize("k", (0.5, 1.0, 2.0))
+    def test_elementary_integrals_at_half(self, n, k):
+        # at gamma = 1/2 the adapted compactification is a flat ball and the
+        # Lee one a round hemisphere: each main integral is elementary, both
+        # remainders vanish and Q is sqrt(k).  lhs and rhs are not compared
+        # with their exact values, since err_est leaves out Vol(M)'s rounding
+        for gamma, exact in ((0.5, reference.adapted_main_half(n, k)),
+                             (None, reference.lee_main(n, k))):
+            value, est = _identity(n, gamma, k)[2]["main"]
+            assert abs(value - exact) <= est, (gamma, value, exact, est)
+        for rep in (verify_adapted(n, 0.5, k), defect_identity("lee", n, k)):
+            for name, value in rep.remainders:
+                assert abs(value) <= rep.err_est, (rep.name, name, value, rep.err_est)
+        q = verify_adapted(n, 0.5, k).params["q_value"]
+        assert abs(q - math.sqrt(k)) <= 4 * np.finfo(float).eps * math.sqrt(k)
+
 
 # the five reports of one case, as (function, positional args, keyword args)
 REPORTS = {

@@ -106,7 +106,8 @@ class TestFrobeniusCoefficients:
 
 
 class TestBranchArithmetic:
-    """`FrobeniusBranch.at` at the connection point against 30-digit sums."""
+    """`FrobeniusBranch.at` at the connection point against 30-digit sums of
+    its own coefficients, and against the 2F1 form of each branch."""
 
     @pytest.mark.parametrize("n,gamma,k", [(3, 0.05, 0.5), (4, 0.5, 1.0), (20, 0.95, 2.0),
                                            (60, 0.3, 0.5), (150, 0.75, 2.0)])
@@ -127,6 +128,23 @@ class TestBranchArithmetic:
                 for x, ref, rel in ((got[0], value, 8 * ulp), (got[1], deriv, 8 * ulp),
                                     (got[2], trunc, 1e-3)):
                     assert abs(_mp(x) - ref) <= rel * abs(ref), (b.mu, x, ref)
+
+    @pytest.mark.parametrize("n", (3, 4, 20, 60, 150, 190))
+    @pytest.mark.parametrize("gamma", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("k", (0.5, 2.0))
+    def test_at_equals_the_2f1_of_each_branch(self, n, gamma, k):
+        # `reference.branch` sums the 2F1 form, not these coefficients; it
+        # is handed the tau of the long-double r exactly, so r's own rounding
+        # (times mu, up to 96) does not count against `at`
+        p = QCurvParams(n, gamma, k)
+        r = 2 / np.sqrt(LD(k)) * np.exp(-LD(TAU_MATCH))
+        ulp = float(np.finfo(LD).eps)
+        with mpmath.workdps(40):
+            tau = mpmath.log(2 / (mpmath.sqrt(k) * _mp(r)))
+            for high, mu in ((False, p.n - p.s), (True, p.s)):
+                got = frobenius_branch(p, mu).at(r)
+                for x, ref in zip(got, reference.branch(n, gamma, k, high, tau)):
+                    assert abs(_mp(x) - ref) <= 32 * ulp * abs(ref), (mu, x, ref)
 
 
 class TestDeLattice:

@@ -7,12 +7,13 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
 
   - every CLI command on that grid (qcurv, sweep, residuals with their
     profile dumps, asymptotic, and verify hk-adapted, hk-cla, hk-lee,
-    defect), plus ``verify prop21 --n 5..20``: the exit status and the bytes
-    of every file written at ``--jobs 1``, the manifest read without
-    ``wall_clock_s``.  Each command also runs at ``--jobs 2``, on a process
-    pool, and the script stops with an error if that run writes other files
-    (its manifest's ``jobs`` aside), or if a run writes a file that its
-    manifest does not list;
+    defect), plus ``verify prop21 --n 5..20``, and ``verify defect`` and
+    ``residuals`` again at ``--emit csv`` and at ``--emit json``: the exit
+    status and the bytes of every file written at ``--jobs 1``, the manifest
+    read without ``wall_clock_s``.  Each command also runs at ``--jobs 2``,
+    on a process pool, and the script stops with an error if that run writes
+    other files (its manifest's ``jobs`` aside), or if a run writes a file
+    that its manifest does not list;
   - the scattering results at n 3,4,10,150 (n = 150 checks the tau = 3
     connection at a large n, condition ~1e9);
   - both branches' roots and coefficients at n 3,4,10,150, long doubles;
@@ -82,6 +83,11 @@ COMMANDS = {
     "cli verify hk-lee": ["verify", "hk-lee", *GRID],
     "cli verify defect": ["verify", "defect", *GRID],
     "cli verify prop21": ["verify", "prop21", "--n", "5..20"],
+    # --emit picks the formats of the table and of the profile dumps, not of
+    # the per-case reports
+    **{f"cli {name} --emit {fmt}": [*argv, *GRID, "--emit", fmt]
+       for name, argv in (("verify defect", ["verify", "defect"]), ("residuals", ["residuals"]))
+       for fmt in ("csv", "json")},
 }
 SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
 OFF_TABLE_TAU = np.linspace(0.05, 3.0, 40)    # where an interior sums afresh
