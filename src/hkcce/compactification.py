@@ -42,7 +42,11 @@ covers every quadrature node, the residual window and the boundary r = 0.
 
 Each geometry assembles each state it reads once, on first use, never at
 build time.  `lattice`, read by the integrator, is the `de_lattice` nodes
-for the geometry's boundary decay rate; `boundary` assembles the one point
+for the geometry's boundary decay rate, with r, -expm1(-2 tau), coth and
+coth - 1 from the node functions tabulated with the lattice
+(`de_node_functions`), where the other states evaluate the same formulas
+at their own points; every assembly takes r^{2-e} once, for the branch
+sums and (coth - 1)/x alike.  `boundary` assembles the one point
 r = 0 (tau = inf) on its own, so `hkcce residuals`, which reads `boundary`
 but no integral, assembles no lattice.  Both are first order: every
 integrand and `boundary` read only w, w', S, S', T, T' and their companions,
@@ -53,6 +57,7 @@ sums skip the D^3 rows.  `window` (the residual window, read by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -60,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import TAIL_E_FOLDS, TAU_MATCH, ScatteringResult, de_lattice
+from .scattering import TAIL_E_FOLDS, TAU_MATCH, ScatteringResult, de_lattice, de_node_functions
 from .special_fn import d_gamma
 
 _WINDOW_POINTS = 200       # log-spaced radii of the residual window
@@ -225,12 +230,17 @@ class CompactifiedGeometry:
         a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
         state reads u, u' and 1 + w off the interior's table, which holds
-        exactly these nodes.  The state is first order: no integrand reads
-        w'', ddS_hat or ddT, so they are not assembled.
+        exactly these nodes, and everywhere r and the functions of tau it
+        needs off the tables `de_node_functions` slices.  The state is first
+        order: no integrand reads w'', ddS_hat or ddT, so they are not
+        assembled.
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
         tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
-        return Lattice(self._assemble(tau, self.base.r_of_tau(tau), second_order=False),
+        exp_neg, *nodes = de_node_functions(TAIL_E_FOLDS / rate)
+        # ModelSpace.r_of_tau's product, from the tabulated e^{-tau}
+        r = (2.0 / math.sqrt(self.base.k)) * exp_neg
+        return Lattice(self._assemble(tau, r, second_order=False, nodes=nodes),
                        weights, coarse)
 
     @cached_property
@@ -288,19 +298,21 @@ class CompactifiedGeometry:
             tau = np.asarray(self.base.tau_of_r(r))
         return self._assemble(tau, r)
 
-    def _centre(self, tau, r, x, coth, second_order):
+    def _centre(self, tau, r, x, coth, coth_m1, second_order):
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
         centre series (u, u', y = 1 + w) and the closure written for y,
         y' = -n (coth - 1) w - 2 gamma y - m y^2, whose terms are of the
         size of y' where y is small.  The closure for v cancels terms of
-        size n m there: 1e-14 in w' at tau = 2.7, n = 10, gamma = 0.84."""
+        size n m there: 1e-14 in w' at tau = 2.7, n = 10, gamma = 0.84.
+        coth_m1 is coth - 1 = 2/expm1(2 tau) if tabulated, else None."""
         n, m, e = self.base.n, self.m_exp, self.e
         u, du, y = self.interior(tau)
         w = du / (m * u)
         u = u / self.c1
         if np.any(u <= 0.0):
             raise GeometryError("scattering solution is not positive")
-        coth_m1 = 2.0 / np.expm1(2.0 * tau)
+        if coth_m1 is None:
+            coth_m1 = 2.0 / np.expm1(2.0 * tau)
         dy = -n * coth_m1 * w - e * y - m * y * y
         out = (y / x, dy / x, np.power(u / np.power(r, m), 1.0 / m))
         if not second_order:
@@ -308,16 +320,15 @@ class CompactifiedGeometry:
         ddy = n * coth_m1 * (coth + 1.0) * w - (n * coth_m1 + e + 2.0 * m * y) * dy
         return out + (ddy / x,)
 
-    def _branch(self, r, x, second_order):
+    def _branch(self, r, x, low_scale, second_order):
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
-        branch coefficient lists."""
+        branch coefficient lists; low_scale is r^{2-e}."""
         m = self.m_exp
         r2 = r * r
         sums = _power_sums(self._rows if second_order else self._rows[:6], r2)
         U0 = 1.0 + r2 * sums[0] + self.q * x * sums[3]
         if np.any(U0 <= 0.0):
             raise GeometryError("scattering solution is not positive")
-        low_scale = np.power(r, 2.0 - self.e)
         V1, V2 = low_scale * sums[1:3] + self.q * sums[4:6]        # U_k/x
         c = V2 * U0 - x * V1 * V1
         mU0 = m * U0
@@ -328,14 +339,21 @@ class CompactifiedGeometry:
         return out + (-(V3 * U0 * U0 - x * V2 * V1 * U0 - 2.0 * x * c * V1)
                       / (mU0 * U0 * U0),)
 
-    def _assemble(self, tau, r, second_order=True) -> GeometryState:
+    def _assemble(self, tau, r, second_order=True, nodes=None) -> GeometryState:
         """The state at (tau, r); with second_order=False (the lattice's
         and the boundary's state) w'', ddS_hat and ddT are left out and set
-        to None."""
+        to None.  nodes are -expm1(-2 tau), 1/tanh(tau) and coth - 1 at the
+        points tau <= TAU_MATCH as `de_node_functions` tabulates them for
+        the lattice; without them the state evaluates the same formulas at
+        its own points."""
         n = self.base.n
         e = self.e
         x = np.power(r, e)
-        coth = 1.0 / np.tanh(tau)
+        r_2e = np.power(r, 2.0 - e)
+        if nodes is None:
+            phi, coth, coth_m1 = -np.expm1(-2.0 * tau), 1.0 / np.tanh(tau), None
+        else:
+            phi, coth, coth_m1 = nodes
         cols = np.empty((4 if second_order else 3, len(tau)))
         outer = tau > self.tau_branch
         split = int(np.count_nonzero(outer))
@@ -346,16 +364,15 @@ class CompactifiedGeometry:
         else:
             inner = ~outer
         if tau[outer].size:
-            cols[:, outer] = self._branch(r[outer], x[outer], second_order)
+            cols[:, outer] = self._branch(r[outer], x[outer], r_2e[outer], second_order)
         if tau[inner].size:
             cols[:, inner] = self._centre(tau[inner], r[inner], x[inner], coth[inner],
-                                          second_order)
+                                          coth_m1, second_order)
         p, dp, ror = cols[:3]
         ddp = cols[3] if second_order else None
 
         w = x * p - 1.0
-        phi = -np.expm1(-2.0 * tau)
-        coth_m1_hat = 0.5 * self.base.k * np.power(r, 2.0 - e) / phi    # (coth - 1)/x
+        coth_m1_hat = 0.5 * self.base.k * r_2e / phi    # (coth - 1)/x
         S_hat = p * (1.0 - w)
         dS_hat = -2.0 * w * dp
         ddS_hat = -2.0 * x * dp * dp - 2.0 * w * ddp if second_order else None

@@ -64,15 +64,23 @@ _BAND = 10 * 1e-6
 # Radial integration
 # ---------------------------------------------------------------------------
 
+def _coarse_nodes(coarse: np.ndarray) -> slice:
+    """The nodes of `de_lattice`'s coarse mask as a slice: every other
+    node, from the first or the second."""
+    return slice(0 if coarse[0] else 1, None, 2)
+
+
 def _levels(g: np.ndarray, weights: np.ndarray, coarse: np.ndarray):
     """Trapezoidal sums at steps h and h/2 of `de_lattice` integrals, from
     the integrand values g at its nodes (last axis); one sum per row.
 
-    The coarse nodes are copied to a contiguous array first, so that each
-    row is summed exactly as it would be on its own.
+    The coarse nodes are read as a stride-2 slice (`_coarse_nodes`) and
+    copied to a contiguous array first, so that each row is summed exactly
+    as it would be on its own.
     """
     g = g * weights
-    return 2.0 * np.ascontiguousarray(g[..., coarse]).sum(axis=-1), g.sum(axis=-1)
+    return (2.0 * np.ascontiguousarray(g[..., _coarse_nodes(coarse)]).sum(axis=-1),
+            g.sum(axis=-1))
 
 
 class RadialIntegrator:

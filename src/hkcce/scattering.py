@@ -45,8 +45,9 @@ np.longdouble coefficient array, evaluated once, at tau_m: one term vector
 there gives its value, its derivative and the truncation the connection
 checks (`FrobeniusBranch.at`).  The series coefficients, u and u' there,
 both branch values and derivatives, the 2x2 solve and d_gamma are carried
-in np.longdouble, so that Q is rounded to double only once; the solve's
-2-norm condition is a closed form from the same long-double entries.
+in np.longdouble, so that Q is rounded to double only once; the solve
+works entry by entry on long-double scalars, and its 2-norm condition is a
+closed form from the same entries.
 Derivatives are always transported analytically (dr/dtau = -r); second
 derivatives come from the ODE closure, never from finite differences.
 
@@ -67,7 +68,12 @@ first 256 powers of w, cosh and tanh of tau/2 at the connection point, and
 log cosh and tanh of tau/2 and 4/(1 + e^tau) at the table's nodes, all
 tabulated once, on import.  A sum is then one product of the coefficients
 with a power table, which a call off the table builds for its own points
-the same way.  `de_lattice` slices one lattice, also evaluated on import.
+the same way; both set the powers below the smallest normal float to
+exact 0, which no sum's bits can see and which spares the products their
+subnormal operands.  `de_lattice` slices one lattice, also evaluated on
+import, and `de_node_functions` slices what a geometry's state reads of
+the lattice's nodes alone, e^{-tau}, -expm1(-2 tau), 1/tanh(tau) and,
+at the table's nodes, 2/expm1(2 tau), tabulated with it.
 
 A `ScatteringResult` carries the series it was matched to (`interior`),
 so a geometry is built from the result alone and cannot pair one case's
@@ -155,6 +161,18 @@ def _de_rule(tau_max: float):
 
 
 _DE_WIDEST = _de_rule(DE_TAU_WIDEST)
+# e^{-tau}, -expm1(-2 tau) and 1/tanh(tau) at its nodes (`de_node_functions`)
+_DE_NODE_FUNCTIONS = tuple(map(_read_only, (np.exp(-_DE_WIDEST[0]),
+                                            -np.expm1(-2.0 * _DE_WIDEST[0]),
+                                            1.0 / np.tanh(_DE_WIDEST[0]))))
+
+
+def _de_start(tau_max: float) -> int:
+    """Where the lattice of tau_max starts in the widest one."""
+    start = _de_first(tau_max) - _de_first(DE_TAU_WIDEST)
+    if start < 0:
+        raise ValueError(f"tau_max={tau_max} beyond the widest lattice, {DE_TAU_WIDEST}")
+    return start
 
 
 def de_lattice(tau_max: float):
@@ -174,10 +192,25 @@ def de_lattice(tau_max: float):
     is three read-only slices of it; a tau_max beyond DE_TAU_WIDEST, which
     the package never asks for, raises ValueError.
     """
-    start = _de_first(tau_max) - _de_first(DE_TAU_WIDEST)
-    if start < 0:
-        raise ValueError(f"tau_max={tau_max} beyond the widest lattice, {DE_TAU_WIDEST}")
+    start = _de_start(tau_max)
     return tuple(a[start:] for a in _DE_WIDEST)
+
+
+def de_node_functions(tau_max: float):
+    """e^{-tau}, -expm1(-2 tau) and 1/tanh(tau) at the nodes of
+    `de_lattice(tau_max)`, in their order, and 2/expm1(2 tau) = coth(tau) - 1
+    at its nodes with tau <= TAU_MATCH, the interior table's.
+
+    Like the lattice, they are evaluated once on import, at DE_TAU_WIDEST
+    (the last one at the table's nodes alone: beyond them expm1(2 tau)
+    overflows), and handed out as read-only slices; a tau_max below
+    TAU_MATCH, whose lattice holds only some of the table's nodes, or
+    beyond DE_TAU_WIDEST raises ValueError.
+    """
+    if tau_max < TAU_MATCH:
+        raise ValueError(f"tau_max={tau_max} below the connection point {TAU_MATCH}")
+    start = _de_start(tau_max)
+    return (*(a[start:] for a in _DE_NODE_FUNCTIONS), _TABLE_COTH_M1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +331,14 @@ def _summed_at(tau: np.ndarray) -> tuple:
     in double."""
     half = tau.astype(_LD) / 2          # exact
     tanh = np.tanh(half)
-    return _powers(tanh ** 2, float), np.log(np.cosh(half)), tanh, 4.0 / (1.0 + np.exp(tau))
+    powers = _powers(tanh ** 2, float)
+    # A power below the smallest normal float costs a microcode assist in
+    # every product that reads it, and adds nothing a sum can hold: each
+    # row's leading term is at least 1/(n+1), and the f_j < 1.5^256 keep
+    # all such addends together below 1e-260, so zeroing them leaves every
+    # sum's bits as they are, in any order of summation.
+    powers[powers < _TINY] = 0.0
+    return powers, np.log(np.cosh(half)), tanh, 4.0 / (1.0 + np.exp(tau))
 
 
 # The points every interior is summed at, and what its sums read of them
@@ -308,6 +348,8 @@ def _summed_at(tau: np.ndarray) -> tuple:
 # powers of w in np.longdouble; then w(TAU_MATCH) and the long-double epsilon
 _TABLE_TAU = _read_only(_DE_WIDEST[0][_DE_WIDEST[0] <= TAU_MATCH])
 _TABLE_AT = tuple(map(_read_only, _summed_at(_TABLE_TAU)))
+# coth - 1 there, for a geometry's lattice state (`de_node_functions`)
+_TABLE_COTH_M1 = _read_only(2.0 / np.expm1(2.0 * _TABLE_TAU))
 _CONNECTION_COSH, _CONNECTION_TANH = np.cosh(_LD(TAU_MATCH) / 2), np.tanh(_LD(TAU_MATCH) / 2)
 _CONNECTION_POWERS = _read_only(_powers(np.array([_CONNECTION_TANH ** 2]), _LD))
 _W_CONNECTION = float(_CONNECTION_TANH ** 2)
@@ -392,14 +434,12 @@ class CentreSeries:
         """
         T = np.concatenate(([1.0], np.cumprod(ratio[:-1] * w)))      # f_j w^j
         rho = np.maximum(ratio, 1.0) * w
-        tail, partial, below = T * rho, np.cumsum(T), rho < 1.0
-        counts = []
-        for e in eps:
-            hits = np.flatnonzero(below & (tail <= e * partial * (1.0 - rho)))
-            if not hits.size:
-                return None
-            counts.append(int(hits[0]) + 1)
-        return tuple(counts)
+        tail, partial, margin = T * rho, np.cumsum(T), 1.0 - rho
+        hits = (rho < 1.0) & (tail <= np.array(eps)[:, None] * partial * margin)
+        first = hits.argmax(axis=1)
+        if not hits[np.arange(len(eps)), first].all():
+            return None
+        return tuple(int(j) + 1 for j in first)
 
     def _prefactors(self, pre: np.ndarray, tanh: np.ndarray) -> np.ndarray:
         """pre = cosh(tau/2)^{-2s} and -2(n-s) tanh(tau/2) pre, the factors
@@ -425,9 +465,9 @@ class CentreSeries:
     def _sums(self, at: tuple):
         """u, u' and y in double at the points `at` describes (`_summed_at`)."""
         powers, log_cosh, tanh, edge = at
-        F, G, H = self._rows @ powers[:, :self._terms].T
+        F, G, H = sums = self._rows @ powers[:, :self._terms].T
         u, du = (self._prefactors(np.exp(-2 * self.s * log_cosh), tanh).astype(float)
-                 * np.stack((F, G)))
+                 * sums[:2])
         # edge = 2 (1 - tanh(tau/2)) = 4/(1 + e^tau)
         y = (float(self.n + 1 - 2 * self.s) * H + edge * G) / F
         return u, du, y
@@ -493,11 +533,12 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={TAU_MATCH}")
-    m = np.array([[v1, v2], [d1, d2]])
-    scale = np.max(np.abs(m), axis=0)
-    if not (np.all(np.isfinite(m)) and np.all(scale > 0.0)):
+    # the matrix [[v1, v2], [d1, d2]], entry by entry in long-double scalars
+    scale1, scale2 = max(abs(v1), abs(d1)), max(abs(v2), abs(d2))
+    if not (all(abs(x) < math.inf for x in (v1, v2, d1, d2))
+            and scale1 > 0.0 and scale2 > 0.0):
         raise MatchingError(f"branch values not representable at r={r:.2e}")
-    (a, b), (c, d) = m / scale
+    a, b, c, d = v1 / scale1, v2 / scale2, d1 / scale1, d2 / scale2
     det = a * d - b * c
     frob = a * a + b * b + c * c + d * d
     # the radicand is ((a-d)^2 + (b+c)^2)((a+d)^2 + (b-c)^2) >= 0, clamped
@@ -506,8 +547,8 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
                   / (2 * abs(det))) if det else math.inf)
     if not cond <= _COND_MAX:
         raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
-    c1 = (u * d - b * du) / det / scale[0]
-    c2 = (a * du - c * u) / det / scale[1]
+    c1 = (u * d - b * du) / det / scale1
+    c2 = (a * du - c * u) / det / scale2
     if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):
         raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
     return c1, c2, cond

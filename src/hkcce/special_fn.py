@@ -38,10 +38,11 @@ K_DECADES = 200.0
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 # Stirling series of ln Gamma(z): B_{2m} / (2m (2m-1)) z^{1-2m}, m = 1..6,
 # summed at z = _SHIFT -/+ g, where the seventh term is below 1e-21
-_STIRLING_M = np.arange(1, 7)
+_STIRLING_POWERS = 1 - 2 * np.arange(1, 7)          # 1 - 2m
 _STIRLING = (np.array([1, -1, 1, -1, 1, -691], dtype=_LD)
              / np.array([12, 360, 1260, 1680, 1188, 360360], dtype=_LD))
 _SHIFT = 32
+_SHIFTED = np.arange(1, _SHIFT, dtype=_LD)           # the i < N of the recurrence
 
 
 def _gamma_ratio_ext(g: float):
@@ -55,11 +56,10 @@ def _gamma_ratio_ext(g: float):
     with ln(N+g) - ln(N-g) = 2 atanh(g/N) so that nothing of size N ln N cancels.
     """
     g = _LD(g)
-    i = np.arange(1, _SHIFT, dtype=_LD)
     zp, zm = _SHIFT + g, _SHIFT - g
     diff = ((2 * _SHIFT - 1) * np.arctanh(g / _SHIFT) + g * np.log(zp * zm) - 2 * g
-            + np.sum(_STIRLING * (zp ** (1 - 2 * _STIRLING_M) - zm ** (1 - 2 * _STIRLING_M))))
-    return np.prod((i - g) / (i + g)) * np.exp(diff)
+            + np.sum(_STIRLING * (zp ** _STIRLING_POWERS - zm ** _STIRLING_POWERS)))
+    return np.prod((_SHIFTED - g) / (_SHIFTED + g)) * np.exp(diff)
 
 
 @functools.lru_cache(maxsize=1)

@@ -23,9 +23,9 @@ tau = 1.5), so each pass is summed with guard digits and repeated with more
 where the cancellation it measures leaves fewer than 3 of them.  The second
 prefactor is c1 at k = 1: r^{s-n} u tends to it as tau -> infinity.
 
-The boundary branches are 2F1 too (`branch`), and at gamma = 1/2 the main
-integrals of both identities are elementary (`adapted_main_half`,
-`lee_main`).
+The boundary branches are 2F1 too (`branch`), and at gamma = 1/2 u itself
+(`half_series`) and the main integrals of both identities are elementary
+(`adapted_main_half`, `lee_main`).
 """
 
 import functools
@@ -93,6 +93,18 @@ def switch_tau(n):
 def u_and_du(n, s, tau):
     """(u, u') at tau, to the working precision."""
     return (_direct if tau < switch_tau(n) else _connected)(n, s, tau)
+
+
+def half_series(n, tau):
+    """(u, u', y) at gamma = 1/2, where u is elementary:
+
+        u = cosh(tau/2)^{-(n-1)},  u' = -((n-1)/2) tanh(tau/2) u,
+        y = 1 + u'/((n-s) u) = 1 - tanh(tau/2),  n - s = (n-1)/2.
+    """
+    tau = mp.mpf(tau)
+    tanh = mp.tanh(tau / 2)
+    u = mp.cosh(tau / 2) ** -(n - 1)
+    return u, -mp.mpf(n - 1) / 2 * tanh * u, 1 - tanh
 
 
 def closure(n, s, tau, u, du):

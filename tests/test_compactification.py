@@ -329,9 +329,9 @@ class TestLatticeState:
         calls = []
         assemble = CompactifiedGeometry._assemble
 
-        def counted(self, tau, r, second_order=True):
+        def counted(self, tau, *args, **kwargs):
             calls.append(len(tau))
-            return assemble(self, tau, r, second_order)
+            return assemble(self, tau, *args, **kwargs)
 
         monkeypatch.setattr(CompactifiedGeometry, "_assemble", counted)
         for kind, n, gamma, k in (("adapted", 4, 0.3, 1.0), ("lee", 5, None, 2.0)):

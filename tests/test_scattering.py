@@ -12,11 +12,11 @@ import pytest
 
 from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
-from hkcce.hk_verifier import RadialIntegrator
+from hkcce.hk_verifier import RadialIntegrator, _coarse_nodes
 from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
-                              _connect, _s_ext, de_lattice, frobenius_branch,
-                              match_and_q, solve_case, solve_interior)
+                              _connect, _s_ext, de_lattice, de_node_functions,
+                              frobenius_branch, match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 import reference
@@ -190,6 +190,37 @@ class TestDeLattice:
             for a, b in zip(small, large):
                 assert np.array_equal(a, b[len(b) - len(a):])
 
+    @pytest.mark.parametrize("tau_max", TAU_MAXES)
+    def test_node_functions_equal_their_formulas_bit_for_bit(self, tau_max):
+        """The tabulated e^{-tau}, -expm1(-2 tau), 1/tanh(tau) and, at the
+        interior table's nodes, 2/expm1(2 tau) are the formulas at the
+        lattice's own nodes, on the slice and on a copy of it."""
+        tau = de_lattice(tau_max)[0]
+        got = de_node_functions(tau_max)
+        inner = tau <= TAU_MATCH
+        assert np.array_equal(tau[inner], scattering._TABLE_TAU)
+        for nodes in (tau, tau.copy()):
+            formulas = (np.exp(-nodes), -np.expm1(-2.0 * nodes), 1.0 / np.tanh(nodes),
+                        2.0 / np.expm1(2.0 * nodes[inner]))
+            for a, b in zip(got, formulas, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        for a in got:
+            assert not a.flags.writeable
+
+    def test_node_functions_refuse_a_lattice_short_of_the_table(self):
+        with pytest.raises(ValueError, match="below the connection point"):
+            de_node_functions(0.5 * TAU_MATCH)
+        with pytest.raises(ValueError, match="widest"):
+            de_node_functions(2 * scattering.DE_TAU_WIDEST)
+
+    @pytest.mark.parametrize("tau_max", (21.0, *TAU_MAXES))
+    def test_the_coarse_slice_is_the_coarse_mask(self, tau_max):
+        """The integrator reads the coarse nodes as every other node, from
+        the first or the second: exactly the nodes of the mask."""
+        coarse = de_lattice(tau_max)[2]
+        index = np.arange(len(coarse))
+        assert np.array_equal(index[_coarse_nodes(coarse)], np.flatnonzero(coarse))
+
 
 class TestInteriorSolve:
     def test_taylor_start_values(self):
@@ -302,9 +333,55 @@ class TestCentreSeries:
                 assert error <= 16 * eps_ext, (gamma, error / eps_ext)
 
 
+    @pytest.mark.parametrize("n", (3, 4, 10, 60, 150, 400, 800))
+    def test_half_equals_its_closed_form(self, n):
+        """At gamma = 1/2 the series is elementary (`reference.half_series`):
+        the table's u, u' and y at the 155 nodes, and a call's at 40 points
+        of [0.05, 3] off the table, within 4 double eps of it, far beyond
+        the dimensions the bit-equality tests reach."""
+        eps = float(np.finfo(float).eps)
+        series = CentreSeries(n, _s_ext(n, 0.5))
+        off = np.linspace(0.05, TAU_MATCH, 40)
+        with mpmath.workdps(40):
+            for tau, values in ((series.tau, (series.u, series.du, series.y)),
+                                (off, series(off))):
+                for i, t in enumerate(tau):
+                    for value, ref in zip((v[i] for v in values),
+                                          reference.half_series(n, _mp(t)), strict=True):
+                        assert abs(_mp(value) / ref - 1) <= 4 * eps, (n, t, value, ref)
+
+
 class TestPowerTables:
     """The powers of w, tabulated on import at the table's nodes and at the
     connection point, and the sums read from them."""
+
+    @staticmethod
+    def unflushed():
+        """The table's powers of w as `_powers` forms them, subnormals kept."""
+        return scattering._powers(np.tanh(scattering._TABLE_TAU.astype(LD) / 2) ** 2, float)
+
+    def test_no_power_is_subnormal(self):
+        tiny = np.finfo(float).tiny
+        unflushed = self.unflushed()
+        subnormal = (unflushed > 0.0) & (unflushed < tiny)
+        assert subnormal.any()
+        powers = scattering._TABLE_AT[0]
+        assert np.all(powers[powers < tiny] == 0.0)
+        assert np.array_equal(powers[~subnormal], unflushed[~subnormal])
+        # a call off the table zeroes its own
+        off = scattering._summed_at(np.array([1e-3, 0.5]))[0]
+        assert np.all(off[off < tiny] == 0.0) and np.any(off == 0.0)
+
+    @pytest.mark.parametrize("gamma", [round(0.05 * i, 2) for i in range(1, 20)])
+    def test_zeroed_subnormals_leave_the_sums_bits(self, gamma):
+        """F, G and H summed from the table equal the sums from the powers
+        with their subnormals kept, bit for bit."""
+        unflushed = self.unflushed()
+        for n in (*range(3, 61), 150, 190):
+            series = CentreSeries(n, _s_ext(n, gamma))
+            terms = series._terms
+            flushed = series._rows @ scattering._TABLE_AT[0][:, :terms].T
+            assert np.array_equal(flushed, series._rows @ unflushed[:, :terms].T), n
 
     def test_read_only_and_wide_enough(self, monkeypatch):
         width = scattering._WIDTH

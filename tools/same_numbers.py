@@ -30,7 +30,12 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
   - ``verify_prop21(n).to_json()`` at n 21..60, beyond the CLI's 5..20;
   - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
     hk-cla, hk-lee, defect-lee) at n = 150, gamma 0.25 and 0.5, k 0.5 and 2,
-    also beyond the CLI's grid.
+    also beyond the CLI's grid;
+  - the benchmark's own cells: ``sweep`` on the ``grid45`` workload's grid
+    (n 4,5,6 x gamma 0.25,0.4,0.5,0.6,0.75 x k 0.5,1,2), and ``to_dict()``
+    of hk-adapted and defect-adapted at the ``edge`` workload's five anchor
+    cells (``EDGE_ANCHORS`` in ``bench/workloads.py``) and at (8, 0.13, 0.5)
+    and (15, 0.86, 2), whose verdicts and errors the benchmark reads.
 
 One sha256 digest is printed per item, then their total.  Two checkouts
 give the same numbers on this set when every line agrees.  A RuntimeWarning
@@ -89,6 +94,10 @@ COMMANDS = {
        for name, argv in (("verify defect", ["verify", "defect"]), ("residuals", ["residuals"]))
        for fmt in ("csv", "json")},
 }
+GRID45 = ["--n", "4,5,6", "--gamma", "0.25,0.4,0.5,0.6,0.75", "--k", "0.5,1,2"]
+# bench/workloads.py's EDGE_ANCHORS, then one drawn cell from each side of the edge
+EDGE_CELLS = ((3, 0.05, 1.0), (20, 0.05, 1.0), (3, 0.95, 1.0), (20, 0.95, 1.0),
+              (3, 0.9025, 1.0), (8, 0.13, 0.5), (15, 0.86, 2.0))
 SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
 OFF_TABLE_TAU = np.linspace(0.05, 3.0, 40)    # where an interior sums afresh
 
@@ -245,6 +254,15 @@ def reports_n150() -> dict:
     return out
 
 
+def edge_reports() -> dict:
+    out = {}
+    for n, gamma, k in EDGE_CELLS:
+        out[f"hk-adapted {n} {gamma} {k}"] = verify_adapted(n, gamma, k).to_dict()
+        out[f"defect-adapted {n} {gamma} {k}"] = defect_identity(
+            "adapted", n, k, gamma=gamma).to_dict()
+    return out
+
+
 def main() -> int:
     items = {name: (lambda argv=argv: cli_run(argv)) for name, argv in COMMANDS.items()}
     items.update({
@@ -257,6 +275,8 @@ def main() -> int:
         "asymptotic tables n 60, 120": asymptotic_tables,
         "reports n 150": reports_n150,
         "prop21 certificates n 21..60": prop21_certificates,
+        "bench grid45 sweep": lambda: cli_run(["sweep", *GRID45]),
+        "bench edge reports": edge_reports,
     })
     total = hashlib.sha256()
     for name, make in items.items():
