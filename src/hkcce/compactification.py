@@ -41,11 +41,12 @@ the sign of Jbar (Lee), must be positive at each point evaluated, which
 covers every quadrature node, the residual window and the boundary r = 0.
 
 Each geometry assembles each state it reads once, on first use, never at
-build time.  `lattice`, read by the integrator, is the `de_lattice` nodes
-for the geometry's boundary decay rate, with r, -expm1(-2 tau), coth and
-coth - 1 from the node functions tabulated with the lattice
-(`de_node_functions`), where the other states evaluate the same formulas
-at their own points; every assembly takes r^{2-e} once, for the branch
+build time.  Every state reads r, phi = -expm1(-2 tau) and coth of its
+points from `node_functions`: `lattice`, read by the integrator, is the
+`de_lattice` nodes for the geometry's boundary decay rate, with the node
+functions tabulated there, and the other states evaluate them at their own
+points.  The centre series' closure alone reads coth - 1 = 2/expm1(2 tau),
+at its own points; every assembly takes r^{2-e} once, for the branch
 sums and (coth - 1)/x alike.  `boundary` assembles the one point
 r = 0 (tau = inf) on its own, so `hkcce residuals`, which reads `boundary`
 but no integral, assembles no lattice.  Both are first order: every
@@ -65,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model_geometry import ModelSpace
-from .scattering import TAIL_E_FOLDS, TAU_MATCH, ScatteringResult, de_lattice, de_node_functions
+from .scattering import TAIL_E_FOLDS, TAU_MATCH, ScatteringResult, de_lattice, node_functions
 from .special_fn import d_gamma
 
 _WINDOW_POINTS = 200       # log-spaced radii of the residual window
@@ -171,7 +172,7 @@ class Lattice(NamedTuple):
 
     state: GeometryState     # first order, at the `de_lattice` nodes, in their order
     weights: np.ndarray      # h/2 dtau/dt at step h/2
-    coarse: np.ndarray       # mask of the nodes of step h
+    coarse: slice            # the nodes of step h, every other node
 
 
 class CompactifiedGeometry:
@@ -230,25 +231,23 @@ class CompactifiedGeometry:
         a = min(2 gamma, 2 - 2 gamma, 1) (a = 1 for Lee), so the nodes run
         out to tau = TAIL_E_FOLDS/a.  Up to the connection point the adapted
         state reads u, u' and 1 + w off the interior's table, which holds
-        exactly these nodes, and everywhere r and the functions of tau it
-        needs off the tables `de_node_functions` slices.  The state is first
-        order: no integrand reads w'', ddS_hat or ddT, so they are not
-        assembled.
+        exactly these nodes, and everywhere r, phi and coth off the
+        `node_functions` the lattice tabulates.  The state is first order: no
+        integrand reads w'', ddS_hat or ddT, so they are not assembled.
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
-        tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
-        exp_neg, *nodes = de_node_functions(TAIL_E_FOLDS / rate)
+        tau, weights, coarse, (exp_neg, *nodes) = de_lattice(TAIL_E_FOLDS / rate)
         # ModelSpace.r_of_tau's product, from the tabulated e^{-tau}
         r = (2.0 / math.sqrt(self.base.k)) * exp_neg
-        return Lattice(self._assemble(tau, r, second_order=False, nodes=nodes),
-                       weights, coarse)
+        return Lattice(self._assemble(tau, r, nodes, second_order=False), weights, coarse)
 
     @cached_property
     def boundary(self) -> dict:
         """T (adapted) or Jbar (Lee) at r = 0 (tau = inf), from a first-order
         state of that one point, against its target: -(4 gamma/d_gamma) Q,
         or (n+1)/n Jhat."""
-        st = self._assemble(np.array([np.inf]), np.zeros(1), second_order=False)
+        tau = np.array([np.inf])
+        st = self._assemble(tau, np.zeros(1), node_functions(tau)[1:], second_order=False)
         if self.kind == "adapted":
             t_b = float(st.T[0])
             target = -(4.0 * self.gamma / d_gamma(self.gamma)) * self.q_value
@@ -285,7 +284,9 @@ class CompactifiedGeometry:
         off = ~(tau > 0.0)
         if off.any():
             raise ValueError(f"tau={tau[off][0]} outside (0, inf]")
-        return self._assemble(tau, np.asarray(self.base.r_of_tau(tau)))
+        exp_neg, *nodes = node_functions(tau)
+        # ModelSpace.r_of_tau's product
+        return self._assemble(tau, (2.0 / math.sqrt(self.base.k)) * exp_neg, nodes)
 
     def state_of_r(self, r) -> GeometryState:
         """State at radii r in [0, r_center); r = 0 is the boundary
@@ -296,23 +297,22 @@ class CompactifiedGeometry:
             raise ValueError(f"r={r[off][0]} outside [0, {self.base.r_center})")
         with np.errstate(divide="ignore"):
             tau = np.asarray(self.base.tau_of_r(r))
-        return self._assemble(tau, r)
+        return self._assemble(tau, r, node_functions(tau)[1:])
 
-    def _centre(self, tau, r, x, coth, coth_m1, second_order):
+    def _centre(self, tau, r, x, coth, second_order):
         """(1 + w)/x, w'/x, rho/r and, if second_order, w''/x from the
         centre series (u, u', y = 1 + w) and the closure written for y,
         y' = -n (coth - 1) w - 2 gamma y - m y^2, whose terms are of the
         size of y' where y is small.  The closure for v cancels terms of
         size n m there: 1e-14 in w' at tau = 2.7, n = 10, gamma = 0.84.
-        coth_m1 is coth - 1 = 2/expm1(2 tau) if tabulated, else None."""
+        coth - 1 is 2/expm1(2 tau), formed here, its one reader."""
         n, m, e = self.base.n, self.m_exp, self.e
         u, du, y = self.interior(tau)
         w = du / (m * u)
         u = u / self.c1
         if np.any(u <= 0.0):
             raise GeometryError("scattering solution is not positive")
-        if coth_m1 is None:
-            coth_m1 = 2.0 / np.expm1(2.0 * tau)
+        coth_m1 = 2.0 / np.expm1(2.0 * tau)
         dy = -n * coth_m1 * w - e * y - m * y * y
         out = (y / x, dy / x, np.power(u / np.power(r, m), 1.0 / m))
         if not second_order:
@@ -339,21 +339,16 @@ class CompactifiedGeometry:
         return out + (-(V3 * U0 * U0 - x * V2 * V1 * U0 - 2.0 * x * c * V1)
                       / (mU0 * U0 * U0),)
 
-    def _assemble(self, tau, r, second_order=True, nodes=None) -> GeometryState:
-        """The state at (tau, r); with second_order=False (the lattice's
-        and the boundary's state) w'', ddS_hat and ddT are left out and set
-        to None.  nodes are -expm1(-2 tau), 1/tanh(tau) and coth - 1 at the
-        points tau <= TAU_MATCH as `de_node_functions` tabulates them for
-        the lattice; without them the state evaluates the same formulas at
-        its own points."""
+    def _assemble(self, tau, r, nodes, second_order=True) -> GeometryState:
+        """The state at (tau, r), where nodes are phi = -expm1(-2 tau) and
+        coth = 1/tanh(tau) as `node_functions` gives them; with
+        second_order=False (the lattice's and the boundary's state) w'',
+        ddS_hat and ddT are left out and set to None."""
         n = self.base.n
         e = self.e
         x = np.power(r, e)
         r_2e = np.power(r, 2.0 - e)
-        if nodes is None:
-            phi, coth, coth_m1 = -np.expm1(-2.0 * tau), 1.0 / np.tanh(tau), None
-        else:
-            phi, coth, coth_m1 = nodes
+        phi, coth = nodes
         cols = np.empty((4 if second_order else 3, len(tau)))
         outer = tau > self.tau_branch
         split = int(np.count_nonzero(outer))
@@ -367,7 +362,7 @@ class CompactifiedGeometry:
             cols[:, outer] = self._branch(r[outer], x[outer], r_2e[outer], second_order)
         if tau[inner].size:
             cols[:, inner] = self._centre(tau[inner], r[inner], x[inner], coth[inner],
-                                          coth_m1, second_order)
+                                          second_order)
         p, dp, ror = cols[:3]
         ddp = cols[3] if second_order else None
 

@@ -64,50 +64,39 @@ _BAND = 10 * 1e-6
 # Radial integration
 # ---------------------------------------------------------------------------
 
-def _coarse_nodes(coarse: np.ndarray) -> slice:
-    """The nodes of `de_lattice`'s coarse mask as a slice: every other
-    node, from the first or the second."""
-    return slice(0 if coarse[0] else 1, None, 2)
-
-
-def _levels(g: np.ndarray, weights: np.ndarray, coarse: np.ndarray):
+def _levels(g: np.ndarray, weights: np.ndarray, coarse: slice):
     """Trapezoidal sums at steps h and h/2 of `de_lattice` integrals, from
     the integrand values g at its nodes (last axis); one sum per row.
 
-    The coarse nodes are read as a stride-2 slice (`_coarse_nodes`) and
-    copied to a contiguous array first, so that each row is summed exactly
-    as it would be on its own.
+    The coarse nodes, `de_lattice`'s stride-2 slice, are copied to a
+    contiguous array first, so that each row is summed exactly as it would
+    be on its own.
     """
     g = g * weights
-    return (2.0 * np.ascontiguousarray(g[..., _coarse_nodes(coarse)]).sum(axis=-1),
-            g.sum(axis=-1))
+    return 2.0 * np.ascontiguousarray(g[..., coarse]).sum(axis=-1), g.sum(axis=-1)
 
 
 class RadialIntegrator:
     """Nested double-exponential rule over one compactified geometry.
 
-    The state, weights and coarse mask are the geometry's `lattice`: its
+    The state, weights and coarse slice are the geometry's `lattice`: its
     `de_lattice` nodes of step h/2, out to where the integrands' boundary
     decay leaves e^{-40} of an integral, assembled once, when the first
-    integrator of a geometry is made.  Every integral reuses that one state.
+    integrator of a geometry is made.  Every integral reuses that one state
+    and sums it with `_levels`.
     """
 
     def __init__(self, geom: CompactifiedGeometry):
-        self.geom = geom
         self.state, self.weights, self.coarse = geom.lattice
-
-    def levels(self, g_fn):
-        """Trapezoidal sums at steps h and h/2 of int_0^inf G dtau."""
-        coarse, fine = _levels(g_fn(self.state), self.weights, self.coarse)
-        return float(coarse), float(fine)
 
     def integrate(self, g_fn):
         """(value, err_est) of Vol-normalised int_0^inf G dtau.
 
         g_fn maps a GeometryState to the integrand values G(tau).  The
-        estimate is the change from step h to h/2 plus a roundoff floor.
+        value is the sum at step h/2, and the estimate the change from
+        step h to h/2 plus a roundoff floor.
         """
-        coarse, fine = self.levels(g_fn)
+        coarse, fine = map(float, _levels(g_fn(self.state), self.weights, self.coarse))
         return fine, abs(fine - coarse) + 50.0 * _EPS * abs(fine)
 
 
@@ -391,7 +380,7 @@ def asymptotic_ratio(n: int, k: float, r_values) -> list[dict]:
     tau_r = m.tau_of_r(r)
     f_r = m.f_tau(tau_r)
     surface = m.df_tau(tau_r) / h_r
-    s, weights, coarse = de_lattice(TAIL_E_FOLDS)
+    s, weights, coarse, _ = de_lattice(TAIL_E_FOLDS)
     tau = tau_r[:, None] * np.exp(-s / (n + 1.0))
     g = tau * m.df_tau(tau) * (m.f_tau(tau) / f_r[:, None]) ** n / (n + 1.0)
     v1, v2 = _levels(g, weights, coarse)

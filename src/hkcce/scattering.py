@@ -70,10 +70,10 @@ tabulated once, on import.  A sum is then one product of the coefficients
 with a power table, which a call off the table builds for its own points
 the same way; both set the powers below the smallest normal float to
 exact 0, which no sum's bits can see and which spares the products their
-subnormal operands.  `de_lattice` slices one lattice, also evaluated on
-import, and `de_node_functions` slices what a geometry's state reads of
-the lattice's nodes alone, e^{-tau}, -expm1(-2 tau), 1/tanh(tau) and,
-at the table's nodes, 2/expm1(2 tau), tabulated with it.
+subnormal operands.  The lattice is evaluated on import too, with what a
+geometry's state reads of its nodes alone (`node_functions`), and
+`de_lattice` is the one record of it: nodes, weights, the coarse nodes as
+a slice, and read-only slices of those node functions.
 
 A `ScatteringResult` carries the series it was matched to (`interior`),
 so a geometry is built from the result alone and cannot pair one case's
@@ -150,29 +150,26 @@ def _de_first(tau_max: float) -> int:
     return math.floor(-math.asinh(tau_max / math.pi) / (0.5 * DE_STEP))
 
 
+def node_functions(tau):
+    """e^{-tau}, -expm1(-2 tau) and 1/tanh(tau): what a geometry's state
+    reads of its points alone, r = (2/sqrt(k)) e^{-tau}, phi = r f =
+    1 - k r^2/4 and coth.  All three are finite on (0, inf], where tau =
+    inf, the boundary r = 0, gives 0, 1 and 1."""
+    return np.exp(-tau), -np.expm1(-2.0 * tau), 1.0 / np.tanh(tau)
+
+
 def _de_rule(tau_max: float):
-    """`de_lattice` evaluated afresh."""
+    """The nodes, weights and `node_functions` of `de_lattice`, evaluated afresh."""
     half = 0.5 * DE_STEP
     i = np.arange(_de_first(tau_max), round(DE_T_MAX / half) + 1)
     t = i * half
     z = -math.pi * np.sinh(t)
+    tau = np.logaddexp(0.0, z)
     weights = half * math.pi * np.cosh(t) / (1.0 + np.exp(-z))
-    return tuple(_read_only(a) for a in (np.logaddexp(0.0, z), weights, i % 2 == 0))
+    return tuple(map(_read_only, (tau, weights, *node_functions(tau))))
 
 
 _DE_WIDEST = _de_rule(DE_TAU_WIDEST)
-# e^{-tau}, -expm1(-2 tau) and 1/tanh(tau) at its nodes (`de_node_functions`)
-_DE_NODE_FUNCTIONS = tuple(map(_read_only, (np.exp(-_DE_WIDEST[0]),
-                                            -np.expm1(-2.0 * _DE_WIDEST[0]),
-                                            1.0 / np.tanh(_DE_WIDEST[0]))))
-
-
-def _de_start(tau_max: float) -> int:
-    """Where the lattice of tau_max starts in the widest one."""
-    start = _de_first(tau_max) - _de_first(DE_TAU_WIDEST)
-    if start < 0:
-        raise ValueError(f"tau_max={tau_max} beyond the widest lattice, {DE_TAU_WIDEST}")
-    return start
 
 
 def de_lattice(tau_max: float):
@@ -183,34 +180,23 @@ def de_lattice(tau_max: float):
     t = i h/2 for the integers i from the first one whose tau exceeds tau_max
     up to t = DE_T_MAX, in ascending t and so in descending tau.  tau_max moves
     only the lower end: the nodes with tau <= tau_max are the same for every
-    larger tau_max.  Returns (tau, weights, coarse): the nodes, their weights
-    h/2 dtau/dt at step h/2, and the mask of the nodes of step h (even i).
-    Summing G w over all nodes gives the rule at step h/2, and twice the
-    sum over the coarse nodes gives it at step h.
+    larger tau_max.  Returns (tau, weights, coarse, nodes): the nodes, their
+    weights h/2 dtau/dt at step h/2, the slice of the nodes of step h (even
+    i, every other node) and `node_functions` at the nodes.  Summing G w over
+    all nodes gives the rule at step h/2, and twice the sum over the coarse
+    nodes gives it at step h.
 
-    The rule is evaluated once on import, at DE_TAU_WIDEST, and a lattice
-    is three read-only slices of it; a tau_max beyond DE_TAU_WIDEST, which
-    the package never asks for, raises ValueError.
+    The rule and its node functions are evaluated once on import, at
+    DE_TAU_WIDEST, and a lattice hands out read-only slices of them; a
+    tau_max beyond DE_TAU_WIDEST, which the package never asks for, raises
+    ValueError.
     """
-    start = _de_start(tau_max)
-    return tuple(a[start:] for a in _DE_WIDEST)
-
-
-def de_node_functions(tau_max: float):
-    """e^{-tau}, -expm1(-2 tau) and 1/tanh(tau) at the nodes of
-    `de_lattice(tau_max)`, in their order, and 2/expm1(2 tau) = coth(tau) - 1
-    at its nodes with tau <= TAU_MATCH, the interior table's.
-
-    Like the lattice, they are evaluated once on import, at DE_TAU_WIDEST
-    (the last one at the table's nodes alone: beyond them expm1(2 tau)
-    overflows), and handed out as read-only slices; a tau_max below
-    TAU_MATCH, whose lattice holds only some of the table's nodes, or
-    beyond DE_TAU_WIDEST raises ValueError.
-    """
-    if tau_max < TAU_MATCH:
-        raise ValueError(f"tau_max={tau_max} below the connection point {TAU_MATCH}")
-    start = _de_start(tau_max)
-    return (*(a[start:] for a in _DE_NODE_FUNCTIONS), _TABLE_COTH_M1)
+    first = _de_first(tau_max)
+    start = first - _de_first(DE_TAU_WIDEST)
+    if start < 0:
+        raise ValueError(f"tau_max={tau_max} beyond the widest lattice, {DE_TAU_WIDEST}")
+    tau, weights, *nodes = (a[start:] for a in _DE_WIDEST)
+    return tau, weights, slice(first % 2, None, 2), tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +334,6 @@ def _summed_at(tau: np.ndarray) -> tuple:
 # powers of w in np.longdouble; then w(TAU_MATCH) and the long-double epsilon
 _TABLE_TAU = _read_only(_DE_WIDEST[0][_DE_WIDEST[0] <= TAU_MATCH])
 _TABLE_AT = tuple(map(_read_only, _summed_at(_TABLE_TAU)))
-# coth - 1 there, for a geometry's lattice state (`de_node_functions`)
-_TABLE_COTH_M1 = _read_only(2.0 / np.expm1(2.0 * _TABLE_TAU))
 _CONNECTION_COSH, _CONNECTION_TANH = np.cosh(_LD(TAU_MATCH) / 2), np.tanh(_LD(TAU_MATCH) / 2)
 _CONNECTION_POWERS = _read_only(_powers(np.array([_CONNECTION_TANH ** 2]), _LD))
 _W_CONNECTION = float(_CONNECTION_TANH ** 2)

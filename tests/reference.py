@@ -24,8 +24,8 @@ where the cancellation it measures leaves fewer than 3 of them.  The second
 prefactor is c1 at k = 1: r^{s-n} u tends to it as tau -> infinity.
 
 The boundary branches are 2F1 too (`branch`), and at gamma = 1/2 u itself
-(`half_series`) and the main integrals of both identities are elementary
-(`adapted_main_half`, `lee_main`).
+(`half_series`), the geometry's state (`half_state`) and the main integrals
+of both identities are elementary (`adapted_main_half`, `lee_main`).
 """
 
 import functools
@@ -105,6 +105,23 @@ def half_series(n, tau):
     tanh = mp.tanh(tau / 2)
     u = mp.cosh(tau / 2) ** -(n - 1)
     return u, -mp.mpf(n - 1) / 2 * tanh * u, 1 - tanh
+
+
+def half_state(k, tau):
+    """(T, S_hat, rho/r, w'/x) of the adapted state at gamma = 1/2, the flat
+    ball of radius k^{-1/2}, at tau, with r = (2/sqrt(k)) e^{-tau}:
+
+        1 + w = 1 - tanh(tau/2) (`half_series`),  x = r^{2 gamma} = r,
+        S = 1 - w^2 = sech^2(tau/2),  w' = -sech^2(tau/2)/2,
+        rho = (u/c1)^{2/(n-1)} = sech^2(tau/2)/(2 sqrt(k)),  c1 = (2 sqrt(k))^{(n-1)/2},
+
+    and T = S rho^{-1} = 2 sqrt(k), the boundary value -(4 gamma/d_gamma) Q
+    with d_{1/2} = -1 and Q = sqrt(k), so T' = 0.  None depends on n.
+    """
+    k, tau = mp.mpf(k), mp.mpf(tau)
+    r = 2 / mp.sqrt(k) * mp.exp(-tau)
+    sech_sq = mp.sech(tau / 2) ** 2
+    return 2 * mp.sqrt(k), sech_sq / r, sech_sq / (2 * mp.sqrt(k) * r), -sech_sq / (2 * r)
 
 
 def closure(n, s, tau, u, du):

@@ -1,5 +1,6 @@
 """Compactified geometries: closed-form cases, chain rules and residuals."""
 
+import functools
 import math
 from dataclasses import fields, replace
 
@@ -57,6 +58,42 @@ class TestFlatBallCase:
         # rho_s = (1 - |x|^2)/2 in the flat model
         st = adapted(4, 0.5, 1.0).state(1e-3)
         assert st.rho[0] == pytest.approx(0.5, abs=1e-6)
+
+
+@functools.cache
+def _flat_ball(k, tau):
+    """`reference.half_state` at one point, rounded to double."""
+    with mpmath.workdps(30):
+        return tuple(map(float, reference.half_state(k, tau)))
+
+
+class TestFlatBallState:
+    """gamma = 1/2 at every k: the adapted metric is the flat ball of radius
+    k^{-1/2}, and its state is elementary (`reference.half_state`)."""
+
+    EPS = float(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 10, 20, 40, 60, 100, 150))
+    def test_lattice_and_window_states_are_the_closed_forms(self, adapted, n):
+        """T = 2 sqrt(k), T' = 0, S_hat, rho/r and w'/x on the lattice state
+        and on the residual window, over k 0.5, 1, 2: up to n = 20 on both
+        sides of TAU_MATCH within a few eps, and beyond on the centre
+        series' side alone, within some ten times that.  The branch side
+        loses digits there: 37.5 eps in T at n = 40 and 3.5e6 at n = 150
+        (ROADMAP item 2)."""
+        both = n <= 20
+        value_eps, dT_eps, dw_eps = (8, 32, 128) if both else (64, 256, 1024)
+        for k in (0.5, 1.0, 2.0):
+            g = adapted(n, 0.5, k)
+            for st in (g.lattice.state, g.window):
+                at = slice(None) if both else st.tau <= TAU_MATCH
+                T, S_hat, rho_over_r, dw_hat = np.array(
+                    [_flat_ball(k, float(t)) for t in st.tau[at]]).T
+                for got, want, bound in ((st.T, T, value_eps), (st.S_hat, S_hat, value_eps),
+                                         (st.rho_over_r, rho_over_r, value_eps),
+                                         (st.dw_hat, dw_hat, dw_eps)):
+                    assert np.all(np.abs(got[at] - want) <= bound * self.EPS * np.abs(want))
+                assert np.all(np.abs(st.dT[at]) <= dT_eps * self.EPS * 2.0 * math.sqrt(k))
 
 
 class TestLeeHemisphere:
@@ -307,9 +344,9 @@ class TestLatticeState:
     def test_folded_state_equals_the_separate_evaluations(self, solved, kind, n, gamma, k):
         g = self._geometry(solved, kind, n, gamma, k)
         rate = min(2.0 * gamma, 2.0 - 2.0 * gamma, 1.0) if kind == "adapted" else 1.0
-        tau, weights, coarse = de_lattice(TAIL_E_FOLDS / rate)
+        tau, weights, coarse, _ = de_lattice(TAIL_E_FOLDS / rate)
         lat = g.lattice
-        assert np.array_equal(lat.weights, weights) and np.array_equal(lat.coarse, coarse)
+        assert np.array_equal(lat.weights, weights) and lat.coarse == coarse
         _same_bits(lat.state, g.state(tau))
         # the boundary values are the full state's at r = 0, bit for bit
         full = g.state_of_r(0.0)

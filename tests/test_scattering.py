@@ -12,10 +12,10 @@ import pytest
 
 from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
-from hkcce.hk_verifier import RadialIntegrator, _coarse_nodes
+from hkcce.hk_verifier import RadialIntegrator
 from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError, ResonanceError,
-                              _connect, _s_ext, de_lattice, de_node_functions,
+                              _connect, _s_ext, de_lattice, node_functions,
                               frobenius_branch, match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
@@ -149,10 +149,13 @@ class TestBranchArithmetic:
 
 class TestDeLattice:
     def test_memoised_and_read_only(self):
-        """Every call slices the one lattice evaluated on import."""
-        lattice = de_lattice(40.0)
-        for a, again in zip(lattice, de_lattice(40.0), strict=True):
-            assert np.array_equal(a, again)
+        """Every call slices the one lattice and its node functions evaluated
+        on import."""
+        tau, weights, coarse, nodes = de_lattice(40.0)
+        again = de_lattice(40.0)
+        assert coarse == again[2]
+        for a, b in zip((tau, weights, *nodes), (*again[:2], *again[3]), strict=True):
+            assert np.array_equal(a, b)
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
@@ -179,12 +182,13 @@ class TestDeLattice:
     @pytest.mark.parametrize("tau_max", TAU_MAXES)
     def test_equals_the_de_formulas_bit_for_bit(self, tau_max):
         got = de_lattice(tau_max)
-        for a, b in zip(got, self.direct(tau_max), strict=True):
+        for a, b in zip(got[:2], self.direct(tau_max)[:2], strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert got[0][0] > tau_max and np.all(np.diff(got[0]) < 0)
 
     def test_a_smaller_tau_max_is_a_suffix(self):
-        lattices = [tuple(a.copy() for a in de_lattice(t)) for t in self.TAU_MAXES]
+        lattices = [tuple(a.copy() for a in (tau, weights, *nodes))
+                    for tau, weights, _, nodes in map(de_lattice, self.TAU_MAXES)]
         for small, large in zip(lattices, lattices[1:]):
             assert len(small[0]) < len(large[0])
             for a, b in zip(small, large):
@@ -192,34 +196,25 @@ class TestDeLattice:
 
     @pytest.mark.parametrize("tau_max", TAU_MAXES)
     def test_node_functions_equal_their_formulas_bit_for_bit(self, tau_max):
-        """The tabulated e^{-tau}, -expm1(-2 tau), 1/tanh(tau) and, at the
-        interior table's nodes, 2/expm1(2 tau) are the formulas at the
-        lattice's own nodes, on the slice and on a copy of it."""
-        tau = de_lattice(tau_max)[0]
-        got = de_node_functions(tau_max)
-        inner = tau <= TAU_MATCH
-        assert np.array_equal(tau[inner], scattering._TABLE_TAU)
+        """The tabulated e^{-tau}, -expm1(-2 tau) and 1/tanh(tau) are the
+        formulas at the lattice's own nodes, on the slice and on a copy of
+        it, and `node_functions` off the lattice."""
+        tau, _, _, got = de_lattice(tau_max)
         for nodes in (tau, tau.copy()):
-            formulas = (np.exp(-nodes), -np.expm1(-2.0 * nodes), 1.0 / np.tanh(nodes),
-                        2.0 / np.expm1(2.0 * nodes[inner]))
-            for a, b in zip(got, formulas, strict=True):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            formulas = (np.exp(-nodes), -np.expm1(-2.0 * nodes), 1.0 / np.tanh(nodes))
+            for a, b, c in zip(got, formulas, node_functions(nodes), strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(a, c)
         for a in got:
             assert not a.flags.writeable
 
-    def test_node_functions_refuse_a_lattice_short_of_the_table(self):
-        with pytest.raises(ValueError, match="below the connection point"):
-            de_node_functions(0.5 * TAU_MATCH)
-        with pytest.raises(ValueError, match="widest"):
-            de_node_functions(2 * scattering.DE_TAU_WIDEST)
-
     @pytest.mark.parametrize("tau_max", (21.0, *TAU_MAXES))
     def test_the_coarse_slice_is_the_coarse_mask(self, tau_max):
-        """The integrator reads the coarse nodes as every other node, from
-        the first or the second: exactly the nodes of the mask."""
-        coarse = de_lattice(tau_max)[2]
-        index = np.arange(len(coarse))
-        assert np.array_equal(index[_coarse_nodes(coarse)], np.flatnonzero(coarse))
+        """The coarse slice, every other node from the first or the second,
+        selects exactly the nodes of even i, the mask of the formulas."""
+        tau, _, coarse, _ = de_lattice(tau_max)
+        even = self.direct(tau_max)[2]
+        index = np.arange(len(tau))
+        assert np.array_equal(index[coarse], np.flatnonzero(even))
 
 
 class TestInteriorSolve:

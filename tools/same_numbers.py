@@ -25,7 +25,8 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     which reads the full, second-order state;
   - both ``boundary`` dicts (adapted and Lee) of every geometry;
   - the first-order fields of every geometry's quadrature lattice, its
-    weights and its coarse mask, and those of its state at r = 0;
+    weights and the indices of its coarse nodes, and those of its state at
+    r = 0;
   - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid;
   - ``verify_prop21(n).to_json()`` at n 21..60, beyond the CLI's 5..20;
   - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
@@ -227,8 +228,9 @@ def lattices() -> dict:
     out = {}
     for label, g in geometries():
         lat = g.lattice
+        # the coarse nodes by index, which a mask and a slice give alike
         out[label] = [first_order(lat.state), first_order(g.state_of_r(0.0)),
-                      lat.weights, lat.coarse]
+                      lat.weights, np.arange(len(lat.weights))[lat.coarse]]
     return out
 
 
