@@ -237,7 +237,7 @@ class CompactifiedGeometry:
         """
         rate = min(self.e, 2.0 - self.e, 1.0) if self.kind == "adapted" else 1.0
         tau, weights, coarse, (exp_neg, *nodes) = de_lattice(TAIL_E_FOLDS / rate)
-        # ModelSpace.r_of_tau's product, from the tabulated e^{-tau}
+        # r = (2/sqrt(k)) e^{-tau}, from the tabulated e^{-tau}
         r = (2.0 / math.sqrt(self.base.k)) * exp_neg
         return Lattice(self._assemble(tau, r, nodes, second_order=False), weights, coarse)
 
@@ -285,7 +285,7 @@ class CompactifiedGeometry:
         if off.any():
             raise ValueError(f"tau={tau[off][0]} outside (0, inf]")
         exp_neg, *nodes = node_functions(tau)
-        # ModelSpace.r_of_tau's product
+        # r = (2/sqrt(k)) e^{-tau}, the lattice's product
         return self._assemble(tau, (2.0 / math.sqrt(self.base.k)) * exp_neg, nodes)
 
     def state_of_r(self, r) -> GeometryState:

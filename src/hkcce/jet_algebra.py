@@ -47,7 +47,6 @@ r^4 defect is (1/(n(n-2)^3)) int |E|^2 / Vol.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -324,9 +323,6 @@ class Prop21Certificate:
             "ok": self.ok,
             "detail": dict(self.detail),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def verify_prop21(n: int) -> Prop21Certificate:

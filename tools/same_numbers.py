@@ -28,7 +28,8 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     weights and the indices of its coarse nodes, and those of its state at
     r = 0;
   - ``asymptotic_ratio`` tables at n 60 and 120, beyond the CLI's grid;
-  - ``verify_prop21(n).to_json()`` at n 21..60, beyond the CLI's 5..20;
+  - ``verify_prop21(n).to_dict()`` as indented, key-sorted JSON at n 21..60,
+    beyond the CLI's 5..20;
   - ``to_dict()`` of all five report kinds (hk-adapted, defect-adapted,
     hk-cla, hk-lee, defect-lee) at n = 150, gamma 0.25 and 0.5, k 0.5 and 2,
     also beyond the CLI's grid;
@@ -240,7 +241,8 @@ def asymptotic_tables() -> dict:
 
 
 def prop21_certificates() -> dict:
-    return {n: verify_prop21(n).to_json() for n in range(21, 61)}
+    return {n: json.dumps(verify_prop21(n).to_dict(), indent=2, sort_keys=True)
+            for n in range(21, 61)}
 
 
 def reports_n150() -> dict:
