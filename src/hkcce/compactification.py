@@ -192,9 +192,9 @@ class CompactifiedGeometry:
             self.two_gamma = self.e = 2.0 * self.gamma
             self.interior, self.c1 = sr.interior, sr.c1
             self.q_value, self.q = sr.q_value, sr.scattering_value
-            # the branch sums cancel at large n away from the boundary (1e-9
-            # at tau = ln 8 for n = 60), while the centre series is accurate
-            # up to its horizon, the connection point
+            # the branches are summed to read tau >= TAU_MATCH only, where
+            # their sum still cancels at large n (by `condition_estimate`),
+            # while the centre series is accurate up to its horizon, there
             self.tau_branch = TAU_MATCH
             low = sr.branch_low.coeffs.astype(float)
             high = sr.branch_high.coeffs.astype(float)

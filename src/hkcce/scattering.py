@@ -37,11 +37,14 @@ The geometry reads y = 1 + u'/((n-s) u), 0.04-0.1 at tau = 3, which a third
 positive sum H = sum_j f_j/(n+1+2j) w^j gives without subtracting u' from u:
 y = ((1 - 2 gamma) H + 2 (1 - tanh(tau/2)) G)/F, F and G the sums of u and
 u', whose terms cancel only for gamma > 1/2, by at most a factor 4.6.
-The two Frobenius branches, summed until their last term is below machine
-epsilon on r <= r(ln 8), are connected to u in value and tau derivative at
-the one point tau_m = 3.  A branch is its root and one np.longdouble
-coefficient array, evaluated once, at tau_m: one term vector there gives
-its value, its derivative and the truncation the connection checks
+The two Frobenius branches are connected to u in value and tau derivative
+at the one point tau_m = 3, and only read at tau >= tau_m.  Their
+coefficients follow from the same 2F1 term ratio as the f_j
+(`_term_ratio`), and each branch is summed until its last term at tau_m,
+where k r^2/4 = e^{-6} for every k, is at most long-double epsilon of the
+sum there: its term count depends on (n, gamma) alone.  A branch is its
+root and one np.longdouble coefficient array, evaluated once, at tau_m: one
+term vector there gives its value and its derivative
 (`FrobeniusBranch.at`).  The series coefficients, u and u' there, both
 branch values and derivatives, the 2x2 solve and d_gamma are carried in
 np.longdouble, so that Q is rounded to double only once.  The solve
@@ -97,15 +100,10 @@ import numpy as np
 
 from .special_fn import GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma_ext
 
-# The branch series are summed to convergence in double at r(ln 8) =
-# 0.25/sqrt(k) but evaluated only at tau >= TAU_MATCH, where each term is
-# smaller by a further (r(3)/r(ln 8))^2 = 0.16 per order.  That margin leaves
-# the tau = 3 sum at long-double accuracy: its last term is at most 2.3e-24
-# of the sum over n 3..200, gamma in [0.05, 0.95] and k 0.5, 1, 2.
-TAU_BRANCH = math.log(8.0)
 TAU_MATCH = 3.0               # connection point of the centre series and the branches
 _EPS = float(np.finfo(float).eps)
 _LD = np.longdouble           # 80-bit extended on x86; plain double elsewhere
+_EPS_EXT = float(np.finfo(_LD).eps)
 _TINY = float(np.finfo(float).tiny)      # smallest normal float
 # the bound on the connection's cancellation at TAU_MATCH, the digits the
 # geometry's branch half loses; at k = 1 it is first exceeded at n = 196
@@ -130,12 +128,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class ResonanceError(ValueError):
-    """An indicial factor vanished in the Frobenius recursion."""
-
-
 class MatchingError(RuntimeError):
-    """Branch matching failed (conditioning, truncation or a degenerate solution)."""
+    """Branch matching failed (conditioning, underflow, a series that does not
+    converge or a degenerate solution)."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,37 +204,15 @@ def de_lattice(tau_max: float):
 # Frobenius branches at the boundary
 # ---------------------------------------------------------------------------
 
-def _frobenius_terms(n, s, k, mu):
-    """Yield a_0 = 1, a_2, a_4, ... of the branch r^mu (sum a_{2j} r^{2j}).
+def _term_ratio(a, b, c, j):
+    """(a + j)(b + j)/((c + j)(1 + j)): the ratio of the terms j + 1 and j of
+    2F1(a, b; c; x) before the power of x, in the number type of its
+    arguments.  Both series of the package are built from it."""
+    return (a + j) * (b + j) / ((c + j) * (1 + j))
 
-    The branch is r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), so a_{2j} =
-    (n/2)_j (mu)_j / ((1 + mu - n/2)_j j!) (k/4)^j; they are generated here
-    by the recursion below.  The terms take the number type of n, s, k and
-    mu (a_0 is the int 1).  Recursion (P(x) = (x - s)(x - (n - s))):
 
-        P(mu + 2M) a_{2M} = (n k / 2) S_M,
-        S_M = sum_{m<M} (k/4)^{M-1-m} (mu + 2m) a_{2m} = (k/4) S_{M-1} + (mu + 2M - 2) a_{2M-2}
-
-    A vanishing indicial factor raises ResonanceError when that step is
-    reached (for the eigenvalue instance s = n+1 this happens at 2M = n+2
-    when n is even).
-    """
-    yield 1
-    nk_2, k_4, n_s = n * k / 2, k / 4, n - s
-    acc = mu
-    M = 1
-    while True:
-        x = mu + 2 * M
-        P = (x - s) * (x - n_s)
-        if P == 0:
-            raise ResonanceError(
-                f"indicial factor vanishes at step 2M={2 * M} (mu={mu}, s={s}, n={n})"
-            )
-        a = nk_2 * acc / P
-        yield a
-        acc = acc * k_4
-        acc += a * (mu + 2 * M)
-        M += 1
+# k r^2/4 at TAU_MATCH, e^{-2 TAU_MATCH} for every k, in np.longdouble
+_Z_MATCH = np.exp(-2 * _LD(TAU_MATCH))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,41 +224,42 @@ class FrobeniusBranch:
     coeffs: np.ndarray
 
     def at(self, r):
-        """Value, tau derivative (-r d/dr) and truncation at one radius, all
-        in np.longdouble and read from one term vector a_{2j} r^{2j}; the
-        truncation is its last term relative to its sum."""
+        """Value and tau derivative (-r d/dr) at one radius, in np.longdouble,
+        read from one term vector a_{2j} r^{2j}."""
         r, mu = _LD(r), _LD(self.mu)
         j = np.arange(len(self.coeffs))
         terms = self.coeffs * (r * r) ** j
-        r_mu, series = r ** mu, terms.sum()
-        return (r_mu * series, -r_mu * ((mu + 2 * j) * terms).sum(),
-                abs(terms[-1]) / abs(series))
+        r_mu = r ** mu
+        return r_mu * terms.sum(), -r_mu * ((mu + 2 * j) * terms).sum()
 
 
 def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
     """Branch for validated parameters; mu must be one of the indicial roots.
 
-    The series is summed until its last term is below machine epsilon
-    relative to the sum at r(TAU_BRANCH) = 0.25/sqrt(k), beyond every radius
-    at which the branches are evaluated.  mu and the coefficients are
-    np.longdouble, from s = n/2 + gamma exact, for the connection.
+    The branch is r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), so
+    a_{2j+2} = a_{2j} (k/4) `_term_ratio`(n/2, mu, 1 + mu - n/2, j), formed
+    in np.longdouble from s = n/2 + gamma exact.  On the gamma box every
+    factor is positive (c + j >= 1 - gamma), so no term cancels or divides by
+    zero.  The series stops at its first term at TAU_MATCH, where
+    k r^2/4 = e^{-6}, that is at most long-double epsilon of the sum there,
+    and raises MatchingError if _BRANCH_MAX_ORDER terms do not reach it.
     """
     if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
         raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
     s = _s_ext(p.n, p.gamma)
     mu = s if math.isclose(mu, p.s) else p.n - s
-    r2 = (2.0 / math.sqrt(p.k) * math.exp(-TAU_BRANCH)) ** 2
-    coeffs, total = [], 0.0
-    for M, a in enumerate(_frobenius_terms(p.n, s, _LD(p.k), mu)):
-        coeffs.append(a)
-        term = abs(a) * r2 ** M
+    half_n, k_4 = _LD(p.n) / 2, _LD(p.k) / 4
+    c = 1 + (mu - half_n)               # mu - n/2 = +-gamma is exact
+    coeffs, term, total = [_LD(1)], _LD(1), _LD(1)
+    for j in range(_BRANCH_MAX_ORDER):
+        ratio = _term_ratio(half_n, mu, c, j)
+        coeffs.append(coeffs[-1] * k_4 * ratio)
+        term *= _Z_MATCH * ratio
         total += term
-        if M >= 1 and term <= _EPS * total:
-            break
-        if M == _BRANCH_MAX_ORDER:
-            raise MatchingError(
-                f"Frobenius series (mu={mu}) not converged after {M} terms at r(ln 8)")
-    return FrobeniusBranch(mu=mu, coeffs=_read_only(np.array(coeffs, dtype=_LD)))
+        if term <= _EPS_EXT * total:
+            return FrobeniusBranch(mu=mu, coeffs=_read_only(np.array(coeffs, dtype=_LD)))
+    raise MatchingError(f"Frobenius series (mu={mu}) not converged after "
+                        f"{_BRANCH_MAX_ORDER} terms at tau={TAU_MATCH}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +311,12 @@ def _summed_at(tau: np.ndarray) -> tuple:
 # alone, tabulated once on import, read-only: the table's nodes, the
 # lattice's nodes with tau <= TAU_MATCH in its descending order, in double,
 # and at the connection point TAU_MATCH cosh(tau/2), tanh(tau/2) and the
-# powers of w in np.longdouble; then w(TAU_MATCH) and the long-double epsilon
+# powers of w in np.longdouble; then w(TAU_MATCH)
 _TABLE_TAU = _read_only(_DE_WIDEST[0][_DE_WIDEST[0] <= TAU_MATCH])
 _TABLE_AT = tuple(map(_read_only, _summed_at(_TABLE_TAU)))
 _CONNECTION_COSH, _CONNECTION_TANH = np.cosh(_LD(TAU_MATCH) / 2), np.tanh(_LD(TAU_MATCH) / 2)
 _CONNECTION_POWERS = _read_only(_powers(np.array([_CONNECTION_TANH ** 2]), _LD))
 _W_CONNECTION = float(_CONNECTION_TANH ** 2)
-_EPS_EXT = float(np.finfo(_LD).eps)
 
 
 class CentreSeries:
@@ -400,17 +373,14 @@ class CentreSeries:
 
     @staticmethod
     def _ratio(n: int, s, size: int, dtype) -> np.ndarray:
-        """f_{j+1}/f_j = (s+j)(gamma+1/2+j) / (((n+1)/2+j)(1+j)) for j < size, in dtype.
+        """f_{j+1}/f_j = `_term_ratio`(s, gamma + 1/2, (n+1)/2, j) for j < size, in dtype.
 
-        gamma + 1/2 = s - (n-1)/2 is taken in np.longdouble.  The
-        denominator is a half-integer far below 2^53, so it is formed
-        exactly in double and cast once.
+        gamma + 1/2 = s - (n-1)/2 is taken in np.longdouble.  j stays in
+        double, so the denominator, a half-integer far below 2^53, is formed
+        exactly in double and cast once, by the division.
         """
         a, b = dtype(s), dtype(_LD(s) - _LD(n - 1) / 2)
-        j = np.arange(size, dtype=float)
-        den = ((n + 1) / 2 + j) * (1 + j)
-        j = j.astype(dtype, copy=False)
-        return (a + j) * (b + j) / den.astype(dtype, copy=False)
+        return _term_ratio(a, b, (n + 1) / 2, np.arange(size, dtype=float))
 
     @staticmethod
     def _terms_needed(ratio: np.ndarray, w: float, eps: tuple) -> tuple | None:
@@ -514,10 +484,7 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     """
     r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
     r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
-    (v1, d1, t1), (v2, d2, t2) = b1.at(r_ld), b2.at(r_ld)
-    trunc = max(t1, t2)
-    if not trunc <= 1e-8:
-        raise MatchingError(f"Frobenius truncation {trunc:.2e} too large at r={r:.2e}")
+    (v1, d1), (v2, d2) = b1.at(r_ld), b2.at(r_ld)
     u, du = interior.connection
     # a subnormal r^mu or u keeps only a few digits, which no condition
     # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2

@@ -2,14 +2,14 @@
 parameter case across the whole suite."""
 
 import math
-from itertools import islice
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hkcce.compactification import build_adapted, build_lee
 from hkcce.model_geometry import ModelSpace
-from hkcce.scattering import _frobenius_terms, solve_case
+from hkcce.scattering import _term_ratio, solve_case
 from hkcce.special_fn import QCurvParams
 
 
@@ -23,9 +23,17 @@ def taus():
 
 @pytest.fixture(scope="session")
 def branch_terms():
-    """branch_terms(n, s, k, mu, order) -> [a_0 = 1, a_2, ..., a_{2 order}],
-    the even coefficients of the branch r^mu (sum a_{2j} r^{2j})."""
-    return lambda n, s, k, mu, order: list(islice(_frobenius_terms(n, s, k, mu), order + 1))
+    """branch_terms(n, k, mu, order) -> [a_0 = 1, a_2, ..., a_{2 order}],
+    the even coefficients of the branch r^mu (sum a_{2j} r^{2j}) =
+    r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), from the library's
+    `_term_ratio` with n/2 a Fraction: Fraction k and mu give exact terms."""
+    def terms(n, k, mu, order):
+        half_n, a = Fraction(n, 2), [1]
+        for j in range(order):
+            a.append(a[-1] * k / 4 * _term_ratio(half_n, mu, 1 + mu - half_n, j))
+        return a
+
+    return terms
 
 
 @pytest.fixture(scope="session")

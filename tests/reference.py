@@ -23,7 +23,8 @@ tau = 1.5), so each pass is summed with guard digits and repeated with more
 where the cancellation it measures leaves fewer than 3 of them.  The second
 prefactor is c1 at k = 1: r^{s-n} u tends to it as tau -> infinity.
 
-The boundary branches are 2F1 too (`branch`), and at gamma = 1/2 u itself
+The boundary branches are 2F1 too (`branch`, and their coefficients in
+closed form, `branch_coefficients`), and at gamma = 1/2 u itself
 (`half_series`), the geometry's state (`half_state`) and the main integrals
 of both identities are elementary (`adapted_main_half`, `lee_main`).
 """
@@ -163,6 +164,19 @@ def branch(n, gamma, k, high, tau):
     df = a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
     r_mu = r ** mu
     return r_mu * f, -r_mu * (mu * f + 2 * z * df)
+
+
+def branch_coefficients(n, gamma, k, high, count):
+    """The first `count` coefficients a_{2j} of the same branch, mu = s (high)
+    or n - s, in closed form at the working precision:
+
+        a_{2j} = (n/2)_j (mu)_j / ((1 + mu - n/2)_j j!) (k/4)^j.
+    """
+    s = mp.mpf(n) / 2 + mp.mpf(gamma)
+    mu = s if high else n - s
+    a, c, z = mp.mpf(n) / 2, 1 + mu - mp.mpf(n) / 2, mp.mpf(k) / 4
+    return [mp.rf(a, j) * mp.rf(mu, j) / (mp.rf(c, j) * mp.factorial(j)) * z ** j
+            for j in range(count)]
 
 
 def adapted_main_half(n, k):

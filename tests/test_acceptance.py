@@ -155,7 +155,7 @@ def test_criterion_08_frobenius_u2_exact(branch_terms):
             gamma = Fr(19, 20)
         k = Fr(rng.randint(1, 12), rng.randint(1, 12))
         s = Fr(n, 2) + gamma
-        a = branch_terms(n, s, k, n - s, 3)
+        a = branch_terms(n, k, n - s, 3)
         jhat = Fr(n) * k / 2
         assert a[1] == (n - 2 * gamma) / (8 * (1 - gamma)) * jhat
     _report(8, "u2 exact in rational arithmetic for 20 random triples")

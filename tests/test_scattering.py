@@ -14,7 +14,7 @@ from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
 from hkcce.hk_verifier import RadialIntegrator
 from hkcce.scattering import (TAU_MATCH, CentreSeries,
-                              FrobeniusBranch, MatchingError, ResonanceError,
+                              FrobeniusBranch, MatchingError,
                               _connect, _s_ext, de_lattice, node_functions,
                               frobenius_branch, match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
@@ -57,20 +57,14 @@ class TestFrobeniusCoefficients:
         assert b.coeffs[1] == pytest.approx(1.5, rel=1e-14)
 
     def test_formal_k_zero(self, branch_terms):
-        a = branch_terms(4, 2.75, 0.0, 1.25, 6)
+        a = branch_terms(4, 0.0, 1.25, 6)
         assert a[0] == 1.0
         assert all(c == 0.0 for c in a[1:])
 
     def test_lee_branch_terminates(self, branch_terms):
         # s = n+1, mu = -1: r V = 1 + (k/4) r^2 exactly, all higher terms zero
-        a = branch_terms(5, Fr(6), Fr(1), Fr(-1), 4)
+        a = branch_terms(5, Fr(1), Fr(-1), 4)
         assert a == [Fr(1), Fr(1, 4), Fr(0), Fr(0), Fr(0)]
-
-    def test_lee_resonance_even_n(self, branch_terms):
-        with pytest.raises(ResonanceError):
-            branch_terms(4, 5.0, 1.0, -1.0, 4)
-        # below the resonant step it is fine
-        branch_terms(4, 5.0, 1.0, -1.0, 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_u2_exact_rational(self, seed, branch_terms):
@@ -79,7 +73,7 @@ class TestFrobeniusCoefficients:
         gamma = Fr(rng.randint(1, 18), 20)
         k = Fr(rng.randint(1, 9), rng.randint(1, 9))
         s = Fr(n, 2) + gamma
-        a = branch_terms(n, s, k, n - s, 2)
+        a = branch_terms(n, k, n - s, 2)
         assert a[1] == n * k * (n - 2 * gamma) / (16 * (1 - gamma))
 
     def test_recursion_residual(self):
@@ -98,8 +92,7 @@ class TestFrobeniusCoefficients:
         # mu = n-s branch series is the even part of (1+r/2)^{-3}
         p = QCurvParams(4, 0.5, 1.0)
         mu = p.n - p.s
-        b = FrobeniusBranch(mu=mu, coeffs=np.array(branch_terms(p.n, p.s, p.k, mu, 14),
-                                                   dtype=LD))
+        b = FrobeniusBranch(mu=mu, coeffs=np.array(branch_terms(p.n, p.k, mu, 14), dtype=LD))
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
             assert float(b.at(r)[0]) == pytest.approx(r ** mu * even_part, rel=1e-13)
@@ -107,7 +100,8 @@ class TestFrobeniusCoefficients:
 
 class TestBranchArithmetic:
     """`FrobeniusBranch.at` at the connection point against 30-digit sums of
-    its own coefficients, and against the 2F1 form of each branch."""
+    its own coefficients, and against the 2F1 form of each branch; the
+    coefficients against their Pochhammer closed form."""
 
     @pytest.mark.parametrize("n,gamma,k", [(3, 0.05, 0.5), (4, 0.5, 1.0), (20, 0.95, 2.0),
                                            (60, 0.3, 0.5), (150, 0.75, 2.0)])
@@ -123,11 +117,10 @@ class TestBranchArithmetic:
                 series = mpmath.fsum(terms)
                 value = r_mp ** mu * series
                 deriv = -r_mp ** mu * mpmath.fsum((mu + 2 * j) * t for j, t in enumerate(terms))
-                trunc = abs(terms[-1]) / abs(series)
-                got = b.at(r)
-                for x, ref, rel in ((got[0], value, 8 * ulp), (got[1], deriv, 8 * ulp),
-                                    (got[2], trunc, 1e-3)):
-                    assert abs(_mp(x) - ref) <= rel * abs(ref), (b.mu, x, ref)
+                for x, ref in zip(b.at(r), (value, deriv), strict=True):
+                    assert abs(_mp(x) - ref) <= 8 * ulp * abs(ref), (b.mu, x, ref)
+                # the series stops at its first term at most eps of the sum there
+                assert terms[-1] <= ulp * series < terms[-2], b.mu
 
     @pytest.mark.parametrize("n", (3, 4, 20, 60, 150, 190))
     @pytest.mark.parametrize("gamma", (0.05, 0.5, 0.95))
@@ -145,6 +138,26 @@ class TestBranchArithmetic:
                 got = frobenius_branch(p, mu).at(r)
                 for x, ref in zip(got, reference.branch(n, gamma, k, high, tau)):
                     assert abs(_mp(x) - ref) <= 32 * ulp * abs(ref), (mu, x, ref)
+
+    @pytest.mark.parametrize("n", (3, 4, 20, 60, 100, 150, 190))
+    def test_coefficients_equal_the_pochhammer_closed_form(self, n):
+        # the term count is read at tau = 3, where k r^2/4 = e^{-6} for every
+        # k, so it is the same at each k
+        ulp = float(np.finfo(LD).eps)
+        with mpmath.workdps(30):
+            for gamma in (0.05, 0.5, 0.95):
+                for high in (False, True):
+                    counts = set()
+                    for k in (0.5, 1.0, 2.0):
+                        p = QCurvParams(n, gamma, k)
+                        b = frobenius_branch(p, p.s if high else p.n - p.s)
+                        counts.add(len(b.coeffs))
+                        if k == 1.0:
+                            continue
+                        ref = reference.branch_coefficients(n, gamma, k, high, len(b.coeffs))
+                        for j, (a, a_ref) in enumerate(zip(b.coeffs, ref, strict=True)):
+                            assert abs(_mp(a) - a_ref) <= 8 * ulp * a_ref, (gamma, k, high, j)
+                    assert len(counts) == 1, (gamma, high, counts)
 
 
 class TestDeLattice:
@@ -519,17 +532,13 @@ class TestMatching:
                     assert abs(cond - cancellation) <= 4 * cond * cond * eps, (n, gamma, k)
         assert raised > 0
 
-    def test_truncation_guard(self, branch_terms):
-        # `frobenius_branch` sums to machine epsilon at r(ln 8), beyond
-        # r(TAU_MATCH); branches cut after a2 leave ~1.5e-2 there
-        p = QCurvParams(4, 0.5, 4.0)
-        prof = solve_interior(p)
-        s = _s_ext(p.n, p.gamma)
-        b1, b2 = (FrobeniusBranch(mu=mu, coeffs=np.array(branch_terms(p.n, s, p.k, mu, 1),
-                                                         dtype=LD))
-                  for mu in (p.n - s, s))
-        with pytest.raises(MatchingError, match="Frobenius truncation"):
-            _connect(prof, p, b1, b2)
+    @pytest.mark.parametrize("n", (620, 5000, 8000, 12000))
+    def test_extreme_n_is_refused_without_a_warning(self, n):
+        # a RuntimeWarning is an error here: the underflow guard is what keeps
+        # n 5000 and 8000 from dividing by zero in the solve, and at n = 12000
+        # the branch series does not converge within _BRANCH_MAX_ORDER terms
+        with pytest.raises(MatchingError):
+            solve_case(QCurvParams(n, 0.5, 1.0))
 
     def test_underflow_is_a_matching_error(self):
         # r^{n-s} is subnormal at tau = 3 for n = 560, k = 2: the system is

@@ -37,7 +37,11 @@ grid is n 3,4,10 x gamma 0.25,0.5 x k 0.5,1,2.  The items are
     (n 4,5,6 x gamma 0.25,0.4,0.5,0.6,0.75 x k 0.5,1,2), and ``to_dict()``
     of hk-adapted and defect-adapted at the ``edge`` workload's five anchor
     cells (``EDGE_ANCHORS`` in ``bench/workloads.py``) and at (8, 0.13, 0.5)
-    and (15, 0.86, 2), whose verdicts and errors the benchmark reads.
+    and (15, 0.86, 2), whose verdicts and errors the benchmark reads;
+  - ``to_dict()`` of hk-adapted and defect-adapted at every distinct cell
+    that ``edge_cases`` in ``bench/workloads.py`` draws for seeds 1-30, the
+    anchors among them: a one-ulp move of Q at any cell the ``edge``
+    workload may time shows here.
 
 One sha256 digest is printed per item, then their total.  Two checkouts
 give the same numbers on this set when every line agrees.  A RuntimeWarning
@@ -57,13 +61,16 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 warnings.simplefilter("error", RuntimeWarning)
 
 import numpy as np  # noqa: E402
@@ -77,6 +84,7 @@ from hkcce.jet_algebra import verify_prop21  # noqa: E402
 from hkcce.model_geometry import ModelSpace  # noqa: E402
 from hkcce.scattering import solve_case, solve_interior  # noqa: E402
 from hkcce.special_fn import QCurvParams  # noqa: E402
+from workloads import edge_cases  # noqa: E402
 
 NS, GAMMAS, KS = (3, 4, 10), (0.25, 0.5), (0.5, 1.0, 2.0)
 GRID = ["--n", "3,4,10", "--gamma", "0.25,0.5", "--k", "0.5,1,2"]
@@ -100,6 +108,7 @@ GRID45 = ["--n", "4,5,6", "--gamma", "0.25,0.4,0.5,0.6,0.75", "--k", "0.5,1,2"]
 # bench/workloads.py's EDGE_ANCHORS, then one drawn cell from each side of the edge
 EDGE_CELLS = ((3, 0.05, 1.0), (20, 0.05, 1.0), (3, 0.95, 1.0), (20, 0.95, 1.0),
               (3, 0.9025, 1.0), (8, 0.13, 0.5), (15, 0.86, 2.0))
+EDGE_SEEDS = range(1, 31)
 SECOND_ORDER = ("ddS_hat", "ddT")     # left out of the lattice state
 OFF_TABLE_TAU = np.linspace(0.05, 3.0, 40)    # where an interior sums afresh
 
@@ -258,9 +267,9 @@ def reports_n150() -> dict:
     return out
 
 
-def edge_reports() -> dict:
+def edge_reports(cells=EDGE_CELLS) -> dict:
     out = {}
-    for n, gamma, k in EDGE_CELLS:
+    for n, gamma, k in cells:
         out[f"hk-adapted {n} {gamma} {k}"] = verify_adapted(n, gamma, k).to_dict()
         out[f"defect-adapted {n} {gamma} {k}"] = defect_identity(
             "adapted", n, k, gamma=gamma).to_dict()
@@ -281,6 +290,8 @@ def main() -> int:
         "prop21 certificates n 21..60": prop21_certificates,
         "bench grid45 sweep": lambda: cli_run(["sweep", *GRID45]),
         "bench edge reports": edge_reports,
+        "bench edge drawn cells, seeds 1..30": lambda: edge_reports(sorted(
+            {cell for seed in EDGE_SEEDS for cell in edge_cases(random.Random(seed), False)})),
     })
     total = hashlib.sha256()
     for name, make in items.items():
