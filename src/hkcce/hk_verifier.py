@@ -20,8 +20,8 @@ quadrature rule, and `_levels` its only level sum.
 
 The five reports read two integrated identities, adapted and Lee, whose
 integrands (main, r1, r2) are one table per family.  `_identity` holds one
-case's identity and sums each integral when a report first reads it, so
-`hk-cla` sums main alone.
+case's identity in one `RadialIntegrator`, which sums each integral when a
+report first reads it by name, so `hk-cla` sums main alone.
 
 Verdicts, on one fixed band: `equality` when |lhs - rhs| <= 1e-5 |lhs|,
 `strict` when the gap of an inequality exceeds the band, `fail` for a
@@ -34,9 +34,9 @@ can be compared against k^weight.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,18 +76,26 @@ def _levels(g: np.ndarray, weights: np.ndarray, coarse: slice):
     return 2.0 * np.ascontiguousarray(g[..., coarse]).sum(axis=-1), g.sum(axis=-1)
 
 
-class RadialIntegrator:
-    """Nested double-exponential rule over one compactified geometry.
+class RadialIntegrator(dict):
+    """Nested double-exponential rule over one compactified geometry, and
+    the integrals of one identity on it.
 
     The state, weights and coarse slice are the geometry's `lattice`: its
     `de_lattice` nodes of step h/2, out to where the integrands' boundary
     decay leaves e^{-40} of an integral, assembled once, when the first
     integrator of a geometry is made.  Every integral reuses that one state
-    and sums it with `_levels`.
+    and sums it with `_levels`.  Reading an integral by name, a key of the
+    integrand table, sums it on first use and keeps its (value, err_est).
     """
 
-    def __init__(self, geom: CompactifiedGeometry):
+    def __init__(self, geom: CompactifiedGeometry, integrands: dict):
+        super().__init__()
         self.state, self.weights, self.coarse = geom.lattice
+        self._integrands = integrands
+
+    def __missing__(self, name: str):
+        self[name] = self.integrate(self._integrands[name])
+        return self[name]
 
     def integrate(self, g_fn):
         """(value, err_est) of Vol-normalised int_0^inf G dtau.
@@ -104,7 +112,7 @@ class RadialIntegrator:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclasses.dataclass
 class VerificationReport:
     """Outcome of one inequality or identity check."""
 
@@ -119,17 +127,8 @@ class VerificationReport:
     k_weight: float           # exact conformal weight of lhs/rhs under k
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "remainders": [{"name": n, "value": v} for n, v in self.remainders],
-            "verdict": self.verdict,
-            "err_est": self.err_est,
-            "k_weight": self.k_weight,
-        }
+        return {**dataclasses.asdict(self),
+                "remainders": [{"name": n, "value": v} for n, v in self.remainders]}
 
     @property
     def passing(self) -> bool:
@@ -226,33 +225,21 @@ def _lee_integrands(n: int) -> dict:
     }
 
 
-class _Integrals(dict):
-    """Vol-normalised integrals of one identity by name, each summed on its
-    first read and kept, as (value, err_est)."""
-
-    def __init__(self, geom: CompactifiedGeometry, integrands: dict):
-        super().__init__()
-        self._itg = RadialIntegrator(geom)
-        self._integrands = integrands
-
-    def __missing__(self, name: str):
-        self[name] = self._itg.integrate(self._integrands[name])
-        return self[name]
-
-
 @functools.lru_cache(maxsize=1)
 def _identity(n: int, gamma: float | None, k: float):
-    """(sr, Vol(M, ghat), integrals) of one case's integrated identity:
+    """(sr, Vol(M, ghat), integrator) of one case's integrated identity:
     adapted, or Lee when gamma is None (sr is None); M is the round sphere
-    of radius k^{-1/2}.  Memoised for the last case only, so a defect
-    identity right after the inequality of its case reuses the solve, the
-    geometry, its lattice state and the integrals that inequality read."""
+    of radius k^{-1/2}, and the integrator holds the identity's integrands
+    and the integrals read so far.  Memoised for the last case only, so a
+    defect identity right after the inequality of its case reuses the
+    solve, the geometry, its lattice state and the integrals that
+    inequality read."""
     if gamma is None:
         sr, geom, integrands = None, build_lee(ModelSpace(n, k)), _lee_integrands(n)
     else:
         sr = solve_case(QCurvParams(n, gamma, k))
         geom, integrands = build_adapted(sr), _adapted_integrands(n, gamma)
-    return sr, k ** (-n / 2.0) * sphere_volume(n), _Integrals(geom, integrands)
+    return sr, k ** (-n / 2.0) * sphere_volume(n), RadialIntegrator(geom, integrands)
 
 
 # ---------------------------------------------------------------------------

@@ -482,12 +482,12 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     u = c1 U1 + c2 U2 cancels there, (|c1 v1| + |c2 v2|)/|u|: the loss of
     the branch sum every geometry evaluates beyond TAU_MATCH.
     """
-    r = (2.0 / math.sqrt(p.k)) * math.exp(-TAU_MATCH)
-    r_ld = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
-    (v1, d1), (v2, d2) = b1.at(r_ld), b2.at(r_ld)
+    r = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
+    (v1, d1), (v2, d2) = b1.at(r), b2.at(r)
     u, du = interior.connection
-    # a subnormal r^mu or u keeps only a few digits, which no condition
-    # number sees: at n ~ 550 it gave Q off by 80% at condition 6e2
+    # the long-double r^mu, u and u' must reach the smallest normal double:
+    # below it the solve runs on a few digits or none, and at n = 5000 and
+    # 8000 the Wronskian below underflows to 0 and c1, c2 divide by zero
     if not (r ** max(b1.mu, b2.mu) >= _TINY and min(abs(u), abs(du)) >= _TINY):
         raise MatchingError(f"branch or interior values underflow at tau={TAU_MATCH}")
     wronskian = -2 * _LD(p.gamma) * (np.sqrt(_LD(p.k)) * np.sinh(_LD(TAU_MATCH))) ** -p.n

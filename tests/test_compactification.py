@@ -195,7 +195,7 @@ class TestCentreClosure:
         `reference`'s 2F1 and v' from its ODE closure, both at 40 digits, and
         x the state's own.  The closure for v, in double, is off by 63
         (n = 3), 89, 158 and 420 eps (n = 60) here."""
-        st = RadialIntegrator(build_adapted(solved(n, gamma, 1.0))).state
+        st = build_adapted(solved(n, gamma, 1.0)).lattice[0]
         eps = float(np.finfo(float).eps)
         with mpmath.workdps(40):
             s = mpmath.mpf(n) / 2 + mpmath.mpf(gamma)
@@ -383,9 +383,9 @@ class TestLatticeState:
             assert calls == []                     # building evaluates nothing
             residual_suite(g)
             assert len(calls) == 1 and "lattice" not in vars(g)
-            itg = RadialIntegrator(g)
+            itg = RadialIntegrator(g, {})
             g.boundary
-            RadialIntegrator(g)
+            RadialIntegrator(g, {})
             g.boundary
             # the window, the lattice, then the one point r = 0
             assert calls == [200, len(itg.state.tau), 1]
@@ -396,7 +396,7 @@ class TestLatticeState:
         # state, so the error comes where a state is first assembled
         sr = solved(4, 0.3, 1.0)
         bad = replace(sr, scattering_value=-sr.scattering_value)
-        for use in (lambda g: g.boundary, RadialIntegrator):
+        for use in (lambda g: g.boundary, lambda g: RadialIntegrator(g, {})):
             g = build_adapted(bad)
             with pytest.raises(GeometryError, match="is not positive"):
                 use(g)

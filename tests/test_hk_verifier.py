@@ -512,7 +512,7 @@ class TestQuadrature:
     def test_monotone_refinement(self, lee):
         # halving the step moves the integral by less than the error
         # estimate, and the rule has already converged at step h
-        itg = RadialIntegrator(lee(4, 1.0))
+        itg = RadialIntegrator(lee(4, 1.0), {})
         g = lambda st: st.rho ** 2 * st.dens
         coarse, fine = _levels(g(itg.state), itg.weights, itg.coarse)
         val, err = itg.integrate(g)
@@ -525,7 +525,7 @@ class TestQuadrature:
         # int rho dV / Vol(M) for the k=1 hemisphere is 1/(n+1), and both
         # levels of the rule are within it
         geom = build_lee(ModelSpace(4, 1.0))
-        itg = RadialIntegrator(geom)
+        itg = RadialIntegrator(geom, {})
         g = lambda st: st.rho ** 2 * st.dens
         val, err = itg.integrate(g)
         assert abs(val - 0.2) <= max(err, 1e-12)

@@ -12,7 +12,6 @@ import pytest
 
 from hkcce import cli, scattering
 from hkcce.compactification import build_adapted
-from hkcce.hk_verifier import RadialIntegrator
 from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError,
                               _connect, _s_ext, de_lattice, node_functions,
@@ -432,7 +431,7 @@ class TestProfileTable:
     @pytest.mark.parametrize("gamma", (0.05, 0.5, 0.95))
     def test_table_is_the_integrators_interior_nodes(self, solved, gamma):
         sr = solved(6, gamma, 1.0)
-        tau = RadialIntegrator(build_adapted(sr)).state.tau
+        tau = build_adapted(sr).lattice[0].tau
         inner = tau[tau <= TAU_MATCH]
         assert len(sr.interior.tau) == len(inner) == 155
         assert np.array_equal(sr.interior.tau, inner[::-1])
