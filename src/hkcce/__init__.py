@@ -7,7 +7,7 @@ from .special_fn import (GAMMA_MAX, GAMMA_MIN, QCurvParams, d_gamma,
                          hk_constant, sphere_q_value, sphere_volume)
 from .model_geometry import ModelSpace, mean_curvature_exact
 from .scattering import (FrobeniusBranch, MatchingError, ScatteringResult,
-                         frobenius_branch, match_and_q, solve_case,
+                         frobenius_branches, match_and_q, solve_case,
                          solve_interior)
 from .jet_algebra import (IntegralClass, Jet, Prop21Certificate,
                           expand_normal_form, verify_prop21)
@@ -23,7 +23,7 @@ __all__ = [
     "hk_constant", "sphere_q_value", "sphere_volume",
     "ModelSpace", "mean_curvature_exact",
     "FrobeniusBranch", "MatchingError", "ScatteringResult",
-    "frobenius_branch", "match_and_q", "solve_case", "solve_interior",
+    "frobenius_branches", "match_and_q", "solve_case", "solve_interior",
     "IntegralClass", "Jet", "Prop21Certificate", "expand_normal_form",
     "verify_prop21",
     "CompactifiedGeometry", "GeometryError", "build_adapted",

@@ -63,8 +63,6 @@ from .hk_verifier import (asymptotic_ratio, defect_identity, verify_adapted,
 from .scattering import MatchingError, solve_case
 from .special_fn import QCurvParams, sphere_q_value
 
-_VERIFY_TARGETS = ("hk-adapted", "hk-cla", "hk-lee", "defect", "prop21")
-
 
 def fmt15(x) -> str:
     """Locale-independent 15-significant-digit formatting."""
@@ -81,8 +79,7 @@ class RunConfig:
     gamma: list = field(default_factory=lambda: [0.5])
     k: list = field(default_factory=lambda: [1.0])
     out: str = "out"
-    emit_csv: bool = True
-    emit_json: bool = True
+    emit: frozenset = frozenset(("csv", "json"))
     jobs: int = 0  # 0 = one worker per CPU this process may use
 
     def validate(self):
@@ -117,9 +114,9 @@ def _parse_number_list(text: str, cast):
     return out
 
 
-def _emit_formats(text: str) -> set:
+def _emit_formats(text: str) -> frozenset:
     """The formats named by a comma string."""
-    formats = {e.strip() for e in text.split(",") if e.strip()}
+    formats = frozenset(e.strip() for e in text.split(",") if e.strip())
     bad = formats - {"csv", "json"}
     if bad:
         raise ValueError(f"unknown emit formats: {sorted(bad)}")
@@ -158,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("qcurv", "residuals", "asymptotic", "sweep"):
         common(sub.add_parser(name))
     pv = sub.add_parser("verify")
-    pv.add_argument("target", choices=_VERIFY_TARGETS)
+    pv.add_argument("target", choices=(*_TARGET_REPORTS, "prop21"))
     common(pv)
     return ap
 
@@ -174,9 +171,6 @@ def parse_config(argv) -> RunConfig:
                 given[key] = read(value)
             except ValueError as exc:
                 raise ValueError(f"--{key}: {exc}") from exc
-    if "emit" in given:
-        emit = given.pop("emit")
-        given.update(emit_csv="csv" in emit, emit_json="json" in emit)
     cfg = RunConfig(command=ns.command, verify_target=getattr(ns, "target", None), **given)
     return cfg.validate()
 
@@ -356,7 +350,7 @@ def emit_report(cfg: RunConfig, table: str, rows: list[dict], files: dict,
     out = Path(cfg.out)
     rows = _sort_rows(rows)
     table_files = [(f"tables/{table}.csv", rows)]
-    if cfg.emit_json:
+    if "json" in cfg.emit:
         table_files.append((f"reports/{table}.json", rows))
     case_files = sorted(files.items(), key=lambda f: (f[0].endswith(".json"), Path(f[0]).stem))
     written: list[Path] = []
@@ -364,7 +358,7 @@ def emit_report(cfg: RunConfig, table: str, rows: list[dict], files: dict,
         path = out / name
         if path.suffix == ".json":
             _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float))
-        elif cfg.emit_csv:
+        elif "csv" in cfg.emit:
             _atomic_write(path, _csv_text(payload))
         else:
             continue
@@ -376,7 +370,7 @@ def emit_report(cfg: RunConfig, table: str, rows: list[dict], files: dict,
         "verify_target": cfg.verify_target,
         "parameters": {"n": cfg.n, "gamma": cfg.gamma, "k": cfg.k},
         "jobs": jobs,
-        "emit": {"csv": cfg.emit_csv, "json": cfg.emit_json},
+        "emit": {fmt: fmt in cfg.emit for fmt in ("csv", "json")},
         "wall_clock_s": time.time() - started,
         "all_pass": all_pass,
         "files": [str(p) for p in written],

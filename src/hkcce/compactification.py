@@ -20,11 +20,13 @@ never by finite differences.
 
 Profiles are evaluated piecewise.  Up to the connection point tau_m = 3 the
 adapted profile is the centre series that the scattering result carries
-(`ScatteringResult.interior`), with (1 + w)' and (1 + w)'' from the closure; a
-geometry is built from that one result, which fixes its model (n, k), s,
-gamma, c1 and Q as well.  Beyond it, and on the whole line for the Lee case
-(whose eigenfunction r V = 1 + k r^2/4 is a terminating branch), the state
-is built from the branch coefficients, rounded to double: with
+(`ScatteringResult.interior`), with (1 + w)' and (1 + w)'' from the closure.
+An adapted geometry is built from that one result, `CompactifiedGeometry(sr)`,
+which fixes its model (n, k), s, gamma, c1 and Q as well, and a Lee
+geometry from its model alone, `CompactifiedGeometry(model)`.  Beyond
+tau_m, and on the whole line for the Lee case (whose eigenfunction
+r V = 1 + k r^2/4 is a terminating branch), the state is built from the
+branch coefficients, rounded to double: with
 D = r d/dr - m, each term of D^k u is (mu - m + 2j)^k a_j r^{mu+2j}, and
 U_k = r^{-m} D^k u gives
 
@@ -178,30 +180,34 @@ class Lattice(NamedTuple):
 class CompactifiedGeometry:
     """One compactified model geometry with dense pointwise evaluation.
 
-    Adapted when built from a scattering result, whose s, gamma, c1, Q and
-    interior series it reads; Lee (s = n + 1) when sr is None.
+    Built from the one value that determines it: a scattering result gives
+    the adapted geometry of its model ModelSpace(n, k), reading its s,
+    gamma, c1, Q, branches and interior series; a ModelSpace gives its Lee
+    geometry (s = n + 1, gamma None).
     """
 
-    def __init__(self, base: ModelSpace, sr: ScatteringResult | None):
-        self.base = base
-        if sr is not None:
+    def __init__(self, source: ScatteringResult | ModelSpace):
+        if isinstance(source, ScatteringResult):
+            self.base = base = ModelSpace(source.params.n, source.params.k)
             self.kind = "adapted"
-            self.s, self.gamma = sr.params.s, sr.params.gamma
+            self.s, self.gamma = source.params.s, source.params.gamma
             # 2 gamma from gamma itself: 2s - n would carry the rounding of s,
             # 4e-15 relative at gamma = 0.05, into every boundary coefficient
-            self.two_gamma = self.e = 2.0 * self.gamma
-            self.interior, self.c1 = sr.interior, sr.c1
-            self.q_value, self.q = sr.q_value, sr.scattering_value
+            self.e = 2.0 * self.gamma
+            self.kj = (self.e - 1.0) / 2.0          # (2s - n - 1)/2, the factor of Jbar
+            self.interior, self.c1 = source.interior, source.c1
+            self.q_value, self.q = source.q_value, source.scattering_value
             # the branches are summed to read tau >= TAU_MATCH only, where
             # their sum still cancels at large n (by `condition_estimate`),
             # while the centre series is accurate up to its horizon, there
             self.tau_branch = TAU_MATCH
-            low = sr.branch_low.coeffs.astype(float)
-            high = sr.branch_high.coeffs.astype(float)
+            low = source.branch_low.coeffs.astype(float)
+            high = source.branch_high.coeffs.astype(float)
         else:
+            self.base = base = source
             self.kind = "lee"
             self.s, self.gamma = float(base.n + 1), None
-            self.two_gamma = 2.0 * self.s - base.n
+            self.kj = (base.n + 1.0) / 2.0
             self.interior, self.c1 = None, 1.0
             self.q_value, self.q = None, 0.0
             # Lee: r V = 1 + (k/4) r^2 exactly, a branch on the whole line
@@ -387,7 +393,7 @@ class CompactifiedGeometry:
             raise GeometryError(
                 f"{name} is not positive at tau = {tau[np.argmax(bad)]:.6g} ({self.kind})")
         return GeometryState(
-            n=n, e=e, kj=(self.two_gamma - 1.0) / 2.0,
+            n=n, e=e, kj=self.kj,
             tau=tau, r=r, x=x, w=w, dw_hat=dp,
             S_hat=S_hat, dS_hat=dS_hat, ddS_hat=ddS_hat,
             tf_hat=dp - w * (p + coth_m1_hat),
@@ -403,27 +409,28 @@ class CompactifiedGeometry:
 def build_adapted(sr: ScatteringResult) -> CompactifiedGeometry:
     """Adapted compactification rho_s^2 g_+ from a matched scattering solution.
 
-    The model is the result's (n, k), and the interior its series.  Applies
-    the c1 normalisation (so r^{s-n} u -> 1) and checks that c1 and the
-    tabulated u are positive (the table is u at the quadrature's interior
-    nodes, which every radial integral reads).  u > 0 and T > 0 are checked
-    again by every state evaluation, the r = 0 point (`boundary`) included.
+    `CompactifiedGeometry`(sr), whose model is the result's (n, k) and
+    whose interior is its series, after checking that c1 and the tabulated
+    u are positive (the table is u at the quadrature's interior nodes,
+    which every radial integral reads); the geometry applies the c1
+    normalisation (so r^{s-n} u -> 1).  u > 0 and T > 0 are checked again by
+    every state evaluation, the r = 0 point (`boundary`) included.
     """
-    p = sr.params
     if np.any(sr.interior.u <= 0.0):
         raise GeometryError("u_s must be positive; got a non-positive value in the interior table")
     if sr.c1 <= 0.0:
         raise GeometryError(f"c1 = {sr.c1} is not positive; normalisation undefined")
-    return CompactifiedGeometry(ModelSpace(p.n, p.k), sr)
+    return CompactifiedGeometry(sr)
 
 
 def build_lee(m: ModelSpace) -> CompactifiedGeometry:
-    """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f'.
+    """Lee compactification (1/V)^2 g_+ with the exact eigenfunction V = f':
+    `CompactifiedGeometry`(m).
 
     Nothing is evaluated here: `boundary` assembles Jbar at r = 0, against
     (n+1)/n Jhat, when it is first asked for.
     """
-    return CompactifiedGeometry(m, None)
+    return CompactifiedGeometry(m)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +452,9 @@ class ResidualProfile:
         self.sup_weighted = float(np.max(self.weighted)) if len(self.weighted) else 0.0
 
 
-def _warped_laplacian(st: GeometryState, n: int, h1: np.ndarray,
-                      h2: np.ndarray) -> np.ndarray:
+def _warped_laplacian(st: GeometryState, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Lap_gbar of a radial scalar from its first/second tau derivatives."""
-    return (h2 + (n * (st.w + st.coth) - st.w) * h1) / st.rho ** 2
+    return (h2 + (st.n * (st.w + st.coth) - st.w) * h1) / st.rho ** 2
 
 
 def residual_suite(g: CompactifiedGeometry) -> dict:
@@ -477,19 +483,19 @@ def residual_suite(g: CompactifiedGeometry) -> dict:
 
     drho = st.rho * st.w
     ddrho = st.rho * (st.dw + st.w * st.w)
-    lap_rho = _warped_laplacian(st, n, drho, ddrho)
+    lap_rho = _warped_laplacian(st, drho, ddrho)
     if g.kind == "adapted":
-        tg = g.two_gamma
+        tg = g.e
         record("res_rho", lap_rho, g.s * np.power(st.rho, tg - 1.0) * st.T)
         c_coef = n * (n + tg) * (tg - 1.0) / (2.0 * (n + 1.0))
         # rho^{-1} <grad rho, grad T> with <grad rho, grad T> = w T'/rho
-        record("res_T", _warped_laplacian(st, n, st.dT, st.ddT),
+        record("res_T", _warped_laplacian(st, st.dT, st.ddT),
                (tg - 1.0) * st.w * st.dT / st.rho ** 2,
                2.0 * np.power(st.rho, -tg) * st.tracefree_sq,
                -c_coef * st.T ** 2 * np.power(st.rho, tg - 2.0))
     else:
         record("res_rho", lap_rho, 2.0 * st.rho * st.Jbar)
-        record("res_J", _warped_laplacian(st, n, st.dJbar, st.ddJbar),
+        record("res_J", _warped_laplacian(st, st.dJbar, st.ddJbar),
                -(n - 1.0) * st.w * st.dJbar / st.rho ** 2,
                (n + 1.0) * st.tracefree_sq / st.rho ** 2)
 

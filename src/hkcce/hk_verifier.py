@@ -20,8 +20,9 @@ quadrature rule, and `_levels` its only level sum.
 
 The five reports read two integrated identities, adapted and Lee, whose
 integrands (main, r1, r2) are one table per family.  `_identity` holds one
-case's identity in one `RadialIntegrator`, which sums each integral when a
-report first reads it by name, so `hk-cla` sums main alone.
+case's identity in one `RadialIntegrator`, which takes its table from the
+geometry it is made from and sums each integral when a report first reads
+it by name, so `hk-cla` sums main alone.
 
 Verdicts, on one fixed band: `equality` when |lhs - rhs| <= 1e-5 |lhs|,
 `strict` when the gap of an inequality exceeds the band, `fail` for a
@@ -78,20 +79,23 @@ def _levels(g: np.ndarray, weights: np.ndarray, coarse: slice):
 
 class RadialIntegrator(dict):
     """Nested double-exponential rule over one compactified geometry, and
-    the integrals of one identity on it.
+    the integrals of its identity.
 
     The state, weights and coarse slice are the geometry's `lattice`: its
     `de_lattice` nodes of step h/2, out to where the integrands' boundary
     decay leaves e^{-40} of an integral, assembled once, when the first
     integrator of a geometry is made.  Every integral reuses that one state
-    and sums it with `_levels`.  Reading an integral by name, a key of the
-    integrand table, sums it on first use and keeps its (value, err_est).
+    and sums it with `_levels`.  The integrand table is the geometry's own:
+    the Lee identity's when its gamma is None, else the adapted identity's
+    at its gamma.  Reading an integral by name, a key of that table, sums it
+    on first use and keeps its (value, err_est).
     """
 
-    def __init__(self, geom: CompactifiedGeometry, integrands: dict):
+    def __init__(self, geom: CompactifiedGeometry):
         super().__init__()
         self.state, self.weights, self.coarse = geom.lattice
-        self._integrands = integrands
+        self._integrands = (_lee_integrands(geom.base.n) if geom.gamma is None
+                            else _adapted_integrands(geom.base.n, geom.gamma))
 
     def __missing__(self, name: str):
         self[name] = self.integrate(self._integrands[name])
@@ -229,17 +233,17 @@ def _lee_integrands(n: int) -> dict:
 def _identity(n: int, gamma: float | None, k: float):
     """(sr, Vol(M, ghat), integrator) of one case's integrated identity:
     adapted, or Lee when gamma is None (sr is None); M is the round sphere
-    of radius k^{-1/2}, and the integrator holds the identity's integrands
-    and the integrals read so far.  Memoised for the last case only, so a
-    defect identity right after the inequality of its case reuses the
-    solve, the geometry, its lattice state and the integrals that
-    inequality read."""
+    of radius k^{-1/2}, and the integrator, made from the geometry alone,
+    holds the identity's integrands and the integrals read so far.
+    Memoised for the last case only, so a defect identity right after the
+    inequality of its case reuses the solve, the geometry, its lattice state
+    and the integrals that inequality read."""
     if gamma is None:
-        sr, geom, integrands = None, build_lee(ModelSpace(n, k)), _lee_integrands(n)
+        sr, geom = None, build_lee(ModelSpace(n, k))
     else:
         sr = solve_case(QCurvParams(n, gamma, k))
-        geom, integrands = build_adapted(sr), _adapted_integrands(n, gamma)
-    return sr, k ** (-n / 2.0) * sphere_volume(n), RadialIntegrator(geom, integrands)
+        geom = build_adapted(sr)
+    return sr, k ** (-n / 2.0) * sphere_volume(n), RadialIntegrator(geom)
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +310,25 @@ def defect_identity(kind: str, n: int, k: float, *,
     All remainders are nonnegative; on the models they vanish for gamma=1/2
     and for the Lee case, and the identity balances to quadrature accuracy.
     """
-    if kind == "adapted":
-        if gamma is None:
-            raise ValueError("adapted defect identity needs gamma")
-        sr, vol_m, integrals = _identity(n, gamma, k)
+    if (kind, gamma is None) not in (("adapted", False), ("lee", True)):
+        raise ValueError(f"defect kind {kind!r} with gamma={gamma}: the adapted identity "
+                         "needs gamma, the lee identity takes no gamma, no other kind exists")
+    sr, vol_m, integrals = _identity(n, gamma, k)
+    if sr is None:
+        jhat = n * k / 2.0
+        lhs = n ** 2 / (n + 1.0) * vol_m / jhat
+        kap, coef = 0.0, 2.0 * n
+        params = {"n": n, "k": k, "J_hat": jhat}
+        k_weight = -n / 2.0 - 1.0
+    else:
         kap = (1.0 - gamma) / gamma
         lhs = (2.0 - 2.0 * gamma) * (-4.0 * gamma / d_gamma(gamma)) ** (-kap) \
             * sr.q_value ** (-kap) * vol_m
         coef = (1.0 - gamma) * (n + 2.0 * gamma) ** 2 / (2.0 * (n + 1.0) * gamma)
         params = {"n": n, "gamma": gamma, "k": k, "q_value": sr.q_value}
         k_weight = gamma - 1.0 - n / 2.0
-        name = "defect-adapted"
-    elif kind == "lee":
-        if gamma is not None:
-            raise ValueError("lee defect identity takes no gamma")
-        _, vol_m, integrals = _identity(n, None, k)
-        jhat = n * k / 2.0
-        lhs = n ** 2 / (n + 1.0) * vol_m / jhat
-        kap, coef = 0.0, 2.0 * n
-        params = {"n": n, "k": k, "J_hat": jhat}
-        k_weight = -n / 2.0 - 1.0
-        name = "defect-lee"
-    else:
-        raise ValueError(f"unknown defect kind {kind!r}")
     return _report(
-        name, lhs, kap, (coef * vol_m, integrals["main"]),
+        f"defect-{kind}", lhs, kap, (coef * vol_m, integrals["main"]),
         [("remainder_1", vol_m, integrals["r1"]), ("remainder_2", vol_m, integrals["r2"])],
         k_weight, params, identity=True)
 

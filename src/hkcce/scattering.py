@@ -68,11 +68,11 @@ extended-precision sum of the interior, after which only double
 coefficients are kept), and in double at the lattice's 155 nodes with
 tau <= TAU_MATCH, which become the series' table of u, u' and y; every k
 and every integral shares them.  `solve_interior` keeps the last interior
-and `solve_case` the last case, one entry each.  Those points are the same
-for every (n, gamma), and so is what the sums read of them alone: the
-first 256 powers of w, cosh and tanh of tau/2 at the connection point, and
-log cosh and tanh of tau/2 and 4/(1 + e^tau) at the table's nodes, all
-tabulated once, on import.  A sum is then one product of the coefficients
+and `solve_case`, the memo of `match_and_q`, the last case, one entry
+each.  Those points are the same for every (n, gamma), and so is what the
+sums read of them alone: the first 256 powers of w, cosh and tanh of
+tau/2 at the connection point, and log cosh and tanh of tau/2 and
+4/(1 + e^tau) at the table's nodes, all tabulated once, on import.  A sum is then one product of the coefficients
 with a power table, which a call off the table builds for its own points
 the same way; both set the powers below the smallest normal float to
 exact 0, which no sum's bits can see and which spares the products their
@@ -81,9 +81,12 @@ geometry's state reads of its nodes alone (`node_functions`), and
 `de_lattice` is the one record of it: nodes, weights, the coarse nodes as
 a slice, and read-only slices of those node functions.
 
-A `ScatteringResult` carries the series it was matched to (`interior`),
-so a geometry is built from the result alone and cannot pair one case's
-interior with another case's c1 and Q.
+Every case object is built from the one value that determines it:
+`CentreSeries(n, gamma)` forms s itself, `frobenius_branches(p)` builds both
+branches from the exact roots, and `match_and_q(p)` reads its interior
+through `solve_interior(p)`.  A `ScatteringResult` carries the series it was
+matched to (`interior`), so a geometry is built from the result alone and
+cannot pair one case's interior with another case's c1 and Q.
 
 The Lee eigenfunction of the eigenvalue instance s = n+1 needs no solve: it
 is V = f' = sqrt(k) cosh(tau) (`ModelSpace.df_tau`), and its boundary
@@ -233,33 +236,36 @@ class FrobeniusBranch:
         return r_mu * terms.sum(), -r_mu * ((mu + 2 * j) * terms).sum()
 
 
-def frobenius_branch(p: QCurvParams, mu: float) -> FrobeniusBranch:
-    """Branch for validated parameters; mu must be one of the indicial roots.
+def frobenius_branches(p: QCurvParams) -> tuple[FrobeniusBranch, FrobeniusBranch]:
+    """The low and high branches of validated parameters, roots n - s and s.
 
-    The branch is r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), so
+    The branch of root mu is r^mu 2F1(n/2, mu; 1 + mu - n/2; k r^2/4), so
     a_{2j+2} = a_{2j} (k/4) `_term_ratio`(n/2, mu, 1 + mu - n/2, j), formed
-    in np.longdouble from s = n/2 + gamma exact.  On the gamma box every
-    factor is positive (c + j >= 1 - gamma), so no term cancels or divides by
-    zero.  The series stops at its first term at TAU_MATCH, where
-    k r^2/4 = e^{-6}, that is at most long-double epsilon of the sum there,
-    and raises MatchingError if _BRANCH_MAX_ORDER terms do not reach it.
+    in np.longdouble from the exact roots n - s and s (`_s_ext`).  On the
+    gamma box every factor is positive (c + j >= 1 - gamma), so no term
+    cancels or divides by zero.  Each series stops at its first term at
+    TAU_MATCH, where k r^2/4 = e^{-6}, that is at most long-double epsilon
+    of the sum there, and raises MatchingError if _BRANCH_MAX_ORDER terms do
+    not reach it.
     """
-    if not (math.isclose(mu, p.s) or math.isclose(mu, p.n - p.s)):
-        raise ValueError(f"mu={mu} is not an indicial root (s={p.s}, n-s={p.n - p.s})")
     s = _s_ext(p.n, p.gamma)
-    mu = s if math.isclose(mu, p.s) else p.n - s
     half_n, k_4 = _LD(p.n) / 2, _LD(p.k) / 4
-    c = 1 + (mu - half_n)               # mu - n/2 = +-gamma is exact
-    coeffs, term, total = [_LD(1)], _LD(1), _LD(1)
-    for j in range(_BRANCH_MAX_ORDER):
-        ratio = _term_ratio(half_n, mu, c, j)
-        coeffs.append(coeffs[-1] * k_4 * ratio)
-        term *= _Z_MATCH * ratio
-        total += term
-        if term <= _EPS_EXT * total:
-            return FrobeniusBranch(mu=mu, coeffs=_read_only(np.array(coeffs, dtype=_LD)))
-    raise MatchingError(f"Frobenius series (mu={mu}) not converged after "
-                        f"{_BRANCH_MAX_ORDER} terms at tau={TAU_MATCH}")
+    branches = []
+    for mu in (p.n - s, s):
+        c = 1 + (mu - half_n)               # mu - n/2 = +-gamma is exact
+        coeffs, term, total = [_LD(1)], _LD(1), _LD(1)
+        for j in range(_BRANCH_MAX_ORDER):
+            ratio = _term_ratio(half_n, mu, c, j)
+            coeffs.append(coeffs[-1] * k_4 * ratio)
+            term *= _Z_MATCH * ratio
+            total += term
+            if term <= _EPS_EXT * total:
+                break
+        else:
+            raise MatchingError(f"Frobenius series (mu={mu}) not converged after "
+                                f"{_BRANCH_MAX_ORDER} terms at tau={TAU_MATCH}")
+        branches.append(FrobeniusBranch(mu=mu, coeffs=_read_only(np.array(coeffs, dtype=_LD))))
+    return tuple(branches)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +358,13 @@ class CentreSeries:
     geometry takes y' and y'' from the ODE closure, written for y.
     """
 
-    def __init__(self, n: int, s):
-        self.n, self.s = n, _LD(s)
+    def __init__(self, n: int, gamma: float):
+        self.n, self.s = n, _s_ext(n, gamma)
         counts = self._terms_needed(self._ratio(n, self.s, _WIDTH, float), _W_CONNECTION,
                                     (_EPS, _EPS_EXT))
         if counts is None:
-            raise MatchingError(f"centre series (n={n}, s={s}) needs more than {_WIDTH} terms")
+            raise MatchingError(f"centre series (n={n}, gamma={gamma}) needs more than "
+                                f"{_WIDTH} terms")
         self._terms, self._terms_ext = counts
         j = np.arange(self._terms_ext)          # integer factors, cast once
         f = np.concatenate(([_LD(1)], np.cumprod(self._ratio(n, self.s, len(j) - 1, _LD))))
@@ -435,7 +442,7 @@ class CentreSeries:
 
 @functools.lru_cache(maxsize=1)
 def _interior(n: int, gamma: float) -> CentreSeries:
-    return CentreSeries(n, _s_ext(n, gamma))
+    return CentreSeries(n, gamma)
 
 
 def solve_interior(p: QCurvParams) -> CentreSeries:
@@ -456,8 +463,10 @@ def solve_interior(p: QCurvParams) -> CentreSeries:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Matched branch data, the extracted Q-curvature and the interior
-    solution they were matched to: the one object a geometry is built from."""
+    """What `match_and_q`(p) returns: the matched branch data, the extracted
+    Q-curvature and the interior solution they were matched to, all of the
+    one case p; the one object an adapted geometry is built from
+    (`CompactifiedGeometry`(result))."""
 
     params: QCurvParams
     c1: float
@@ -470,18 +479,21 @@ class ScatteringResult:
     interior: CentreSeries = field(repr=False, compare=False)   # the (n, gamma) series
 
 
-def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
-             b2: FrobeniusBranch):
-    """Solve the value/derivative system at TAU_MATCH; returns (c1, c2, cond).
+def match_and_q(p: QCurvParams) -> ScatteringResult:
+    """Extract c1, c2 and Q by connecting `solve_interior`(p) to
+    `frobenius_branches`(p) in value and tau derivative at TAU_MATCH.
 
     c1 and c2 are np.longdouble: the centre series, both branches and the
     2x2 solve are evaluated in extended precision.  The system's determinant
     is the branches' Wronskian, in closed form, W = v1 d2 - v2 d1 =
     -2 gamma (r/phi)^n = -2 gamma (sqrt(k) sinh tau)^{-n}, so c1 and c2 are
-    two cross products of the entries over W.  cond is the factor by which
-    u = c1 U1 + c2 U2 cancels there, (|c1 v1| + |c2 v2|)/|u|: the loss of
-    the branch sum every geometry evaluates beyond TAU_MATCH.
+    two cross products of the entries over W.  The condition estimate is
+    the factor by which u = c1 U1 + c2 U2 cancels there,
+    (|c1 v1| + |c2 v2|)/|u|: the loss of the branch sum every geometry
+    evaluates beyond TAU_MATCH.
     """
+    interior = solve_interior(p)
+    b1, b2 = frobenius_branches(p)
     r = 2 / np.sqrt(_LD(p.k)) * np.exp(-_LD(TAU_MATCH))
     (v1, d1), (v2, d2) = b1.at(r), b2.at(r)
     u, du = interior.connection
@@ -498,14 +510,6 @@ def _connect(interior: CentreSeries, p: QCurvParams, b1: FrobeniusBranch,
     cond = float((abs(c1 * v1) + abs(c2 * v2)) / abs(u))
     if not cond <= _COND_MAX:
         raise MatchingError(f"matching system condition {cond:.2e} above {_COND_MAX:.1e}")
-    return c1, c2, cond
-
-
-def match_and_q(interior: CentreSeries, p: QCurvParams) -> ScatteringResult:
-    """Extract c1, c2 and Q by two-branch matching at tau = TAU_MATCH."""
-    b1 = frobenius_branch(p, p.n - p.s)
-    b2 = frobenius_branch(p, p.s)
-    c1, c2, cond = _connect(interior, p, b1, b2)
     q = 2 / (p.n - 2 * _LD(p.gamma)) * d_gamma_ext(p.gamma) * (c2 / c1)
     return ScatteringResult(
         params=p, c1=float(c1), c2=float(c2), scattering_value=float(c2 / c1),
@@ -516,11 +520,10 @@ def match_and_q(interior: CentreSeries, p: QCurvParams) -> ScatteringResult:
 
 @functools.lru_cache(maxsize=1)
 def solve_case(p: QCurvParams) -> ScatteringResult:
-    """Full pipeline: centre series plus the branch connection at TAU_MATCH.
-
-    Memoised on the parameters, for the last case only: the sweep asks for
-    a case's Q row and then its hk-adapted report, so the second request
-    returns the same result, which is frozen and carries its interior.
+    """`match_and_q`(p), memoised on the parameters, for the last case only:
+    the sweep asks for a case's Q row and then its hk-adapted report, so
+    the second request returns the same result, which is frozen and carries
+    its interior.
     """
-    return match_and_q(solve_interior(p), p)
+    return match_and_q(p)
 

@@ -145,8 +145,6 @@ class QCurvParams:
             )
         check_k(self.n, self.k)
         object.__setattr__(self, "s", self.n / 2.0 + self.gamma)
-        # spectral condition s(n-s) = n^2/4 - gamma^2 < n^2/4 holds for real gamma
-        assert self.s * (self.n - self.s) < self.n ** 2 / 4.0
 
 
 def sphere_volume(n: int) -> float:

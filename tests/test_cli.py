@@ -25,7 +25,7 @@ class TestParseConfig:
         cfg = parse_config(["qcurv"])
         assert cfg.command == "qcurv"
         assert cfg.n == [4] and cfg.gamma == [0.5] and cfg.k == [1.0]
-        assert cfg.emit_csv and cfg.emit_json
+        assert cfg.emit == {"csv", "json"}
 
     def test_explicit_case(self):
         cfg = parse_config(["qcurv", "--n", "4", "--gamma", "0.5", "--k", "1"])
@@ -53,7 +53,7 @@ class TestParseConfig:
 
     def test_emit_selection(self):
         cfg = parse_config(["qcurv", "--emit", "csv"])
-        assert cfg.emit_csv and not cfg.emit_json
+        assert cfg.emit == {"csv"}
 
     def test_bad_emit(self):
         with pytest.raises(ValueError):

@@ -383,9 +383,9 @@ class TestLatticeState:
             assert calls == []                     # building evaluates nothing
             residual_suite(g)
             assert len(calls) == 1 and "lattice" not in vars(g)
-            itg = RadialIntegrator(g, {})
+            itg = RadialIntegrator(g)
             g.boundary
-            RadialIntegrator(g, {})
+            RadialIntegrator(g)
             g.boundary
             # the window, the lattice, then the one point r = 0
             assert calls == [200, len(itg.state.tau), 1]
@@ -396,7 +396,7 @@ class TestLatticeState:
         # state, so the error comes where a state is first assembled
         sr = solved(4, 0.3, 1.0)
         bad = replace(sr, scattering_value=-sr.scattering_value)
-        for use in (lambda g: g.boundary, lambda g: RadialIntegrator(g, {})):
+        for use in (lambda g: g.boundary, RadialIntegrator):
             g = build_adapted(bad)
             with pytest.raises(GeometryError, match="is not positive"):
                 use(g)

@@ -430,7 +430,11 @@ class TestIdentityAudit:
                 for r in reports if not abs(r.gap) <= r.err_est]
         assert not over
 
-    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 60])
+    @pytest.mark.parametrize("n", [3, 4, 6, 10, 20, 60, *(
+        pytest.param(n, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 12: err_est does not bound the r1 and r2 "
+            "rounding at gamma near 0.95 from n = 100 on"))
+        for n in (100, 120, 150, 190))])
     def test_defect_adapted(self, n):
         self.assert_within_err_est([defect_identity("adapted", n, k, gamma=g)
                                     for g in self.GAMMAS for k in self.KS])
@@ -512,7 +516,7 @@ class TestQuadrature:
     def test_monotone_refinement(self, lee):
         # halving the step moves the integral by less than the error
         # estimate, and the rule has already converged at step h
-        itg = RadialIntegrator(lee(4, 1.0), {})
+        itg = RadialIntegrator(lee(4, 1.0))
         g = lambda st: st.rho ** 2 * st.dens
         coarse, fine = _levels(g(itg.state), itg.weights, itg.coarse)
         val, err = itg.integrate(g)
@@ -525,7 +529,7 @@ class TestQuadrature:
         # int rho dV / Vol(M) for the k=1 hemisphere is 1/(n+1), and both
         # levels of the rule are within it
         geom = build_lee(ModelSpace(4, 1.0))
-        itg = RadialIntegrator(geom, {})
+        itg = RadialIntegrator(geom)
         g = lambda st: st.rho ** 2 * st.dens
         val, err = itg.integrate(g)
         assert abs(val - 0.2) <= max(err, 1e-12)

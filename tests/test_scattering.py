@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from hkcce import cli, scattering
-from hkcce.compactification import build_adapted
+from hkcce.compactification import CompactifiedGeometry, build_adapted, build_lee
+from hkcce.hk_verifier import RadialIntegrator, _identity
+from hkcce.model_geometry import ModelSpace
 from hkcce.scattering import (TAU_MATCH, CentreSeries,
                               FrobeniusBranch, MatchingError,
-                              _connect, _s_ext, de_lattice, node_functions,
-                              frobenius_branch, match_and_q, solve_case, solve_interior)
+                              _s_ext, de_lattice, node_functions,
+                              frobenius_branches, match_and_q, solve_case, solve_interior)
 from hkcce.special_fn import QCurvParams, sphere_q_value
 
 import reference
@@ -52,7 +54,7 @@ class TestFrobeniusCoefficients:
     def test_a2_reference_case(self):
         # u2 = (n-2g)/(8(1-g)) * J with J = nk/2: for n=4, g=1/2, k=1 -> 3/2
         p = QCurvParams(4, 0.5, 1.0)
-        b = frobenius_branch(p, p.n - p.s)
+        b = frobenius_branches(p)[0]
         assert b.coeffs[1] == pytest.approx(1.5, rel=1e-14)
 
     def test_formal_k_zero(self, branch_terms):
@@ -78,13 +80,8 @@ class TestFrobeniusCoefficients:
     def test_recursion_residual(self):
         for gamma in (0.25, 0.6, 0.95):
             p = QCurvParams(5, gamma, 2.0)
-            for mu in (p.s, p.n - p.s):
-                assert recursion_residual(frobenius_branch(p, mu), p) <= 1e-13
-
-    def test_mu_must_be_indicial(self):
-        p = QCurvParams(4, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            frobenius_branch(p, 1.0)
+            for b in frobenius_branches(p):
+                assert recursion_residual(b, p) <= 1e-13
 
     def test_branch_evaluation_against_closed_form(self, branch_terms):
         # gamma = 1/2, n = 4, k = 1: u = r^{3/2} (1 + r/2)^{-3}, so the
@@ -95,6 +92,32 @@ class TestFrobeniusCoefficients:
         for r in (0.05, 0.2, 0.4):
             even_part = 0.5 * ((1 + r / 2) ** -3 + (1 - r / 2) ** -3)
             assert float(b.at(r)[0]) == pytest.approx(r ** mu * even_part, rel=1e-13)
+
+
+class TestOneValuePerCase:
+    def test_each_object_is_built_from_the_one_value_that_determines_it(self):
+        """The branches come from the exact roots, a result's interior is
+        the case's own, and a geometry picks its integrand table: no call
+        can pair one case's interior, model or integrands with another's."""
+        for n, gamma, k in ((4, 0.3, 1.0), (5, 0.7, 2.0), (20, 0.95, 0.5)):
+            p = QCurvParams(n, gamma, k)
+            low, high = frobenius_branches(p)
+            s = _s_ext(n, gamma)
+            assert type(low.mu) is type(high.mu) is type(s)
+            assert (low.mu, high.mu) == (n - s, s)
+            sr = match_and_q(p)
+            assert sr.interior is solve_interior(p)
+            for geom, (_, _, integrals) in ((build_adapted(sr), _identity(n, gamma, k)),
+                                            (build_lee(ModelSpace(n, k)), _identity(n, None, k))):
+                fresh = RadialIntegrator(geom)
+                for name in ("main", "r1", "r2"):
+                    assert fresh[name] == integrals[name], (n, gamma, k, geom.kind, name)
+        # the two-argument forms that paired one case with another are gone
+        p, other = QCurvParams(4, 0.3, 1.0), QCurvParams(5, 0.7, 1.0)
+        with pytest.raises(TypeError):
+            match_and_q(solve_interior(p), other)
+        with pytest.raises(TypeError):
+            CompactifiedGeometry(ModelSpace(4, 2.0), solve_case(p))
 
 
 class TestBranchArithmetic:
@@ -110,7 +133,7 @@ class TestBranchArithmetic:
         ulp = float(np.finfo(LD).eps)
         with mpmath.workdps(30):
             r_mp = _mp(r)
-            for b in (frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)):
+            for b in frobenius_branches(p):
                 mu = _mp(b.mu)
                 terms = [_mp(c) * r_mp ** (2 * j) for j, c in enumerate(b.coeffs)]
                 series = mpmath.fsum(terms)
@@ -133,10 +156,9 @@ class TestBranchArithmetic:
         ulp = float(np.finfo(LD).eps)
         with mpmath.workdps(40):
             tau = mpmath.log(2 / (mpmath.sqrt(k) * _mp(r)))
-            for high, mu in ((False, p.n - p.s), (True, p.s)):
-                got = frobenius_branch(p, mu).at(r)
-                for x, ref in zip(got, reference.branch(n, gamma, k, high, tau)):
-                    assert abs(_mp(x) - ref) <= 32 * ulp * abs(ref), (mu, x, ref)
+            for high, b in zip((False, True), frobenius_branches(p), strict=True):
+                for x, ref in zip(b.at(r), reference.branch(n, gamma, k, high, tau)):
+                    assert abs(_mp(x) - ref) <= 32 * ulp * abs(ref), (b.mu, x, ref)
 
     @pytest.mark.parametrize("n", (3, 4, 20, 60, 100, 150, 190))
     def test_coefficients_equal_the_pochhammer_closed_form(self, n):
@@ -149,7 +171,7 @@ class TestBranchArithmetic:
                     counts = set()
                     for k in (0.5, 1.0, 2.0):
                         p = QCurvParams(n, gamma, k)
-                        b = frobenius_branch(p, p.s if high else p.n - p.s)
+                        b = frobenius_branches(p)[high]
                         counts.add(len(b.coeffs))
                         if k == 1.0:
                             continue
@@ -263,7 +285,7 @@ class TestCentreSeries:
         ns = [*range(3, 21), 60, 150, 190, 200, 250, 500, 1000]
         for n, gamma in [(n, g) for n in ns for g in (0.05, 0.5, 0.95)]:
             s = _s_ext(n, gamma)
-            series = CentreSeries(n, s)
+            series = CentreSeries(n, gamma)
             j = np.arange(400, dtype=np.longdouble)
             ratio = ((s + j) * (s - np.longdouble(n - 1) / 2 + j)
                      / ((np.longdouble(n + 1) / 2 + j) * (1 + j))).astype(float)
@@ -275,15 +297,15 @@ class TestCentreSeries:
         # one bound w(3): the counts do not grow with n
         for n in range(3, 1001):
             for gamma in (0.05, 0.95):
-                series = CentreSeries(n, _s_ext(n, gamma))
+                series = CentreSeries(n, gamma)
                 assert 150 < series._terms < series._terms_ext < 250, (n, gamma)
 
     def test_a_built_series_holds_double_only_and_stays_as_built(self, monkeypatch):
         built = []
 
         class Recording(CentreSeries):
-            def __init__(self, n, s):
-                super().__init__(n, s)
+            def __init__(self, n, gamma):
+                super().__init__(n, gamma)
                 built.append((self, dict(vars(self)), copy.deepcopy(vars(self))))
 
         monkeypatch.setattr(scattering, "CentreSeries", Recording)
@@ -295,7 +317,7 @@ class TestCentreSeries:
                 interior(scattering._TABLE_TAU)
                 u, du, y = interior(np.array([1.0], dtype=LD))
                 assert u.dtype == du.dtype == y.dtype == np.float64
-                sr = match_and_q(interior, QCurvParams(n, gamma, 1.0))
+                sr = match_and_q(QCurvParams(n, gamma, 1.0))
                 series, objects, values = built[-1]
                 assert interior is series and sr.interior is series
                 assert vars(series).keys() == objects.keys()
@@ -321,7 +343,7 @@ class TestCentreSeries:
         eps, eps_ext = float(np.finfo(float).eps), float(np.finfo(LD).eps)
         with mpmath.workdps(40):
             for gamma in (0.05, 0.3, 0.5, 0.77, 0.95):
-                series = CentreSeries(n, _s_ext(n, gamma))
+                series = CentreSeries(n, gamma)
                 s = _mp(_s_ext(n, gamma))
 
                 def worst(tau, pair):
@@ -347,7 +369,7 @@ class TestCentreSeries:
         of [0.05, 3] off the table, within 4 double eps of it, far beyond
         the dimensions the bit-equality tests reach."""
         eps = float(np.finfo(float).eps)
-        series = CentreSeries(n, _s_ext(n, 0.5))
+        series = CentreSeries(n, 0.5)
         off = np.linspace(0.05, TAU_MATCH, 40)
         with mpmath.workdps(40):
             for tau, values in ((series.tau, (series.u, series.du, series.y)),
@@ -385,7 +407,7 @@ class TestPowerTables:
         with their subnormals kept, bit for bit."""
         unflushed = self.unflushed()
         for n in (*range(3, 61), 150, 190):
-            series = CentreSeries(n, _s_ext(n, gamma))
+            series = CentreSeries(n, gamma)
             terms = series._terms
             flushed = series._rows @ scattering._TABLE_AT[0][:, :terms].T
             assert np.array_equal(flushed, series._rows @ unflushed[:, :terms].T), n
@@ -401,12 +423,12 @@ class TestPowerTables:
                 table[0] = 0
         for n in (*range(3, 1001), 10 ** 6):
             for gamma in (0.05, 0.95):
-                series = CentreSeries(n, _s_ext(n, gamma))
+                series = CentreSeries(n, gamma)
                 assert series._terms < series._terms_ext <= width, (n, gamma)
         # a series that needs more terms than the tables hold is refused
         monkeypatch.setattr(scattering, "_WIDTH", 150)
         with pytest.raises(MatchingError, match="more than 150 terms"):
-            CentreSeries(5, _s_ext(5, 0.3))
+            CentreSeries(5, 0.3)
 
     @pytest.mark.parametrize("gamma", [round(0.05 * i, 2) for i in range(1, 20)])
     def test_a_call_at_some_table_nodes_gives_the_table_bits(self, gamma):
@@ -417,7 +439,7 @@ class TestPowerTables:
         nudged = nodes.copy()
         nudged[-1] = np.nextafter(nudged[-1], 1.0)
         for n in range(3, 61):
-            series = CentreSeries(n, _s_ext(n, gamma))
+            series = CentreSeries(n, gamma)
             for table, sparse, most in zip((series.u, series.du, series.y), series(nodes[::2]),
                                            series(nudged), strict=True):
                 table = table[::-1]                 # the nodes' descending order
@@ -443,12 +465,12 @@ class TestProfileTable:
         for value, table in zip(values, (interior.u, interior.du, interior.y), strict=True):
             assert np.shares_memory(value, table) and np.array_equal(value[::-1], table)
         # a series built afresh sums the same table, bit for bit
-        for value, direct in zip(values, CentreSeries(6, _s_ext(6, 0.3))(nodes), strict=True):
+        for value, direct in zip(values, CentreSeries(6, 0.3)(nodes), strict=True):
             assert np.array_equal(value, direct)
 
     def test_evaluate_elsewhere_sums_the_series(self, solved):
         interior = solved(6, 0.3, 1.0).interior
-        series = CentreSeries(6, _s_ext(6, 0.3))
+        series = CentreSeries(6, 0.3)
         nodes = interior.tau[::-1]
         for tau in (np.linspace(0.01, TAU_MATCH, 40), nodes[1:], interior.tau,
                     np.append(nodes, 1.0)):
@@ -458,7 +480,7 @@ class TestProfileTable:
                 assert np.array_equal(value, direct)
         # beyond the horizon the term counts no longer reach double precision
         # (3e-10 relative at tau = 3.5 for n = 10, gamma = 0.5): refused
-        for call in (interior, CentreSeries(10, _s_ext(10, 0.5))):
+        for call in (interior, CentreSeries(10, 0.5)):
             with pytest.raises(ValueError, match="horizon"):
                 call(np.array([1.0, 3.5]))
 
@@ -504,7 +526,7 @@ class TestMatching:
         (|L| + |q x H|)/|L + q x H| of the branch sum a geometry evaluates
         beyond TAU_MATCH: L and H the low and high series summed in double
         at r(3), x = r^{2 gamma} and q = c2/c1 from the 20-digit closed
-        form.  Within 4 cond eps, and `_connect` refuses exactly the cells
+        form.  Within 4 cond eps, and `match_and_q` refuses exactly the cells
         where it exceeds _COND_MAX (n ~ 196-215)."""
         eps = float(np.finfo(float).eps)
         raised = 0
@@ -512,7 +534,7 @@ class TestMatching:
             for gamma in (0.05, 0.5, 0.95):
                 for k in (0.5, 1.0, 2.0):
                     p = QCurvParams(n, gamma, k)
-                    b1, b2 = frobenius_branch(p, p.n - p.s), frobenius_branch(p, p.s)
+                    b1, b2 = frobenius_branches(p)
                     r = (2.0 / math.sqrt(k)) * math.exp(-TAU_MATCH)
                     low, high = (np.polyval(b.coeffs.astype(float)[::-1], r * r)
                                  for b in (b1, b2))
@@ -525,9 +547,9 @@ class TestMatching:
                     if cancellation > scattering._COND_MAX:
                         raised += 1
                         with pytest.raises(MatchingError, match="condition"):
-                            _connect(solve_interior(p), p, b1, b2)
+                            match_and_q(p)
                         continue
-                    cond = _connect(solve_interior(p), p, b1, b2)[2]
+                    cond = match_and_q(p).condition_estimate
                     assert abs(cond - cancellation) <= 4 * cond * cond * eps, (n, gamma, k)
         assert raised > 0
 
@@ -636,9 +658,9 @@ class TestMemo:
         built = []
 
         class Counting(scattering.CentreSeries):
-            def __init__(self, n, s):
-                built.append((n, s))
-                super().__init__(n, s)
+            def __init__(self, n, gamma):
+                built.append((n, gamma))
+                super().__init__(n, gamma)
 
         monkeypatch.setattr(scattering, "CentreSeries", Counting)
         rc = cli.main(["sweep", "--n", "5", "--gamma", "0.3", "--k", "0.5,1,2",
